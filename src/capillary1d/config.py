@@ -143,6 +143,14 @@ def build_initial_data(kind: str, parameters: dict, domain: DomainSpec) -> Spect
     raise ConfigError(f"unknown initial_data kind {kind!r}")
 
 
+def _integer(value, name: str) -> int:
+    """An integral config entry; refuses to truncate a fractional number."""
+    number = float(value)
+    if isinstance(value, bool) or not number.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
 @dataclass
 class ResolvedConfig:
     domain: DomainSpec
@@ -161,8 +169,8 @@ def resolve_config(raw: dict) -> ResolvedConfig:
 
     dom = cfg["domain"]
     try:
-        domain = DomainSpec(half_length=float(dom["l"]), modes=int(dom["N"]),
-                            oversample=int(dom["oversample"]))
+        domain = DomainSpec(half_length=float(dom["l"]), modes=_integer(dom["N"], "N"),
+                            oversample=_integer(dom["oversample"], "oversample"))
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad domain section: {exc}") from exc
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .basis import (
     DomainSpec,
     SpectralField,
@@ -27,8 +28,8 @@ from .basis import (
     synthesize,
     tables,
 )
-from .galerkin import SimulationAbort, SimulationResult, assemble_rhs
-from .model import EntropyEval, ModelParams, galerkin_pressure_coeffs, mobility
+from .galerkin import SimulationAbort, SimulationResult, rhs_output
+from .model import EntropyEval, ModelParams
 
 # positivity-set membership: below spectral truncation noise at N <= 64
 DEFAULT_TOL_ZERO_REL = 1e-7
@@ -64,11 +65,9 @@ def snapshot_diagnostics(c: SpectralField, params: ModelParams, domain: DomainSp
     Aborts when the entropy anchor is violated (sup u >= a) since G is only
     defined below the anchor.
     """
-    t = tables(domain)
     fld = synthesize(c, domain, order=2)
     if tol_zero is None:
         tol_zero = DEFAULT_TOL_ZERO_REL * max(1.0, float(np.abs(fld.u).max()))
-    d = galerkin_pressure_coeffs(c, params, domain)
 
     ent = float("nan")
     if entropy is not None:
@@ -80,8 +79,7 @@ def snapshot_diagnostics(c: SpectralField, params: ModelParams, domain: DomainSp
         ent = float("inf") if not np.all(np.isfinite(vals)) else quadrature(vals, domain)
 
     norms = sobolev_norms(c, domain)
-    u_t = assemble_rhs(c, params, domain)
-    resid, _ = flux_and_weak_residual(c, u_t, params, domain, tol_zero=tol_zero)
+    resid, _ = flux_and_weak_residual(c, params, domain, tol_zero=tol_zero)
     return DiagnosticsRecord(
         t=float("nan"),
         mass=float(c.coeffs[0] * np.sqrt(2.0 * domain.half_length)),
@@ -149,38 +147,32 @@ def entropy_identity_residual(result: SimulationResult, entropy: EntropyEval) ->
     return resid, float(resid.max())
 
 
-def flux_and_weak_residual(c: SpectralField, u_t: SpectralField, params: ModelParams,
-                           domain: DomainSpec, test_modes=None,
-                           tol_zero: float = 1e-7) -> tuple[np.ndarray, float]:
+def flux_and_weak_residual(c: SpectralField, params: ModelParams, domain: DomainSpec,
+                           test_modes=None, tol_zero: float = 1e-7) -> tuple[np.ndarray, float]:
     """Weak residuals r_j = (u_t, e_j) + (J, e_j') per test mode.
 
-    J is the flux m(u) p_x restricted to the positivity set {u > tol_zero}
-    and zero elsewhere.  For j <= N the residual vanishes to roundoff by
-    Galerkin orthogonality; modes j > N quantify spatial truncation.
-    Returns (residuals, scale) where scale is the natural cancellation size
-    max(1, |(u_t, e_j)|, |(J, e_j')|).
+    u_t, u and the flux m(u) p_x come from one kernels.rhs call; J is the
+    flux restricted to the positivity set {u > tol_zero} and zero elsewhere.
+    For j <= N the residual vanishes to roundoff by Galerkin orthogonality;
+    modes j > N, sampled from the closed-form eigenpairs, quantify spatial
+    truncation.  Returns (residuals, scale) where scale is the natural
+    cancellation size max(1, |(u_t, e_j)|, |(J, e_j')|).
     """
-    if test_modes is None:
-        test_modes = list(range(domain.modes + 1))
     t = tables(domain)
-    fld = synthesize(c, domain, order=1)
-    d = galerkin_pressure_coeffs(c, params, domain)
-    px = t.Ex @ d.coeffs
-    flux = mobility(fld.u, params) * px
-    J = np.where(fld.u > tol_zero, flux, 0.0)
-    ut_grid = t.E @ u_t.coeffs
-
-    resid = np.empty(len(test_modes))
-    scale = 1.0
-    for i, j in enumerate(test_modes):
-        ej, _ = eigenpair(j, domain)
-        e_vals = ej(t.x)
-        ex_vals = eigen_deriv(j, domain, t.x)
-        a = float(np.dot(t.w, ut_grid * e_vals))
-        b = float(np.dot(t.w, J * ex_vals))
-        resid[i] = a + b
-        scale = max(scale, abs(a), abs(b))
-    return resid, scale
+    c_dot, _, u, flux, _ = rhs_output(c, params, domain)
+    ut, J, a_tab, b_tab = kernels.weak_residual_terms(t, c_dot, u, flux, tol_zero)
+    modes = np.arange(a_tab.size) if test_modes is None else np.asarray(test_modes, dtype=int)
+    inside = modes <= domain.modes
+    a = np.zeros(modes.size)
+    b = np.zeros(modes.size)
+    a[inside] = a_tab[modes[inside]]
+    b[inside] = b_tab[modes[inside]]
+    for i in np.flatnonzero(~inside):
+        ej, _ = eigenpair(int(modes[i]), domain)
+        a[i] = np.dot(t.w, ut * ej(t.x))
+        b[i] = np.dot(t.w, J * eigen_deriv(int(modes[i]), domain, t.x))
+    scale = max(np.max(np.abs(a), initial=1.0), np.max(np.abs(b), initial=1.0))
+    return a + b, float(scale)
 
 
 # -- Lemma-style W^{1,inf} and H^2 certification -------------------------------

@@ -7,10 +7,14 @@ algebraically identical to the eliminated double-sum form because the
 pressure lives in the Galerkin space.  Component 0 of dc/dt is identically
 zero (e_0' = 0), so mass is conserved to the last bit by every integrator.
 
-Cumulative integrals (flux dissipation, entropy dissipation, r-weighted
-dissipations) ride along as augmented components advanced through the same
-Runge-Kutta tableau; step-size control acts on the coefficient vector only.
-Dense output for snapshot observers is cubic Hermite on the accepted steps.
+simulate is the one stepping loop, for both RKF45 (adaptive) and RK4
+(fixed step); every stage calls kernels.rhs.  Cumulative integrals (flux
+dissipation, entropy dissipation, r-weighted dissipations) ride along as
+augmented components advanced through the same Runge-Kutta tableau;
+step-size control acts on the coefficient vector only.  Dense output for
+snapshot observers is cubic Hermite on the accepted steps, and the weak
+residual, when tracked, is measured at every accepted step from the same
+kernel output that drives the next step.
 
 The degenerate limit (p_x defined only on the positivity set) is never
 solved directly; it is probed through epsilon sweeps in the experiments
@@ -19,7 +23,7 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +63,9 @@ class IntegratorSpec:
             raise ValueError("t_end must be positive and finite")
         if self.method == "rk4" and (self.dt is None or self.dt <= 0):
             raise ValueError("rk4 needs a positive dt")
-        if self.method == "rkf45" and (self.rtol <= 0 or self.atol <= 0):
-            raise ValueError("rkf45 needs positive tolerances")
+        if self.method == "rkf45" and not (0.0 < self.rtol < 1.0
+                                           and 0.0 < self.atol < float("inf")):
+            raise ValueError("rkf45 needs 0 < rtol < 1 and a positive finite atol")
         for s in self.snapshot_times:
             if not (0.0 <= s <= self.t_end * (1 + 1e-12)):
                 raise ValueError(f"snapshot time {s} outside [0, {self.t_end}]")
@@ -72,14 +77,6 @@ class StepStats:
     rejected: int = 0
     rhs_calls: int = 0
     dt_last: float = 0.0
-
-
-@dataclass
-class OdeState:
-    t: float
-    c: SpectralField
-    dt: float | None = None
-    stats: StepStats = field(default_factory=StepStats)
 
 
 @dataclass
@@ -118,50 +115,56 @@ class SimulationResult:
         return SpectralField(self.coeffs[i].copy())
 
 
-def _kernel_args(params: ModelParams, domain: DomainSpec, r_values) -> tuple:
-    t = tables(domain)
-    pk = kernels.PRESSURE_LINEAR if params.pressure_mode == "linear" else kernels.PRESSURE_NONLINEAR
-    mk = kernels.MOBILITY_CONSTANT if params.mobility_mode == "constant" else kernels.MOBILITY_STANDARD
-    return (t.E, t.Ex, t.ET, t.ExT, t.lam, t.w, float(params.n), float(params.delta),
-            float(params.epsilon), float(params.eta), pk, mk,
-            np.asarray(r_values, dtype=float))
+def rhs_output(c: SpectralField, params: ModelParams, domain: DomainSpec) -> tuple:
+    """One kernels.rhs call at c: (c_dot, d, u, flux, aux), refused if non-finite."""
+    out = kernels.rhs(np.ascontiguousarray(c.coeffs), tables(domain), params,
+                      np.asarray(DEFAULT_R_VALUES))
+    if not np.all(np.isfinite(out[0])):
+        raise SimulationAbort("non-finite right-hand side")
+    return out
 
 
 def assemble_rhs(c: SpectralField, params: ModelParams, domain: DomainSpec) -> SpectralField:
     """dc/dt for the Galerkin system; (dc/dt)_0 == 0 exactly."""
-    args = _kernel_args(params, domain, DEFAULT_R_VALUES)
-    c_dot, _, _, _, _ = kernels.rhs(np.ascontiguousarray(c.coeffs), *args)
-    if not np.all(np.isfinite(c_dot)):
-        raise SimulationAbort("non-finite right-hand side")
-    return SpectralField(c_dot)
+    return SpectralField(rhs_output(c, params, domain)[0])
 
 
-# Fehlberg 4(5) tableau (propagates the 4th-order solution)
-_FB_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
-_FB_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_FB_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
-_FB_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_RK4_B = (1 / 6, 1 / 3, 1 / 3, 1 / 6)
+# explicit tableaux (A rows, propagated weights b, embedded weights or None);
+# Fehlberg 4(5) propagates the 4th-order solution
+_TABLEAUX = {
+    "rkf45": (
+        ((), (1 / 4,), (3 / 32, 9 / 32), (1932 / 2197, -7200 / 2197, 7296 / 2197),
+         (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+         (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40)),
+        (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0),
+        (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55),
+    ),
+    "rk4": (((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1 / 6, 1 / 3, 1 / 3, 1 / 6), None),
+}
+
+
+def _combine(y: np.ndarray, dt: float, weights, slopes) -> np.ndarray:
+    # y + dt * sum_i w_i k_i, skipping zero weights
+    out = y.copy()
+    for wi, ki in zip(weights, slopes):
+        if wi != 0.0:
+            out += dt * wi * ki
+    return out
 
 
 class _OdeCore:
-    """Stage evaluation shared by step() and simulate()."""
+    """Kernel calls and Runge-Kutta stages for simulate, with an RHS call count."""
 
     def __init__(self, params: ModelParams, domain: DomainSpec, r_values):
-        self.args = _kernel_args(params, domain, r_values)
+        self.tables = tables(domain)
+        self.params = params
+        self.r_values = np.asarray(r_values, dtype=float)
         self.nq = 2 + len(r_values)
         self.rhs_calls = 0
 
     def eval(self, c: np.ndarray):
         self.rhs_calls += 1
-        out = kernels.rhs(c, *self.args)
+        out = kernels.rhs(c, self.tables, self.params, self.r_values)
         if not np.all(np.isfinite(out[0])):
             raise SimulationAbort("non-finite right-hand side")
         return out
@@ -169,43 +172,15 @@ class _OdeCore:
     def qdot(self, aux: np.ndarray) -> np.ndarray:
         return aux[: self.nq]
 
-    def rkf45_step(self, c, dt, k1, aux1):
-        """One trial Fehlberg step from (c, k1).  Returns candidate data."""
+    def stages(self, c, dt, k1, aux1, rows):
+        """Stage slopes of c and of the cumulative integrals for tableau rows."""
         ks = [k1]
         qds = [self.qdot(aux1)]
-        for i in range(1, 6):
-            ci = c.copy()
-            for a, kj in zip(_FB_A[i], ks):
-                if a != 0.0:
-                    ci += dt * a * kj
-            ki, _, _, _, auxi = self.eval(ci)
+        for row in rows[1:]:
+            ki, _, _, _, auxi = self.eval(_combine(c, dt, row, ks))
             ks.append(ki)
             qds.append(self.qdot(auxi))
-        c4 = c.copy()
-        c5 = c.copy()
-        dq = np.zeros(self.nq)
-        for b4, b5, ki, qdi in zip(_FB_B4, _FB_B5, ks, qds):
-            if b4 != 0.0:
-                c4 += dt * b4 * ki
-                dq += dt * b4 * qdi
-            if b5 != 0.0:
-                c5 += dt * b5 * ki
-        err = float(np.max(np.abs(c5 - c4)))
-        return c4, dq, err
-
-    def rk4_step(self, c, dt, k1, aux1):
-        ks = [k1]
-        qds = [self.qdot(aux1)]
-        for frac in (0.5, 0.5, 1.0):
-            ki, _, _, _, auxi = self.eval(c + dt * frac * ks[-1])
-            ks.append(ki)
-            qds.append(self.qdot(auxi))
-        c_new = c.copy()
-        dq = np.zeros(self.nq)
-        for b, ki, qdi in zip(_RK4_B, ks, qds):
-            c_new += dt * b * ki
-            dq += dt * b * qdi
-        return c_new, dq
+        return ks, qds
 
 
 def _initial_dt(spec: IntegratorSpec, c: np.ndarray, k1: np.ndarray) -> float:
@@ -214,45 +189,6 @@ def _initial_dt(spec: IntegratorSpec, c: np.ndarray, k1: np.ndarray) -> float:
     d0 = max(float(np.max(np.abs(c))), spec.atol)
     d1 = max(float(np.max(np.abs(k1))), 1e-300)
     return max(DT_MIN, min(1e-3 * spec.t_end, 1e-2 * d0 / d1))
-
-
-def step(state: OdeState, spec: IntegratorSpec, params: ModelParams,
-         domain: DomainSpec, r_values=DEFAULT_R_VALUES) -> OdeState:
-    """Advance one accepted step (adaptive mode retries internally).
-
-    Aborts with a stiffness diagnostic once dt underflows DT_MIN.
-    """
-    core = _OdeCore(params, domain, r_values)
-    c = np.ascontiguousarray(state.c.coeffs)
-    k1, _, _, _, aux1 = core.eval(c)
-    stats = state.stats
-    t = state.t
-    if spec.method == "rk4":
-        dt = min(spec.dt, spec.t_end - t) if spec.t_end > t else spec.dt
-        c_new, _ = core.rk4_step(c, dt, k1, aux1)
-        stats.accepted += 1
-        stats.rhs_calls += core.rhs_calls
-        stats.dt_last = dt
-        return OdeState(t=t + dt, c=SpectralField(c_new), dt=dt, stats=stats)
-
-    dt = state.dt if state.dt else _initial_dt(spec, c, k1)
-    while True:
-        dt = min(dt, spec.t_end - t) if spec.t_end > t else dt
-        c4, _, err = core.rkf45_step(c, dt, k1, aux1)
-        tol = spec.atol + spec.rtol * max(float(np.max(np.abs(c))), float(np.max(np.abs(c4))))
-        if err <= tol:
-            stats.accepted += 1
-            stats.rhs_calls += core.rhs_calls
-            dt_next = dt * min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
-            stats.dt_last = dt
-            return OdeState(t=t + dt, c=SpectralField(c4), dt=dt_next, stats=stats)
-        stats.rejected += 1
-        dt *= max(0.1, 0.9 * (tol / err) ** 0.2)
-        if dt < DT_MIN:
-            raise SimulationAbort(
-                f"step size underflow at t = {t:.6g} (dt = {dt:.3e}): "
-                "system too stiff for the explicit integrator at these tolerances"
-            )
 
 
 def _hermite(theta: float, y0, d0, y1, d1, h: float):
@@ -264,12 +200,9 @@ def _hermite(theta: float, y0, d0, y1, d1, h: float):
 
 
 def _weak_residual_max(t, c_dot, u, flux, tol_zero: float) -> float:
-    # r_j = (u_t, e_j) + (J, e_j') with J = flux restricted to {u > tol_zero};
     # zero to roundoff for j <= N by Galerkin orthogonality
-    ut_grid = t.E @ c_dot
-    J = np.where(u > tol_zero, flux, 0.0)
-    r = t.ET @ (t.w * ut_grid) + t.ExT @ (t.w * J)
-    return float(np.max(np.abs(r)))
+    _, _, a, b = kernels.weak_residual_terms(t, c_dot, u, flux, tol_zero)
+    return float(np.max(np.abs(a + b)))
 
 
 def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
@@ -289,7 +222,6 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
         flags.append("eta = 0: mobility unbounded above (outside the discrete existence lemma)")
 
     core = _OdeCore(params, domain, r_values)
-    t_ref = tables(domain)
     anchor = params.entropy_anchor
     c = np.ascontiguousarray(u0.coeffs.astype(float))
     if c.shape[0] != domain.modes + 1:
@@ -315,7 +247,7 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
     node_maxu = [aux1[-1]]
     node_weak = [] if track_weak_residual else None
     if track_weak_residual:
-        node_weak.append(_weak_residual_max(t_ref, k1, u_grid, flux, tol_zero))
+        node_weak.append(_weak_residual_max(core.tables, k1, u_grid, flux, tol_zero))
 
     n_snap = snap_times.size
     snap_c = np.empty((n_snap, c.shape[0]))
@@ -332,20 +264,16 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
     t_end = spec.t_end
     eps_end = 1e-12 * max(1.0, t_end)
 
+    rows, weights, embedded = _TABLEAUX[spec.method]
     while tcur < t_end - eps_end:
         dt = min(dt, t_end - tcur)
-        if spec.method == "rk4":
-            c_new, dq = core.rk4_step(c, dt, k1, aux1)
-            accepted, dt_used, dt_next = True, dt, dt
-        else:
-            c4, dq, err = core.rkf45_step(c, dt, k1, aux1)
-            tol = spec.atol + spec.rtol * max(float(np.max(np.abs(c))), float(np.max(np.abs(c4))))
-            if err <= tol:
-                c_new = c4
-                accepted, dt_used = True, dt
-                dt_next = dt * min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
-            else:
-                accepted = False
+        ks, qds = core.stages(c, dt, k1, aux1, rows)
+        c_new = _combine(c, dt, weights, ks)
+        dt_next = dt
+        if embedded is not None:
+            err = float(np.max(np.abs(_combine(c, dt, embedded, ks) - c_new)))
+            tol = spec.atol + spec.rtol * max(float(np.max(np.abs(c))), float(np.max(np.abs(c_new))))
+            if not err <= tol:
                 stats.rejected += 1
                 dt *= max(0.1, 0.9 * (tol / err) ** 0.2)
                 if dt < DT_MIN:
@@ -354,8 +282,10 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
                         "for the explicit integrator at these tolerances"
                     )
                 continue
+            dt_next = dt * min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
+        dq = _combine(np.zeros(core.nq), dt, weights, qds)
 
-        t_new = tcur + dt_used
+        t_new = tcur + dt
         k1_new, _, u_grid, flux, aux_new = core.eval(c_new)
         check_anchor(aux_new, t_new)
         q_new = q + dq
@@ -364,15 +294,15 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
         # (whose time derivatives are the aux dissipation values)
         while isnap < n_snap and snap_times[isnap] <= t_new + eps_end:
             s = snap_times[isnap]
-            theta = min(1.0, max(0.0, (s - tcur) / dt_used))
-            snap_c[isnap] = _hermite(theta, c, k1, c_new, k1_new, dt_used)
+            theta = min(1.0, max(0.0, (s - tcur) / dt))
+            snap_c[isnap] = _hermite(theta, c, k1, c_new, k1_new, dt)
             snap_q[isnap] = _hermite(theta, q, core.qdot(aux1), q_new,
-                                     core.qdot(aux_new), dt_used)
+                                     core.qdot(aux_new), dt)
             isnap += 1
 
         tcur, c, q, k1, aux1 = t_new, c_new, q_new, k1_new, aux_new
         stats.accepted += 1
-        stats.dt_last = dt_used
+        stats.dt_last = dt
         dt = dt_next
         node_t.append(tcur)
         node_es.append(aux1[2 + nr])
@@ -380,7 +310,7 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
         node_q.append(q.copy())
         node_maxu.append(aux1[-1])
         if track_weak_residual:
-            node_weak.append(_weak_residual_max(t_ref, k1, u_grid, flux, tol_zero))
+            node_weak.append(_weak_residual_max(core.tables, k1, u_grid, flux, tol_zero))
 
     # any trailing snapshots at t_end within tolerance
     while isnap < n_snap:

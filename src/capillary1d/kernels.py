@@ -1,64 +1,46 @@
-"""Hot numeric kernels for the Galerkin right-hand side.
+"""The Galerkin right-hand side and the weak residual in table form.
 
 Stability-limited explicit stepping evaluates the RHS 1e4-1e5 times per run,
 so the whole chain (synthesis -> mobility -> pressure coefficients -> flux ->
-projection) is fused into one kernel.  The numba-jitted version is used when
-available; set CAPILLARY1D_NO_NUMBA=1 to force the pure-numpy fallback.
-Both paths stay importable (``rhs_numpy`` / ``rhs_numba``) so the benchmark
-can compare them.
+projection) is one numpy function over the cached basis tables.  The physics
+(mobility, weak pressure density, pressure coefficients) comes from the model
+module; this one only assembles it.  Callers look ``rhs`` up on the module at
+call time, so it can be wrapped from outside.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-PRESSURE_NONLINEAR = 0
-PRESSURE_LINEAR = 1
-MOBILITY_STANDARD = 0
-MOBILITY_CONSTANT = 1
+from .basis import BasisTables
+from .model import ModelParams, mobility, pressure_coeffs
 
 
-def _rhs_impl(c, E, Ex, ET, ExT, lam, w, n, delta, epsilon, eta,
-              pressure_kind, mobility_kind, r_values):
-    """Fused RHS evaluation.
+def rhs(c: np.ndarray, t: BasisTables, params: ModelParams, r_values: np.ndarray):
+    """Galerkin RHS dc/dt at coefficients c.
 
     Returns (c_dot, d, u, flux, aux): pressure coefficients d, grid values of
     u and of the flux m(u) p_x, and aux = [D, S, D_r..., E_surface, E_delta,
     max|u|] where D is the flux dissipation integrand's integral, S the
     entropy-dissipation one, D_r the r-weighted dissipations.
     """
-    u = np.dot(E, c)
-    ux = np.dot(Ex, c)
-    uxx = -np.dot(E, lam * c)
+    w = t.w
+    u = np.dot(t.E, c)
+    ux = np.dot(t.Ex, c)
+    uxx = -np.dot(t.E, t.lam * c)
 
     Qsq = 1.0 + ux * ux
     Q = np.sqrt(Qsq)
 
-    # weak-form pressure density (u_x/Q + delta u_x, or its linearization)
-    if pressure_kind == PRESSURE_LINEAR:
-        s = (1.0 + delta) * ux
-    else:
-        s = ux / Q + delta * ux
-
-    d = np.dot(ExT, w * s)
-    px = np.dot(Ex, d)
-
-    if mobility_kind == MOBILITY_CONSTANT:
-        mob = np.full_like(u, epsilon)
-    else:
-        mraw = np.abs(u) ** n
-        if eta > 0.0:
-            mob = mraw / (1.0 + eta * mraw) + epsilon
-        else:
-            mob = mraw + epsilon
-
+    d = pressure_coeffs(ux, t, params)
+    px = np.dot(t.Ex, d)
+    mob = mobility(u, params)
     flux = mob * px
-    c_dot = -np.dot(ExT, w * flux)
+    c_dot = -np.dot(t.ExT, w * flux)
 
     pxsq = px * px
     nr = r_values.shape[0]
+    delta = params.delta
     aux = np.empty(5 + nr)
     aux[0] = np.sum(w * mob * pxsq)
     aux[1] = np.sum(w * (uxx * uxx / (Q * Qsq) + delta * uxx * uxx))
@@ -70,18 +52,15 @@ def _rhs_impl(c, E, Ex, ET, ExT, lam, w, n, delta, epsilon, eta,
     return c_dot, d, u, flux, aux
 
 
-rhs_numpy = _rhs_impl
+def weak_residual_terms(t: BasisTables, c_dot: np.ndarray, u: np.ndarray,
+                        flux: np.ndarray, tol_zero: float):
+    """The weak residual r_j = (u_t, e_j) + (J, e_j'), j = 0..N, from RHS output.
 
-try:
-    if os.environ.get("CAPILLARY1D_NO_NUMBA", "0") == "1":
-        raise ImportError("numba disabled via CAPILLARY1D_NO_NUMBA")
-    from numba import njit
-
-    rhs_numba = njit(cache=True)(_rhs_impl)
-    HAVE_NUMBA = True
-except ImportError:
-    rhs_numba = None
-    HAVE_NUMBA = False
-
-rhs = rhs_numba if HAVE_NUMBA else rhs_numpy
-USING_NUMBA = HAVE_NUMBA
+    J is the flux restricted to the positivity set {u > tol_zero} and zero
+    elsewhere; in table form r = E^T (w u_t) + Ex^T (w J).  Returns the grid
+    values (u_t, J) and the two terms ((u_t, e_j), (J, e_j')) apart, so that
+    callers can size the cancellation and pair with test modes beyond N.
+    """
+    ut = t.E @ c_dot
+    J = np.where(u > tol_zero, flux, 0.0)
+    return ut, J, t.ET @ (t.w * ut), t.ExT @ (t.w * J)

@@ -16,7 +16,15 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad as _adaptive_quad
 
-from .basis import CollocationField, DomainSpec, SpectralField, quadrature, synthesize, tables
+from .basis import (
+    BasisTables,
+    CollocationField,
+    DomainSpec,
+    SpectralField,
+    quadrature,
+    synthesize,
+    tables,
+)
 
 PRESSURE_MODES = ("nonlinear", "linear")
 MOBILITY_MODES = ("standard", "constant")
@@ -46,8 +54,8 @@ class ModelParams:
     mobility_mode: str = "standard"
 
     def __post_init__(self):
-        if not self.n >= 1.0:
-            raise ValueError(f"mobility growth exponent must satisfy n >= 1, got {self.n}")
+        if not (self.n >= 1.0 and np.isfinite(self.n)):
+            raise ValueError(f"mobility growth exponent must be finite with n >= 1, got {self.n}")
         for name in ("delta", "epsilon", "eta"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
@@ -91,8 +99,8 @@ def pressure(fld: CollocationField, params: ModelParams) -> np.ndarray:
     return -uxx / Q**3 - params.delta * uxx
 
 
-def _pressure_density(ux: np.ndarray, params: ModelParams) -> np.ndarray:
-    # integrand of the weak pairing: u_x/Q + delta u_x, or its linearization
+def pressure_density(ux: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Integrand s of the weak pairing: u_x/Q + delta u_x, or (1+delta) u_x in linear mode."""
     if params.pressure_mode == "linear":
         return (1.0 + params.delta) * ux
     return ux / np.sqrt(1.0 + ux * ux) + params.delta * ux
@@ -110,7 +118,7 @@ def a_delta_apply(u: SpectralField, v: SpectralField, params: ModelParams,
     t = tables(domain)
     ux = t.Ex @ u.coeffs
     vx = t.Ex @ v.coeffs
-    return float(np.dot(t.w, _pressure_density(ux, params) * vx))
+    return float(np.dot(t.w, pressure_density(ux, params) * vx))
 
 
 def galerkin_pressure_coeffs(u: SpectralField, params: ModelParams,
@@ -121,9 +129,12 @@ def galerkin_pressure_coeffs(u: SpectralField, params: ModelParams,
     mechanism that makes the constant mode stationary.
     """
     t = tables(domain)
-    ux = t.Ex @ u.coeffs
-    d = t.ExT @ (t.w * _pressure_density(ux, params))
-    return SpectralField(d)
+    return SpectralField(pressure_coeffs(t.Ex @ u.coeffs, t, params))
+
+
+def pressure_coeffs(ux: np.ndarray, t: BasisTables, params: ModelParams) -> np.ndarray:
+    """d = Ex^T (w s) from grid values of u_x on the tables t."""
+    return t.ExT @ (t.w * pressure_density(ux, params))
 
 
 # -- entropy pair ------------------------------------------------------------

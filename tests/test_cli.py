@@ -68,6 +68,23 @@ def test_simulate_rejected_data_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("override, message", [
+    ("domain.N=2.7", "N must be an integer"),
+    ("domain.oversample=8.5", "oversample must be an integer"),
+    ("model.n=Infinity", "finite"),
+    ("integrator.rtol=1", "rtol < 1"),
+])
+def test_simulate_bad_value_exit_2(cfgfile, tmp_path, capsys, override, message):
+    # rejected up front: never truncated, never left to blow up mid-run
+    out = tmp_path / "o"
+    rc = main(["simulate", "--config", cfgfile, "--out", str(out), "--set", override])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError"
+    assert message in record["message"]
+    assert not (out / "series.csv").exists()
+
+
 def test_simulate_abort_exit_3(tmp_path, capsys):
     # fixed-step far above the stability limit: blow-up -> integrator abort
     cfg = json.loads(json.dumps(BASE))

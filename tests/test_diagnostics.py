@@ -15,8 +15,10 @@ from capillary1d.diagnostics import (
     snapshot_diagnostics,
     trajectory_records,
 )
-from capillary1d.galerkin import IntegratorSpec, SimulationAbort, assemble_rhs, simulate
+from capillary1d.config import resolve_config
+from capillary1d.galerkin import IntegratorSpec, SimulationAbort, simulate
 from capillary1d.model import ModelParams, entropy_functions
+from capillary1d.verify import REFERENCE_RUN
 
 D8 = DomainSpec(half_length=1.0, modes=8)
 
@@ -155,17 +157,27 @@ def test_entropy_identity_shrinks_with_n():
 def test_weak_residual_galerkin_orthogonality():
     p = ModelParams(n=2, delta=0.1, epsilon=0.1)
     f = bump_field(D8)
-    u_t = assemble_rhs(f, p, D8)
-    resid, scale = flux_and_weak_residual(f, u_t, p, D8)
+    resid, scale = flux_and_weak_residual(f, p, D8)
     assert np.abs(resid).max() <= 1e-11 * scale
 
 
 def test_weak_residual_constant_state():
     p = ModelParams(n=2, delta=0.1, epsilon=0.1)
     f = constant_field(D8, 1.0)
-    u_t = assemble_rhs(f, p, D8)
-    resid, _ = flux_and_weak_residual(f, u_t, p, D8, test_modes=list(range(12)))
+    resid, _ = flux_and_weak_residual(f, p, D8, test_modes=list(range(12)))
     np.testing.assert_allclose(resid, 0.0, atol=1e-15)
+
+
+def test_weak_residual_single_definition():
+    # the per-step series of simulate and the diagnostic are one computation:
+    # at t = 0 they agree bit for bit on the reference configuration
+    rc = resolve_config(REFERENCE_RUN)
+    tol_zero = 1e-7 * max(1.0, float(np.abs(synthesize(rc.u0, rc.domain, order=0).u).max()))
+    spec = IntegratorSpec(t_end=1e-6)
+    res = simulate(rc.u0, spec, rc.params, rc.domain, track_weak_residual=True,
+                   tol_zero=tol_zero)
+    resid, _ = flux_and_weak_residual(rc.u0, rc.params, rc.domain, tol_zero=tol_zero)
+    assert res.nodes.weak_residual[0] == np.max(np.abs(resid))
 
 
 def test_weak_residual_truncation_mode_decreases_with_n():
@@ -176,8 +188,7 @@ def test_weak_residual_truncation_mode_decreases_with_n():
     for N in (8, 16, 32):
         d = DomainSpec(half_length=1.0, modes=N)
         f = project(lambda x: 1.0 + 0.3 / (1.7 - np.sin(np.pi * x / 2)), d)
-        u_t = assemble_rhs(f, p, d)
-        resid, _ = flux_and_weak_residual(f, u_t, p, d, test_modes=[N + 1])
+        resid, _ = flux_and_weak_residual(f, p, d, test_modes=[N + 1])
         vals[N] = abs(resid[0])
     assert vals[16] < vals[8]
     assert vals[32] < vals[16]

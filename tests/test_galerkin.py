@@ -12,11 +12,9 @@ from capillary1d.basis import (
 )
 from capillary1d.galerkin import (
     IntegratorSpec,
-    OdeState,
     SimulationAbort,
     assemble_rhs,
     simulate,
-    step,
 )
 from capillary1d.model import ModelParams
 
@@ -59,11 +57,11 @@ def test_rhs_linear_constant_mobility_decoupling():
 
 def test_step_trivial_dynamics():
     p = ModelParams(n=2, epsilon=0.3, delta=0.1)
-    spec = IntegratorSpec(t_end=1.0, method="rk4", dt=0.25)
-    st = OdeState(t=0.0, c=unit_mode(0, D8, 2.0))
-    out = step(st, spec, p, D8)
-    assert out.t == 0.25
-    np.testing.assert_array_equal(out.c.coeffs, st.c.coeffs)
+    u0 = unit_mode(0, D8, 2.0)
+    spec = IntegratorSpec(t_end=1.0, method="rk4", dt=0.25, snapshot_times=(0.25,))
+    res = simulate(u0, spec, p, D8)
+    assert res.nodes.t[1] == 0.25
+    np.testing.assert_array_equal(res.coeffs[0], u0.coeffs)
 
 
 def test_step_adaptive_matches_exponential_decay():
@@ -76,12 +74,10 @@ def test_step_adaptive_matches_exponential_decay():
     _, lam1 = eigenpair(1, d)
     rate = mu * (1 + delta) * lam1**2
     t_end = np.log(10.0) / rate  # one 10x decay time
-    spec = IntegratorSpec(t_end=t_end, rtol=1e-9, atol=1e-12)
-    st = OdeState(t=0.0, c=unit_mode(1, d, c1, base=1.0))
-    while st.t < t_end * (1 - 1e-12):
-        st = step(st, spec, p, d)
-    exact = c1 * np.exp(-rate * st.t)
-    assert abs(st.c.coeffs[1] - exact) / exact <= 1e-6
+    spec = IntegratorSpec(t_end=t_end, rtol=1e-9, atol=1e-12, snapshot_times=(t_end,))
+    res = simulate(unit_mode(1, d, c1, base=1.0), spec, p, d)
+    exact = c1 * np.exp(-rate * res.nodes.t[-1])
+    assert abs(res.coeffs[-1][1] - exact) / exact <= 1e-6
 
 
 def test_rk4_observed_order():
