@@ -75,7 +75,6 @@ class CollocationField:
     u: np.ndarray
     ux: np.ndarray | None = None
     uxx: np.ndarray | None = None
-    p: np.ndarray | None = None
     Q: np.ndarray | None = None
 
 

@@ -28,7 +28,7 @@ from .config import (
     load_config,
     run_config,
 )
-from .diagnostics import slope_bound_quantities
+from .diagnostics import energy_identity_residual, mass_drift, slope_bound_quantities
 from .experiments import (
     SweepError,
     SweepSpec,
@@ -111,15 +111,12 @@ def write_snapshot_csvs(out: RunOutput, outdir: Path) -> list[str]:
 
 def _simulate_verdicts(out: RunOutput) -> dict:
     E = out.result.nodes.energy
-    mass0 = out.records[0].mass
-    mass_drift = max(abs(r.mass - mass0) for r in out.records) / max(abs(mass0), 1e-300)
     slope = slope_bound_quantities(
         out.result.snapshot_field(out.result.snapshot_times.size - 1), out.config.domain)
-    resid = float(np.abs(E + out.result.nodes.dissipation_cum - E[0]).max())
     return {
-        "mass_relative_drift": mass_drift,
+        "mass_relative_drift": mass_drift(out.records),
         "energy_monotone": bool(np.all(np.diff(E) <= 1e-9 * max(E[0], 1.0))),
-        "energy_identity_max_residual": resid,
+        "energy_identity_max_residual": energy_identity_residual(out.result)[1],
         "slope_bound_satisfied": slope.satisfied,
         "final_y_max": slope.y_max,
         "final_slope_threshold": slope.threshold,
@@ -164,7 +161,7 @@ def _emit_error(exc: Exception, code: int) -> int:
 
 
 def _load(args) -> dict:
-    cfg = load_config(args.config) if args.config else {}
+    cfg = load_config(args.config)
     if args.set:
         cfg = apply_overrides(cfg, args.set)
     return cfg
@@ -275,7 +272,7 @@ def cmd_thresholds(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_all, render_table
 
-    results = run_all(deep=args.deep)
+    results = run_all()
     table = render_table(results)
     print(table)
     outdir = Path(args.out)
@@ -293,12 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="1-D thin-film solver with exact-curvature surface tension")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        p.add_argument("--config", required=needs_config, help="JSON config path")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
-        p.add_argument("--deep", action="store_true",
-                       help="allow expensive settings (epsilon < 1e-3)")
         p.add_argument("--set", action="append", default=[], metavar="KEY.PATH=VALUE",
                        help="config override, repeatable")
 
@@ -308,6 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a regularization-parameter or N sweep")
     common(p)
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers for the members")
+    p.add_argument("--deep", action="store_true",
+                   help="allow expensive settings (epsilon < 1e-3)")
     p.add_argument("--param", required=True, choices=("eta", "epsilon", "delta", "N"))
     p.add_argument("--values", help="comma-separated values (default per parameter)")
     p.set_defaults(func=cmd_sweep)
@@ -322,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser("verify", help="run the acceptance criteria end-to-end")
-    common(p, needs_config=False)
+    p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=cmd_verify)
     return ap
 

@@ -1,11 +1,11 @@
 """Configuration ingestion and the config-driven run pipeline.
 
 Single-file JSON configs (schema_version 1) describe domain, model,
-integrator, initial data, diagnostics and output.  resolve_config turns the
-raw dict into concrete objects and a fully-resolved copy of the dict (anchor
-substituted, snapshot times expanded) that output writers embed for
-provenance: re-running from the embedded config reproduces the series
-byte-identically.
+integrator, initial data and diagnostics; the keys of DEFAULT_CONFIG are the
+schema.  resolve_config turns the raw dict into concrete objects and a fully
+resolved copy (anchor substituted, snapshot times expanded, initial-data
+defaults filled in) that output writers embed for provenance: re-running
+from the embedded config reproduces the series byte-identically.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DomainSpec, SpectralField, project, synthesize
-from .diagnostics import DiagnosticsRecord, holder_probe, trajectory_records
+from .diagnostics import DiagnosticsRecord, default_tol_zero, holder_probe, trajectory_records
 from .galerkin import IntegratorSpec, SimulationResult, simulate
 from .model import (
     InitialDataError,
@@ -48,16 +48,22 @@ DEFAULT_CONFIG: dict = {
         "T": 0.01,
         "snapshots": 9,
     },
-    "initial_data": {"kind": "cosine_bump", "parameters": {"base": 1.0, "amplitude": 0.5}},
+    "initial_data": {"kind": "cosine_bump", "parameters": {}},
     "diagnostics": {
         "r_values": [1.5, 2.0],
         "tol_zero": None,
-        "tol_neg": None,
         "holder_probe": False,
         "track_entropy": True,
         "track_weak_residual": False,
     },
-    "output": {"directory": "out", "formats": ["csv", "json"]},
+}
+
+# parameter names and defaults of each initial-data kind (build_initial_data)
+INITIAL_DATA_KINDS = {
+    "constant": {"value": 1.0},
+    "cosine_bump": {"base": 1.0, "amplitude": 0.5},
+    "droplet": {"floor": 1e-6, "amplitude": 1.0, "power": 3},
+    "coeffs": {"values": []},
 }
 
 
@@ -78,14 +84,23 @@ def load_config(path: str) -> dict:
     return raw
 
 
-def merge_config(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = merge_config(out[k], v)
+def merge_config(raw: dict) -> dict:
+    """DEFAULT_CONFIG with raw's values in place; refuses unknown keys and non-object sections."""
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    for key, value in copy.deepcopy(raw).items():
+        if key not in cfg:
+            raise ConfigError(f"unknown config key {key!r}")
+        section = cfg[key]
+        if not isinstance(section, dict):
+            cfg[key] = value
+        elif not isinstance(value, dict):
+            raise ConfigError(f"config section {key!r} must be an object, got {value!r}")
+        elif not set(value) <= set(section):
+            unknown = sorted(set(value) - set(section))[0]
+            raise ConfigError(f"unknown config key {key}.{unknown} ({key} takes {sorted(section)})")
         else:
-            out[k] = copy.deepcopy(v)
-    return out
+            section.update(value)
+    return cfg
 
 
 def apply_overrides(config: dict, assignments: list[str]) -> dict:
@@ -109,38 +124,46 @@ def apply_overrides(config: dict, assignments: list[str]) -> dict:
     return out
 
 
-def build_initial_data(kind: str, parameters: dict, domain: DomainSpec) -> SpectralField:
-    """Construct u0 for the supported kinds.
+def build_initial_data(kind: str, parameters: dict,
+                       domain: DomainSpec) -> tuple[SpectralField, dict]:
+    """Construct u0 for the supported kinds; returns it with the full parameters.
 
     cosine_bump: b + A (1 + cos(pi x / l)) / 2 (band-limited, exact for N >= 2).
     droplet: floor + A cos^{2k}(pi x / (2l)), a smooth compact-ish bump with
     u <= 1e-6 tails (true compact support is incompatible with a finite
     cosine expansion); exact in the basis for N >= 2k.
     coeffs: raw spectral coefficients, zero-padded/truncated to N+1.
+    Missing parameters take the kind's defaults (INITIAL_DATA_KINDS), never another kind's.
     """
+    if kind not in INITIAL_DATA_KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    if not isinstance(parameters, dict):
+        raise ValueError(f"parameters must be an object, got {parameters!r}")
+    defaults = INITIAL_DATA_KINDS[kind]
+    unknown = sorted(set(parameters) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown parameter {unknown[0]!r} for {kind} (takes {sorted(defaults)})")
+    p = {**copy.deepcopy(defaults), **parameters}
     l = domain.half_length
     if kind == "constant":
-        value = float(parameters.get("value", 1.0))
-        return project(lambda x: np.full_like(x, value), domain)
+        value = float(p["value"])
+        return project(lambda x: np.full_like(x, value), domain), p
     if kind == "cosine_bump":
-        base = float(parameters.get("base", 1.0))
-        amp = float(parameters.get("amplitude", 0.5))
-        return project(lambda x: base + amp * 0.5 * (1.0 + np.cos(np.pi * x / l)), domain)
+        base, amp = float(p["base"]), float(p["amplitude"])
+        return project(lambda x: base + amp * 0.5 * (1.0 + np.cos(np.pi * x / l)), domain), p
     if kind == "droplet":
-        floor = float(parameters.get("floor", 1e-6))
-        amp = float(parameters.get("amplitude", 1.0))
-        power = int(parameters.get("power", 3))
+        floor, amp = float(p["floor"]), float(p["amplitude"])
+        power = _integer(p["power"], "power")
         if 2 * power > domain.modes:
-            raise ConfigError(
+            raise ValueError(
                 f"droplet power {power} needs N >= {2 * power} modes for an exact representation")
-        return project(lambda x: floor + amp * np.cos(np.pi * x / (2 * l)) ** (2 * power), domain)
-    if kind == "coeffs":
-        values = np.asarray(parameters.get("values", []), dtype=float)
-        c = np.zeros(domain.modes + 1)
-        m = min(values.size, c.size)
-        c[:m] = values[:m]
-        return SpectralField(c)
-    raise ConfigError(f"unknown initial_data kind {kind!r}")
+        return project(lambda x: floor + amp * np.cos(np.pi * x / (2 * l)) ** (2 * power),
+                       domain), p
+    values = np.asarray(p["values"], dtype=float)
+    c = np.zeros(domain.modes + 1)
+    m = min(values.size, c.size)
+    c[:m] = values[:m]
+    return SpectralField(c), p
 
 
 def _integer(value, name: str) -> int:
@@ -157,28 +180,29 @@ class ResolvedConfig:
     params: ModelParams
     spec: IntegratorSpec
     u0: SpectralField
-    diagnostics: dict
-    output: dict
     resolved: dict  # fully-resolved raw dict, embedded in outputs
 
 
 def resolve_config(raw: dict) -> ResolvedConfig:
-    cfg = merge_config(DEFAULT_CONFIG, raw)
-    if cfg.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {cfg.get('schema_version')!r}")
+    cfg = merge_config(raw)
+    if cfg["schema_version"] != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {cfg['schema_version']!r}")
 
     dom = cfg["domain"]
     try:
         domain = DomainSpec(half_length=float(dom["l"]), modes=_integer(dom["N"], "N"),
                             oversample=_integer(dom["oversample"], "oversample"))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad domain section: {exc}") from exc
 
     idata = cfg["initial_data"]
-    u0 = build_initial_data(idata.get("kind", "constant"), idata.get("parameters", {}), domain)
+    try:
+        u0, idata["parameters"] = build_initial_data(idata["kind"], idata["parameters"], domain)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad initial_data section: {exc}") from exc
 
     mdl = cfg["model"]
-    anchor = mdl.get("entropy_anchor", "auto")
+    anchor = mdl["entropy_anchor"]
     if anchor == "auto":
         anchor = float(synthesize(u0, domain, order=0).u.max()) + 1.0
     try:
@@ -189,35 +213,33 @@ def resolve_config(raw: dict) -> ResolvedConfig:
             eta=float(mdl["eta"]),
             pressure_mode=mdl["pressure_mode"],
             entropy_anchor=float(anchor),
-            mobility_mode=mdl.get("mobility_mode", "standard"),
+            mobility_mode=mdl["mobility_mode"],
         )
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad model section: {exc}") from exc
 
     itg = cfg["integrator"]
-    method = {"rk4-fixed": "rk4", "rkf45-adaptive": "rkf45"}.get(
-        itg.get("method", "rkf45"), itg.get("method", "rkf45"))
-    T = float(itg["T"])
-    snaps = itg.get("snapshots", 9)
-    if isinstance(snaps, (int, float)) and not isinstance(snaps, bool):
-        count = int(snaps)
-        if count < 2:
-            raise ConfigError("snapshots count must be >= 2")
-        snap_times = tuple(float(s) for s in np.linspace(0.0, T, count))
-    elif isinstance(snaps, (list, tuple)):
-        snap_times = tuple(sorted(float(s) for s in snaps))
-    else:
-        raise ConfigError(f"snapshots must be a count or a list, got {snaps!r}")
     try:
+        T = float(itg["T"])
+        snaps = itg["snapshots"]
+        if isinstance(snaps, (int, float)) and not isinstance(snaps, bool):
+            count = _integer(snaps, "snapshots count")
+            if count < 2:
+                raise ValueError("snapshots count must be >= 2")
+            snap_times = tuple(float(s) for s in np.linspace(0.0, T, count))
+        elif isinstance(snaps, (list, tuple)):
+            snap_times = tuple(sorted(float(s) for s in snaps))
+        else:
+            raise ValueError(f"snapshots must be a count or a list, got {snaps!r}")
         spec = IntegratorSpec(
             t_end=T,
-            method=method,
-            rtol=float(itg.get("rtol", 1e-8)),
-            atol=float(itg.get("atol", 1e-10)),
-            dt=None if itg.get("dt") is None else float(itg["dt"]),
+            method=itg["method"],
+            rtol=float(itg["rtol"]),
+            atol=float(itg["atol"]),
+            dt=None if itg["dt"] is None else float(itg["dt"]),
             snapshot_times=snap_times,
         )
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad integrator section: {exc}") from exc
 
     resolved = copy.deepcopy(cfg)
@@ -228,8 +250,6 @@ def resolve_config(raw: dict) -> ResolvedConfig:
         params=params,
         spec=spec,
         u0=u0,
-        diagnostics=cfg["diagnostics"],
-        output=cfg["output"],
         resolved=resolved,
     )
 
@@ -247,27 +267,26 @@ class RunOutput:
 def run_config(raw_or_resolved) -> RunOutput:
     """Validate, simulate and attach diagnostics for one configuration."""
     rc = raw_or_resolved if isinstance(raw_or_resolved, ResolvedConfig) else resolve_config(raw_or_resolved)
-    diag = rc.diagnostics
-    track_entropy = bool(diag.get("track_entropy", True))
+    diag = rc.resolved["diagnostics"]
+    track_entropy = bool(diag["track_entropy"])
 
     report = validate_initial_data(rc.u0, rc.params, rc.domain, entropy_required=track_entropy)
     if not report.valid:
         raise InitialDataError("; ".join(report.errors))
 
     entropy = entropy_functions(rc.params) if track_entropy else None
-    r_values = tuple(float(r) for r in diag.get("r_values", [1.5, 2.0]))
-    tol_zero = diag.get("tol_zero")
+    r_values = tuple(float(r) for r in diag["r_values"])
+    tol_zero = diag["tol_zero"]
     if tol_zero is None:
-        u0max = float(np.abs(synthesize(rc.u0, rc.domain, order=0).u).max())
-        tol_zero = 1e-7 * max(1.0, u0max)
+        tol_zero = default_tol_zero(synthesize(rc.u0, rc.domain, order=0).u)
     result = simulate(
         rc.u0, rc.spec, rc.params, rc.domain,
         r_values=r_values,
-        track_weak_residual=bool(diag.get("track_weak_residual", False)),
+        track_weak_residual=bool(diag["track_weak_residual"]),
         tol_zero=float(tol_zero),
     )
     records = trajectory_records(result, entropy=entropy, tol_zero=float(tol_zero))
-    probe = holder_probe(result) if diag.get("holder_probe", False) else None
+    probe = holder_probe(result) if diag["holder_probe"] else None
     return RunOutput(
         config=rc,
         result=result,

@@ -23,18 +23,24 @@ from .basis import (
     SpectralField,
     eigen_deriv,
     eigenpair,
+    mass,
     quadrature,
     sobolev_norms,
     synthesize,
     tables,
 )
 from .galerkin import SimulationAbort, SimulationResult, rhs_output
-from .model import EntropyEval, ModelParams
+from .model import EntropyEval, ModelParams, entropy_integral
 
 # positivity-set membership: below spectral truncation noise at N <= 64
 DEFAULT_TOL_ZERO_REL = 1e-7
 # nonnegativity verdict; violations beyond this are genuine findings
 DEFAULT_TOL_NEG_REL = 1e-8
+
+
+def default_tol_zero(u: np.ndarray) -> float:
+    """Positivity-set tolerance for grid values u, relative to max(1, max|u|)."""
+    return DEFAULT_TOL_ZERO_REL * max(1.0, float(np.abs(u).max()))
 
 
 @dataclass
@@ -67,7 +73,7 @@ def snapshot_diagnostics(c: SpectralField, params: ModelParams, domain: DomainSp
     """
     fld = synthesize(c, domain, order=2)
     if tol_zero is None:
-        tol_zero = DEFAULT_TOL_ZERO_REL * max(1.0, float(np.abs(fld.u).max()))
+        tol_zero = default_tol_zero(fld.u)
 
     ent = float("nan")
     if entropy is not None:
@@ -75,14 +81,13 @@ def snapshot_diagnostics(c: SpectralField, params: ModelParams, domain: DomainSp
             raise SimulationAbort(
                 f"entropy anchor violated in diagnostics: sup u = {fld.u.max():.6g}"
                 f" >= a = {entropy.anchor:.6g}")
-        vals = entropy.G(fld.u)
-        ent = float("inf") if not np.all(np.isfinite(vals)) else quadrature(vals, domain)
+        ent = entropy_integral(fld.u, entropy, domain)
 
     norms = sobolev_norms(c, domain)
     resid, _ = flux_and_weak_residual(c, params, domain, tol_zero=tol_zero)
     return DiagnosticsRecord(
         t=float("nan"),
-        mass=float(c.coeffs[0] * np.sqrt(2.0 * domain.half_length)),
+        mass=mass(c, domain),
         energy_surface=quadrature(fld.Q, domain),
         energy_delta=0.5 * params.delta * quadrature(fld.ux**2, domain),
         dissipation_cum=float("nan"),
@@ -102,7 +107,9 @@ def snapshot_diagnostics(c: SpectralField, params: ModelParams, domain: DomainSp
 
 def trajectory_records(result: SimulationResult, entropy: EntropyEval | None = None,
                        tol_zero: float | None = None) -> list[DiagnosticsRecord]:
-    """One record per snapshot, with the cumulative integrals merged in."""
+    """One record per snapshot, cumulative integrals merged in; tol_zero defaults from snapshot 0."""
+    if tol_zero is None:
+        tol_zero = default_tol_zero(synthesize(result.snapshot_field(0), result.domain, order=0).u)
     records = []
     for i, s in enumerate(result.snapshot_times):
         rec = snapshot_diagnostics(result.snapshot_field(i), result.params,
@@ -128,23 +135,27 @@ def energy_identity_residual(result: SimulationResult) -> tuple[np.ndarray, floa
     return resid, float(resid.max())
 
 
-def entropy_identity_residual(result: SimulationResult, entropy: EntropyEval) -> tuple[np.ndarray, float]:
+def entropy_identity_residual(records: list[DiagnosticsRecord]) -> tuple[np.ndarray, float]:
     """|int G(u(t)) - int G(u0) + entropy-dissipation(t)| at snapshot times.
 
     For the semidiscrete system this is only approximately zero (g(u^N) is
     not in the Galerkin space); the residual must shrink under N-refinement,
     which the acceptance suite checks across N in {8, 16, 32}.
     """
-    vals = []
-    for i in range(result.snapshot_times.size):
-        fld = synthesize(result.snapshot_field(i), result.domain, order=0)
-        g = entropy.G(fld.u)
-        if not np.all(np.isfinite(g)):
-            raise SimulationAbort("entropy integral infinite along the trajectory")
-        vals.append(quadrature(g, result.domain))
-    ent = np.asarray(vals)
-    resid = np.abs(ent - ent[0] + result.entropy_dissipation_cum)
+    ent = np.array([r.entropy for r in records])
+    if np.any(np.isnan(ent)):
+        raise SimulationAbort("the records carry no entropy (entropy not tracked)")
+    if not np.all(np.isfinite(ent)):
+        raise SimulationAbort("entropy integral infinite along the trajectory")
+    cum = np.array([r.entropy_dissipation_cum for r in records])
+    resid = np.abs(ent - ent[0] + cum)
     return resid, float(resid.max())
+
+
+def mass_drift(records: list[DiagnosticsRecord]) -> float:
+    """max_t |m(t) - m(0)| / |m(0)|, guarded against zero initial mass."""
+    m0 = records[0].mass
+    return max(abs(r.mass - m0) for r in records) / max(abs(m0), 1e-300)
 
 
 def flux_and_weak_residual(c: SpectralField, params: ModelParams, domain: DomainSpec,
@@ -293,34 +304,31 @@ def holder_probe(result: SimulationResult, n_locations: int = 16,
     fields = np.stack([synthesize(result.snapshot_field(i), result.domain, order=0).u[locs]
                        for i in range(times.size)])
 
-    dt_list, du_list = [], []
-    for i in range(times.size):
-        for j in range(i + 1, times.size):
-            dt = times[j] - times[i]
-            du = float(np.max(np.abs(fields[j] - fields[i])))
-            if dt > 0 and du > 0:
-                dt_list.append(dt)
-                du_list.append(du)
-    dxs, dus = [], []
+    # time pairs (i < j) one row i at a time, so no S x S x L temporary is
+    # formed; space pairs (a < b) in np.triu_indices order for every snapshot
+    dts, dus = [], []
+    for i in range(times.size - 1):
+        dts.append(times[i + 1:] - times[i])
+        dus.append(np.max(np.abs(fields[i + 1:] - fields[i]), axis=1))
+    dt, du_t = np.concatenate(dts), np.concatenate(dus)
+    keep = (dt > 0) & (du_t > 0)
+    dt, du_t = dt[keep], du_t[keep]
+    a, b = np.triu_indices(locs.size, k=1)
     xs = t.x[locs]
-    for i in range(times.size):
-        row = fields[i]
-        for a in range(len(locs)):
-            for b in range(a + 1, len(locs)):
-                dx = abs(xs[b] - xs[a])
-                du = abs(row[b] - row[a])
-                if dx > 0 and du > 0:
-                    dxs.append(dx)
-                    dus.append(du)
+    dx = np.broadcast_to(np.abs(xs[b] - xs[a]), (times.size, a.size))
+    du_x = np.abs(fields[:, b] - fields[:, a])
+    keep = (dx > 0) & (du_x > 0)
+    dx, du_x = dx[keep], du_x[keep]
 
-    if len(dt_list) < 3 or len(dxs) < 3:
+    n_samples = dt.size + dx.size
+    if dt.size < 3 or dx.size < 3:
         return HolderProbe(np.nan, np.nan, np.nan, np.nan,
-                           len(dt_list) + len(dxs), False, "all increments vanish")
-    bt, Mt = _loglog_fit(np.asarray(dt_list), np.asarray(du_list))
-    bx, Kx = _loglog_fit(np.asarray(dxs), np.asarray(dus))
+                           n_samples, False, "all increments vanish")
+    bt, Mt = _loglog_fit(dt, du_t)
+    bx, Kx = _loglog_fit(dx, du_x)
     return HolderProbe(exponent_time=bt, constant_time=Mt,
                        exponent_space=bx, constant_space=Kx,
-                       n_samples=len(dt_list) + len(dxs), conclusive=True)
+                       n_samples=n_samples, conclusive=True)
 
 
 # -- positivity -----------------------------------------------------------------
@@ -336,41 +344,31 @@ class PositivityReport:
     positive_ok: bool | None
 
 
-def positivity_report(result: SimulationResult, params: ModelParams,
-                      tol_zero: float | None = None,
-                      pos_floor: float | None = None) -> PositivityReport:
+def positivity_report(records: list[DiagnosticsRecord], params: ModelParams,
+                      domain: DomainSpec, pos_floor: float | None = None) -> PositivityReport:
     """Per-snapshot minima and zero-set fractions with trajectory verdicts.
 
     (a) min u >= -tol_neg for n >= 1 (nonnegativity up to truncation noise);
     (b) zero-set fraction at most one grid node for n >= 2;
     (c) min u >= pos_floor for n >= 8/3 given strictly positive data.
-    Verdicts are reported, never raised: genuine violations (large delta,
-    linear mode) are findings.
+    min u and the zero-set fractions are the records' own.  Verdicts are
+    reported, never raised: genuine violations (large delta, linear mode) are
+    findings.
     """
-    u0 = synthesize(result.snapshot_field(0), result.domain, order=0).u
-    scale = max(1.0, float(np.abs(u0).max()))
+    first = records[0]
+    scale = max(1.0, first.max_u, -first.min_u)
     tol_neg = DEFAULT_TOL_NEG_REL * scale
-    if tol_zero is None:
-        tol_zero = DEFAULT_TOL_ZERO_REL * scale
     if pos_floor is None:
-        pos_floor = 1e-2 * max(float(u0.min()), 0.0)
-
-    mins, fracs = [], []
-    for i in range(result.snapshot_times.size):
-        u = synthesize(result.snapshot_field(i), result.domain, order=0).u
-        mins.append(float(u.min()))
-        fracs.append(float(np.count_nonzero(u < tol_zero)) / u.size)
-    mins = np.asarray(mins)
-    fracs = np.asarray(fracs)
-
-    G = result.domain.grid_size
+        pos_floor = 1e-2 * max(first.min_u, 0.0)
+    mins = np.array([r.min_u for r in records])
+    fracs = np.array([r.zero_frac for r in records])
     return PositivityReport(
         min_u=mins,
         zero_frac=fracs,
         tol_neg=tol_neg,
         pos_floor=pos_floor,
         nonneg_ok=bool(mins.min() >= -tol_neg),
-        zero_measure_ok=bool(fracs.max() <= 1.0 / G) if params.n >= 2.0 else None,
+        zero_measure_ok=bool(fracs.max() <= 1.0 / domain.grid_size) if params.n >= 2.0 else None,
         positive_ok=(bool(mins.min() >= pos_floor)
-                     if (params.n >= 8.0 / 3.0 and float(u0.min()) > 0.0) else None),
+                     if (params.n >= 8.0 / 3.0 and first.min_u > 0.0) else None),
     )

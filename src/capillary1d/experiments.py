@@ -44,7 +44,6 @@ class SweepSpec:
     parameter: str
     values: tuple
     base_config: dict
-    quantities: tuple = ("energy_max", "entropy_max", "h2_max", "y_max", "min_u", "holder_M")
     jobs: int = 1
 
     def __post_init__(self):
@@ -277,7 +276,7 @@ def threshold_study(n_values: list, base_config: dict) -> dict:
             row["skipped"] = str(exc)
             rows.append(row)
             continue
-        rep = positivity_report(out.result, out.config.params)
+        rep = positivity_report(out.records, out.config.params, out.config.domain)
         row.update({
             "config": out.config.resolved,
             "min_u_overall": float(rep.min_u.min()),

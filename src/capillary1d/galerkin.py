@@ -11,8 +11,8 @@ simulate is the one stepping loop, for both RKF45 (adaptive) and RK4
 (fixed step); every stage calls kernels.rhs.  Cumulative integrals (flux
 dissipation, entropy dissipation, r-weighted dissipations) ride along as
 augmented components advanced through the same Runge-Kutta tableau;
-step-size control acts on the coefficient vector only.  Dense output for
-snapshot observers is cubic Hermite on the accepted steps, and the weak
+step-size control acts on the coefficient vector only.  Snapshots come from
+cubic Hermite dense output on the accepted steps, and the weak
 residual, when tracked, is measured at every accepted step from the same
 kernel output that drives the next step.
 
@@ -206,13 +206,12 @@ def _weak_residual_max(t, c_dot, u, flux, tol_zero: float) -> float:
 
 
 def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
-             domain: DomainSpec, observers=(), r_values=DEFAULT_R_VALUES,
+             domain: DomainSpec, r_values=DEFAULT_R_VALUES,
              track_weak_residual: bool = False, tol_zero: float = 1e-7) -> SimulationResult:
     """Integrate to t_end, sampling snapshots and accumulating dissipations.
 
     The entropy anchor (params.entropy_anchor, when set) is asserted at every
-    accepted step: sup|u| >= a aborts the run.  Observers are called as
-    observer(t, SpectralField, cum_dict) at each snapshot time.
+    accepted step: sup|u| >= a aborts the run.
     """
     snap_times = np.asarray(sorted(spec.snapshot_times), dtype=float)
     if snap_times.size == 0:
@@ -330,7 +329,7 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
         max_abs_u=np.asarray(node_maxu),
         weak_residual=np.asarray(node_weak) if track_weak_residual else None,
     )
-    result = SimulationResult(
+    return SimulationResult(
         domain=domain,
         params=params,
         spec=spec,
@@ -343,9 +342,3 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
         stats=stats,
         flags=flags,
     )
-    for obs in observers:
-        for i, s in enumerate(snap_times):
-            obs(s, result.snapshot_field(i),
-                {"dissipation_cum": result.dissipation_cum[i],
-                 "entropy_dissipation_cum": result.entropy_dissipation_cum[i]})
-    return result

@@ -69,10 +69,6 @@ class ModelParams:
         ):
             raise ValueError(f"entropy_anchor must be positive and finite, got {self.entropy_anchor}")
 
-    def with_anchor(self, a: float) -> "ModelParams":
-        return ModelParams(self.n, self.delta, self.epsilon, self.eta,
-                           self.pressure_mode, a, self.mobility_mode)
-
 
 def mobility(s, params: ModelParams):
     """Regularized mobility m_{eps,eta}(s) = |s|^n / (1 + eta |s|^n) + eps.

@@ -25,10 +25,10 @@ from .diagnostics import (
     energy_identity_residual,
     entropy_identity_residual,
     flux_and_weak_residual,
+    mass_drift,
     slope_bound_quantities,
 )
 from .experiments import SweepSpec, curvature_profile_study, run_sweep
-from .model import entropy_functions
 
 # Smooth positive reference data: 1 + 0.2 e_1 + 0.25 e_2.  Mixed parity is
 # deliberate -- even data would zero out every odd mode by symmetry and make
@@ -144,8 +144,7 @@ def render_table(results: list["CheckResult"]) -> str:
 
 
 def _check_mass(ref, ref_seconds: float | None = None) -> CheckResult:
-    masses = np.array([r.mass for r in ref.records])
-    drift = float(np.max(np.abs(masses - masses[0])) / abs(masses[0]))
+    drift = mass_drift(ref.records)
     # runtime bound asserted as a boolean only: raw seconds would break the
     # byte-identity of repeated reports
     runtime_ok = True if ref_seconds is None else ref_seconds <= 30.0
@@ -212,8 +211,7 @@ def _check_entropy_estimate() -> CheckResult:
         cfg = copy.deepcopy(ENTROPY_RUN)
         cfg["domain"]["N"] = N
         out = run_config(cfg)
-        entropy = entropy_functions(out.config.params)
-        _, mx = entropy_identity_residual(out.result, entropy)
+        _, mx = entropy_identity_residual(out.records)
         residuals[N] = mx
         if N == 16:
             ent = np.array([r.entropy for r in out.records])
@@ -227,7 +225,7 @@ def _check_entropy_estimate() -> CheckResult:
                         "bound_ok": bound_ok, **bound_vals})
 
 
-def _check_nonnegativity(deep: bool = False) -> CheckResult:
+def _check_nonnegativity() -> CheckResult:
     values = (1e-1, 1e-2, 1e-3)
     t0 = time.perf_counter()
     spec = SweepSpec(parameter="epsilon", values=values, base_config=EPS_SWEEP_RUN)
@@ -325,7 +323,7 @@ def _report_bytes(results: list[CheckResult]) -> bytes:
     return json.dumps(payload, sort_keys=True, default=str).encode()
 
 
-def _run_once(deep: bool) -> list[CheckResult]:
+def _run_once() -> list[CheckResult]:
     t0 = time.perf_counter()
     ref = run_config(copy.deepcopy(REFERENCE_RUN))
     ref_seconds = time.perf_counter() - t0
@@ -334,7 +332,7 @@ def _run_once(deep: bool) -> list[CheckResult]:
         _check_energy_identity(ref),
         _check_decay_oracle(),
         _check_entropy_estimate(),
-        _check_nonnegativity(deep),
+        _check_nonnegativity(),
         _check_slope_bound(),
         _check_steady_state(),
         _check_profile_contrast(),
@@ -342,10 +340,10 @@ def _run_once(deep: bool) -> list[CheckResult]:
     ]
 
 
-def run_all(deep: bool = False) -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
     """All ten criteria; criterion 10 reruns the suite and compares bytes."""
-    results = _run_once(deep)
-    second = _run_once(deep)
+    results = _run_once()
+    second = _run_once()
     identical = _report_bytes(results) == _report_bytes(second)
     results.append(CheckResult(10, "determinism: identical report bytes on a repeated run",
                                identical, {"identical": identical}))

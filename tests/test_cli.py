@@ -1,10 +1,14 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from capillary1d.cli import main
+from capillary1d.config import load_config, resolve_config
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 BASE = {
     "schema_version": 1,
@@ -16,6 +20,10 @@ BASE = {
     "initial_data": {"kind": "cosine_bump", "parameters": {"base": 1.0, "amplitude": 0.3}},
     "diagnostics": {"holder_probe": False},
 }
+
+DROPLET = dict(BASE, domain={"l": 1.0, "N": 12, "oversample": 8},
+               initial_data={"kind": "droplet",
+                             "parameters": {"floor": 1e-2, "amplitude": 1.0, "power": 3}})
 
 
 @pytest.fixture
@@ -73,6 +81,14 @@ def test_simulate_rejected_data_exit_2(tmp_path, capsys):
     ("domain.oversample=8.5", "oversample must be an integer"),
     ("model.n=Infinity", "finite"),
     ("integrator.rtol=1", "rtol < 1"),
+    ("model.epsilom=0.001", "unknown config key model.epsilom"),
+    ("diagnostics=null", "section 'diagnostics' must be an object"),
+    ("model=3", "section 'model' must be an object"),
+    ("integrator.T=null", "bad integrator section"),
+    ("initial_data.parameters.amplitdue=1", "unknown parameter 'amplitdue'"),
+    ("output.directory=out", "unknown config key 'output'"),
+    ("diagnostics.tol_neg=1e-8", "unknown config key diagnostics.tol_neg"),
+    ("integrator.method=rk4-fixed", "unknown method"),
 ])
 def test_simulate_bad_value_exit_2(cfgfile, tmp_path, capsys, override, message):
     # rejected up front: never truncated, never left to blow up mid-run
@@ -98,10 +114,27 @@ def test_simulate_abort_exit_3(tmp_path, capsys):
     assert record["error"] == "SimulationAbort"
 
 
-def test_simulate_roundtrip_byte_identical(cfgfile, tmp_path):
+def test_simulate_unread_flag_exit_2(cfgfile, tmp_path):
+    # --jobs belongs to sweep only
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfgfile, "--out", str(tmp_path / "o"), "--jobs", "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_example_configs_resolve(path):
+    resolved = resolve_config(load_config(str(path))).resolved
+    # the embedded provenance copy is a fixed point of resolution
+    assert resolve_config(resolved).resolved == resolved
+
+
+@pytest.mark.parametrize("cfg", [BASE, DROPLET], ids=["cosine_bump", "droplet"])
+def test_simulate_roundtrip_byte_identical(cfg, tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfg))
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
-    assert main(["simulate", "--config", cfgfile, "--out", str(out1)]) == 0
+    assert main(["simulate", "--config", str(cfgfile), "--out", str(out1)]) == 0
     # re-run from the embedded resolved config
     summary = json.loads((out1 / "summary.json").read_text())
     p2 = tmp_path / "resolved.json"

@@ -133,8 +133,14 @@ def test_entropy_identity_zero_on_constant_run():
     ent = entropy_functions(p)
     spec = IntegratorSpec(t_end=0.2, snapshot_times=(0.0, 0.1, 0.2))
     res = simulate(constant_field(D8, 1.0), spec, p, D8)
-    resid, mx = entropy_identity_residual(res, ent)
+    resid, mx = entropy_identity_residual(trajectory_records(res, entropy=ent))
     assert mx < 1e-14
+
+
+def test_entropy_identity_needs_entropy_records():
+    res = short_run()
+    with pytest.raises(SimulationAbort, match="no entropy"):
+        entropy_identity_residual(trajectory_records(res))
 
 
 def test_entropy_identity_shrinks_with_n():
@@ -148,7 +154,7 @@ def test_entropy_identity_shrinks_with_n():
         spec = IntegratorSpec(t_end=t_end, rtol=1e-9, atol=1e-11,
                               snapshot_times=tuple(np.linspace(0, t_end, 5)))
         res = simulate(u0, spec, p, d)
-        _, maxima[N] = entropy_identity_residual(res, ent)
+        _, maxima[N] = entropy_identity_residual(trajectory_records(res, entropy=ent))
     assert maxima[16] < maxima[8]
 
 
@@ -274,7 +280,7 @@ def test_positivity_flat_film():
     p = ModelParams(n=2, epsilon=0.2)
     spec = IntegratorSpec(t_end=0.1, snapshot_times=(0.0, 0.1))
     res = simulate(constant_field(D8, 1.0), spec, p, D8)
-    rep = positivity_report(res, p)
+    rep = positivity_report(trajectory_records(res), p, D8)
     assert rep.nonneg_ok
     assert rep.zero_measure_ok
     assert np.all(rep.zero_frac == 0.0)
@@ -283,7 +289,7 @@ def test_positivity_flat_film():
 def test_positivity_strictly_positive_high_n():
     p = ModelParams(n=3, delta=0.05, epsilon=0.1)
     res = short_run(params=p)
-    rep = positivity_report(res, p)
+    rep = positivity_report(trajectory_records(res), p, D8)
     assert rep.positive_ok is not None
     assert rep.positive_ok
 
@@ -291,9 +297,18 @@ def test_positivity_strictly_positive_high_n():
 def test_positivity_verdict_gating():
     p_low = ModelParams(n=1.5, epsilon=0.1)
     res = short_run(params=p_low)
-    rep = positivity_report(res, p_low)
+    rep = positivity_report(trajectory_records(res), p_low, D8)
     assert rep.zero_measure_ok is None
     assert rep.positive_ok is None
+
+
+def test_positivity_min_u_matches_direct_synthesis():
+    p = ModelParams(n=1.5, delta=0.05, epsilon=0.1)
+    res = short_run(params=p)
+    rep = positivity_report(trajectory_records(res), p, D8)
+    direct = [synthesize(res.snapshot_field(i), D8, order=0).u.min()
+              for i in range(res.snapshot_times.size)]
+    np.testing.assert_array_equal(rep.min_u, direct)
 
 
 # -- weighted dissipation -----------------------------------------------------------
