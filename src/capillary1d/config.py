@@ -242,6 +242,11 @@ def resolve_config(raw: dict) -> ResolvedConfig:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad integrator section: {exc}") from exc
 
+    diag = cfg["diagnostics"]
+    for key in ("holder_probe", "track_entropy", "track_weak_residual"):
+        if not isinstance(diag[key], bool):
+            raise ConfigError(f"diagnostics.{key} must be true or false, got {diag[key]!r}")
+
     resolved = copy.deepcopy(cfg)
     resolved["model"]["entropy_anchor"] = params.entropy_anchor
     resolved["integrator"]["snapshots"] = list(snap_times)
@@ -268,7 +273,7 @@ def run_config(raw_or_resolved) -> RunOutput:
     """Validate, simulate and attach diagnostics for one configuration."""
     rc = raw_or_resolved if isinstance(raw_or_resolved, ResolvedConfig) else resolve_config(raw_or_resolved)
     diag = rc.resolved["diagnostics"]
-    track_entropy = bool(diag["track_entropy"])
+    track_entropy = diag["track_entropy"]
 
     report = validate_initial_data(rc.u0, rc.params, rc.domain, entropy_required=track_entropy)
     if not report.valid:
@@ -282,7 +287,7 @@ def run_config(raw_or_resolved) -> RunOutput:
     result = simulate(
         rc.u0, rc.spec, rc.params, rc.domain,
         r_values=r_values,
-        track_weak_residual=bool(diag["track_weak_residual"]),
+        track_weak_residual=diag["track_weak_residual"],
         tol_zero=float(tol_zero),
     )
     records = trajectory_records(result, entropy=entropy, tol_zero=float(tol_zero))

@@ -30,12 +30,13 @@ from .basis import (
     tables,
 )
 from .galerkin import SimulationAbort, SimulationResult, rhs_output
-from .model import EntropyEval, ModelParams, entropy_integral
-
-# positivity-set membership: below spectral truncation noise at N <= 64
-DEFAULT_TOL_ZERO_REL = 1e-7
-# nonnegativity verdict; violations beyond this are genuine findings
-DEFAULT_TOL_NEG_REL = 1e-8
+from .model import (
+    DEFAULT_TOL_NEG_REL,
+    DEFAULT_TOL_ZERO_REL,
+    EntropyEval,
+    ModelParams,
+    entropy_integral,
+)
 
 
 def default_tol_zero(u: np.ndarray) -> float:
@@ -159,7 +160,8 @@ def mass_drift(records: list[DiagnosticsRecord]) -> float:
 
 
 def flux_and_weak_residual(c: SpectralField, params: ModelParams, domain: DomainSpec,
-                           test_modes=None, tol_zero: float = 1e-7) -> tuple[np.ndarray, float]:
+                           test_modes=None,
+                           tol_zero: float = DEFAULT_TOL_ZERO_REL) -> tuple[np.ndarray, float]:
     """Weak residuals r_j = (u_t, e_j) + (J, e_j') per test mode.
 
     u_t, u and the flux m(u) p_x come from one kernels.rhs call; J is the

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import evaluate, synthesize, tables
-from .config import ConfigError, RunOutput, run_config
+from .config import ConfigError, RunOutput, _integer, run_config
 from .diagnostics import positivity_report
 from .model import InitialDataError
 
@@ -59,7 +59,10 @@ class SweepSpec:
 def _member_config(spec: SweepSpec, value) -> dict:
     cfg = copy.deepcopy(spec.base_config)
     if spec.parameter == "N":
-        cfg.setdefault("domain", {})["N"] = int(value)
+        try:
+            cfg.setdefault("domain", {})["N"] = _integer(value, "N")
+        except ValueError as exc:
+            raise ConfigError(f"bad sweep value: {exc}") from exc
     else:
         cfg.setdefault("model", {})[spec.parameter] = float(value)
     return cfg

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .basis import DomainSpec, SpectralField, tables
-from .model import ModelParams
+from .model import DEFAULT_TOL_ZERO_REL, ModelParams
 
 DT_MIN = 1e-12
 DEFAULT_R_VALUES = (1.5, 2.0)
@@ -207,7 +207,8 @@ def _weak_residual_max(t, c_dot, u, flux, tol_zero: float) -> float:
 
 def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
              domain: DomainSpec, r_values=DEFAULT_R_VALUES,
-             track_weak_residual: bool = False, tol_zero: float = 1e-7) -> SimulationResult:
+             track_weak_residual: bool = False,
+             tol_zero: float = DEFAULT_TOL_ZERO_REL) -> SimulationResult:
     """Integrate to t_end, sampling snapshots and accumulating dissipations.
 
     The entropy anchor (params.entropy_anchor, when set) is asserted at every

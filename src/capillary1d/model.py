@@ -9,12 +9,12 @@ with G'' = 1/m used by the entropy estimate.  m_0 is fixed to the constant
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad as _adaptive_quad
 
 from .basis import (
     BasisTables,
@@ -137,11 +137,21 @@ def pressure_coeffs(ux: np.ndarray, t: BasisTables, params: ModelParams) -> np.n
 #
 # g_eps(s) = -int_s^a dr / m_eps(r),   G_eps(s) = -int_s^a g_eps(r) dr
 # with m_eps(r) = |r|^n + eps (the eta cap never enters the entropy).
-# Fubini collapses G to the single integral int_s^a (r - s)/m_eps(r) dr,
-# which is what the numeric path evaluates.
+# Fubini collapses G to the single integral int_s^a (r - s)/m_eps(r) dr.
+#
+# Without a closed form, _TABLE_SIZE geometric nodes s_i from a*_TABLE_FLOOR
+# to a carry B_i = int_{s_i}^a 1/m and G_i = G(s_i), summed backwards from
+# the anchor (B = G = 0 at s = a) over 8-point Gauss-Legendre panels:
+#   B_i = B_{i+1} + int_{s_i}^{s_{i+1}} 1/m
+#   G_i = G_{i+1} + (s_{i+1} - s_i) B_{i+1} + int_{s_i}^{s_{i+1}} (r - s_i)/m
+# Every term is positive, so nothing cancels near the anchor.  A value s
+# inside the table adds one more panel [s, s_j] to its next node s_j >= s,
+# by the same recursions; s < 0 with |s| in the table reflects through 0
+# (m is even), and only the remaining values go to adaptive quadrature.
 
 _TABLE_SIZE = 4096
 _TABLE_FLOOR = 1e-9  # table covers s in [a*_TABLE_FLOOR, a]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass
@@ -154,7 +164,6 @@ class EntropyEval:
     n: float
     epsilon: float
     anchor: float
-    _table: tuple | None = field(default=None, repr=False)
 
 
 def _entropy_closed_eps0(n: float, a: float):
@@ -235,51 +244,89 @@ def _entropy_closed_n2(eps: float, a: float):
     return g, G
 
 
-def _entropy_numeric(n: float, eps: float, a: float):
-    from scipy.interpolate import PchipInterpolator
+def _adaptive_quad(f, lo, hi, **kwargs):
+    """scipy.integrate.quad, imported on first use: it dominates the import time."""
+    from scipy.integrate import quad
 
+    return quad(f, lo, hi, **kwargs)
+
+
+def _panels(lo, hi, m):
+    """int_lo^hi 1/m and int_lo^hi (r - lo)/m per panel, 8-point Gauss-Legendre."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    inv = np.zeros_like(half)
+    moment = np.zeros_like(half)
+    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
+        q = w / m(mid + half * x)
+        inv += q
+        moment += (1.0 + x) * q  # r - lo = half (1 + x), positive
+    return half * inv, half * half * moment
+
+
+def _entropy_numeric(n: float, eps: float, a: float):
     def m(r):
         return np.abs(r) ** n + eps
 
     def g_scalar(s):
-        if s == a:
-            return 0.0
         val, _ = _adaptive_quad(lambda r: 1.0 / m(r), s, a, epsabs=1e-12, epsrel=1e-12, limit=400)
         return -val
 
     def G_scalar(s):
-        if s == a:
-            return 0.0
         val, _ = _adaptive_quad(lambda r: (r - s) / m(r), s, a, epsabs=1e-12, epsrel=1e-12, limit=400)
         return val
 
-    # lazy memoized table; the build is idempotent, so concurrent first calls
-    # at worst duplicate work (the resulting interpolant is identical)
-    table = {}
+    nodes = np.geomspace(a * _TABLE_FLOOR, a, _TABLE_SIZE)
+    B_panel, L_panel = _panels(nodes[:-1], nodes[1:], m)
+    B = np.zeros(_TABLE_SIZE)
+    B[:-1] = np.cumsum(B_panel[::-1])[::-1]
+    G_nodes = np.zeros(_TABLE_SIZE)
+    G_nodes[:-1] = np.cumsum((L_panel + (nodes[1:] - nodes[:-1]) * B[1:])[::-1])[::-1]
 
-    def _table_interp():
-        if "G" not in table:
-            grid = np.geomspace(a * _TABLE_FLOOR, a, _TABLE_SIZE)
-            vals = np.array([G_scalar(s) for s in grid])
-            table["G"] = PchipInterpolator(np.log(grid), vals, extrapolate=False)
-        return table["G"]
+    @functools.cache
+    def zero_to_anchor():
+        """int_0^a 1/m: the table's int_{s_0}^a plus [0, s_0] by quadrature."""
+        val, _ = _adaptive_quad(lambda r: 1.0 / m(r), 0.0, nodes[0],
+                                epsabs=1e-12, epsrel=1e-12, limit=400)
+        return B[0] + val
+
+    def tail(s):
+        """(int_s^a 1/m, G(s)) for |s| in the table: node s_j >= |s| plus the panel [|s|, s_j].
+
+        s < 0 reflects through 0, where m is even: int_s^a 1/m = 2 B_0 - int_|s|^a 1/m
+        and G(s) = G(|s|) + 2 |s| B_0 with B_0 = int_0^a 1/m.
+        """
+        x = np.abs(s)
+        j = np.searchsorted(nodes, x)
+        sj = nodes[j]
+        B_x, L_x = _panels(x, sj, m)
+        inv = B[j] + B_x
+        G = G_nodes[j] + (sj - x) * B[j] + L_x
+        neg = s < 0.0
+        if np.any(neg):
+            B_0 = zero_to_anchor()
+            inv[neg] = 2.0 * B_0 - inv[neg]
+            G[neg] += 2.0 * x[neg] * B_0
+        return inv, G
+
+    def evaluate(s, pick, scalar):
+        s = np.asarray(s, dtype=float)
+        flat = np.atleast_1d(s)
+        out = np.empty(flat.shape)
+        size = np.abs(flat)
+        inside = (size >= nodes[0]) & (size <= a)
+        if np.any(inside):
+            out[inside] = pick(*tail(flat[inside]))
+        rest = ~inside
+        if np.any(rest):
+            out[rest] = [scalar(v) for v in flat[rest]]
+        return out.reshape(s.shape)
 
     def g(s):
-        s = np.asarray(s, dtype=float)
-        return np.array([g_scalar(v) for v in np.atleast_1d(s)]).reshape(s.shape)
+        return evaluate(s, lambda inv, G: -inv, g_scalar)
 
     def G(s):
-        s = np.asarray(s, dtype=float)
-        flat = np.atleast_1d(s).astype(float)
-        out = np.empty_like(flat)
-        lo = a * _TABLE_FLOOR
-        in_table = (flat >= lo) & (flat <= a)
-        if np.any(in_table):
-            out[in_table] = _table_interp()(np.log(flat[in_table]))
-        rest = ~in_table
-        if np.any(rest):
-            out[rest] = [G_scalar(v) for v in flat[rest]]
-        return out.reshape(s.shape)
+        return evaluate(s, lambda inv, G: G, G_scalar)
 
     return g, G
 
@@ -288,8 +335,11 @@ def entropy_functions(params: ModelParams) -> EntropyEval:
     """Build the entropy pair for params (anchor must be set).
 
     Closed forms: any n with eps = 0 (power/log primitives), and n in {1, 2}
-    with eps > 0.  Everything else goes through adaptive quadrature with a
-    memoized log-spaced table for G.  With eps = 0, evaluation at s <= 0
+    with eps > 0.  Everything else uses a node table of int_s^a 1/m and G
+    on [a*_TABLE_FLOOR, a], summed from 8-point Gauss-Legendre panels; g and
+    G at s add one more panel from s to the next node, which keeps them at
+    roundoff accuracy.  s < 0 reflects through 0, and only |s| outside the
+    table uses adaptive quadrature.  With eps = 0, evaluation at s <= 0
     returns the +/-inf sentinel instead of raising; the blow-up is exactly
     what the nonnegativity argument rests on.
     """
@@ -320,6 +370,12 @@ def entropy_integral(u_grid: np.ndarray, entropy: EntropyEval, domain: DomainSpe
 
 # -- initial data ------------------------------------------------------------
 
+# positivity-set membership: below spectral truncation noise at N <= 64
+DEFAULT_TOL_ZERO_REL = 1e-7
+# nonnegativity verdict; violations beyond this are genuine findings
+DEFAULT_TOL_NEG_REL = 1e-8
+
+
 @dataclass
 class ValidationReport:
     valid: bool
@@ -345,8 +401,8 @@ def validate_initial_data(u0: SpectralField, params: ModelParams, domain: Domain
     umin = float(fld.u.min())
     umax = float(fld.u.max())
     scale = max(1.0, abs(umax))
-    tol_neg = 1e-8 * scale
-    tol_touch = 1e-7 * scale
+    tol_neg = DEFAULT_TOL_NEG_REL * scale
+    tol_touch = DEFAULT_TOL_ZERO_REL * scale
 
     errors: list[str] = []
     warnings: list[str] = []

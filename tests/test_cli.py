@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from capillary1d import experiments
 from capillary1d.cli import main
 from capillary1d.config import load_config, resolve_config
 
@@ -89,6 +90,10 @@ def test_simulate_rejected_data_exit_2(tmp_path, capsys):
     ("output.directory=out", "unknown config key 'output'"),
     ("diagnostics.tol_neg=1e-8", "unknown config key diagnostics.tol_neg"),
     ("integrator.method=rk4-fixed", "unknown method"),
+    ('diagnostics.track_entropy="false"', "diagnostics.track_entropy must be true or false"),
+    ('diagnostics.holder_probe="false"', "diagnostics.holder_probe must be true or false"),
+    ('diagnostics.track_weak_residual="false"',
+     "diagnostics.track_weak_residual must be true or false"),
 ])
 def test_simulate_bad_value_exit_2(cfgfile, tmp_path, capsys, override, message):
     # rejected up front: never truncated, never left to blow up mid-run
@@ -163,6 +168,20 @@ def test_sweep_cli(cfgfile, tmp_path):
     assert [m["config"]["model"]["delta"] for m in report["members"]] == [0.3, 0.1, 0.03]
     csv_lines = (out / "sweep_report.csv").read_text().splitlines()
     assert len(csv_lines) == 4
+
+
+def test_sweep_fractional_n_exit_2(cfgfile, tmp_path, capsys, monkeypatch):
+    # refused before any member runs, never truncated to N = 8
+    def no_member(cfg):
+        raise AssertionError("a member ran")
+
+    monkeypatch.setattr(experiments, "_run_member", no_member)
+    rc = main(["sweep", "--config", cfgfile, "--out", str(tmp_path / "sw"),
+               "--param", "N", "--values", "8.5,12,16"])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError"
+    assert "N must be an integer" in record["message"]
 
 
 def test_sweep_epsilon_deep_gate(cfgfile, tmp_path):

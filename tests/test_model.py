@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from capillary1d import model
 from capillary1d.basis import DomainSpec, SpectralField, eigen_deriv, eigenpair, project, synthesize
 from capillary1d.model import (
     ModelParams,
@@ -285,6 +291,48 @@ def test_entropy_numeric_path_matches_nested_oracle():
 
         G_ref, _ = quad(inner, s, a, epsabs=1e-10, epsrel=1e-10, limit=200)
         assert abs(ent.G(np.array([s]))[0] - G_ref) < 1e-8
+
+
+@pytest.mark.parametrize("n, eps, a", [(1.5, 1e-1, 2.009), (1.5, 1e-3, 2.009),
+                                       (2.5, 0.2, 1.5), (3.0, 0.01, 1.5)])
+def test_entropy_numeric_table_matches_quad_oracle(n, eps, a):
+    # the whole table range, log-spaced, plus points within 0.5% of the anchor
+    ent = entropy_functions(ModelParams(n=n, epsilon=eps, entropy_anchor=a))
+    assert not ent.closed_form
+    # and negative values, which reflect through 0
+    s = np.concatenate([np.geomspace(a * 1e-8, a, 90), a * (1.0 - np.linspace(0.0, 5e-3, 20)),
+                        -np.geomspace(a * 1e-8, 0.05 * a, 10)])
+    G, g = ent.G(s), ent.g(s)
+    for x, G_x, g_x in zip(s, G, g):
+        kw = dict(epsabs=1e-13, epsrel=1e-13, limit=400, points=[0.0] if x < 0 else None)
+        G_ref, _ = quad(lambda r: (r - x) / (abs(r) ** n + eps), x, a, **kw)
+        g_ref, _ = quad(lambda r: 1.0 / (abs(r) ** n + eps), x, a, **kw)
+        assert abs(G_x - G_ref) <= 1e-12
+        assert abs(g_x + g_ref) <= 1e-12
+
+
+def test_entropy_numeric_table_needs_no_quad(monkeypatch):
+    def no_quad(*args, **kwargs):
+        raise AssertionError("adaptive quadrature called for an in-table value")
+
+    monkeypatch.setattr(model, "_adaptive_quad", no_quad)
+    a = 2.009
+    ent = entropy_functions(ModelParams(n=1.5, epsilon=1e-3, entropy_anchor=a))
+    s = np.geomspace(a * 1e-9, a, 50)
+    assert np.all(np.isfinite(ent.G(s))) and np.all(np.isfinite(ent.g(s)))
+    with pytest.raises(AssertionError):
+        ent.G(np.array([a + 0.1]))  # out of table: the quadrature fallback
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate is most of the import time; only the quadrature fallback needs it
+    code = "import sys, capillary1d.cli; print('scipy.integrate' in sys.modules)"
+    src = str(Path(model.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_entropy_infinite_sentinel():
