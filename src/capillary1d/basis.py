@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
+
+# leggauss(2048) takes about 1 s and its cost grows cubically beyond that
+MAX_GRID_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,13 @@ class DomainSpec:
             raise ValueError(f"modes must be >= 1, got {self.modes}")
         if self.oversample < 4:
             raise ValueError(f"oversample must be >= 4, got {self.oversample}")
+        if self.grid_size > MAX_GRID_SIZE:
+            raise ValueError(f"grid size oversample*(N+1) = {self.grid_size} exceeds {MAX_GRID_SIZE}")
+        # the array form overflows to inf where the float form raises OverflowError
+        with np.errstate(over="ignore"):
+            lam_max = eigenvalue(np.asarray(self.modes), self)
+        if not np.isfinite(lam_max):
+            raise ValueError(f"lambda_N overflows for N = {self.modes}, l = {self.half_length}")
 
     @property
     def grid_size(self) -> int:
@@ -78,50 +87,28 @@ class CollocationField:
     Q: np.ndarray | None = None
 
 
-def eigenvalue(j: int, domain: DomainSpec) -> float:
-    """lam_j = (pi j / (2 l))^2; lam_0 = 0."""
-    if j < 0:
+def eigenvalue(j, domain: DomainSpec):
+    """lam_j = (pi j / (2 l))^2 for a mode index or an integer array of them; lam_0 = 0."""
+    if np.any(np.asarray(j) < 0):
         raise IndexError(f"mode index must be >= 0, got {j}")
     return (np.pi * j / (2.0 * domain.half_length)) ** 2
 
 
-def eigenpair(j: int, domain: DomainSpec) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """Return (e_j as a vectorized callable, lam_j).
+def modes(js, x: np.ndarray, domain: DomainSpec, deriv: int = 0) -> np.ndarray:
+    """e_j(x) (deriv=0) or e_j'(x) (deriv=1) from the closed form, shape (len(x), len(js)).
 
-    The closed form is used directly, never a numerical eigensolve.  Indices
-    beyond ``domain.modes`` are allowed; they serve as extra test functions
-    for truncation-error probes.
+    Indices beyond ``domain.modes`` are allowed; they serve as extra test
+    functions for truncation-error probes.
     """
-    if j < 0:
-        raise IndexError(f"mode index must be >= 0, got {j}")
+    js = np.asarray(js, dtype=int)
+    if deriv not in (0, 1):
+        raise ValueError(f"deriv must be 0 or 1, got {deriv}")
     l = domain.half_length
-    lam = eigenvalue(j, domain)
-    if j == 0:
-        c0 = 1.0 / np.sqrt(2.0 * l)
-
-        def e0(x):
-            return np.full_like(np.asarray(x, dtype=float), c0)
-
-        return e0, lam
-
-    root = np.sqrt(lam)
-    phase = 0.5 * np.pi * j
-    scale = 1.0 / np.sqrt(l)
-
-    def ej(x):
-        return scale * np.cos(root * np.asarray(x, dtype=float) + phase)
-
-    return ej, lam
-
-
-def eigen_deriv(j: int, domain: DomainSpec, x: np.ndarray) -> np.ndarray:
-    """First derivative e_j'(x) from the closed form (zero for j = 0)."""
-    x = np.asarray(x, dtype=float)
-    if j == 0:
-        return np.zeros_like(x)
-    l = domain.half_length
-    root = np.sqrt(eigenvalue(j, domain))
-    return -root / np.sqrt(l) * np.sin(root * x + 0.5 * np.pi * j)
+    root = np.sqrt(eigenvalue(js, domain))
+    arg = root * np.asarray(x, dtype=float)[:, None] + 0.5 * np.pi * js
+    if deriv == 0:
+        return np.where(js == 0, 1.0 / np.sqrt(2.0 * l), 1.0 / np.sqrt(l)) * np.cos(arg)
+    return np.where(js == 0, 0.0, -root / np.sqrt(l)) * np.sin(arg)
 
 
 @dataclass(frozen=True)
@@ -154,14 +141,9 @@ def tables(domain: DomainSpec) -> BasisTables:
     xg, wg = np.polynomial.legendre.leggauss(G)
     x = l * xg
     w = l * wg
-    M = domain.modes + 1
-    E = np.empty((G, M))
-    Ex = np.empty((G, M))
-    lam = np.array([eigenvalue(j, domain) for j in range(M)])
-    for j in range(M):
-        ej, _ = eigenpair(j, domain)
-        E[:, j] = ej(x)
-        Ex[:, j] = eigen_deriv(j, domain, x)
+    js = np.arange(domain.modes + 1)
+    E = modes(js, x, domain)
+    Ex = modes(js, x, domain, deriv=1)
     return BasisTables(
         x=x,
         w=w,
@@ -169,7 +151,7 @@ def tables(domain: DomainSpec) -> BasisTables:
         Ex=np.ascontiguousarray(Ex),
         ET=np.ascontiguousarray(E.T),
         ExT=np.ascontiguousarray(Ex.T),
-        lam=lam,
+        lam=eigenvalue(js, domain),
     )
 
 
@@ -224,24 +206,10 @@ def synthesize(fld: SpectralField, domain: DomainSpec, order: int = 2) -> Colloc
 
 
 def evaluate(fld: SpectralField, xs: np.ndarray, domain: DomainSpec, deriv: int = 0) -> np.ndarray:
-    """Evaluate the represented function (or a derivative) at arbitrary points."""
+    """Evaluate the represented function (deriv=0) or its derivative (deriv=1) at arbitrary points."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     c = fld.coeffs
-    out = np.zeros_like(xs)
-    for j, cj in enumerate(c):
-        if cj == 0.0:
-            continue
-        if deriv == 0:
-            ej, _ = eigenpair(j, domain)
-            out += cj * ej(xs)
-        elif deriv == 1:
-            out += cj * eigen_deriv(j, domain, xs)
-        elif deriv == 2:
-            ej, lam = eigenpair(j, domain)
-            out += -cj * lam * ej(xs)
-        else:
-            raise ValueError("deriv must be 0, 1 or 2")
-    return out
+    return modes(np.arange(c.size), xs, domain, deriv) @ c
 
 
 @dataclass(frozen=True)
@@ -256,7 +224,7 @@ class SobolevNorms:
 def sobolev_norms(fld: SpectralField, domain: DomainSpec) -> SobolevNorms:
     """Exact L2/H1/H2 norms from the coefficients (Parseval)."""
     c = fld.coeffs
-    lam = np.array([eigenvalue(j, domain) for j in range(c.shape[0])])
+    lam = eigenvalue(np.arange(c.shape[0]), domain)
     l2sq = float(np.sum(c * c))
     uxsq = float(np.sum(lam * c * c))
     uxxsq = float(np.sum(lam * lam * c * c))

@@ -81,14 +81,16 @@ def _write_json(path: Path, obj) -> None:
                     encoding="utf-8", newline="\n")
 
 
+def _write_csv(path: Path, header: str, lines) -> None:
+    """A header line and one line per row, UTF-8 with LF endings."""
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8", newline="\n")
+
+
 def write_series_csv(out: RunOutput, path: Path) -> None:
-    lines = [SERIES_HEADER]
-    for r in out.records:
-        lines.append(",".join(_fmt(v) for v in (
-            r.t, r.mass, r.energy_surface, r.energy_delta, r.dissipation_cum,
-            r.entropy, r.entropy_dissipation_cum, r.min_u, r.max_u, r.zero_frac,
-            r.y_max, r.h1, r.h2, r.weak_residual)))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_csv(path, SERIES_HEADER, (",".join(_fmt(v) for v in (
+        r.t, r.mass, r.energy_surface, r.energy_delta, r.dissipation_cum,
+        r.entropy, r.entropy_dissipation_cum, r.min_u, r.max_u, r.zero_frac,
+        r.y_max, r.h1, r.h2, r.weak_residual)) for r in out.records))
 
 
 def write_snapshot_csvs(out: RunOutput, outdir: Path) -> list[str]:
@@ -96,15 +98,13 @@ def write_snapshot_csvs(out: RunOutput, outdir: Path) -> list[str]:
     t = tables(rc.domain)
     names = []
     for i in range(out.result.snapshot_times.size):
-        fld = synthesize(out.result.snapshot_field(i), rc.domain, order=2)
-        d = galerkin_pressure_coeffs(out.result.snapshot_field(i), rc.params, rc.domain)
-        p = t.E @ d.coeffs
-        lines = [SNAP_HEADER]
-        for g in range(t.x.size):
-            lines.append(",".join(_fmt(v) for v in (
-                t.x[g], fld.u[g], fld.ux[g], fld.uxx[g], p[g], fld.Q[g])))
+        c = out.result.snapshot_field(i)
+        fld = synthesize(c, rc.domain, order=2)
+        p = t.E @ galerkin_pressure_coeffs(c, rc.params, rc.domain).coeffs
+        rows = np.column_stack((t.x, fld.u, fld.ux, fld.uxx, p, fld.Q)).tolist()
         name = f"snap_{i}.csv"
-        (outdir / name).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        # every column is float64, so repr is _fmt's shortest round-trip form
+        _write_csv(outdir / name, SNAP_HEADER, (",".join(map(repr, row)) for row in rows))
         names.append(name)
     return names
 
@@ -168,16 +168,11 @@ def _load(args) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg = _load(args)
-        t0 = time.perf_counter()
-        out = run_config(cfg)
-        wall = time.perf_counter() - t0
-        write_run_artifacts(out, Path(args.out), wall)
-    except (ConfigError, InitialDataError) as exc:
-        return _emit_error(exc, 2)
-    except SimulationAbort as exc:
-        return _emit_error(exc, 3)
+    cfg = _load(args)
+    t0 = time.perf_counter()
+    out = run_config(cfg)
+    wall = time.perf_counter() - t0
+    write_run_artifacts(out, Path(args.out), wall)
     print(f"wrote {args.out}/series.csv ({len(out.records)} snapshots, "
           f"{out.result.stats.accepted} steps)")
     return 0
@@ -186,85 +181,63 @@ def cmd_simulate(args) -> int:
 def _sweep_csv(report: dict, path: Path) -> None:
     cols = ["value", "energy_max", "entropy_max", "h2_max", "y_max", "min_u",
             "holder_M", "steps_accepted"]
-    lines = [",".join(cols)]
-    for v, m in zip(report["values"], report["members"]):
-        row = [v] + [m["maxima"][c] for c in cols[1:-1]] + [m["steps_accepted"]]
-        lines.append(",".join("" if x is None else _fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    rows = ([v] + [m["maxima"][c] for c in cols[1:-1]] + [m["steps_accepted"]]
+            for v, m in zip(report["values"], report["members"]))
+    _write_csv(path, ",".join(cols), (",".join("" if x is None else _fmt(x) for x in row)
+                                      for row in rows))
 
 
 def cmd_sweep(args) -> int:
+    cfg = _load(args)
+    if args.values:
+        values = tuple(float(v) for v in args.values.split(","))
+    else:
+        values = DEFAULT_SWEEP_VALUES[args.param]
+    if args.param == "epsilon" and min(values) < EPSILON_DEEP_FLOOR and not args.deep:
+        raise ConfigError(
+            f"epsilon below {EPSILON_DEEP_FLOOR} with degenerate data needs --deep")
+    spec = SweepSpec(parameter=args.param, values=values, base_config=cfg, jobs=args.jobs)
+    outdir = Path(args.out)
     try:
-        cfg = _load(args)
-        if args.values:
-            values = tuple(float(v) for v in args.values.split(","))
-        else:
-            values = DEFAULT_SWEEP_VALUES[args.param]
-        if args.param == "epsilon" and min(values) < EPSILON_DEEP_FLOOR and not args.deep:
-            raise ConfigError(
-                f"epsilon below {EPSILON_DEEP_FLOOR} with degenerate data needs --deep")
-        spec = SweepSpec(parameter=args.param, values=values, base_config=cfg,
-                         jobs=args.jobs)
-        outdir = Path(args.out)
+        report = run_sweep(spec)
+    except SweepError as exc:
         outdir.mkdir(parents=True, exist_ok=True)
-        try:
-            report = run_sweep(spec)
-        except SweepError as exc:
-            _write_json(outdir / "sweep_report.json", exc.partial_report)
-            return _emit_error(exc, 3)
-        _write_json(outdir / "sweep_report.json", report)
-        _sweep_csv(report, outdir / "sweep_report.csv")
-    except (ConfigError, InitialDataError) as exc:
-        return _emit_error(exc, 2)
-    except SimulationAbort as exc:
+        _write_json(outdir / "sweep_report.json", exc.partial_report)
         return _emit_error(exc, 3)
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_json(outdir / "sweep_report.json", report)
+    _sweep_csv(report, outdir / "sweep_report.csv")
     print(f"wrote {args.out}/sweep_report.json "
           f"(param={report['parameter']}, {len(report['members'])} members)")
     return 0
 
 
 def cmd_compare(args) -> int:
-    try:
-        cfg = _load(args)
-        report = curvature_profile_study(cfg)
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_json(outdir / "profile_report.json", report)
-        for mode in ("nonlinear", "linear"):
-            m = report["modes"][mode]
-            lines = ["x,u0,uT"]
-            for x, a, b in zip(m["profile_x"], m["profile_u0"], m["profile_uT"]):
-                lines.append(",".join(_fmt(v) for v in (x, a, b)))
-            (outdir / f"profile_{mode}.csv").write_text(
-                "\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    except (ConfigError, InitialDataError) as exc:
-        return _emit_error(exc, 2)
-    except SimulationAbort as exc:
-        return _emit_error(exc, 3)
+    cfg = _load(args)
+    report = curvature_profile_study(cfg)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_json(outdir / "profile_report.json", report)
+    for mode in ("nonlinear", "linear"):
+        m = report["modes"][mode]
+        _write_csv(outdir / f"profile_{mode}.csv", "x,u0,uT",
+                   (",".join(_fmt(v) for v in row)
+                    for row in zip(m["profile_x"], m["profile_u0"], m["profile_uT"])))
     print(f"wrote {args.out}/profile_report.json")
     return 0
 
 
 def cmd_thresholds(args) -> int:
-    try:
-        cfg = _load(args)
-        n_values = [float(v) for v in args.n_values.split(",")]
-        report = threshold_study(n_values, cfg)
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_json(outdir / "thresholds_report.json", report)
-        cols = ["n", "min_u_overall", "min_u_final", "zero_frac_max", "skipped"]
-        lines = [",".join(cols)]
-        for row in report["rows"]:
-            lines.append(",".join(
-                _fmt(row[c]) if c in row and not isinstance(row.get(c), str)
-                else str(row.get(c, "")) for c in cols))
-        (outdir / "thresholds.csv").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    except (ConfigError, InitialDataError) as exc:
-        return _emit_error(exc, 2)
-    except SimulationAbort as exc:
-        return _emit_error(exc, 3)
+    cfg = _load(args)
+    n_values = [float(v) for v in args.n_values.split(",")]
+    report = threshold_study(n_values, cfg)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_json(outdir / "thresholds_report.json", report)
+    cols = ["n", "min_u_overall", "min_u_final", "zero_frac_max", "skipped"]
+    _write_csv(outdir / "thresholds.csv", ",".join(cols), (",".join(
+        _fmt(row[c]) if c in row and not isinstance(row.get(c), str)
+        else str(row.get(c, "")) for c in cols) for row in report["rows"]))
     print(f"wrote {args.out}/thresholds_report.json")
     return 0
 
@@ -326,7 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, InitialDataError) as exc:
+        return _emit_error(exc, 2)
+    except SimulationAbort as exc:
+        return _emit_error(exc, 3)
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from .model import (
 )
 
 SCHEMA_VERSION = 1
+MAX_SNAPSHOTS = 10_000
 
 DEFAULT_CONFIG: dict = {
     "schema_version": SCHEMA_VERSION,
@@ -224,10 +225,12 @@ def resolve_config(raw: dict) -> ResolvedConfig:
         snaps = itg["snapshots"]
         if isinstance(snaps, (int, float)) and not isinstance(snaps, bool):
             count = _integer(snaps, "snapshots count")
-            if count < 2:
-                raise ValueError("snapshots count must be >= 2")
+            if not 2 <= count <= MAX_SNAPSHOTS:
+                raise ValueError(f"snapshots count must be in [2, {MAX_SNAPSHOTS}], got {count}")
             snap_times = tuple(float(s) for s in np.linspace(0.0, T, count))
         elif isinstance(snaps, (list, tuple)):
+            if len(snaps) > MAX_SNAPSHOTS:
+                raise ValueError(f"more than {MAX_SNAPSHOTS} snapshot times")
             snap_times = tuple(sorted(float(s) for s in snaps))
         else:
             raise ValueError(f"snapshots must be a count or a list, got {snaps!r}")

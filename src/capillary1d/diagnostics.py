@@ -21,9 +21,8 @@ from . import kernels
 from .basis import (
     DomainSpec,
     SpectralField,
-    eigen_deriv,
-    eigenpair,
     mass,
+    modes,
     quadrature,
     sobolev_norms,
     synthesize,
@@ -167,23 +166,23 @@ def flux_and_weak_residual(c: SpectralField, params: ModelParams, domain: Domain
     u_t, u and the flux m(u) p_x come from one kernels.rhs call; J is the
     flux restricted to the positivity set {u > tol_zero} and zero elsewhere.
     For j <= N the residual vanishes to roundoff by Galerkin orthogonality;
-    modes j > N, sampled from the closed-form eigenpairs, quantify spatial
+    modes j > N, sampled from the closed form (basis.modes), quantify spatial
     truncation.  Returns (residuals, scale) where scale is the natural
     cancellation size max(1, |(u_t, e_j)|, |(J, e_j')|).
     """
     t = tables(domain)
     c_dot, _, u, flux, _ = rhs_output(c, params, domain)
     ut, J, a_tab, b_tab = kernels.weak_residual_terms(t, c_dot, u, flux, tol_zero)
-    modes = np.arange(a_tab.size) if test_modes is None else np.asarray(test_modes, dtype=int)
-    inside = modes <= domain.modes
-    a = np.zeros(modes.size)
-    b = np.zeros(modes.size)
-    a[inside] = a_tab[modes[inside]]
-    b[inside] = b_tab[modes[inside]]
-    for i in np.flatnonzero(~inside):
-        ej, _ = eigenpair(int(modes[i]), domain)
-        a[i] = np.dot(t.w, ut * ej(t.x))
-        b[i] = np.dot(t.w, J * eigen_deriv(int(modes[i]), domain, t.x))
+    js = np.arange(a_tab.size) if test_modes is None else np.asarray(test_modes, dtype=int)
+    inside = js <= domain.modes
+    a = np.zeros(js.size)
+    b = np.zeros(js.size)
+    a[inside] = a_tab[js[inside]]
+    b[inside] = b_tab[js[inside]]
+    if not inside.all():
+        # one dot per column keeps the summation order of a single-mode probe
+        a[~inside] = [np.dot(t.w, ut * e) for e in modes(js[~inside], t.x, domain).T]
+        b[~inside] = [np.dot(t.w, J * e) for e in modes(js[~inside], t.x, domain, deriv=1).T]
     scale = max(np.max(np.abs(a), initial=1.0), np.max(np.abs(b), initial=1.0))
     return a + b, float(scale)
 

@@ -11,6 +11,7 @@ stays open; the sweep records the consecutive-difference trend as data only.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -130,22 +131,12 @@ def run_sweep(spec: SweepSpec) -> dict:
     configs = [_member_config(spec, v) for v in spec.values]
     members: list[dict] = []
     failure = None
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            futures = [pool.submit(_run_member, cfg) for cfg in configs]
-            for v, fut in zip(spec.values, futures):
-                try:
-                    members.append(fut.result())
-                except Exception as exc:
-                    failure = f"member {spec.parameter}={v} failed: {exc}"
-                    break
-    else:
-        for v, cfg in zip(spec.values, configs):
-            try:
-                members.append(_run_member(cfg))
-            except Exception as exc:  # partial report on member failure
-                failure = f"member {spec.parameter}={v} failed: {exc}"
-                break
+    with ProcessPoolExecutor(spec.jobs) if spec.jobs > 1 else contextlib.nullcontext() as pool:
+        try:
+            for member in (map if pool is None else pool.map)(_run_member, configs):
+                members.append(member)
+        except Exception as exc:  # partial report on member failure
+            failure = f"member {spec.parameter}={spec.values[len(members)]} failed: {exc}"
 
     half_length = float(members[0]["config"]["domain"]["l"]) if members else 0.0
     cauchy = []

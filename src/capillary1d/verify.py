@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import DomainSpec, eigenvalue
-from .config import run_config
+from .config import resolve_config, run_config
 from .diagnostics import (
     energy_identity_residual,
     entropy_identity_residual,
@@ -29,6 +29,7 @@ from .diagnostics import (
     slope_bound_quantities,
 )
 from .experiments import SweepSpec, curvature_profile_study, run_sweep
+from .model import DEFAULT_TOL_NEG_REL, galerkin_pressure_coeffs
 
 # Smooth positive reference data: 1 + 0.2 e_1 + 0.25 e_2.  Mixed parity is
 # deliberate -- even data would zero out every odd mode by symmetry and make
@@ -233,10 +234,10 @@ def _check_nonnegativity() -> CheckResult:
     runtime_ok = (time.perf_counter() - t0) <= 300.0
     scale = 1.0 + 0.01  # sup of the droplet data
     min_us = [m["maxima"]["min_u"] for m in report["members"]]
-    passed = min_us[-1] >= -1e-8 * scale and runtime_ok
+    passed = min_us[-1] >= -DEFAULT_TOL_NEG_REL * scale and runtime_ok
     return CheckResult(5, "nonnegativity at the smallest epsilon of the sweep; runtime <= 5 min",
                        passed, {"min_u_per_epsilon": dict(zip(map(str, values), min_us)),
-                                "tolerance": -1e-8 * scale,
+                                "tolerance": -DEFAULT_TOL_NEG_REL * scale,
                                 "runtime_within_5min": runtime_ok})
 
 
@@ -270,8 +271,6 @@ def _check_steady_state() -> CheckResult:
     dev = final.coeffs.copy()
     dev[0] -= mean_coeff
     u_resid = float(np.sqrt(np.sum(dev**2)))
-    from .model import galerkin_pressure_coeffs
-
     p_resid = float(np.sqrt(np.sum(
         galerkin_pressure_coeffs(final, out.config.params, out.config.domain).coeffs ** 2)))
     passed = u_resid <= 1e-5 and p_resid <= 1e-5
@@ -306,8 +305,6 @@ def _check_weak_residual(ref) -> CheckResult:
         cfg = copy.deepcopy(REFERENCE_RUN)
         cfg["domain"]["N"] = N
         cfg["diagnostics"] = {"track_entropy": False}
-        from .config import resolve_config
-
         rc = resolve_config(cfg)
         resid, _ = flux_and_weak_residual(rc.u0, rc.params, rc.domain, test_modes=[N + 1])
         truncation[N] = abs(float(resid[0]))

@@ -3,12 +3,13 @@ import pytest
 from scipy.integrate import quad
 
 from capillary1d.basis import (
+    MAX_GRID_SIZE,
     DomainSpec,
     SpectralField,
-    eigen_deriv,
-    eigenpair,
+    eigenvalue,
     evaluate,
     mass,
+    modes,
     project,
     quadrature,
     sobolev_norms,
@@ -24,49 +25,57 @@ def test_domain_validation():
         DomainSpec(half_length=1.0, modes=0)
     with pytest.raises(ValueError):
         DomainSpec(half_length=1.0, modes=8, oversample=2)
+    with pytest.raises(ValueError, match="grid size"):
+        DomainSpec(half_length=1.0, modes=255, oversample=9)
+    with pytest.raises(ValueError, match="overflows"):
+        DomainSpec(half_length=1.98e-294, modes=16)
+    assert DomainSpec(half_length=1.0, modes=255, oversample=8).grid_size == MAX_GRID_SIZE
     d = DomainSpec(half_length=1.0, modes=8)
     assert d.grid_size == 8 * 9
     assert d.measure == 2.0
 
 
-def test_eigenpair_constant_mode():
+def test_modes_constant_mode():
     d = DomainSpec(half_length=0.5, modes=4)
-    e0, lam0 = eigenpair(0, d)
-    assert lam0 == 0.0
+    assert eigenvalue(0, d) == 0.0
     xs = np.linspace(-0.5, 0.5, 7)
     # mu(Omega)^{-1/2} = 1 for the unit-measure interval
-    np.testing.assert_allclose(e0(xs), 1.0)
+    np.testing.assert_allclose(modes([0], xs, d)[:, 0], 1.0)
+    np.testing.assert_array_equal(modes([0], xs, d, deriv=1), 0.0)
 
 
 def test_eigenvalue_formula():
     d = DomainSpec(half_length=1.0, modes=8)
-    _, lam3 = eigenpair(3, d)
+    lam3 = eigenvalue(3, d)
     assert abs(lam3 - (3 * np.pi / 2) ** 2) < 1e-14
     assert abs(lam3 - 22.2066) < 1e-3
+    np.testing.assert_array_equal(eigenvalue(np.arange(5), d),
+                                  [eigenvalue(j, d) for j in range(5)])
 
 
-def test_eigenpair_is_laplacian_eigenfunction():
+def test_modes_are_laplacian_eigenfunctions():
     d = DomainSpec(half_length=1.3, modes=6)
     xs = np.linspace(-1.3, 1.3, 41)
-    for j in (1, 4):
-        ej, lam = eigenpair(j, d)
-        h = 1e-4
-        second = (ej(xs + h) - 2 * ej(xs) + ej(xs - h)) / h**2
-        np.testing.assert_allclose(-second, lam * ej(xs), rtol=1e-5, atol=1e-5)
+    js = np.array([1, 4])
+    h = 1e-4
+    e = modes(js, xs, d)
+    second = (modes(js, xs + h, d) - 2 * e + modes(js, xs - h, d)) / h**2
+    np.testing.assert_allclose(-second, eigenvalue(js, d) * e, rtol=1e-5, atol=1e-5)
 
 
 def test_neumann_compatibility_closed_form():
     # e_j'(+-l) vanishes identically: sin hits a multiple of pi at the ends
     d = DomainSpec(half_length=0.7, modes=16)
     ends = np.array([-0.7, 0.7])
-    for j in range(17):
-        assert np.abs(eigen_deriv(j, d, ends)).max() <= 1e-12
+    assert np.abs(modes(np.arange(17), ends, d, deriv=1)).max() <= 1e-12
 
 
-def test_eigenpair_index_error():
+def test_modes_index_error():
     d = DomainSpec(half_length=1.0, modes=4)
     with pytest.raises(IndexError):
-        eigenpair(-1, d)
+        modes([-1], np.zeros(3), d)
+    with pytest.raises(IndexError):
+        eigenvalue(-1, d)
 
 
 @pytest.mark.parametrize("N", [8, 16, 64])
@@ -77,10 +86,35 @@ def test_orthonormality_under_module_quadrature(N):
     assert np.abs(gram - np.eye(N + 1)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("N", [8, 16, 64])
+def test_out_of_range_modes_orthonormal(N):
+    # the j > N test modes of the truncation probe: orthonormal to each
+    # other and to the retained basis under the module quadrature
+    d = DomainSpec(half_length=1.0, modes=N)
+    t = tables(d)
+    E = np.hstack([t.E, modes(range(N + 1, N + 5), t.x, d)])
+    gram = E.T @ (t.w[:, None] * E)
+    assert np.abs(gram - np.eye(N + 5)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("l", [0.5, 0.7, 1.0, 1.3])
+def test_modes_equal_single_mode_closed_form(l):
+    # reference: each mode on its own, scalar eigenvalue, same operation order
+    d = DomainSpec(half_length=l, modes=32)
+    x = tables(d).x
+    js = np.arange(40)
+    E, Ex = modes(js, x, d), modes(js, x, d, deriv=1)
+    for j in js[1:]:
+        root = np.sqrt(eigenvalue(int(j), d))
+        np.testing.assert_array_equal(E[:, j], 1.0 / np.sqrt(l) * np.cos(root * x + 0.5 * np.pi * j))
+        np.testing.assert_array_equal(Ex[:, j], -root / np.sqrt(l) * np.sin(root * x + 0.5 * np.pi * j))
+    np.testing.assert_array_equal(E[:, 0], 1.0 / np.sqrt(2.0 * l))
+    np.testing.assert_array_equal(Ex[:, 0], 0.0)
+
+
 def test_project_single_mode_and_constant():
     d = DomainSpec(half_length=1.0, modes=6)
-    e2, _ = eigenpair(2, d)
-    c = project(e2, d).coeffs
+    c = project(lambda x: modes([2], x, d)[:, 0], d).coeffs
     expect = np.zeros(7)
     expect[2] = 1.0
     np.testing.assert_allclose(c, expect, atol=1e-13)
@@ -95,8 +129,7 @@ def test_project_x_squared_against_adaptive_oracle():
     d = DomainSpec(half_length=1.0, modes=8)
     got = project(lambda x: x**2, d).coeffs
     for j in range(9):
-        ej, _ = eigenpair(j, d)
-        ref, _ = quad(lambda x: x**2 * ej(np.array([x]))[0], -1, 1,
+        ref, _ = quad(lambda x: x**2 * modes([j], [x], d)[0, 0], -1, 1,
                       epsabs=1e-14, epsrel=1e-14, limit=200)
         assert abs(got[j] - ref) < 1e-10
 
@@ -125,8 +158,7 @@ def test_synthesize_eigenfunction_identity():
     c = np.zeros(5)
     c[1] = 1.0
     fld = synthesize(SpectralField(c), d)
-    _, lam1 = eigenpair(1, d)
-    assert np.abs(fld.uxx + lam1 * fld.u).max() <= 1e-12
+    assert np.abs(fld.uxx + eigenvalue(1, d) * fld.u).max() <= 1e-12
 
 
 def test_synthesize_derivative_against_finite_differences():
@@ -150,8 +182,7 @@ def test_quadrature_basics():
     d = DomainSpec(half_length=1.0, modes=8)
     t = tables(d)
     assert abs(quadrature(np.ones(d.grid_size), d) - 2.0) < 1e-14
-    e1, _ = eigenpair(1, d)
-    assert abs(quadrature(e1(t.x) ** 2, d) - 1.0) <= 1e-12
+    assert abs(quadrature(modes([1], t.x, d)[:, 0] ** 2, d) - 1.0) <= 1e-12
     with pytest.raises(ValueError):
         quadrature(np.ones(5), d)
 

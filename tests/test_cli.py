@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from capillary1d import experiments
+from capillary1d.basis import synthesize, tables
 from capillary1d.cli import main
-from capillary1d.config import load_config, resolve_config
+from capillary1d.config import load_config, resolve_config, run_config
+from capillary1d.model import galerkin_pressure_coeffs
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -94,6 +96,9 @@ def test_simulate_rejected_data_exit_2(tmp_path, capsys):
     ('diagnostics.holder_probe="false"', "diagnostics.holder_probe must be true or false"),
     ('diagnostics.track_weak_residual="false"',
      "diagnostics.track_weak_residual must be true or false"),
+    ("domain.N=300", "exceeds 2048"),
+    ("domain.l=1.98e-294", "overflows"),
+    ("integrator.snapshots=10001", "snapshots count must be in [2, 10000]"),
 ])
 def test_simulate_bad_value_exit_2(cfgfile, tmp_path, capsys, override, message):
     # rejected up front: never truncated, never left to blow up mid-run
@@ -148,6 +153,24 @@ def test_simulate_roundtrip_byte_identical(cfg, tmp_path):
     assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
 
 
+def test_snapshot_csvs_parse_back_exactly(cfgfile, tmp_path):
+    # every cell is the shortest round-trip form of the in-memory value
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfgfile, "--out", str(out)]) == 0
+    run = run_config(BASE)
+    domain, params = run.config.domain, run.config.params
+    E = tables(domain).E
+    for i in range(run.result.snapshot_times.size):
+        c = run.result.snapshot_field(i)
+        fld = synthesize(c, domain, order=2)
+        p = E @ galerkin_pressure_coeffs(c, params, domain).coeffs
+        expect = np.column_stack((fld.x, fld.u, fld.ux, fld.uxx, p, fld.Q))
+        lines = (out / f"snap_{i}.csv").read_text().splitlines()[1:]
+        got = np.array([[float(v) for v in line.split(",")] for line in lines])
+        assert got.shape == expect.shape
+        assert np.array_equal(got, expect)
+
+
 def test_set_overrides(cfgfile, tmp_path):
     out = tmp_path / "o"
     rc = main(["simulate", "--config", cfgfile, "--out", str(out),
@@ -182,6 +205,7 @@ def test_sweep_fractional_n_exit_2(cfgfile, tmp_path, capsys, monkeypatch):
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "ConfigError"
     assert "N must be an integer" in record["message"]
+    assert not (tmp_path / "sw").exists()
 
 
 def test_sweep_epsilon_deep_gate(cfgfile, tmp_path):

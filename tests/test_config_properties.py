@@ -1,0 +1,55 @@
+import copy
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from capillary1d.config import DEFAULT_CONFIG, ConfigError, load_config, resolve_config
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+REFERENCE = next(p for p in CONFIGS if p.name == "reference.json")
+
+LEAVES = [(key,) for key, value in DEFAULT_CONFIG.items() if not isinstance(value, dict)] + [
+    (section, key) for section, value in DEFAULT_CONFIG.items() if isinstance(value, dict)
+    for key in value]
+
+VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.integers(min_value=-3, max_value=70), st.floats()), max_size=3),
+    st.just({}),
+)
+
+
+def _with_leaf(path: Path, leaf: tuple, value) -> dict:
+    cfg = load_config(str(path))
+    if len(leaf) == 1:
+        cfg[leaf[0]] = value
+    else:
+        cfg.setdefault(leaf[0], {})[leaf[1]] = copy.deepcopy(value)
+    return cfg
+
+
+def test_leaves_cover_default_config():
+    assert len(LEAVES) == 24
+    assert ("initial_data", "parameters") in LEAVES and ("schema_version",) in LEAVES
+
+
+# out-of-range sizes that once escaped as MemoryError or OverflowError
+@example(REFERENCE, ("domain", "N"), 3.03e16)
+@example(REFERENCE, ("domain", "oversample"), 1.14e16)
+@example(REFERENCE, ("integrator", "snapshots"), 1.52e16)
+@example(REFERENCE, ("domain", "l"), 1.98e-294)
+@example(REFERENCE, ("domain", "oversample"), 1.25e287)
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(CONFIGS), st.sampled_from(LEAVES), VALUES)
+def test_resolve_config_refuses_or_reaches_a_fixed_point(path, leaf, value):
+    # every input is either a ConfigError or a config that re-resolves to itself
+    try:
+        resolved = resolve_config(_with_leaf(path, leaf, value)).resolved
+    except ConfigError:
+        return
+    assert resolve_config(resolved).resolved == resolved

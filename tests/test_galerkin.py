@@ -4,7 +4,7 @@ import pytest
 from capillary1d.basis import (
     DomainSpec,
     SpectralField,
-    eigenpair,
+    eigenvalue,
     mass,
     project,
     quadrature,
@@ -49,7 +49,7 @@ def test_rhs_linear_constant_mobility_decoupling():
                     mobility_mode="constant")
     u = unit_mode(1, D8, c1, base=1.0)
     dc = assemble_rhs(u, p, D8).coeffs
-    _, lam1 = eigenpair(1, D8)
+    lam1 = eigenvalue(1, D8)
     expect = np.zeros(9)
     expect[1] = -mu * (1 + delta) * lam1**2 * c1
     np.testing.assert_allclose(dc, expect, atol=1e-12)
@@ -71,7 +71,7 @@ def test_step_adaptive_matches_exponential_decay():
     d = DomainSpec(half_length=1.0, modes=4)
     p = ModelParams(n=2, delta=delta, epsilon=mu, pressure_mode="linear",
                     mobility_mode="constant")
-    _, lam1 = eigenpair(1, d)
+    lam1 = eigenvalue(1, d)
     rate = mu * (1 + delta) * lam1**2
     t_end = np.log(10.0) / rate  # one 10x decay time
     spec = IntegratorSpec(t_end=t_end, rtol=1e-9, atol=1e-12, snapshot_times=(t_end,))
@@ -123,7 +123,7 @@ def test_simulate_relaxes_to_mean_with_full_mobility():
     d = DomainSpec(half_length=1.0, modes=6)
     p = ModelParams(n=2, delta=0.1, epsilon=1.0)
     u0 = unit_mode(1, d, 0.3, base=1.0)
-    _, lam1 = eigenpair(1, d)
+    lam1 = eigenvalue(1, d)
     t_end = np.log(1e4) / (1.0 * (1 + p.delta) * lam1**2)
     spec = IntegratorSpec(t_end=t_end, snapshot_times=(t_end,))
     res = simulate(u0, spec, p, d)

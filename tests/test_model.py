@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from capillary1d import model
-from capillary1d.basis import DomainSpec, SpectralField, eigen_deriv, eigenpair, project, synthesize
+from capillary1d.basis import DomainSpec, SpectralField, eigenvalue, modes, project, synthesize
 from capillary1d.model import (
     ModelParams,
     a_delta_apply,
@@ -83,7 +83,7 @@ def test_pressure_flat_film():
 
 def test_pressure_linear_mode_eigenfunction():
     fld = synthesize(unit_mode(1, D8), D8)
-    _, lam1 = eigenpair(1, D8)
+    lam1 = eigenvalue(1, D8)
     p = pressure(fld, ModelParams(n=2, delta=0.0, pressure_mode="linear"))
     np.testing.assert_allclose(p, lam1 * fld.u, atol=1e-12)
 
@@ -142,7 +142,7 @@ def test_a_delta_against_adaptive_oracle():
     u = unit_mode(1, D8, 0.5)
 
     def integrand(x):
-        ux = 0.5 * eigen_deriv(1, D8, np.array([x]))[0]
+        ux = 0.5 * modes([1], [x], D8, deriv=1)[0, 0]
         return (ux / np.sqrt(1 + ux**2) + p.delta * ux) * ux
 
     ref, _ = quad(integrand, -1, 1, epsabs=1e-13, epsrel=1e-13)
@@ -182,7 +182,7 @@ def test_pressure_coeffs_linear_mode_decoupling():
     p = ModelParams(n=2, delta=0.1, pressure_mode="linear")
     c1 = 0.7
     d = galerkin_pressure_coeffs(unit_mode(1, D8, c1), p, D8).coeffs
-    _, lam1 = eigenpair(1, D8)
+    lam1 = eigenvalue(1, D8)
     expect = np.zeros(9)
     expect[1] = (1 + p.delta) * lam1 * c1
     np.testing.assert_allclose(d, expect, atol=1e-12)
@@ -194,8 +194,8 @@ def test_pressure_coeffs_nonlinear_against_quadrature_oracle():
     d = galerkin_pressure_coeffs(u, p, D8).coeffs
     for k in range(9):
         def integrand(x, kk=k):
-            ux = 0.4 * eigen_deriv(1, D8, np.array([x]))[0]
-            vx = eigen_deriv(kk, D8, np.array([x]))[0]
+            ux = 0.4 * modes([1], [x], D8, deriv=1)[0, 0]
+            vx = modes([kk], [x], D8, deriv=1)[0, 0]
             return (ux / np.sqrt(1 + ux**2) + p.delta * ux) * vx
 
         ref, _ = quad(integrand, -1, 1, epsabs=1e-13, epsrel=1e-13, limit=200)
