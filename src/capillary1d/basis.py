@@ -169,16 +169,11 @@ def quadrature(values: np.ndarray, domain: DomainSpec) -> float:
 def project(v, domain: DomainSpec) -> SpectralField:
     """Orthogonal L2 projection onto span{e_0..e_N}.
 
-    ``v`` may be a callable evaluated at the quadrature nodes, a raw vector
-    of grid samples, or a CollocationField (its ``u`` samples are used).
+    ``v`` may be a callable evaluated at the quadrature nodes or a raw
+    vector of grid samples.
     """
     t = tables(domain)
-    if callable(v):
-        samples = np.asarray(v(t.x), dtype=float)
-    elif isinstance(v, CollocationField):
-        samples = np.asarray(v.u, dtype=float)
-    else:
-        samples = np.asarray(v, dtype=float)
+    samples = np.asarray(v(t.x) if callable(v) else v, dtype=float)
     if samples.shape != t.x.shape:
         raise ValueError(f"expected {t.x.shape[0]} samples, got {samples.shape}")
     if not np.all(np.isfinite(samples)):

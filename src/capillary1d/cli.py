@@ -28,7 +28,7 @@ from .config import (
     load_config,
     run_config,
 )
-from .diagnostics import energy_identity_residual, mass_drift, slope_bound_quantities
+from .diagnostics import energy_identity_residual, mass_drift, slope_threshold
 from .experiments import (
     SweepError,
     SweepSpec,
@@ -111,15 +111,16 @@ def write_snapshot_csvs(out: RunOutput, outdir: Path) -> list[str]:
 
 def _simulate_verdicts(out: RunOutput) -> dict:
     E = out.result.nodes.energy
-    slope = slope_bound_quantities(
-        out.result.snapshot_field(out.result.snapshot_times.size - 1), out.config.domain)
+    final = out.records[-1]
+    threshold = slope_threshold(final.energy_surface, final.curvature_dissipation,
+                                out.config.domain.half_length)
     return {
         "mass_relative_drift": mass_drift(out.records),
         "energy_monotone": bool(np.all(np.diff(E) <= 1e-9 * max(E[0], 1.0))),
         "energy_identity_max_residual": energy_identity_residual(out.result)[1],
-        "slope_bound_satisfied": slope.satisfied,
-        "final_y_max": slope.y_max,
-        "final_slope_threshold": slope.threshold,
+        "slope_bound_satisfied": final.y_max <= threshold,
+        "final_y_max": final.y_max,
+        "final_slope_threshold": threshold,
     }
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,20 +148,22 @@ def build_initial_data(kind: str, parameters: dict,
     p = {**copy.deepcopy(defaults), **parameters}
     l = domain.half_length
     if kind == "constant":
-        value = float(p["value"])
+        value = _number(p["value"], "value")
         return project(lambda x: np.full_like(x, value), domain), p
     if kind == "cosine_bump":
-        base, amp = float(p["base"]), float(p["amplitude"])
+        base, amp = _number(p["base"], "base"), _number(p["amplitude"], "amplitude")
         return project(lambda x: base + amp * 0.5 * (1.0 + np.cos(np.pi * x / l)), domain), p
     if kind == "droplet":
-        floor, amp = float(p["floor"]), float(p["amplitude"])
+        floor, amp = _number(p["floor"], "floor"), _number(p["amplitude"], "amplitude")
         power = _integer(p["power"], "power")
         if 2 * power > domain.modes:
             raise ValueError(
                 f"droplet power {power} needs N >= {2 * power} modes for an exact representation")
         return project(lambda x: floor + amp * np.cos(np.pi * x / (2 * l)) ** (2 * power),
                        domain), p
-    values = np.asarray(p["values"], dtype=float)
+    if not isinstance(p["values"], (list, tuple)):
+        raise ValueError(f"values must be a list of numbers, got {p['values']!r}")
+    values = np.array([_number(v, "values") for v in p["values"]], dtype=float)
     c = np.zeros(domain.modes + 1)
     m = min(values.size, c.size)
     c[:m] = values[:m]
@@ -175,6 +178,13 @@ def _integer(value, name: str) -> int:
     return int(number)
 
 
+def _number(value, name: str) -> float:
+    """A real config entry; refuses JSON booleans, which Python reads as 0 and 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class ResolvedConfig:
     domain: DomainSpec
@@ -186,12 +196,12 @@ class ResolvedConfig:
 
 def resolve_config(raw: dict) -> ResolvedConfig:
     cfg = merge_config(raw)
-    if cfg["schema_version"] != SCHEMA_VERSION:
+    if isinstance(cfg["schema_version"], bool) or cfg["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {cfg['schema_version']!r}")
 
     dom = cfg["domain"]
     try:
-        domain = DomainSpec(half_length=float(dom["l"]), modes=_integer(dom["N"], "N"),
+        domain = DomainSpec(half_length=_number(dom["l"], "l"), modes=_integer(dom["N"], "N"),
                             oversample=_integer(dom["oversample"], "oversample"))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad domain section: {exc}") from exc
@@ -208,12 +218,12 @@ def resolve_config(raw: dict) -> ResolvedConfig:
         anchor = float(synthesize(u0, domain, order=0).u.max()) + 1.0
     try:
         params = ModelParams(
-            n=float(mdl["n"]),
-            delta=float(mdl["delta"]),
-            epsilon=float(mdl["epsilon"]),
-            eta=float(mdl["eta"]),
+            n=_number(mdl["n"], "n"),
+            delta=_number(mdl["delta"], "delta"),
+            epsilon=_number(mdl["epsilon"], "epsilon"),
+            eta=_number(mdl["eta"], "eta"),
             pressure_mode=mdl["pressure_mode"],
-            entropy_anchor=float(anchor),
+            entropy_anchor=_number(anchor, "entropy_anchor"),
             mobility_mode=mdl["mobility_mode"],
         )
     except (ValueError, TypeError) as exc:
@@ -221,7 +231,7 @@ def resolve_config(raw: dict) -> ResolvedConfig:
 
     itg = cfg["integrator"]
     try:
-        T = float(itg["T"])
+        T = _number(itg["T"], "T")
         snaps = itg["snapshots"]
         if isinstance(snaps, (int, float)) and not isinstance(snaps, bool):
             count = _integer(snaps, "snapshots count")
@@ -231,15 +241,15 @@ def resolve_config(raw: dict) -> ResolvedConfig:
         elif isinstance(snaps, (list, tuple)):
             if len(snaps) > MAX_SNAPSHOTS:
                 raise ValueError(f"more than {MAX_SNAPSHOTS} snapshot times")
-            snap_times = tuple(sorted(float(s) for s in snaps))
+            snap_times = tuple(sorted(_number(s, "snapshot time") for s in snaps))
         else:
             raise ValueError(f"snapshots must be a count or a list, got {snaps!r}")
         spec = IntegratorSpec(
             t_end=T,
             method=itg["method"],
-            rtol=float(itg["rtol"]),
-            atol=float(itg["atol"]),
-            dt=None if itg["dt"] is None else float(itg["dt"]),
+            rtol=_number(itg["rtol"], "rtol"),
+            atol=_number(itg["atol"], "atol"),
+            dt=None if itg["dt"] is None else _number(itg["dt"], "dt"),
             snapshot_times=snap_times,
         )
     except (ValueError, TypeError) as exc:
@@ -249,6 +259,15 @@ def resolve_config(raw: dict) -> ResolvedConfig:
     for key in ("holder_probe", "track_entropy", "track_weak_residual"):
         if not isinstance(diag[key], bool):
             raise ConfigError(f"diagnostics.{key} must be true or false, got {diag[key]!r}")
+    tol_zero, r_values = diag["tol_zero"], diag["r_values"]
+    try:
+        if tol_zero is not None and not 0.0 <= _number(tol_zero, "tol_zero") < math.inf:
+            raise ValueError(f"tol_zero must be null or a finite number >= 0, got {tol_zero!r}")
+        if not (isinstance(r_values, (list, tuple))
+                and all(math.isfinite(_number(r, "r_values")) for r in r_values)):
+            raise ValueError(f"r_values must be a list of finite numbers, got {r_values!r}")
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad diagnostics section: {exc}") from exc
 
     resolved = copy.deepcopy(cfg)
     resolved["model"]["entropy_anchor"] = params.entropy_anchor

@@ -49,6 +49,7 @@ class DiagnosticsRecord:
     mass: float
     energy_surface: float
     energy_delta: float
+    curvature_dissipation: float
     dissipation_cum: float
     entropy: float
     entropy_dissipation_cum: float
@@ -90,6 +91,7 @@ def snapshot_diagnostics(c: SpectralField, params: ModelParams, domain: DomainSp
         mass=mass(c, domain),
         energy_surface=quadrature(fld.Q, domain),
         energy_delta=0.5 * params.delta * quadrature(fld.ux**2, domain),
+        curvature_dissipation=quadrature(fld.uxx**2 / fld.Q**3, domain),
         dissipation_cum=float("nan"),
         entropy=ent,
         entropy_dissipation_cum=float("nan"),
@@ -189,30 +191,15 @@ def flux_and_weak_residual(c: SpectralField, params: ModelParams, domain: Domain
 
 # -- Lemma-style W^{1,inf} and H^2 certification -------------------------------
 
-@dataclass
-class SlopeBoundReport:
-    """Measured quantities of the slope-ratio bound chain.
+def slope_threshold(c1: float, c2: float, half_length: float) -> float:
+    """Certified slope-ratio threshold M < 1: y_max = max |u_x|/Q <= M.
 
-    y_max = max |u_x|/Q < 1 always; the chain derives, from c1 = int Q and
-    c2 = int u_xx^2/Q^3, a threshold M < 1 with y_max <= M whenever the two
-    budget constants hold.  K is the Hoelder constant of Q^{-1/2} used in the
-    chain: the sharp one-dimensional embedding gives [g]_{1/2} <= ||g_x||_L2
-    (constant 1 for the seminorm) and ||g_x||_L2^2 <= c2/4, so K = sqrt(c2)/2.
-    """
-
-    y_max: float
-    g_min: float
-    g_h1: float
-    h2_norm: float
-    c1: float
-    c2: float
-    K: float
-    threshold: float
-    satisfied: bool
-
-
-def slope_threshold(c1: float, c2: float, half_length: float, tol: float = 1e-13) -> float:
-    """Solve (1/2) int dx / (K^2 |x-l| + sqrt(1-y^2)) = c1 for y by bisection.
+    Inputs are a snapshot's budgets c1 = int Q (DiagnosticsRecord's
+    energy_surface) and c2 = int u_xx^2/Q^3 (its curvature_dissipation).
+    K = sqrt(c2)/2 is the Hoelder constant of Q^{-1/2}: the sharp
+    one-dimensional embedding gives [g]_{1/2} <= ||g_x||_L2 and
+    ||g_x||_L2^2 <= c2/4.  M solves
+    (1/2) int dx / (K^2 |x-l| + sqrt(1-y^2)) = c1 for y by bisection.
 
     The integral has the closed form (1/(2K^2)) log(1 + 2 l K^2 / s) with
     s = sqrt(1-y^2); it increases continuously to +inf as y -> 1, so a root
@@ -233,37 +220,13 @@ def slope_threshold(c1: float, c2: float, half_length: float, tol: float = 1e-13
     lo, hi = 0.0, 1.0 - 1e-16
     if lhs(hi) <= c1:
         return hi
-    while hi - lo > tol:
+    while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
         if lhs(mid) <= c1:
             lo = mid
         else:
             hi = mid
     return lo
-
-
-def slope_bound_quantities(c: SpectralField, domain: DomainSpec) -> SlopeBoundReport:
-    """Slope-ratio scalars and the certified threshold for one snapshot."""
-    fld = synthesize(c, domain, order=2)
-    f = fld.ux / fld.Q
-    y_max = float(np.max(np.abs(f)))
-    g = fld.Q ** -0.5
-    gx = -0.5 * f * fld.uxx / fld.Q ** 1.5
-    g_h1 = float(np.sqrt(quadrature(g**2, domain) + quadrature(gx**2, domain)))
-    c1 = quadrature(fld.Q, domain)
-    c2 = quadrature(fld.uxx**2 / fld.Q**3, domain)
-    M = slope_threshold(c1, c2, domain.half_length)
-    return SlopeBoundReport(
-        y_max=y_max,
-        g_min=float(g.min()),
-        g_h1=g_h1,
-        h2_norm=sobolev_norms(c, domain).h2,
-        c1=c1,
-        c2=c2,
-        K=0.5 * np.sqrt(c2),
-        threshold=M,
-        satisfied=y_max <= M,
-    )
 
 
 # -- Hoelder probes -------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .basis import DomainSpec, SpectralField, tables
+from .basis import BasisTables, DomainSpec, SpectralField, tables
 from .model import DEFAULT_TOL_ZERO_REL, ModelParams
 
 DT_MIN = 1e-12
@@ -89,7 +89,6 @@ class NodeSeries:
     dissipation_cum: np.ndarray
     entropy_dissipation_cum: np.ndarray
     weighted_dissipation_cum: dict[float, np.ndarray]
-    max_abs_u: np.ndarray
     weak_residual: np.ndarray | None = None
 
     @property
@@ -115,18 +114,18 @@ class SimulationResult:
         return SpectralField(self.coeffs[i].copy())
 
 
-def rhs_output(c: SpectralField, params: ModelParams, domain: DomainSpec) -> tuple:
-    """One kernels.rhs call at c: (c_dot, d, u, flux, aux), refused if non-finite."""
-    out = kernels.rhs(np.ascontiguousarray(c.coeffs), tables(domain), params,
-                      np.asarray(DEFAULT_R_VALUES))
+def _checked_rhs(c: np.ndarray, t: BasisTables, params: ModelParams, r_values: np.ndarray) -> tuple:
+    """kernels.rhs, looked up at call time, with its c_dot refused if non-finite."""
+    out = kernels.rhs(c, t, params, r_values)
     if not np.all(np.isfinite(out[0])):
         raise SimulationAbort("non-finite right-hand side")
     return out
 
 
-def assemble_rhs(c: SpectralField, params: ModelParams, domain: DomainSpec) -> SpectralField:
-    """dc/dt for the Galerkin system; (dc/dt)_0 == 0 exactly."""
-    return SpectralField(rhs_output(c, params, domain)[0])
+def rhs_output(c: SpectralField, params: ModelParams, domain: DomainSpec) -> tuple:
+    """One kernels.rhs call at c: (c_dot, d, u, flux, aux), refused if non-finite."""
+    return _checked_rhs(np.ascontiguousarray(c.coeffs), tables(domain), params,
+                        np.asarray(DEFAULT_R_VALUES))
 
 
 # explicit tableaux (A rows, propagated weights b, embedded weights or None);
@@ -150,37 +149,6 @@ def _combine(y: np.ndarray, dt: float, weights, slopes) -> np.ndarray:
         if wi != 0.0:
             out += dt * wi * ki
     return out
-
-
-class _OdeCore:
-    """Kernel calls and Runge-Kutta stages for simulate, with an RHS call count."""
-
-    def __init__(self, params: ModelParams, domain: DomainSpec, r_values):
-        self.tables = tables(domain)
-        self.params = params
-        self.r_values = np.asarray(r_values, dtype=float)
-        self.nq = 2 + len(r_values)
-        self.rhs_calls = 0
-
-    def eval(self, c: np.ndarray):
-        self.rhs_calls += 1
-        out = kernels.rhs(c, self.tables, self.params, self.r_values)
-        if not np.all(np.isfinite(out[0])):
-            raise SimulationAbort("non-finite right-hand side")
-        return out
-
-    def qdot(self, aux: np.ndarray) -> np.ndarray:
-        return aux[: self.nq]
-
-    def stages(self, c, dt, k1, aux1, rows):
-        """Stage slopes of c and of the cumulative integrals for tableau rows."""
-        ks = [k1]
-        qds = [self.qdot(aux1)]
-        for row in rows[1:]:
-            ki, _, _, _, auxi = self.eval(_combine(c, dt, row, ks))
-            ks.append(ki)
-            qds.append(self.qdot(auxi))
-        return ks, qds
 
 
 def _initial_dt(spec: IntegratorSpec, c: np.ndarray, k1: np.ndarray) -> float:
@@ -221,15 +189,24 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
     if params.eta == 0.0 and params.mobility_mode == "standard":
         flags.append("eta = 0: mobility unbounded above (outside the discrete existence lemma)")
 
-    core = _OdeCore(params, domain, r_values)
     anchor = params.entropy_anchor
     c = np.ascontiguousarray(u0.coeffs.astype(float))
     if c.shape[0] != domain.modes + 1:
         raise ValueError("initial coefficients do not match the domain")
 
+    t = tables(domain)
+    r_arr = np.asarray(r_values, dtype=float)
+    nr = len(r_values)
+    nq = 2 + nr  # cumulative integrals: the leading aux entries D, S, D_r...
+    stats = StepStats()
+
+    def rhs(y):
+        stats.rhs_calls += 1
+        return _checked_rhs(y, t, params, r_arr)
+
     tcur = 0.0
-    q = np.zeros(core.nq)
-    k1, _, u_grid, flux, aux1 = core.eval(c)
+    q = np.zeros(nq)
+    k1, _, u_grid, flux, aux1 = rhs(c)
 
     def check_anchor(aux, tt):
         if anchor is not None and aux[-1] >= anchor:
@@ -239,19 +216,17 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
 
     check_anchor(aux1, 0.0)
 
-    nr = len(r_values)
     node_t = [0.0]
     node_es = [aux1[2 + nr]]
     node_ed = [aux1[3 + nr]]
     node_q = [q.copy()]
-    node_maxu = [aux1[-1]]
     node_weak = [] if track_weak_residual else None
     if track_weak_residual:
-        node_weak.append(_weak_residual_max(core.tables, k1, u_grid, flux, tol_zero))
+        node_weak.append(_weak_residual_max(t, k1, u_grid, flux, tol_zero))
 
     n_snap = snap_times.size
     snap_c = np.empty((n_snap, c.shape[0]))
-    snap_q = np.empty((n_snap, core.nq))
+    snap_q = np.empty((n_snap, nq))
     isnap = 0
     # snapshots at t = 0
     while isnap < n_snap and snap_times[isnap] <= 0.0:
@@ -259,7 +234,6 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
         snap_q[isnap] = q
         isnap += 1
 
-    stats = StepStats()
     dt = _initial_dt(spec, c, k1)
     t_end = spec.t_end
     eps_end = 1e-12 * max(1.0, t_end)
@@ -267,7 +241,13 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
     rows, weights, embedded = _TABLEAUX[spec.method]
     while tcur < t_end - eps_end:
         dt = min(dt, t_end - tcur)
-        ks, qds = core.stages(c, dt, k1, aux1, rows)
+        # stage slopes of c and of the cumulative integrals
+        ks = [k1]
+        qds = [aux1[:nq]]
+        for row in rows[1:]:
+            ki, _, _, _, auxi = rhs(_combine(c, dt, row, ks))
+            ks.append(ki)
+            qds.append(auxi[:nq])
         c_new = _combine(c, dt, weights, ks)
         dt_next = dt
         if embedded is not None:
@@ -283,10 +263,10 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
                     )
                 continue
             dt_next = dt * min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
-        dq = _combine(np.zeros(core.nq), dt, weights, qds)
+        dq = _combine(np.zeros(nq), dt, weights, qds)
 
         t_new = tcur + dt
-        k1_new, _, u_grid, flux, aux_new = core.eval(c_new)
+        k1_new, _, u_grid, flux, aux_new = rhs(c_new)
         check_anchor(aux_new, t_new)
         q_new = q + dq
 
@@ -296,8 +276,7 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
             s = snap_times[isnap]
             theta = min(1.0, max(0.0, (s - tcur) / dt))
             snap_c[isnap] = _hermite(theta, c, k1, c_new, k1_new, dt)
-            snap_q[isnap] = _hermite(theta, q, core.qdot(aux1), q_new,
-                                     core.qdot(aux_new), dt)
+            snap_q[isnap] = _hermite(theta, q, aux1[:nq], q_new, aux_new[:nq], dt)
             isnap += 1
 
         tcur, c, q, k1, aux1 = t_new, c_new, q_new, k1_new, aux_new
@@ -308,9 +287,8 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
         node_es.append(aux1[2 + nr])
         node_ed.append(aux1[3 + nr])
         node_q.append(q.copy())
-        node_maxu.append(aux1[-1])
         if track_weak_residual:
-            node_weak.append(_weak_residual_max(core.tables, k1, u_grid, flux, tol_zero))
+            node_weak.append(_weak_residual_max(t, k1, u_grid, flux, tol_zero))
 
     # any trailing snapshots at t_end within tolerance
     while isnap < n_snap:
@@ -318,7 +296,6 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
         snap_q[isnap] = q
         isnap += 1
 
-    stats.rhs_calls = core.rhs_calls
     node_q_arr = np.asarray(node_q)
     nodes = NodeSeries(
         t=np.asarray(node_t),
@@ -327,7 +304,6 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
         dissipation_cum=node_q_arr[:, 0],
         entropy_dissipation_cum=node_q_arr[:, 1],
         weighted_dissipation_cum={r: node_q_arr[:, 2 + i] for i, r in enumerate(r_values)},
-        max_abs_u=np.asarray(node_maxu),
         weak_residual=np.asarray(node_weak) if track_weak_residual else None,
     )
     return SimulationResult(

@@ -1,10 +1,10 @@
 """Physics of the regularized thin-film system.
 
-Mobility with its (epsilon, eta) regularization, the nonlinear curvature
-pressure and its elliptic delta-augmentation, the weak-form pairing that
-defines the Galerkin pressure coefficients, and the entropy pair (g, G)
-with G'' = 1/m used by the entropy estimate.  m_0 is fixed to the constant
-1, so the bare mobility is exactly |s|^n.
+Mobility with its (epsilon, eta) regularization, the weak pressure density
+u_x/Q + delta u_x (exact curvature plus its elliptic delta-augmentation)
+and the Galerkin pressure coefficients it defines, and the entropy pair
+(g, G) with G'' = 1/m used by the entropy estimate.  m_0 is fixed to the
+constant 1, so the bare mobility is exactly |s|^n.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from .basis import (
     BasisTables,
-    CollocationField,
     DomainSpec,
     SpectralField,
     quadrature,
@@ -84,17 +83,6 @@ def mobility(s, params: ModelParams):
     return m + params.epsilon
 
 
-def pressure(fld: CollocationField, params: ModelParams) -> np.ndarray:
-    """Pointwise pressure -u_xx/Q^3 - delta*u_xx (or -(1+delta)*u_xx in linear mode)."""
-    if fld.ux is None or fld.uxx is None:
-        raise ValueError("pressure needs ux and uxx on the grid")
-    uxx = fld.uxx
-    if params.pressure_mode == "linear":
-        return -(1.0 + params.delta) * uxx
-    Q = fld.Q if fld.Q is not None else np.sqrt(1.0 + fld.ux**2)
-    return -uxx / Q**3 - params.delta * uxx
-
-
 def pressure_density(ux: np.ndarray, params: ModelParams) -> np.ndarray:
     """Integrand s of the weak pairing: u_x/Q + delta u_x, or (1+delta) u_x in linear mode."""
     if params.pressure_mode == "linear":
@@ -102,27 +90,15 @@ def pressure_density(ux: np.ndarray, params: ModelParams) -> np.ndarray:
     return ux / np.sqrt(1.0 + ux * ux) + params.delta * ux
 
 
-def a_delta_apply(u: SpectralField, v: SpectralField, params: ModelParams,
-                  domain: DomainSpec) -> float:
-    """Weak pairing <A_delta(u), v> = int (u_x/Q + delta u_x) v_x dx.
-
-    Satisfies |<A_delta(u), v>| <= (1+delta) ||u||_H1 ||v||_H1 and the
-    coercivity <A_delta(w), w> >= delta ||w_x||_L2^2.
-    """
-    if u.coeffs.shape != v.coeffs.shape:
-        raise ValueError("u and v must live in the same Galerkin space")
-    t = tables(domain)
-    ux = t.Ex @ u.coeffs
-    vx = t.Ex @ v.coeffs
-    return float(np.dot(t.w, pressure_density(ux, params) * vx))
-
-
 def galerkin_pressure_coeffs(u: SpectralField, params: ModelParams,
                              domain: DomainSpec) -> SpectralField:
     """Pressure coefficients d_k = <A_delta(u), e_k>; d_0 = 0 identically.
 
-    d_0 vanishes because e_0' = 0 -- this is the mean-zero-pressure
-    mechanism that makes the constant mode stationary.
+    The weak pairing with v in the Galerkin space is d . v; it satisfies
+    |<A_delta(u), v>| <= (1+delta) ||u||_H1 ||v||_H1 and the coercivity
+    <A_delta(w), w> >= delta ||w_x||_L2^2.  d_0 vanishes because e_0' = 0 --
+    this is the mean-zero-pressure mechanism that makes the constant mode
+    stationary.
     """
     t = tables(domain)
     return SpectralField(pressure_coeffs(t.Ex @ u.coeffs, t, params))
@@ -381,8 +357,6 @@ class ValidationReport:
     valid: bool
     errors: list[str]
     warnings: list[str]
-    min_u0: float
-    max_u0: float
     touches_zero: bool
     entropy_integral: float
 
@@ -437,8 +411,6 @@ def validate_initial_data(u0: SpectralField, params: ModelParams, domain: Domain
         valid=not errors,
         errors=errors,
         warnings=warnings,
-        min_u0=umin,
-        max_u0=umax,
         touches_zero=touches,
         entropy_integral=ent,
     )

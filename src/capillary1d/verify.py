@@ -26,7 +26,7 @@ from .diagnostics import (
     entropy_identity_residual,
     flux_and_weak_residual,
     mass_drift,
-    slope_bound_quantities,
+    slope_threshold,
 )
 from .experiments import SweepSpec, curvature_profile_study, run_sweep
 from .model import DEFAULT_TOL_NEG_REL, galerkin_pressure_coeffs
@@ -250,9 +250,9 @@ def _check_slope_bound() -> CheckResult:
         cfg["model"]["delta"] = delta
         out = run_config(cfg)
         h2_sups.append(max(r.h2 for r in out.records))
-        for i in range(out.result.snapshot_times.size):
-            rep = slope_bound_quantities(out.result.snapshot_field(i), out.config.domain)
-            margins.append(rep.threshold - rep.y_max)
+        l = out.config.domain.half_length
+        margins += [slope_threshold(r.energy_surface, r.curvature_dissipation, l) - r.y_max
+                    for r in out.records]
     margin_ok = min(margins) >= 0.02
     tail = h2_sups[-3:]
     plateau = max(tail) / min(tail) <= 2.0

@@ -99,6 +99,27 @@ def test_simulate_rejected_data_exit_2(tmp_path, capsys):
     ("domain.N=300", "exceeds 2048"),
     ("domain.l=1.98e-294", "overflows"),
     ("integrator.snapshots=10001", "snapshots count must be in [2, 10000]"),
+    ('diagnostics.tol_zero="x"', "bad diagnostics section"),
+    ('diagnostics.r_values="ab"', "r_values must be a list of finite numbers"),
+    ("diagnostics.tol_zero=NaN", "tol_zero must be null or a finite number >= 0"),
+    ("diagnostics.tol_zero=-1e-3", "tol_zero must be null or a finite number >= 0"),
+    ("diagnostics.r_values=[NaN]", "r_values must be a list of finite numbers"),
+    ("diagnostics.tol_zero=true", "tol_zero must be a number, got True"),
+    ("diagnostics.r_values=[true]", "r_values must be a number, got True"),
+    ("schema_version=true", "unsupported schema_version True"),
+    ("domain.l=true", "l must be a number, got True"),
+    ("model.n=true", "n must be a number, got True"),
+    ("model.delta=false", "delta must be a number, got False"),
+    ("model.epsilon=true", "epsilon must be a number, got True"),
+    ("model.eta=false", "eta must be a number, got False"),
+    ("model.entropy_anchor=true", "entropy_anchor must be a number, got True"),
+    ("integrator.rtol=true", "rtol must be a number, got True"),
+    ("integrator.atol=true", "atol must be a number, got True"),
+    ("integrator.dt=true", "dt must be a number, got True"),
+    ("integrator.T=true", "T must be a number, got True"),
+    ("integrator.snapshots=[0,true]", "snapshot time must be a number, got True"),
+    ("initial_data.parameters.base=true", "base must be a number, got True"),
+    ("initial_data.parameters.amplitude=false", "amplitude must be a number, got False"),
 ])
 def test_simulate_bad_value_exit_2(cfgfile, tmp_path, capsys, override, message):
     # rejected up front: never truncated, never left to blow up mid-run

@@ -24,6 +24,23 @@ VALUES = st.one_of(
 )
 
 
+# the only leaves that take JSON booleans
+BOOLEAN_LEAVES = {("diagnostics", "holder_probe"), ("diagnostics", "track_entropy"),
+                  ("diagnostics", "track_weak_residual")}
+
+
+def _boolean_paths(node, path=()):
+    # paths of every boolean in a resolved config, list items under their list's path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _boolean_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for value in node:
+            yield from _boolean_paths(value, path)
+    elif isinstance(node, bool):
+        yield path
+
+
 def _with_leaf(path: Path, leaf: tuple, value) -> dict:
     cfg = load_config(str(path))
     if len(leaf) == 1:
@@ -44,12 +61,37 @@ def test_leaves_cover_default_config():
 @example(REFERENCE, ("integrator", "snapshots"), 1.52e16)
 @example(REFERENCE, ("domain", "l"), 1.98e-294)
 @example(REFERENCE, ("domain", "oversample"), 1.25e287)
+# booleans that once passed as 1.0 and 0.0, and diagnostics leaves that were never checked
+@example(REFERENCE, ("schema_version",), True)
+@example(REFERENCE, ("domain", "l"), True)
+@example(REFERENCE, ("model", "n"), True)
+@example(REFERENCE, ("model", "delta"), False)
+@example(REFERENCE, ("model", "epsilon"), True)
+@example(REFERENCE, ("model", "eta"), False)
+@example(REFERENCE, ("model", "entropy_anchor"), True)
+@example(REFERENCE, ("integrator", "rtol"), True)
+@example(REFERENCE, ("integrator", "atol"), True)
+@example(REFERENCE, ("integrator", "dt"), True)
+@example(REFERENCE, ("integrator", "T"), True)
+@example(REFERENCE, ("initial_data", "parameters"), {"base": True})
+@example(REFERENCE, ("initial_data", "parameters"), {"amplitude": False})
+@example(REFERENCE, ("diagnostics", "tol_zero"), True)
+@example(REFERENCE, ("diagnostics", "tol_zero"), "x")
+@example(REFERENCE, ("diagnostics", "tol_zero"), float("nan"))
+@example(REFERENCE, ("diagnostics", "r_values"), "ab")
+@example(REFERENCE, ("diagnostics", "r_values"), [float("nan")])
+@example(REFERENCE, ("diagnostics", "r_values"), [True])
+@example(REFERENCE, ("initial_data",), {"kind": "coeffs", "parameters": {"values": [1.0, True]}})
+# a scalar where the coefficient list belongs once escaped as an IndexError
+@example(REFERENCE, ("initial_data",), {"kind": "coeffs", "parameters": {"values": 3}})
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.sampled_from(CONFIGS), st.sampled_from(LEAVES), VALUES)
 def test_resolve_config_refuses_or_reaches_a_fixed_point(path, leaf, value):
-    # every input is either a ConfigError or a config that re-resolves to itself
+    # every input is either a ConfigError or a config that re-resolves to
+    # itself, with booleans only where the schema takes them
     try:
         resolved = resolve_config(_with_leaf(path, leaf, value)).resolved
     except ConfigError:
         return
     assert resolve_config(resolved).resolved == resolved
+    assert set(_boolean_paths(resolved)) <= BOOLEAN_LEAVES

@@ -2,23 +2,29 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from capillary1d.basis import DomainSpec, SpectralField, project, synthesize, tables
+from capillary1d.basis import (
+    DomainSpec,
+    SpectralField,
+    project,
+    quadrature,
+    sobolev_norms,
+    synthesize,
+    tables,
+)
 from capillary1d.diagnostics import (
-    SlopeBoundReport,
     energy_identity_residual,
     entropy_identity_residual,
     flux_and_weak_residual,
     holder_probe,
-    slope_bound_quantities,
     positivity_report,
     slope_threshold,
     snapshot_diagnostics,
     trajectory_records,
 )
-from capillary1d.config import resolve_config
+from capillary1d.config import resolve_config, run_config
 from capillary1d.galerkin import IntegratorSpec, SimulationAbort, simulate
 from capillary1d.model import ModelParams, entropy_functions
-from capillary1d.verify import REFERENCE_RUN
+from capillary1d.verify import DELTA_SWEEP_RUN, REFERENCE_RUN
 
 D8 = DomainSpec(half_length=1.0, modes=8)
 
@@ -202,12 +208,16 @@ def test_weak_residual_truncation_mode_decreases_with_n():
 
 # -- slope-ratio bound chain ------------------------------------------------------
 
+def record_threshold(rec, domain):
+    # the certified slope threshold from a record's two budgets
+    return slope_threshold(rec.energy_surface, rec.curvature_dissipation, domain.half_length)
+
+
 def test_slope_bound_constant_state():
-    rep = slope_bound_quantities(constant_field(D8, 3.0), D8)
-    assert rep.y_max == 0.0
-    assert abs(rep.g_min - 1.0) < 1e-14
-    assert abs(rep.h2_norm - 3.0 * np.sqrt(2.0)) < 1e-12  # |c_0| of u == 3
-    assert rep.satisfied
+    rec = snapshot_diagnostics(constant_field(D8, 3.0), ModelParams(n=2), D8)
+    assert rec.y_max == 0.0
+    assert abs(rec.h2 - 3.0 * np.sqrt(2.0)) < 1e-12  # |c_0| of u == 3
+    assert rec.y_max <= record_threshold(rec, D8)
 
 
 def test_slope_bound_unit_slope_algebra():
@@ -215,8 +225,8 @@ def test_slope_bound_unit_slope_algebra():
     f = bump_field(D8, base=1.0, amp=0.3)
     fld = synthesize(f, D8)
     scale = 1.0 / np.abs(fld.ux).max()
-    rep = slope_bound_quantities(SpectralField(f.coeffs * scale), D8)
-    assert rep.y_max <= 1.0 / np.sqrt(2.0) + 1e-12
+    rec = snapshot_diagnostics(SpectralField(f.coeffs * scale), ModelParams(n=2), D8)
+    assert rec.y_max <= 1.0 / np.sqrt(2.0) + 1e-12
 
 
 def test_slope_bound_threshold_monotonicity():
@@ -241,10 +251,26 @@ def test_slope_bound_threshold_against_analytic_inversion():
 
 def test_slope_bound_satisfied_on_smooth_run():
     res = short_run()
-    for i in range(res.snapshot_times.size):
-        rep = slope_bound_quantities(res.snapshot_field(i), res.domain)
-        assert rep.satisfied
-        assert rep.y_max < 1.0
+    for rec in trajectory_records(res):
+        assert rec.y_max <= record_threshold(rec, res.domain)
+        assert rec.y_max < 1.0
+
+
+def test_slope_certificate_from_records_equals_direct_synthesis():
+    # the records carry the slope certificate's inputs bit for bit (criterion 6's run)
+    out = run_config(DELTA_SWEEP_RUN)
+    domain = out.config.domain
+    for i, rec in enumerate(out.records):
+        c = out.result.snapshot_field(i)
+        fld = synthesize(c, domain, order=2)
+        y_max = float(np.max(np.abs(fld.ux / fld.Q)))
+        c1 = quadrature(fld.Q, domain)
+        c2 = quadrature(fld.uxx**2 / fld.Q**3, domain)
+        assert rec.y_max == y_max
+        assert rec.energy_surface == c1
+        assert rec.curvature_dissipation == c2
+        assert rec.h2 == sobolev_norms(c, domain).h2
+        assert record_threshold(rec, domain) == slope_threshold(c1, c2, domain.half_length)
 
 
 # -- Hoelder probe -----------------------------------------------------------------

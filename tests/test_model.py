@@ -11,12 +11,10 @@ from capillary1d import model
 from capillary1d.basis import DomainSpec, SpectralField, eigenvalue, modes, project, synthesize
 from capillary1d.model import (
     ModelParams,
-    a_delta_apply,
     entropy_functions,
     entropy_integral,
     galerkin_pressure_coeffs,
     mobility,
-    pressure,
     validate_initial_data,
 )
 
@@ -73,68 +71,21 @@ def test_mobility_constant_hook():
     np.testing.assert_allclose(mobility(np.array([0.0, 2.0, -7.0]), p), 0.25)
 
 
-# -- pressure -----------------------------------------------------------------
-
-def test_pressure_flat_film():
-    fld = synthesize(unit_mode(0, D8, 4.0), D8)
-    p = ModelParams(n=2, delta=0.2)
-    np.testing.assert_allclose(pressure(fld, p), 0.0)
-
-
-def test_pressure_linear_mode_eigenfunction():
-    fld = synthesize(unit_mode(1, D8), D8)
-    lam1 = eigenvalue(1, D8)
-    p = pressure(fld, ModelParams(n=2, delta=0.0, pressure_mode="linear"))
-    np.testing.assert_allclose(p, lam1 * fld.u, atol=1e-12)
-
-
-def test_pressure_nonlinear_against_fd_oracle():
-    # pointwise operator on analytic samples of u = 0.3 cos(pi x / 2);
-    # oracle: central differences of the slope density u_x/sqrt(1+u_x^2)
-    from capillary1d.basis import CollocationField, tables
-
-    d = DomainSpec(half_length=1.0, modes=8)
-    x = tables(d).x
-    ux = -0.3 * (np.pi / 2) * np.sin(np.pi * x / 2)
-    uxx = -0.3 * (np.pi / 2) ** 2 * np.cos(np.pi * x / 2)
-    fld = CollocationField(x=x, u=0.3 * np.cos(np.pi * x / 2), ux=ux, uxx=uxx,
-                           Q=np.sqrt(1 + ux**2))
-    got = pressure(fld, ModelParams(n=2, delta=0.0))
-
-    def slope_density(y):
-        uy = -0.3 * (np.pi / 2) * np.sin(np.pi * y / 2)
-        return uy / np.sqrt(1 + uy**2)
-
-    h = 1e-5
-    ref = -(slope_density(x + h) - slope_density(x - h)) / (2 * h)
-    assert np.abs(got - ref).max() < 1e-8
-
-
-def test_pressure_degenerates_to_linear_when_flat_slope():
-    # with u_x = 0 pointwise (even for nonzero u_xx samples), Q = 1 and the
-    # two modes coincide exactly
-    from capillary1d.basis import CollocationField, tables
-
-    x = tables(D8).x
-    rng = np.random.default_rng(1)
-    uxx = rng.standard_normal(x.size)
-    fld = CollocationField(x=x, u=np.ones_like(x), ux=np.zeros_like(x), uxx=uxx,
-                           Q=np.ones_like(x))
-    pn = pressure(fld, ModelParams(n=2, delta=0.3))
-    pl = pressure(fld, ModelParams(n=2, delta=0.3, pressure_mode="linear"))
-    np.testing.assert_allclose(pn, pl, rtol=4e-16, atol=0)
-
-
 # -- A_delta ------------------------------------------------------------------
+
+def a_delta(u, v, p, domain):
+    # the weak pairing <A_delta(u), v> in the Galerkin space
+    return galerkin_pressure_coeffs(u, p, domain).coeffs @ v.coeffs
+
 
 def test_a_delta_constant_arguments():
     p = ModelParams(n=2, delta=0.1)
     u = unit_mode(0, D8, 2.0)
     v = unit_mode(3, D8, 1.0)
-    assert a_delta_apply(u, v, p, D8) == 0.0
+    assert a_delta(u, v, p, D8) == 0.0
     # v constant: the mean-zero-pressure mechanism
     w = project(lambda x: 1 + 0.4 * np.cos(np.pi * x), D8)
-    assert abs(a_delta_apply(w, unit_mode(0, D8, 5.0), p, D8)) < 1e-14
+    assert abs(a_delta(w, unit_mode(0, D8, 5.0), p, D8)) < 1e-14
 
 
 def test_a_delta_against_adaptive_oracle():
@@ -146,7 +97,7 @@ def test_a_delta_against_adaptive_oracle():
         return (ux / np.sqrt(1 + ux**2) + p.delta * ux) * ux
 
     ref, _ = quad(integrand, -1, 1, epsabs=1e-13, epsrel=1e-13)
-    got = a_delta_apply(u, u, p, D8)
+    got = a_delta(u, u, p, D8)
     assert abs(got - ref) < 1e-11
 
 
@@ -158,15 +109,15 @@ def test_a_delta_bounds_coercivity_monotonicity():
     for _ in range(20):
         u = SpectralField(rng.standard_normal(9) * 0.5)
         v = SpectralField(rng.standard_normal(9) * 0.5)
-        val = a_delta_apply(u, v, p, D8)
+        val = a_delta(u, v, p, D8)
         bound = (1 + p.delta) * sobolev_norms(u, D8).h1 * sobolev_norms(v, D8).h1
         assert abs(val) <= bound + 1e-12
         # coercivity
-        uu = a_delta_apply(u, u, p, D8)
+        uu = a_delta(u, u, p, D8)
         assert uu >= p.delta * sobolev_norms(u, D8).ux_l2 ** 2 - 1e-12
         # monotonicity of the slope density => nonnegative pairing
         diff = SpectralField(u.coeffs - v.coeffs)
-        mono = a_delta_apply(u, diff, p, D8) - a_delta_apply(v, diff, p, D8)
+        mono = a_delta(u, diff, p, D8) - a_delta(v, diff, p, D8)
         assert mono >= -1e-14
 
 
