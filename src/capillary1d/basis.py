@@ -115,12 +115,15 @@ def modes(js, x: np.ndarray, domain: DomainSpec, deriv: int = 0) -> np.ndarray:
 class BasisTables:
     """Precomputed quadrature rule and basis samples for one DomainSpec.
 
-    E, Ex hold e_j and e_j' at the G quadrature nodes (shape (G, N+1));
-    ET, ExT are their contiguous transposes for the matvec-heavy kernels.
+    E, Ex hold e_j and e_j' at the G quadrature nodes (shape (G, N+1)).
+    They are the two halves of EEx (shape (2G, N+1)), so that one matvec
+    synthesizes u and u_x together; ET, ExT are their contiguous transposes
+    for the matvec-heavy kernels.
     """
 
     x: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
+    EEx: np.ndarray = field(repr=False)
     E: np.ndarray = field(repr=False)
     Ex: np.ndarray = field(repr=False)
     ET: np.ndarray = field(repr=False)
@@ -144,11 +147,13 @@ def tables(domain: DomainSpec) -> BasisTables:
     js = np.arange(domain.modes + 1)
     E = modes(js, x, domain)
     Ex = modes(js, x, domain, deriv=1)
+    EEx = np.concatenate((E, Ex))
     return BasisTables(
         x=x,
         w=w,
-        E=np.ascontiguousarray(E),
-        Ex=np.ascontiguousarray(Ex),
+        EEx=EEx,
+        E=EEx[:G],
+        Ex=EEx[G:],
         ET=np.ascontiguousarray(E.T),
         ExT=np.ascontiguousarray(Ex.T),
         lam=eigenvalue(js, domain),

@@ -139,6 +139,8 @@ def write_run_artifacts(out: RunOutput, outdir: Path, wall_clock: float) -> dict
             "steps_rejected": out.result.stats.rejected,
             "rhs_calls": out.result.stats.rhs_calls,
             "dt_last": out.result.stats.dt_last,
+            "dt_min": out.result.stats.dt_min,
+            "dt_max": out.result.stats.dt_max,
         },
         "snapshots": snaps,
         "holder_probe": (None if out.probe is None else {
@@ -246,7 +248,7 @@ def cmd_thresholds(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_all, render_table
 
-    results = run_all()
+    results, seconds = run_all()
     table = render_table(results)
     print(table)
     outdir = Path(args.out)
@@ -254,6 +256,8 @@ def cmd_verify(args) -> int:
     _write_json(outdir / "verify_report.json",
                 {"criteria": [r.as_dict() for r in results],
                  "all_passed": all(r.passed for r in results)})
+    # wall seconds vary from run to run, so they never enter the report
+    _write_json(outdir / "verify_timings.json", {"seconds_per_pass": seconds})
     (outdir / "verify_table.txt").write_text(table + "\n", encoding="utf-8", newline="\n")
     return 0 if all(r.passed for r in results) else 1
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,15 +173,19 @@ def build_initial_data(kind: str, parameters: dict,
 
 def _integer(value, name: str) -> int:
     """An integral config entry; refuses to truncate a fractional number."""
-    number = float(value)
-    if isinstance(value, bool) or not number.is_integer():
+    number = _number(value, name)
+    if not number.is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(number)
 
 
 def _number(value, name: str) -> float:
-    """A real config entry; refuses JSON booleans, which Python reads as 0 and 1."""
-    if isinstance(value, bool):
+    """A real config entry: a JSON number or a numpy scalar.
+
+    Refuses booleans, which Python reads as 0 and 1, and strings, which
+    float() would parse and the resolved config would keep as strings.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
 

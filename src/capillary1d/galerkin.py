@@ -77,6 +77,8 @@ class StepStats:
     rejected: int = 0
     rhs_calls: int = 0
     dt_last: float = 0.0
+    dt_min: float = 0.0  # over the accepted steps; 0 until the first one
+    dt_max: float = 0.0
 
 
 @dataclass
@@ -117,7 +119,7 @@ class SimulationResult:
 def _checked_rhs(c: np.ndarray, t: BasisTables, params: ModelParams, r_values: np.ndarray) -> tuple:
     """kernels.rhs, looked up at call time, with its c_dot refused if non-finite."""
     out = kernels.rhs(c, t, params, r_values)
-    if not np.all(np.isfinite(out[0])):
+    if not np.isfinite(out[0]).all():
         raise SimulationAbort("non-finite right-hand side")
     return out
 
@@ -143,19 +145,23 @@ _TABLEAUX = {
 
 
 def _combine(y: np.ndarray, dt: float, weights, slopes) -> np.ndarray:
-    # y + dt * sum_i w_i k_i, skipping zero weights
-    out = y.copy()
+    # y + dt * sum_i w_i k_i over the nonzero weights (every tableau row has
+    # one); y itself is never written
+    out = None
     for wi, ki in zip(weights, slopes):
         if wi != 0.0:
-            out += dt * wi * ki
+            if out is None:
+                out = y + dt * wi * ki
+            else:
+                out += dt * wi * ki
     return out
 
 
 def _initial_dt(spec: IntegratorSpec, c: np.ndarray, k1: np.ndarray) -> float:
     if spec.method == "rk4":
         return spec.dt
-    d0 = max(float(np.max(np.abs(c))), spec.atol)
-    d1 = max(float(np.max(np.abs(k1))), 1e-300)
+    d0 = max(float(np.abs(c).max()), spec.atol)
+    d1 = max(float(np.abs(k1).max()), 1e-300)
     return max(DT_MIN, min(1e-3 * spec.t_end, 1e-2 * d0 / d1))
 
 
@@ -170,7 +176,7 @@ def _hermite(theta: float, y0, d0, y1, d1, h: float):
 def _weak_residual_max(t, c_dot, u, flux, tol_zero: float) -> float:
     # zero to roundoff for j <= N by Galerkin orthogonality
     _, _, a, b = kernels.weak_residual_terms(t, c_dot, u, flux, tol_zero)
-    return float(np.max(np.abs(a + b)))
+    return float(np.abs(a + b).max())
 
 
 def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
@@ -219,7 +225,7 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
     node_t = [0.0]
     node_es = [aux1[2 + nr]]
     node_ed = [aux1[3 + nr]]
-    node_q = [q.copy()]
+    node_q = [q]  # q is rebound at every step, never written in place
     node_weak = [] if track_weak_residual else None
     if track_weak_residual:
         node_weak.append(_weak_residual_max(t, k1, u_grid, flux, tol_zero))
@@ -239,6 +245,8 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
     eps_end = 1e-12 * max(1.0, t_end)
 
     rows, weights, embedded = _TABLEAUX[spec.method]
+    q_zero = np.zeros(nq)
+    c_max = float(np.abs(c).max())  # max|c|, carried over from max|c_new| on acceptance
     while tcur < t_end - eps_end:
         dt = min(dt, t_end - tcur)
         # stage slopes of c and of the cumulative integrals
@@ -251,8 +259,9 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
         c_new = _combine(c, dt, weights, ks)
         dt_next = dt
         if embedded is not None:
-            err = float(np.max(np.abs(_combine(c, dt, embedded, ks) - c_new)))
-            tol = spec.atol + spec.rtol * max(float(np.max(np.abs(c))), float(np.max(np.abs(c_new))))
+            err = float(np.abs(_combine(c, dt, embedded, ks) - c_new).max())
+            c_new_max = float(np.abs(c_new).max())
+            tol = spec.atol + spec.rtol * max(c_max, c_new_max)
             if not err <= tol:
                 stats.rejected += 1
                 dt *= max(0.1, 0.9 * (tol / err) ** 0.2)
@@ -263,7 +272,8 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
                     )
                 continue
             dt_next = dt * min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
-        dq = _combine(np.zeros(nq), dt, weights, qds)
+            c_max = c_new_max
+        dq = _combine(q_zero, dt, weights, qds)
 
         t_new = tcur + dt
         k1_new, _, u_grid, flux, aux_new = rhs(c_new)
@@ -280,13 +290,15 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
             isnap += 1
 
         tcur, c, q, k1, aux1 = t_new, c_new, q_new, k1_new, aux_new
+        stats.dt_min = min(stats.dt_min, dt) if stats.accepted else dt
+        stats.dt_max = max(stats.dt_max, dt)
         stats.accepted += 1
         stats.dt_last = dt
         dt = dt_next
         node_t.append(tcur)
         node_es.append(aux1[2 + nr])
         node_ed.append(aux1[3 + nr])
-        node_q.append(q.copy())
+        node_q.append(q)
         if track_weak_residual:
             node_weak.append(_weak_residual_max(t, k1, u_grid, flux, tol_zero))
 

@@ -83,11 +83,15 @@ def mobility(s, params: ModelParams):
     return m + params.epsilon
 
 
-def pressure_density(ux: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Integrand s of the weak pairing: u_x/Q + delta u_x, or (1+delta) u_x in linear mode."""
+def pressure_density(ux: np.ndarray, Q: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Integrand s of the weak pairing: u_x/Q + delta u_x, or (1+delta) u_x in linear mode.
+
+    Q = sqrt(1 + u_x^2) on the same grid, passed in because the RHS kernel
+    needs it too.
+    """
     if params.pressure_mode == "linear":
         return (1.0 + params.delta) * ux
-    return ux / np.sqrt(1.0 + ux * ux) + params.delta * ux
+    return ux / Q + params.delta * ux
 
 
 def galerkin_pressure_coeffs(u: SpectralField, params: ModelParams,
@@ -100,13 +104,14 @@ def galerkin_pressure_coeffs(u: SpectralField, params: ModelParams,
     this is the mean-zero-pressure mechanism that makes the constant mode
     stationary.
     """
-    t = tables(domain)
-    return SpectralField(pressure_coeffs(t.Ex @ u.coeffs, t, params))
+    f = synthesize(u, domain, order=1)
+    return SpectralField(pressure_coeffs(f.ux, f.Q, tables(domain), params))
 
 
-def pressure_coeffs(ux: np.ndarray, t: BasisTables, params: ModelParams) -> np.ndarray:
-    """d = Ex^T (w s) from grid values of u_x on the tables t."""
-    return t.ExT @ (t.w * pressure_density(ux, params))
+def pressure_coeffs(ux: np.ndarray, Q: np.ndarray, t: BasisTables,
+                    params: ModelParams) -> np.ndarray:
+    """d = Ex^T (w s) from grid values of u_x and Q on the tables t."""
+    return t.ExT @ (t.w * pressure_density(ux, Q, params))
 
 
 # -- entropy pair ------------------------------------------------------------

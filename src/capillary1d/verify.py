@@ -320,28 +320,38 @@ def _report_bytes(results: list[CheckResult]) -> bytes:
     return json.dumps(payload, sort_keys=True, default=str).encode()
 
 
-def _run_once() -> list[CheckResult]:
+def _run_once() -> tuple[list[CheckResult], dict]:
+    # criteria 1-9 and the wall seconds of each, with the reference run that
+    # criteria 1, 2 and 9 share timed apart
     t0 = time.perf_counter()
     ref = run_config(copy.deepcopy(REFERENCE_RUN))
     ref_seconds = time.perf_counter() - t0
-    return [
-        _check_mass(ref, ref_seconds),
-        _check_energy_identity(ref),
-        _check_decay_oracle(),
-        _check_entropy_estimate(),
-        _check_nonnegativity(),
-        _check_slope_bound(),
-        _check_steady_state(),
-        _check_profile_contrast(),
-        _check_weak_residual(ref),
-    ]
+    seconds = {"reference_run": ref_seconds}
+    results = []
+    for check in (lambda: _check_mass(ref, ref_seconds),
+                  lambda: _check_energy_identity(ref),
+                  _check_decay_oracle,
+                  _check_entropy_estimate,
+                  _check_nonnegativity,
+                  _check_slope_bound,
+                  _check_steady_state,
+                  _check_profile_contrast,
+                  lambda: _check_weak_residual(ref)):
+        t0 = time.perf_counter()
+        results.append(check())
+        seconds[str(results[-1].cid)] = time.perf_counter() - t0
+    return results, seconds
 
 
-def run_all() -> list[CheckResult]:
-    """All ten criteria; criterion 10 reruns the suite and compares bytes."""
-    results = _run_once()
-    second = _run_once()
+def run_all() -> tuple[list[CheckResult], list[dict]]:
+    """All ten criteria; criterion 10 reruns the suite and compares bytes.
+
+    Returns the results and the wall seconds per criterion of both passes.
+    The seconds stay out of the results: criterion 10 compares their bytes.
+    """
+    results, first_seconds = _run_once()
+    second, second_seconds = _run_once()
     identical = _report_bytes(results) == _report_bytes(second)
     results.append(CheckResult(10, "determinism: identical report bytes on a repeated run",
                                identical, {"identical": identical}))
-    return results
+    return results, [first_seconds, second_seconds]

@@ -8,10 +8,14 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from capillary1d import experiments
+from capillary1d import experiments, kernels
+from capillary1d.basis import DomainSpec, project
 from capillary1d.config import load_config
+from capillary1d.galerkin import IntegratorSpec, simulate
+from capillary1d.model import ModelParams
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -34,3 +38,23 @@ def test_sweep_spec_takes_jobs():
     spec = experiments.SweepSpec(parameter="epsilon", values=(1e-1, 1e-2, 1e-3),
                                  base_config=base, jobs=1)
     assert spec.jobs == 1
+
+
+def test_simulate_looks_up_the_kernel_at_call_time(monkeypatch):
+    # perfbench's galerkin.rhs_calls check and the mass-leak negative control
+    # both wrap kernels.rhs on the module; a kernel bound once into a closure
+    # would run unwrapped and defeat them quietly
+    true_rhs = kernels.rhs
+    calls = []
+
+    def counting_rhs(*args):
+        calls.append(1)
+        return true_rhs(*args)
+
+    monkeypatch.setattr(kernels, "rhs", counting_rhs)
+    domain = DomainSpec(half_length=1.0, modes=6)
+    u0 = project(lambda x: 1.0 + 0.3 * np.cos(np.pi * x), domain)
+    result = simulate(u0, IntegratorSpec(t_end=1e-3), ModelParams(n=2, delta=0.1, epsilon=0.1),
+                      domain)
+    assert result.stats.accepted > 0
+    assert len(calls) == result.stats.rhs_calls

@@ -49,6 +49,8 @@ def test_simulate_writes_expected_artifacts(cfgfile, tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["model"]["entropy_anchor"] != "auto"
     assert "wall_clock_seconds" in summary
+    stats = summary["stats"]
+    assert 0.0 < stats["dt_min"] <= stats["dt_last"] <= stats["dt_max"]
 
 
 def test_simulate_constant_mass_column(tmp_path):
@@ -120,6 +122,10 @@ def test_simulate_rejected_data_exit_2(tmp_path, capsys):
     ("integrator.snapshots=[0,true]", "snapshot time must be a number, got True"),
     ("initial_data.parameters.base=true", "base must be a number, got True"),
     ("initial_data.parameters.amplitude=false", "amplitude must be a number, got False"),
+    ('model.delta="0.1"', "delta must be a number, got '0.1'"),
+    ('integrator.T=" 2e-2 "', "T must be a number, got ' 2e-2 '"),
+    ('domain.N="8"', "N must be a number, got '8'"),
+    ('diagnostics.r_values=["1.5"]', "r_values must be a number, got '1.5'"),
 ])
 def test_simulate_bad_value_exit_2(cfgfile, tmp_path, capsys, override, message):
     # rejected up front: never truncated, never left to blow up mid-run
@@ -266,6 +272,21 @@ def test_thresholds_cli(tmp_path):
     report = json.loads((out / "thresholds_report.json").read_text())
     assert [r["n"] for r in report["rows"]] == [1.5, 2.5]
     assert (out / "thresholds.csv").exists()
+
+
+def test_verify_writes_timings_beside_the_report(tmp_path, monkeypatch, capsys):
+    # the seconds go to their own file; verify_report.json stays byte-stable
+    from capillary1d import verify
+
+    result = verify.CheckResult(1, "stub", True, {"value": 1.0})
+    seconds = [{"reference_run": 0.125, "1": 0.25}, {"reference_run": 0.375, "1": 0.5}]
+    monkeypatch.setattr(verify, "run_all", lambda: ([result], seconds))
+    assert main(["verify", "--out", str(tmp_path)]) == 0
+    report = (tmp_path / "verify_report.json").read_text()
+    assert json.loads(report) == {"criteria": [result.as_dict()], "all_passed": True}
+    assert "0.125" not in report and "seconds" not in report
+    timings = json.loads((tmp_path / "verify_timings.json").read_text())
+    assert timings == {"seconds_per_pass": seconds}
 
 
 def test_float_format_is_shortest_roundtrip():

@@ -24,20 +24,23 @@ VALUES = st.one_of(
 )
 
 
-# the only leaves that take JSON booleans
+# the only leaves that take JSON booleans, and the only ones that keep strings
+# once resolved (entropy_anchor's "auto" becomes a number)
 BOOLEAN_LEAVES = {("diagnostics", "holder_probe"), ("diagnostics", "track_entropy"),
                   ("diagnostics", "track_weak_residual")}
+STRING_LEAVES = {("model", "pressure_mode"), ("model", "mobility_mode"),
+                 ("integrator", "method"), ("initial_data", "kind")}
 
 
-def _boolean_paths(node, path=()):
-    # paths of every boolean in a resolved config, list items under their list's path
+def _paths_of(node, kind, path=()):
+    # paths of every value of type kind in a resolved config, list items under their list's path
     if isinstance(node, dict):
         for key, value in node.items():
-            yield from _boolean_paths(value, path + (key,))
+            yield from _paths_of(value, kind, path + (key,))
     elif isinstance(node, list):
         for value in node:
-            yield from _boolean_paths(value, path)
-    elif isinstance(node, bool):
+            yield from _paths_of(value, kind, path)
+    elif isinstance(node, kind):
         yield path
 
 
@@ -82,16 +85,22 @@ def test_leaves_cover_default_config():
 @example(REFERENCE, ("diagnostics", "r_values"), [float("nan")])
 @example(REFERENCE, ("diagnostics", "r_values"), [True])
 @example(REFERENCE, ("initial_data",), {"kind": "coeffs", "parameters": {"values": [1.0, True]}})
+# numeric strings, which float() parses, once ran with their numbers and stayed strings
+@example(REFERENCE, ("model", "delta"), "0.1")
+@example(REFERENCE, ("integrator", "T"), " 2e-2 ")
+@example(REFERENCE, ("domain", "N"), "8")
+@example(REFERENCE, ("diagnostics", "r_values"), ["1.5"])
 # a scalar where the coefficient list belongs once escaped as an IndexError
 @example(REFERENCE, ("initial_data",), {"kind": "coeffs", "parameters": {"values": 3}})
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.sampled_from(CONFIGS), st.sampled_from(LEAVES), VALUES)
 def test_resolve_config_refuses_or_reaches_a_fixed_point(path, leaf, value):
     # every input is either a ConfigError or a config that re-resolves to
-    # itself, with booleans only where the schema takes them
+    # itself, with booleans and strings only where the schema takes them
     try:
         resolved = resolve_config(_with_leaf(path, leaf, value)).resolved
     except ConfigError:
         return
     assert resolve_config(resolved).resolved == resolved
-    assert set(_boolean_paths(resolved)) <= BOOLEAN_LEAVES
+    assert set(_paths_of(resolved, bool)) <= BOOLEAN_LEAVES
+    assert set(_paths_of(resolved, str)) <= STRING_LEAVES

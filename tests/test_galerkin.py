@@ -78,6 +78,13 @@ def test_step_adaptive_matches_exponential_decay():
     res = simulate(unit_mode(1, d, c1, base=1.0), spec, p, d)
     exact = c1 * np.exp(-rate * res.nodes.t[-1])
     assert abs(res.coeffs[-1][1] - exact) / exact <= 1e-6
+    # dt telemetry spans the accepted steps (the step sizes are the node gaps)
+    st = res.stats
+    assert 0.0 < st.dt_min <= st.dt_last <= st.dt_max
+    steps = np.diff(res.nodes.t)
+    assert st.accepted == steps.size and st.dt_min < st.dt_max
+    np.testing.assert_allclose([st.dt_min, st.dt_max, st.dt_last],
+                               [steps.min(), steps.max(), steps[-1]], rtol=1e-9)
 
 
 def test_rk4_observed_order():
