@@ -11,7 +11,12 @@ simulate is the one stepping loop, for both RKF45 (adaptive) and RK4
 (fixed step); every stage calls kernels.rhs.  Cumulative integrals (flux
 dissipation, entropy dissipation, r-weighted dissipations) ride along as
 augmented components advanced through the same Runge-Kutta tableau;
-step-size control acts on the coefficient vector only.  Snapshots come from
+step-size control acts on the coefficient vector only.  Each call asks the
+kernel for only the aux entries that are read: a stage whose propagated
+weight is zero (stages 2 and 6 of RKF45) asks for none, the other stages
+for the dissipation integrands [D, S, D_r...], and the first-stage call at
+each accepted state for all of aux, since the energies, the anchor check
+and the dense output read that one.  Snapshots come from
 cubic Hermite dense output on the accepted steps, and the weak
 residual, when tracked, is measured at every accepted step from the same
 kernel output that drives the next step.
@@ -32,11 +37,20 @@ from .basis import BasisTables, DomainSpec, SpectralField, tables
 from .model import DEFAULT_TOL_ZERO_REL, ModelParams
 
 DT_MIN = 1e-12
+# accepted plus rejected steps of one run: about 50x the longest verify run
+# (criterion 4, N = 32, about 20k steps), so a run that would take hours
+# fails early instead
+MAX_STEPS = 1_000_000
 DEFAULT_R_VALUES = (1.5, 2.0)
 
 
+# kernel calls (stats.rhs_calls) of every simulate run that has returned in
+# this process; verify reads its differences as per-criterion call counts
+rhs_calls_tally = 0
+
+
 class SimulationAbort(RuntimeError):
-    """Integration failed: step underflow, blow-up, or anchor violation."""
+    """Integration failed: step underflow, step limit, blow-up, or anchor violation."""
 
 
 @dataclass(frozen=True)
@@ -44,7 +58,8 @@ class IntegratorSpec:
     """Time-stepping description.
 
     "rkf45" is adaptive with (rtol, atol) controlling the local error of the
-    coefficient vector in the max norm; "rk4" is fixed-step with dt.
+    coefficient vector in the max norm; "rk4" is fixed-step with dt, and
+    t_end/dt may not exceed MAX_STEPS.
     Explicit methods need dt = O(lambda_N^-2) on the stiff linearized system;
     the controller finds that scale by rejecting steps whose error grows.
     """
@@ -63,6 +78,9 @@ class IntegratorSpec:
             raise ValueError("t_end must be positive and finite")
         if self.method == "rk4" and (self.dt is None or self.dt <= 0):
             raise ValueError("rk4 needs a positive dt")
+        if self.method == "rk4" and self.t_end / self.dt > MAX_STEPS:
+            raise ValueError(f"rk4 with t_end/dt = {self.t_end / self.dt:.3g} steps "
+                             f"exceeds MAX_STEPS = {MAX_STEPS}")
         if self.method == "rkf45" and not (0.0 < self.rtol < 1.0
                                            and 0.0 < self.atol < float("inf")):
             raise ValueError("rkf45 needs 0 < rtol < 1 and a positive finite atol")
@@ -116,9 +134,14 @@ class SimulationResult:
         return SpectralField(self.coeffs[i].copy())
 
 
-def _checked_rhs(c: np.ndarray, t: BasisTables, params: ModelParams, r_values: np.ndarray) -> tuple:
-    """kernels.rhs, looked up at call time, with its c_dot refused if non-finite."""
-    out = kernels.rhs(c, t, params, r_values)
+def _checked_rhs(c: np.ndarray, t: BasisTables, params: ModelParams, r_values: np.ndarray,
+                 n_aux: int | None = None) -> tuple:
+    """kernels.rhs, looked up at call time, with its c_dot refused if non-finite.
+
+    n_aux is passed on positionally, so that a wrapper taking (c, *args)
+    sees every argument.
+    """
+    out = kernels.rhs(c, t, params, r_values, n_aux)
     if not np.isfinite(out[0]).all():
         raise SimulationAbort("non-finite right-hand side")
     return out
@@ -186,8 +209,10 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
     """Integrate to t_end, sampling snapshots and accumulating dissipations.
 
     The entropy anchor (params.entropy_anchor, when set) is asserted at every
-    accepted step: sup|u| >= a aborts the run.
+    accepted step: sup|u| >= a aborts the run, and so does reaching
+    MAX_STEPS accepted plus rejected steps.
     """
+    global rhs_calls_tally
     snap_times = np.asarray(sorted(spec.snapshot_times), dtype=float)
     if snap_times.size == 0:
         snap_times = np.array([0.0, spec.t_end])
@@ -206,9 +231,9 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
     nq = 2 + nr  # cumulative integrals: the leading aux entries D, S, D_r...
     stats = StepStats()
 
-    def rhs(y):
+    def rhs(y, n_aux=None):
         stats.rhs_calls += 1
-        return _checked_rhs(y, t, params, r_arr)
+        return _checked_rhs(y, t, params, r_arr, n_aux)
 
     tcur = 0.0
     q = np.zeros(nq)
@@ -245,15 +270,26 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
     eps_end = 1e-12 * max(1.0, t_end)
 
     rows, weights, embedded = _TABLEAUX[spec.method]
+    # the aux prefix each later stage asks for: none where its propagated
+    # weight is zero (_combine never reads it), the integrands D, S, D_r...
+    # elsewhere
+    stage_aux = [0 if b == 0.0 else nq for b in weights[1:]]
     q_zero = np.zeros(nq)
     c_max = float(np.abs(c).max())  # max|c|, carried over from max|c_new| on acceptance
+    max_steps = MAX_STEPS
     while tcur < t_end - eps_end:
+        if stats.accepted + stats.rejected >= max_steps:
+            raise SimulationAbort(
+                f"step limit reached at t = {tcur:.6g} of {t_end:.6g}: "
+                f"{stats.accepted} accepted and {stats.rejected} rejected steps "
+                f"(MAX_STEPS = {max_steps})"
+            )
         dt = min(dt, t_end - tcur)
         # stage slopes of c and of the cumulative integrals
         ks = [k1]
         qds = [aux1[:nq]]
-        for row in rows[1:]:
-            ki, _, _, _, auxi = rhs(_combine(c, dt, row, ks))
+        for row, n_aux in zip(rows[1:], stage_aux):
+            ki, _, _, _, auxi = rhs(_combine(c, dt, row, ks), n_aux)
             ks.append(ki)
             qds.append(auxi[:nq])
         c_new = _combine(c, dt, weights, ks)
@@ -318,6 +354,7 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
         weighted_dissipation_cum={r: node_q_arr[:, 2 + i] for i, r in enumerate(r_values)},
         weak_residual=np.asarray(node_weak) if track_weak_residual else None,
     )
+    rhs_calls_tally += stats.rhs_calls
     return SimulationResult(
         domain=domain,
         params=params,

@@ -5,12 +5,16 @@ on grids of 72-264 points, so a call costs what its numpy calls cost, not
 its arithmetic.  The whole chain (synthesis -> mobility -> pressure
 coefficients -> flux -> projection) is therefore one numpy function over the
 cached basis tables with as few calls as it takes: one stacked matvec
-synthesizes u and u_x, and one reduction integrates every aux quantity.
-Every floating-point operation and its order is part of the contract, so
-that a change here leaves every output bit-identical (tests/test_kernels.py
-holds the reference).  The physics (mobility, weak pressure density,
-pressure coefficients) comes from the model module; this one only assembles
-it.  Callers look ``rhs`` up on the module at call time, so it can be
+synthesizes u and u_x, and one reduction integrates every aux quantity
+that the caller asks for.  A Runge-Kutta stage reads fewer of them than the
+state a step ends at, so the caller names a prefix of aux and the kernel
+skips the rest (and with no aux at all, the u_xx synthesis too).  Every
+floating-point operation and its order is part of the contract, so that a
+change here leaves every output bit-identical (tests/test_kernels.py holds
+the reference, and checks that a prefix equals the full aux's).  The
+physics (mobility, weak pressure density, pressure coefficients) comes from
+the model module; this one only assembles it.  Callers look ``rhs`` up on
+the module at call time, and pass every argument positionally, so it can be
 wrapped from outside.
 """
 
@@ -22,20 +26,25 @@ from .basis import BasisTables
 from .model import ModelParams, mobility, pressure_coeffs
 
 
-def rhs(c: np.ndarray, t: BasisTables, params: ModelParams, r_values: np.ndarray):
+def rhs(c: np.ndarray, t: BasisTables, params: ModelParams, r_values: np.ndarray,
+        n_aux: int | None = None):
     """Galerkin RHS dc/dt at coefficients c.
 
     Returns (c_dot, d, u, flux, aux): pressure coefficients d, grid values of
     u and of the flux m(u) p_x, and aux = [D, S, D_r..., E_surface, E_delta,
     max|u|] where D is the flux dissipation integrand's integral, S the
     entropy-dissipation one, D_r the r-weighted dissipations.
+
+    n_aux is how many leading aux entries to compute: None (the default)
+    gives all 5 + nr, 2 + nr gives [D, S, D_r...] only, and 0 gives an empty
+    aux and skips the u_xx synthesis.  Any other value is a ValueError.  The
+    entries computed are bit-identical to the full call's.
     """
     w = t.w
     G = w.shape[0]
     uux = np.dot(t.EEx, c)
     u = uux[:G]
     ux = uux[G:]
-    uxx = np.dot(t.E, t.lam * c)  # -u_xx: only its square enters
 
     Qsq = 1.0 + ux * ux
     Q = np.sqrt(Qsq)
@@ -46,15 +55,27 @@ def rhs(c: np.ndarray, t: BasisTables, params: ModelParams, r_values: np.ndarray
     flux = mob * px
     c_dot = -np.dot(t.ExT, w * flux)
 
-    # the weighted integrands, one row each, summed in one pairwise reduction
-    pxsq = px * px
     nr = r_values.shape[0]
+    if n_aux is None:
+        n_rows = 4 + nr
+    elif n_aux == 0:
+        return c_dot, d, u, flux, np.empty(0)
+    elif n_aux == 2 + nr:
+        n_rows = n_aux
+    else:
+        raise ValueError(f"n_aux must be None, 0 or {2 + nr}, got {n_aux!r}")
+
+    # the weighted integrands, one row each, summed in one pairwise reduction
+    uxx = np.dot(t.E, t.lam * c)  # -u_xx: only its square enters
+    pxsq = px * px
     delta = params.delta
-    rows = np.empty((4 + nr, G))
+    rows = np.empty((n_rows, G))
     np.multiply(w * mob, pxsq, out=rows[0])
     np.multiply(w, uxx * uxx / (Q * Qsq) + delta * uxx * uxx, out=rows[1])
     for k in range(nr):
         np.multiply(w * mob ** r_values[k], pxsq, out=rows[2 + k])
+    if n_aux is not None:
+        return c_dot, d, u, flux, np.add.reduce(rows, axis=1)
     np.multiply(w, Q, out=rows[2 + nr])
     np.multiply(w * ux, ux, out=rows[3 + nr])
     aux = np.empty(5 + nr)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import galerkin
 from .basis import DomainSpec, eigenvalue
 from .config import resolve_config, run_config
 from .diagnostics import (
@@ -320,13 +321,15 @@ def _report_bytes(results: list[CheckResult]) -> bytes:
     return json.dumps(payload, sort_keys=True, default=str).encode()
 
 
-def _run_once() -> tuple[list[CheckResult], dict]:
-    # criteria 1-9 and the wall seconds of each, with the reference run that
-    # criteria 1, 2 and 9 share timed apart
+def _run_once() -> tuple[list[CheckResult], dict, dict]:
+    # criteria 1-9 with the wall seconds and the kernel calls of the runs of
+    # each; the reference run that criteria 1, 2 and 9 share is measured apart
     t0 = time.perf_counter()
+    n0 = galerkin.rhs_calls_tally
     ref = run_config(copy.deepcopy(REFERENCE_RUN))
     ref_seconds = time.perf_counter() - t0
     seconds = {"reference_run": ref_seconds}
+    calls = {"reference_run": galerkin.rhs_calls_tally - n0}
     results = []
     for check in (lambda: _check_mass(ref, ref_seconds),
                   lambda: _check_energy_identity(ref),
@@ -338,20 +341,26 @@ def _run_once() -> tuple[list[CheckResult], dict]:
                   _check_profile_contrast,
                   lambda: _check_weak_residual(ref)):
         t0 = time.perf_counter()
+        n0 = galerkin.rhs_calls_tally
         results.append(check())
         seconds[str(results[-1].cid)] = time.perf_counter() - t0
-    return results, seconds
+        calls[str(results[-1].cid)] = galerkin.rhs_calls_tally - n0
+    return results, seconds, calls
 
 
-def run_all() -> tuple[list[CheckResult], list[dict]]:
+def run_all() -> tuple[list[CheckResult], dict]:
     """All ten criteria; criterion 10 reruns the suite and compares bytes.
 
-    Returns the results and the wall seconds per criterion of both passes.
-    The seconds stay out of the results: criterion 10 compares their bytes.
+    Returns the results and the timings of both passes:
+    {"seconds_per_pass": [...], "rhs_calls_per_pass": [...]}, each pass a
+    dict from criterion id (and "reference_run") to its wall seconds or to
+    the kernel calls of its simulate runs (stats.rhs_calls).  The timings
+    stay out of the results: criterion 10 compares their bytes.
     """
-    results, first_seconds = _run_once()
-    second, second_seconds = _run_once()
+    results, first_seconds, first_calls = _run_once()
+    second, second_seconds, second_calls = _run_once()
     identical = _report_bytes(results) == _report_bytes(second)
     results.append(CheckResult(10, "determinism: identical report bytes on a repeated run",
                                identical, {"identical": identical}))
-    return results, [first_seconds, second_seconds]
+    return results, {"seconds_per_pass": [first_seconds, second_seconds],
+                     "rhs_calls_per_pass": [first_calls, second_calls]}

@@ -33,7 +33,8 @@ def test_criterion(results, cid, capsys):
 def test_verify_timings_stay_out_of_the_report(verify_run):
     # both passes time every criterion, and no second of it reaches the bytes
     # that criterion 10 compares and verify_report.json holds
-    results, seconds = verify_run
+    results, timings = verify_run
+    seconds = timings["seconds_per_pass"]
     assert len(seconds) == 2
     keys = {"reference_run"} | {str(cid) for cid in range(1, 10)}
     report = _report_bytes(results)
@@ -43,6 +44,14 @@ def test_verify_timings_stay_out_of_the_report(verify_run):
             assert value > 0.0
             assert repr(value).encode() not in report
     assert b"reference_run" not in report and b"seconds" not in report
+    assert b"rhs_calls" not in report
+    # kernel calls are deterministic: the same in both passes, positive for
+    # every criterion that runs a simulation (1 and 9 reuse the reference run)
+    calls = timings["rhs_calls_per_pass"]
+    assert len(calls) == 2 and calls[0] == calls[1]
+    assert set(calls[0]) == keys
+    assert {key for key, n in calls[0].items() if n > 0} == keys - {"1", "9"}
+    assert all(n == 0 for key, n in calls[0].items() if key in ("1", "9"))
 
 
 def test_mass_leak_negative_control(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -126,11 +127,17 @@ def test_simulate_rejected_data_exit_2(tmp_path, capsys):
     ('integrator.T=" 2e-2 "', "T must be a number, got ' 2e-2 '"),
     ('domain.N="8"', "N must be a number, got '8'"),
     ('diagnostics.r_values=["1.5"]', "r_values must be a number, got '1.5'"),
+    # 5e8 fixed steps would run for days: refused before the first one
+    pytest.param(('integrator.method="rk4"', "integrator.dt=1e-12"),
+                 "rk4 with t_end/dt = 5e+08 steps exceeds MAX_STEPS = 1000000",
+                 id="rk4-dt-1e-12"),
 ])
 def test_simulate_bad_value_exit_2(cfgfile, tmp_path, capsys, override, message):
     # rejected up front: never truncated, never left to blow up mid-run
     out = tmp_path / "o"
-    rc = main(["simulate", "--config", cfgfile, "--out", str(out), "--set", override])
+    overrides = (override,) if isinstance(override, str) else override
+    rc = main(["simulate", "--config", cfgfile, "--out", str(out),
+               *(arg for item in overrides for arg in ("--set", item))])
     assert rc == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "ConfigError"
@@ -149,6 +156,24 @@ def test_simulate_abort_exit_3(tmp_path, capsys):
     assert rc == 3
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "SimulationAbort"
+
+
+def test_simulate_step_limit_exit_3(cfgfile, tmp_path, capsys, monkeypatch):
+    # an adaptive run that would need more steps than the bound stops at it,
+    # naming the steps taken and the time reached
+    from capillary1d import galerkin
+
+    monkeypatch.setattr(galerkin, "MAX_STEPS", 5)
+    rc = main(["simulate", "--config", cfgfile, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "SimulationAbort"
+    message = record["message"]
+    assert message.startswith("step limit reached at t = ")
+    accepted, rejected = map(int, re.findall(r"(\d+) (?:accepted|rejected)", message))
+    assert accepted + rejected == 5 and accepted > 0
+    assert message.endswith("(MAX_STEPS = 5)")
+    assert not (tmp_path / "o" / "series.csv").exists()
 
 
 def test_simulate_unread_flag_exit_2(cfgfile, tmp_path):
@@ -279,14 +304,18 @@ def test_verify_writes_timings_beside_the_report(tmp_path, monkeypatch, capsys):
     from capillary1d import verify
 
     result = verify.CheckResult(1, "stub", True, {"value": 1.0})
-    seconds = [{"reference_run": 0.125, "1": 0.25}, {"reference_run": 0.375, "1": 0.5}]
-    monkeypatch.setattr(verify, "run_all", lambda: ([result], seconds))
+    stub = {"seconds_per_pass": [{"reference_run": 0.125, "1": 0.25},
+                                 {"reference_run": 0.375, "1": 0.5}],
+            "rhs_calls_per_pass": [{"reference_run": 18947, "1": 0},
+                                   {"reference_run": 18947, "1": 0}]}
+    monkeypatch.setattr(verify, "run_all", lambda: ([result], stub))
     assert main(["verify", "--out", str(tmp_path)]) == 0
     report = (tmp_path / "verify_report.json").read_text()
     assert json.loads(report) == {"criteria": [result.as_dict()], "all_passed": True}
     assert "0.125" not in report and "seconds" not in report
+    assert "18947" not in report and "rhs_calls" not in report
     timings = json.loads((tmp_path / "verify_timings.json").read_text())
-    assert timings == {"seconds_per_pass": seconds}
+    assert timings == stub
 
 
 def test_float_format_is_shortest_roundtrip():

@@ -11,6 +11,7 @@ from capillary1d.basis import (
     synthesize,
 )
 from capillary1d.galerkin import (
+    MAX_STEPS,
     IntegratorSpec,
     SimulationAbort,
     rhs_output,
@@ -103,6 +104,50 @@ def test_rk4_observed_order():
     e2 = np.max(np.abs(sols[1] - sols[2]))
     order = np.log2(e1 / e2)
     assert 3.6 < order < 4.4
+
+
+@pytest.mark.parametrize("spec", [
+    IntegratorSpec(t_end=2e-3, rtol=1e-8, atol=1e-10,
+                   snapshot_times=(0.0, 3e-4, 1e-3, 1.7e-3, 2e-3)),
+    IntegratorSpec(t_end=1e-3, method="rk4", dt=2e-5, snapshot_times=(0.0, 3.1e-4, 7e-4, 1e-3)),
+], ids=["rkf45", "rk4"])
+def test_stage_aux_prefixes_change_no_output(spec, monkeypatch):
+    # each stage asks the kernel for the aux entries its tableau weight reads;
+    # a kernel that ignores the request and computes all of aux must give the
+    # same run to the last bit
+    from capillary1d import kernels
+
+    true_rhs = kernels.rhs
+    d = DomainSpec(half_length=1.0, modes=10)
+    p = ModelParams(n=2, delta=0.1, epsilon=0.1, eta=0.05)
+    u0 = project(lambda x: 1.0 + 0.4 * np.cos(np.pi * x) + 0.1 * np.cos(2 * np.pi * x), d)
+    asked = set()
+
+    def recording_rhs(c, t, params, r_values, n_aux=None):
+        asked.add(n_aux)
+        return true_rhs(c, t, params, r_values, n_aux)
+
+    def full_rhs(c, t, params, r_values, n_aux=None):
+        return true_rhs(c, t, params, r_values)
+
+    runs = []
+    for wrapper in (recording_rhs, full_rhs):
+        monkeypatch.setattr(kernels, "rhs", wrapper)
+        runs.append(simulate(u0, spec, p, d, track_weak_residual=True))
+    light, full = runs
+    nq = 2 + len(light.weighted_dissipation_cum)
+    assert asked == ({None, 0, nq} if spec.method == "rkf45" else {None, nq})
+    assert light.stats.accepted > 0
+    assert light.stats == full.stats
+    for name in ("coeffs", "dissipation_cum", "entropy_dissipation_cum"):
+        assert np.array_equal(getattr(light, name), getattr(full, name)), name
+    for name in ("t", "energy_surface", "energy_delta", "dissipation_cum",
+                 "entropy_dissipation_cum", "weak_residual"):
+        assert np.array_equal(getattr(light.nodes, name), getattr(full.nodes, name)), name
+    for r in light.weighted_dissipation_cum:
+        assert np.array_equal(light.weighted_dissipation_cum[r], full.weighted_dissipation_cum[r])
+        assert np.array_equal(light.nodes.weighted_dissipation_cum[r],
+                              full.nodes.weighted_dissipation_cum[r])
 
 
 def test_simulate_constant_data():
@@ -208,6 +253,10 @@ def test_integrator_spec_validation():
         IntegratorSpec(t_end=1.0, method="rk4")
     with pytest.raises(ValueError):
         IntegratorSpec(t_end=1.0, snapshot_times=(2.0,))
+    # a fixed step may take at most MAX_STEPS steps
+    IntegratorSpec(t_end=1.0, method="rk4", dt=1.0 / MAX_STEPS)
+    with pytest.raises(ValueError, match="exceeds MAX_STEPS"):
+        IntegratorSpec(t_end=1.0, method="rk4", dt=0.99 / MAX_STEPS)
 
 
 def test_dissipation_cumulative_nonnegative_and_increasing():

@@ -4,7 +4,8 @@ _reference_rhs is the kernel as it stood before its numpy calls were cut
 (separate syntheses of u and u_x, one np.sum per integral, the pressure
 density inline).  Every floating-point operation of the fast kernel and its
 order must match it, so all five outputs are compared with array_equal,
-not with a tolerance.
+not with a tolerance.  A call that asks for a prefix of aux must return the
+same arrays and the same leading aux entries as the full call.
 """
 
 import itertools
@@ -73,14 +74,8 @@ def _draws(N, rng, count=3):
         yield c
 
 
-@pytest.mark.parametrize("N", [8, 16, 32])
-@pytest.mark.parametrize("pressure_mode, mobility_mode",
-                         list(itertools.product(("nonlinear", "linear"),
-                                                ("standard", "constant"))))
-def test_rhs_bit_identical_to_reference(N, pressure_mode, mobility_mode):
-    domain = DomainSpec(half_length=1.3, modes=N)
-    t = tables(domain)
-    ref_t = _reference_tables(domain)
+def _grid(N, pressure_mode, mobility_mode):
+    # (label, params, r_values, c) over eta x n x delta x r_values x draws
     rng = np.random.default_rng(1000 * N + len(pressure_mode) + len(mobility_mode))
     for eta, n, delta, r in itertools.product((0.0, 0.05), (1.0, 1.5, 2.0, 3.0),
                                               (0.0, 0.2), ((), (1.5, 2.0))):
@@ -88,11 +83,51 @@ def test_rhs_bit_identical_to_reference(N, pressure_mode, mobility_mode):
                              pressure_mode=pressure_mode, mobility_mode=mobility_mode)
         r_values = np.asarray(r, dtype=float)
         for c in _draws(N, rng):
-            got = kernels.rhs(c, t, params, r_values)
-            want = _reference_rhs(c, ref_t, params, r_values)
-            assert len(got) == 5
-            for name, a, b in zip(("c_dot", "d", "u", "flux", "aux"), got, want):
-                assert np.array_equal(a, b), (name, eta, n, delta, r)
+            yield (eta, n, delta, r), params, r_values, c
+
+
+GRID = pytest.mark.parametrize("pressure_mode, mobility_mode",
+                               list(itertools.product(("nonlinear", "linear"),
+                                                      ("standard", "constant"))))
+
+
+@pytest.mark.parametrize("N", [8, 16, 32])
+@GRID
+def test_rhs_bit_identical_to_reference(N, pressure_mode, mobility_mode):
+    domain = DomainSpec(half_length=1.3, modes=N)
+    t = tables(domain)
+    ref_t = _reference_tables(domain)
+    for label, params, r_values, c in _grid(N, pressure_mode, mobility_mode):
+        got = kernels.rhs(c, t, params, r_values)
+        want = _reference_rhs(c, ref_t, params, r_values)
+        assert len(got) == 5
+        for name, a, b in zip(("c_dot", "d", "u", "flux", "aux"), got, want):
+            assert np.array_equal(a, b), (name, label)
+
+
+@pytest.mark.parametrize("N", [8, 16, 32])
+@GRID
+def test_rhs_aux_prefix_is_the_full_calls(N, pressure_mode, mobility_mode):
+    # the lighter calls a Runge-Kutta stage makes change nothing they return
+    t = tables(DomainSpec(half_length=1.3, modes=N))
+    for label, params, r_values, c in _grid(N, pressure_mode, mobility_mode):
+        full = kernels.rhs(c, t, params, r_values)
+        assert full[4].shape == (5 + r_values.shape[0],)
+        for n_aux in (0, 2 + r_values.shape[0]):
+            got = kernels.rhs(c, t, params, r_values, n_aux)
+            for name, a, b in zip(("c_dot", "d", "u", "flux"), got, full):
+                assert np.array_equal(a, b), (name, n_aux, label)
+            assert got[4].shape == (n_aux,), (n_aux, label)
+            assert np.array_equal(got[4], full[4][:n_aux]), (n_aux, label)
+
+
+@pytest.mark.parametrize("n_aux", [1, 3, 5, -1])
+def test_rhs_refuses_an_aux_prefix_it_does_not_compute(n_aux):
+    t = tables(DomainSpec(half_length=1.0, modes=8))
+    c = np.array([1.5, 0.1, 0.05, 0, 0, 0, 0, 0, 0.0])
+    with pytest.raises(ValueError, match="n_aux must be None, 0 or 4"):
+        kernels.rhs(c, t, ModelParams(n=2.0, delta=0.1, epsilon=0.1),
+                    np.array([1.5, 2.0]), n_aux)
 
 
 @pytest.mark.parametrize("N", [8, 16, 32, 64])
