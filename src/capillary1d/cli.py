@@ -96,15 +96,18 @@ def write_series_csv(out: RunOutput, path: Path) -> None:
 def write_snapshot_csvs(out: RunOutput, outdir: Path) -> list[str]:
     rc = out.config
     t = tables(rc.domain)
+    # every column is float64, so repr is _fmt's shortest round-trip form;
+    # the x column is the same in every file, so it is formatted once
+    x_cells = [x + "," for x in map(repr, t.x.tolist())]
     names = []
     for i in range(out.result.snapshot_times.size):
         c = out.result.snapshot_field(i)
         fld = synthesize(c, rc.domain, order=2)
         p = t.E @ galerkin_pressure_coeffs(c, rc.params, rc.domain).coeffs
-        rows = np.column_stack((t.x, fld.u, fld.ux, fld.uxx, p, fld.Q)).tolist()
+        rows = np.column_stack((fld.u, fld.ux, fld.uxx, p, fld.Q)).tolist()
         name = f"snap_{i}.csv"
-        # every column is float64, so repr is _fmt's shortest round-trip form
-        _write_csv(outdir / name, SNAP_HEADER, (",".join(map(repr, row)) for row in rows))
+        _write_csv(outdir / name, SNAP_HEADER,
+                   (x + ",".join(map(repr, row)) for x, row in zip(x_cells, rows)))
         names.append(name)
     return names
 
@@ -125,6 +128,12 @@ def _simulate_verdicts(out: RunOutput) -> dict:
 
 
 def write_run_artifacts(out: RunOutput, outdir: Path, wall_clock: float) -> dict:
+    """series.csv, the snapshot CSVs and summary.json.
+
+    wall_clock is the caller's time for run_config; summary.json adds the
+    time of each phase (timings_s), the writing up to summary.json included.
+    """
+    start = time.perf_counter()
     outdir.mkdir(parents=True, exist_ok=True)
     write_series_csv(out, outdir / "series.csv")
     snaps = write_snapshot_csvs(out, outdir)
@@ -152,6 +161,7 @@ def write_run_artifacts(out: RunOutput, outdir: Path, wall_clock: float) -> dict
             "conclusive": out.probe.conclusive,
         }),
         "wall_clock_seconds": wall_clock,
+        "timings_s": {**out.timings, "cli.write": time.perf_counter() - start},
     }
     _write_json(outdir / "summary.json", summary)
     return summary

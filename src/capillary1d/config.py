@@ -14,7 +14,8 @@ import copy
 import json
 import math
 import numbers
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -294,19 +295,36 @@ class RunOutput:
     entropy_tracked: bool
     validation_warnings: list[str]
     probe: object | None = None
+    # wall seconds of each phase of run_config, keyed by the benchmark's
+    # layer names; never part of a byte-compared output
+    timings: dict[str, float] = field(default_factory=dict)
 
 
 def run_config(raw_or_resolved) -> RunOutput:
     """Validate, simulate and attach diagnostics for one configuration."""
+    timings: dict[str, float] = {}
+    mark = time.perf_counter()
+
+    def lap(phase: str) -> None:
+        # a phase runs from the end of the previous one, so the phases add
+        # up to the whole call
+        nonlocal mark
+        now = time.perf_counter()
+        timings[phase] = now - mark
+        mark = now
+
     rc = raw_or_resolved if isinstance(raw_or_resolved, ResolvedConfig) else resolve_config(raw_or_resolved)
+    lap("config.resolve")
     diag = rc.resolved["diagnostics"]
     track_entropy = diag["track_entropy"]
 
     report = validate_initial_data(rc.u0, rc.params, rc.domain, entropy_required=track_entropy)
     if not report.valid:
         raise InitialDataError("; ".join(report.errors))
+    lap("model.validate")
 
     entropy = entropy_functions(rc.params) if track_entropy else None
+    lap("model.entropy")
     r_values = tuple(float(r) for r in diag["r_values"])
     tol_zero = diag["tol_zero"]
     if tol_zero is None:
@@ -317,8 +335,11 @@ def run_config(raw_or_resolved) -> RunOutput:
         track_weak_residual=diag["track_weak_residual"],
         tol_zero=float(tol_zero),
     )
+    lap("galerkin.integrate")
     records = trajectory_records(result, entropy=entropy, tol_zero=float(tol_zero))
+    lap("diagnostics.records")
     probe = holder_probe(result) if diag["holder_probe"] else None
+    lap("diagnostics.probe")
     return RunOutput(
         config=rc,
         result=result,
@@ -326,4 +347,5 @@ def run_config(raw_or_resolved) -> RunOutput:
         entropy_tracked=track_entropy,
         validation_warnings=report.warnings,
         probe=probe,
+        timings=timings,
     )

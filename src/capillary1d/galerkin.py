@@ -8,18 +8,26 @@ pressure lives in the Galerkin space.  Component 0 of dc/dt is identically
 zero (e_0' = 0), so mass is conserved to the last bit by every integrator.
 
 simulate is the one stepping loop, for both RKF45 (adaptive) and RK4
-(fixed step); every stage calls kernels.rhs.  Cumulative integrals (flux
-dissipation, entropy dissipation, r-weighted dissipations) ride along as
-augmented components advanced through the same Runge-Kutta tableau;
-step-size control acts on the coefficient vector only.  Each call asks the
-kernel for only the aux entries that are read: a stage whose propagated
-weight is zero (stages 2 and 6 of RKF45) asks for none, the other stages
-for the dissipation integrands [D, S, D_r...], and the first-stage call at
-each accepted state for all of aux, since the energies, the anchor check
-and the dense output read that one.  Snapshots come from
-cubic Hermite dense output on the accepted steps, and the weak
-residual, when tracked, is measured at every accepted step from the same
-kernel output that drives the next step.
+(fixed step); every stage calls kernels.rhs.  A step is a row update
+(Hairer, Norsett & Wanner, Solving ODEs I, II.1) on one buffer per run:
+its rows hold the stage inputs, then the propagated and (RKF45) the
+embedded solution.  Each step sets every row to c and adds each slope to
+all later rows as soon as it is known, two numpy calls per slope; row i
+then sums c + (dt a_i0) k_0 + (dt a_i1) k_1 + ... in the order of the
+slopes, and a zero weight adds +-0, which changes no value.  Every slope
+reaches the last rows (a non-finite one through 0 * k if need be), so one
+finiteness check of those rows per step stands for the stage calls; the
+call at each accepted state keeps its own check.  Cumulative integrals
+(flux dissipation, entropy dissipation, r-weighted dissipations) ride
+along, summed over the same propagated weights; step-size control acts on
+the coefficient vector only.  Each call asks the kernel for only the aux
+entries that are read: a stage whose propagated weight is zero (stages 2
+and 6 of RKF45) asks for none, the other stages for the dissipation
+integrands [D, S, D_r...], and the first-stage call at each accepted state
+for all of aux, since the energies, the anchor check and the dense output
+read that one.  Snapshots come from cubic Hermite dense output on the
+accepted steps, and the weak residual, when tracked, is measured at every
+accepted step from the same kernel output that drives the next step.
 
 The degenerate limit (p_x defined only on the positivity set) is never
 solved directly; it is probed through epsilon sweeps in the experiments
@@ -76,8 +84,8 @@ class IntegratorSpec:
             raise ValueError(f"unknown method {self.method!r}")
         if not (self.t_end > 0 and np.isfinite(self.t_end)):
             raise ValueError("t_end must be positive and finite")
-        if self.method == "rk4" and (self.dt is None or self.dt <= 0):
-            raise ValueError("rk4 needs a positive dt")
+        if self.method == "rk4" and (self.dt is None or not 0.0 < self.dt < float("inf")):
+            raise ValueError("rk4 needs a positive finite dt")
         if self.method == "rk4" and self.t_end / self.dt > MAX_STEPS:
             raise ValueError(f"rk4 with t_end/dt = {self.t_end / self.dt:.3g} steps "
                              f"exceeds MAX_STEPS = {MAX_STEPS}")
@@ -134,14 +142,10 @@ class SimulationResult:
         return SpectralField(self.coeffs[i].copy())
 
 
-def _checked_rhs(c: np.ndarray, t: BasisTables, params: ModelParams, r_values: np.ndarray,
-                 n_aux: int | None = None) -> tuple:
-    """kernels.rhs, looked up at call time, with its c_dot refused if non-finite.
-
-    n_aux is passed on positionally, so that a wrapper taking (c, *args)
-    sees every argument.
-    """
-    out = kernels.rhs(c, t, params, r_values, n_aux)
+def _checked_rhs(c: np.ndarray, t: BasisTables, params: ModelParams,
+                 r_values: np.ndarray) -> tuple:
+    """kernels.rhs with all of aux, looked up at call time, its c_dot refused if non-finite."""
+    out = kernels.rhs(c, t, params, r_values)
     if not np.isfinite(out[0]).all():
         raise SimulationAbort("non-finite right-hand side")
     return out
@@ -165,19 +169,6 @@ _TABLEAUX = {
     ),
     "rk4": (((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1 / 6, 1 / 3, 1 / 3, 1 / 6), None),
 }
-
-
-def _combine(y: np.ndarray, dt: float, weights, slopes) -> np.ndarray:
-    # y + dt * sum_i w_i k_i over the nonzero weights (every tableau row has
-    # one); y itself is never written
-    out = None
-    for wi, ki in zip(weights, slopes):
-        if wi != 0.0:
-            if out is None:
-                out = y + dt * wi * ki
-            else:
-                out += dt * wi * ki
-    return out
 
 
 def _initial_dt(spec: IntegratorSpec, c: np.ndarray, k1: np.ndarray) -> float:
@@ -231,9 +222,12 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
     nq = 2 + nr  # cumulative integrals: the leading aux entries D, S, D_r...
     stats = StepStats()
 
-    def rhs(y, n_aux=None):
+    def rhs(y):
+        # the call at an accepted state: all of aux, and its own finite check,
+        # since its k1 enters this step's Hermite snapshots as well as the
+        # next step
         stats.rhs_calls += 1
-        return _checked_rhs(y, t, params, r_arr, n_aux)
+        return _checked_rhs(y, t, params, r_arr)
 
     tcur = 0.0
     q = np.zeros(nq)
@@ -270,10 +264,28 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
     eps_end = 1e-12 * max(1.0, t_end)
 
     rows, weights, embedded = _TABLEAUX[spec.method]
+    n_stages = len(weights)
+    # the coefficient table: row i < n_stages is stage i's A row, row
+    # n_stages the propagated weights and row n_stages + 1 the embedded ones
+    tab = np.zeros((n_stages + (1 if embedded is None else 2), n_stages))
+    for i, row in enumerate(rows):
+        tab[i, :i] = row
+    tab[n_stages] = weights
+    if embedded is not None:
+        tab[n_stages + 1] = embedded
+    coef = np.empty_like(tab)
+    # the row buffer, one row per row of tab, and its views, built once: slope
+    # j is added to every row after j, and stage j reads row j
+    P = np.empty((tab.shape[0], c.shape[0]))
+    later_rows = [P[j + 1:] for j in range(n_stages)]
+    later_coef = [coef[j + 1:, j, None] for j in range(n_stages)]
+    stage_in = list(P[1:n_stages])
+    c_out, c_emb, sums = P[n_stages], P[-1], P[n_stages:]
     # the aux prefix each later stage asks for: none where its propagated
-    # weight is zero (_combine never reads it), the integrands D, S, D_r...
+    # weight is zero (dq never reads it), the integrands D, S, D_r...
     # elsewhere
     stage_aux = [0 if b == 0.0 else nq for b in weights[1:]]
+    dq_terms = [(i, b) for i, b in enumerate(weights) if b != 0.0]
     q_zero = np.zeros(nq)
     c_max = float(np.abs(c).max())  # max|c|, carried over from max|c_new| on acceptance
     max_steps = MAX_STEPS
@@ -285,18 +297,26 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
                 f"(MAX_STEPS = {max_steps})"
             )
         dt = min(dt, t_end - tcur)
-        # stage slopes of c and of the cumulative integrals
-        ks = [k1]
-        qds = [aux1[:nq]]
-        for row, n_aux in zip(rows[1:], stage_aux):
-            ki, _, _, _, auxi = rhs(_combine(c, dt, row, ks), n_aux)
-            ks.append(ki)
-            qds.append(auxi[:nq])
-        c_new = _combine(c, dt, weights, ks)
+        # row i becomes c + (dt a_i0) k_0 + (dt a_i1) k_1 + ..., summed in the
+        # order of the slopes; a zero weight adds +-0 and changes no value
+        np.multiply(tab, dt, out=coef)
+        P[:] = c
+        k = k1
+        qds = [aux1[:nq]]  # stage slopes of the cumulative integrals
+        for later, w, x, n_aux in zip(later_rows, later_coef, stage_in, stage_aux):
+            later += w * k
+            k, _, _, _, aux = kernels.rhs(x, t, params, r_arr, n_aux)
+            qds.append(aux[:nq])
+        later_rows[-1] += later_coef[-1] * k
+        stats.rhs_calls += n_stages - 1
+        # every stage slope reaches the last rows (a non-finite one through a
+        # 0 * k product if need be), so one check covers the stage calls
+        if not np.isfinite(sums).all():
+            raise SimulationAbort("non-finite right-hand side")
         dt_next = dt
         if embedded is not None:
-            err = float(np.abs(_combine(c, dt, embedded, ks) - c_new).max())
-            c_new_max = float(np.abs(c_new).max())
+            err = float(np.abs(c_emb - c_out).max())
+            c_new_max = float(np.abs(c_out).max())
             tol = spec.atol + spec.rtol * max(c_max, c_new_max)
             if not err <= tol:
                 stats.rejected += 1
@@ -309,7 +329,11 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
                 continue
             dt_next = dt * min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
             c_max = c_new_max
-        dq = _combine(q_zero, dt, weights, qds)
+        c_new = c_out.copy()  # the next step overwrites the buffer
+        i, b = dq_terms[0]
+        dq = q_zero + dt * b * qds[i]
+        for i, b in dq_terms[1:]:
+            dq += dt * b * qds[i]
 
         t_new = tcur + dt
         k1_new, _, u_grid, flux, aux_new = rhs(c_new)

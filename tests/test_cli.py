@@ -54,6 +54,24 @@ def test_simulate_writes_expected_artifacts(cfgfile, tmp_path, capsys):
     assert 0.0 < stats["dt_min"] <= stats["dt_last"] <= stats["dt_max"]
 
 
+def test_summary_times_each_phase(cfgfile, tmp_path):
+    # wall seconds per phase, under the benchmark's layer names; the phases of
+    # run_config lie inside wall_clock_seconds, and the write comes after it
+    out = tmp_path / "run"
+    cfg = json.loads(Path(cfgfile).read_text())
+    cfg["diagnostics"]["holder_probe"] = True
+    Path(cfgfile).write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", cfgfile, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    timings = summary["timings_s"]
+    assert set(timings) == {"config.resolve", "model.validate", "model.entropy",
+                            "galerkin.integrate", "diagnostics.records",
+                            "diagnostics.probe", "cli.write"}
+    assert all(v >= 0.0 for v in timings.values())
+    assert sum(timings.values()) <= summary["wall_clock_seconds"] + timings["cli.write"]
+    assert timings["galerkin.integrate"] > 0.0
+
+
 def test_simulate_constant_mass_column(tmp_path):
     cfg = dict(BASE, initial_data={"kind": "constant", "parameters": {"value": 1.5}})
     p = tmp_path / "c.json"
@@ -131,6 +149,11 @@ def test_simulate_rejected_data_exit_2(tmp_path, capsys):
     pytest.param(('integrator.method="rk4"', "integrator.dt=1e-12"),
                  "rk4 with t_end/dt = 5e+08 steps exceeds MAX_STEPS = 1000000",
                  id="rk4-dt-1e-12"),
+    # a NaN step would stop at a non-finite slope, an infinite one at the anchor
+    pytest.param(('integrator.method="rk4"', "integrator.dt=NaN"),
+                 "rk4 needs a positive finite dt", id="rk4-dt-nan"),
+    pytest.param(('integrator.method="rk4"', "integrator.dt=Infinity"),
+                 "rk4 needs a positive finite dt", id="rk4-dt-inf"),
 ])
 def test_simulate_bad_value_exit_2(cfgfile, tmp_path, capsys, override, message):
     # rejected up front: never truncated, never left to blow up mid-run
@@ -156,6 +179,27 @@ def test_simulate_abort_exit_3(tmp_path, capsys):
     assert rc == 3
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "SimulationAbort"
+
+
+def test_simulate_non_finite_slope_exit_3(cfgfile, tmp_path, capsys, monkeypatch):
+    # a kernel that turns non-finite mid-run is an integrator abort
+    from capillary1d import kernels
+
+    true_rhs = kernels.rhs
+    calls = []
+
+    def failing_rhs(c, *args):
+        calls.append(1)
+        c_dot, *rest = true_rhs(c, *args)
+        return (c_dot * np.nan if len(calls) > 20 else c_dot, *rest)
+
+    monkeypatch.setattr(kernels, "rhs", failing_rhs)
+    rc = main(["simulate", "--config", cfgfile, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "SimulationAbort"
+    assert record["message"] == "non-finite right-hand side"
+    assert not (tmp_path / "o" / "series.csv").exists()
 
 
 def test_simulate_step_limit_exit_3(cfgfile, tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from capillary1d import kernels
 from capillary1d.basis import (
     DomainSpec,
     SpectralField,
@@ -9,11 +10,15 @@ from capillary1d.basis import (
     project,
     quadrature,
     synthesize,
+    tables,
 )
 from capillary1d.galerkin import (
+    _TABLEAUX,
+    DEFAULT_R_VALUES,
     MAX_STEPS,
     IntegratorSpec,
     SimulationAbort,
+    _initial_dt,
     rhs_output,
     simulate,
 )
@@ -115,8 +120,6 @@ def test_stage_aux_prefixes_change_no_output(spec, monkeypatch):
     # each stage asks the kernel for the aux entries its tableau weight reads;
     # a kernel that ignores the request and computes all of aux must give the
     # same run to the last bit
-    from capillary1d import kernels
-
     true_rhs = kernels.rhs
     d = DomainSpec(half_length=1.0, modes=10)
     p = ModelParams(n=2, delta=0.1, epsilon=0.1, eta=0.05)
@@ -251,6 +254,11 @@ def test_integrator_spec_validation():
         IntegratorSpec(t_end=-1.0)
     with pytest.raises(ValueError):
         IntegratorSpec(t_end=1.0, method="rk4")
+    # a NaN step would only show as a non-finite slope, an infinite one as
+    # one step over all of t_end
+    for dt in (float("nan"), float("inf"), -float("inf"), 0.0):
+        with pytest.raises(ValueError, match="rk4 needs a positive finite dt"):
+            IntegratorSpec(t_end=1.0, method="rk4", dt=dt)
     with pytest.raises(ValueError):
         IntegratorSpec(t_end=1.0, snapshot_times=(2.0,))
     # a fixed step may take at most MAX_STEPS steps
@@ -269,3 +277,125 @@ def test_dissipation_cumulative_nonnegative_and_increasing():
     assert np.all(np.diff(res.nodes.entropy_dissipation_cum) >= -1e-15)
     for series in res.nodes.weighted_dissipation_cum.values():
         assert np.all(np.diff(series) >= -1e-15)
+
+
+# -- the Runge-Kutta arithmetic ----------------------------------------------
+
+STEP_DOMAIN = DomainSpec(half_length=1.0, modes=10)
+STEP_PARAMS = ModelParams(n=2, delta=0.1, epsilon=0.1, eta=0.05)
+STEP_SPECS = [
+    IntegratorSpec(t_end=2e-3, rtol=1e-8, atol=1e-10),
+    IntegratorSpec(t_end=1e-3, method="rk4", dt=2e-5),
+]
+STEP_IDS = ["rkf45", "rk4"]
+
+
+def _step_u0():
+    return project(lambda x: 1.0 + 0.4 * np.cos(np.pi * x) + 0.1 * np.cos(2 * np.pi * x),
+                   STEP_DOMAIN)
+
+
+def _combine(y, dt, weights, slopes):
+    # the plain form of a Runge-Kutta sum: y + dt * sum_i w_i k_i over the
+    # nonzero weights, first to last; simulate's row updates must match it to
+    # the last bit
+    out = None
+    for wi, ki in zip(weights, slopes):
+        if wi != 0.0:
+            if out is None:
+                out = y + dt * wi * ki
+            else:
+                out += dt * wi * ki
+    return out
+
+
+def _reference_step(c, dt, method, nq):
+    """One step by the plain sums: (stage inputs, c_new, embedded or None, dq)."""
+    rows, weights, embedded = _TABLEAUX[method]
+    t = tables(STEP_DOMAIN)
+    r_arr = np.asarray(DEFAULT_R_VALUES)
+    inputs, ks, qds = [], [], []
+    for row in rows:
+        y = c if not row else _combine(c, dt, row, ks)
+        inputs.append(y)
+        k, _, _, _, aux = kernels.rhs(y, t, STEP_PARAMS, r_arr)
+        ks.append(k)
+        qds.append(aux[:nq])
+    return (inputs[1:], _combine(c, dt, weights, ks),
+            None if embedded is None else _combine(c, dt, embedded, ks),
+            _combine(np.zeros(nq), dt, weights, qds))
+
+
+@pytest.mark.parametrize("spec", STEP_SPECS, ids=STEP_IDS)
+def test_row_updates_match_the_plain_sums(spec, monkeypatch):
+    # the first step of a run, stepped by hand with the plain sums: stage
+    # inputs, propagated and embedded solutions and the dissipation increment
+    # agree bit for bit
+    true_rhs = kernels.rhs
+    calls = []  # (n_aux, input, last row of the stage buffer at the call)
+    buffer = []  # the buffer the stage inputs are rows of
+
+    def recording_rhs(c, *args):
+        if c.base is not None:
+            buffer[:] = [c.base]
+        calls.append((args[3] if len(args) > 3 else None, c.copy(),
+                      buffer[0][-1].copy() if buffer else None))
+        return true_rhs(c, *args)
+
+    monkeypatch.setattr(kernels, "rhs", recording_rhs)
+    u0 = _step_u0()
+    res = simulate(u0, spec, STEP_PARAMS, STEP_DOMAIN)
+    n_stages = len(_TABLEAUX[spec.method][1])
+    # the first step was accepted: its stage calls, then the call at c_new
+    full_aux = [n is None for n, _, _ in calls[:n_stages + 1]]
+    assert full_aux == [True] + [False] * (n_stages - 1) + [True]
+
+    c0 = u0.coeffs.astype(float)
+    nq = 2 + len(res.weighted_dissipation_cum)
+    k0 = true_rhs(c0, tables(STEP_DOMAIN), STEP_PARAMS, np.asarray(DEFAULT_R_VALUES))[0]
+    dt = _initial_dt(spec, c0, k0)
+    inputs, c_new, emb, dq = _reference_step(c0, dt, spec.method, nq)
+    for (_, got, _), want in zip(calls[1:n_stages], inputs):
+        assert np.array_equal(got, want)
+    assert np.array_equal(calls[n_stages][1], c_new)
+    assert res.nodes.t[1] == dt
+    if emb is not None:
+        # the buffer's last row holds the embedded solution when the kernel
+        # is called at c_new
+        assert np.array_equal(calls[n_stages][2], emb)
+    q1 = [res.nodes.dissipation_cum[1], res.nodes.entropy_dissipation_cum[1],
+          *(series[1] for series in res.nodes.weighted_dissipation_cum.values())]
+    assert np.array_equal(q1, dq)
+
+
+@pytest.mark.parametrize("spec", STEP_SPECS, ids=STEP_IDS)
+@pytest.mark.parametrize("where", ["first stage", "last stage", "accepted state"])
+def test_non_finite_slope_aborts_within_its_step(spec, where, monkeypatch):
+    # a NaN slope from any call of the second step stops the run by the end
+    # of that step, before another kernel call
+    true_rhs = kernels.rhs
+    calls = []  # n_aux of each call
+    poison_from = None
+
+    def poisoned_rhs(c, *args):
+        calls.append(args[3] if len(args) > 3 else None)
+        out = true_rhs(c, *args)
+        if poison_from is not None and len(calls) > poison_from:
+            return (np.full_like(out[0], np.nan), *out[1:])
+        return out
+
+    monkeypatch.setattr(kernels, "rhs", poisoned_rhs)
+    assert simulate(_step_u0(), spec, STEP_PARAMS, STEP_DOMAIN).stats.accepted > 2
+    # calls at accepted states ask for all of aux; the second step's stage
+    # calls follow the one at the first accepted state
+    state_calls = [i for i, n_aux in enumerate(calls) if n_aux is None]
+    n_stages = len(_TABLEAUX[spec.method][1])
+    poison_from, last_call = {
+        "first stage": (state_calls[1] + 1, state_calls[1] + n_stages - 1),
+        "last stage": (state_calls[1] + n_stages - 1, state_calls[1] + n_stages - 1),
+        "accepted state": (state_calls[2], state_calls[2]),
+    }[where]
+    calls.clear()
+    with pytest.raises(SimulationAbort, match="non-finite right-hand side"):
+        simulate(_step_u0(), spec, STEP_PARAMS, STEP_DOMAIN)
+    assert len(calls) == last_call + 1
