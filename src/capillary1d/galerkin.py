@@ -84,7 +84,8 @@ class IntegratorSpec:
             raise ValueError(f"unknown method {self.method!r}")
         if not (self.t_end > 0 and np.isfinite(self.t_end)):
             raise ValueError("t_end must be positive and finite")
-        if self.method == "rk4" and (self.dt is None or not 0.0 < self.dt < float("inf")):
+        if self.method == "rk4" and not (self.dt is not None and self.dt > 0
+                                         and np.isfinite(self.dt)):
             raise ValueError("rk4 needs a positive finite dt")
         if self.method == "rk4" and self.t_end / self.dt > MAX_STEPS:
             raise ValueError(f"rk4 with t_end/dt = {self.t_end / self.dt:.3g} steps "
@@ -330,10 +331,9 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
             dt_next = dt * min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
             c_max = c_new_max
         c_new = c_out.copy()  # the next step overwrites the buffer
-        i, b = dq_terms[0]
-        dq = q_zero + dt * b * qds[i]
-        for i, b in dq_terms[1:]:
-            dq += dt * b * qds[i]
+        dq = q_zero
+        for i, b in dq_terms:
+            dq = dq + dt * b * qds[i]
 
         t_new = tcur + dt
         k1_new, _, u_grid, flux, aux_new = rhs(c_new)
