@@ -54,10 +54,6 @@ class DomainSpec:
     def grid_size(self) -> int:
         return self.oversample * (self.modes + 1)
 
-    @property
-    def measure(self) -> float:
-        return 2.0 * self.half_length
-
 
 @dataclass
 class SpectralField:
@@ -71,9 +67,6 @@ class SpectralField:
             raise ValueError("coeffs must be a 1-D vector")
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("coeffs must be finite")
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.coeffs.copy())
 
 
 @dataclass

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 import time
 from pathlib import Path
@@ -30,6 +31,7 @@ from .config import (
 )
 from .diagnostics import energy_identity_residual, mass_drift, slope_threshold
 from .experiments import (
+    SWEEP_PARAMETERS,
     SweepError,
     SweepSpec,
     curvature_profile_study,
@@ -37,10 +39,12 @@ from .experiments import (
     threshold_study,
 )
 from .galerkin import SimulationAbort
-from .model import InitialDataError, galerkin_pressure_coeffs
+from .model import InitialDataError, pressure_coeffs
 
-SERIES_HEADER = ("t,mass,energy_surface,energy_delta,dissipation_cum,entropy,"
-                 "entropy_dissipation_cum,min_u,max_u,zero_frac,y_max,h1,h2,weak_residual")
+# the series.csv columns, each a DiagnosticsRecord attribute
+SERIES_COLUMNS = ("t", "mass", "energy_surface", "energy_delta", "dissipation_cum", "entropy",
+                  "entropy_dissipation_cum", "min_u", "max_u", "zero_frac", "y_max", "h1", "h2",
+                  "weak_residual")
 SNAP_HEADER = "x,u,ux,uxx,p,Q"
 
 DEFAULT_SWEEP_VALUES = {
@@ -87,10 +91,9 @@ def _write_csv(path: Path, header: str, lines) -> None:
 
 
 def write_series_csv(out: RunOutput, path: Path) -> None:
-    _write_csv(path, SERIES_HEADER, (",".join(_fmt(v) for v in (
-        r.t, r.mass, r.energy_surface, r.energy_delta, r.dissipation_cum,
-        r.entropy, r.entropy_dissipation_cum, r.min_u, r.max_u, r.zero_frac,
-        r.y_max, r.h1, r.h2, r.weak_residual)) for r in out.records))
+    row = operator.attrgetter(*SERIES_COLUMNS)
+    _write_csv(path, ",".join(SERIES_COLUMNS),
+               (",".join(map(_fmt, row(r))) for r in out.records))
 
 
 def write_snapshot_csvs(out: RunOutput, outdir: Path) -> list[str]:
@@ -101,9 +104,8 @@ def write_snapshot_csvs(out: RunOutput, outdir: Path) -> list[str]:
     x_cells = [x + "," for x in map(repr, t.x.tolist())]
     names = []
     for i in range(out.result.snapshot_times.size):
-        c = out.result.snapshot_field(i)
-        fld = synthesize(c, rc.domain, order=2)
-        p = t.E @ galerkin_pressure_coeffs(c, rc.params, rc.domain).coeffs
+        fld = synthesize(out.result.snapshot_field(i), rc.domain, order=2)
+        p = t.E @ pressure_coeffs(fld.ux, fld.Q, t, rc.params)
         rows = np.column_stack((fld.u, fld.ux, fld.uxx, p, fld.Q)).tolist()
         name = f"snap_{i}.csv"
         _write_csv(outdir / name, SNAP_HEADER,
@@ -293,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="parallel workers for the members")
     p.add_argument("--deep", action="store_true",
                    help="allow expensive settings (epsilon < 1e-3)")
-    p.add_argument("--param", required=True, choices=("eta", "epsilon", "delta", "N"))
+    p.add_argument("--param", required=True, choices=SWEEP_PARAMETERS)
     p.add_argument("--values", help="comma-separated values (default per parameter)")
     p.set_defaults(func=cmd_sweep)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import DomainSpec, SpectralField, project, synthesize
 from .diagnostics import DiagnosticsRecord, default_tol_zero, holder_probe, trajectory_records
-from .galerkin import IntegratorSpec, SimulationResult, simulate
+from .galerkin import DEFAULT_R_VALUES, IntegratorSpec, SimulationResult, simulate
 from .model import (
     InitialDataError,
     ModelParams,
@@ -54,7 +54,7 @@ DEFAULT_CONFIG: dict = {
     },
     "initial_data": {"kind": "cosine_bump", "parameters": {}},
     "diagnostics": {
-        "r_values": [1.5, 2.0],
+        "r_values": list(DEFAULT_R_VALUES),
         "tol_zero": None,
         "holder_probe": False,
         "track_entropy": True,
@@ -300,7 +300,7 @@ class RunOutput:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def run_config(raw_or_resolved) -> RunOutput:
+def run_config(raw: dict) -> RunOutput:
     """Validate, simulate and attach diagnostics for one configuration."""
     timings: dict[str, float] = {}
     mark = time.perf_counter()
@@ -313,7 +313,7 @@ def run_config(raw_or_resolved) -> RunOutput:
         timings[phase] = now - mark
         mark = now
 
-    rc = raw_or_resolved if isinstance(raw_or_resolved, ResolvedConfig) else resolve_config(raw_or_resolved)
+    rc = resolve_config(raw)
     lap("config.resolve")
     diag = rc.resolved["diagnostics"]
     track_entropy = diag["track_entropy"]

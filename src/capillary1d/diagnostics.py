@@ -58,7 +58,6 @@ class DiagnosticsRecord:
     max_u: float
     zero_frac: float
     y_max: float
-    ux_linf: float
     h1: float
     h2: float
     weak_residual: float
@@ -85,7 +84,7 @@ def snapshot_diagnostics(c: SpectralField, params: ModelParams, domain: DomainSp
         ent = entropy_integral(fld.u, entropy, domain)
 
     norms = sobolev_norms(c, domain)
-    resid, _ = flux_and_weak_residual(c, params, domain, tol_zero=tol_zero)
+    c_dot, _, u, flux, _ = rhs_output(c, params, domain)
     return DiagnosticsRecord(
         t=float("nan"),
         mass=mass(c, domain),
@@ -100,10 +99,9 @@ def snapshot_diagnostics(c: SpectralField, params: ModelParams, domain: DomainSp
         max_u=float(fld.u.max()),
         zero_frac=float(np.count_nonzero(fld.u < tol_zero)) / fld.u.size,
         y_max=float(np.max(np.abs(fld.ux) / fld.Q)),
-        ux_linf=float(np.max(np.abs(fld.ux))),
         h1=norms.h1,
         h2=norms.h2,
-        weak_residual=float(np.max(np.abs(resid))),
+        weak_residual=kernels.weak_residual_max(tables(domain), c_dot, u, flux, tol_zero),
     )
 
 
@@ -231,6 +229,9 @@ def slope_threshold(c1: float, c2: float, half_length: float) -> float:
 
 # -- Hoelder probes -------------------------------------------------------------
 
+HOLDER_LOCATIONS = 16  # grid nodes the probes sample
+
+
 @dataclass
 class HolderProbe:
     exponent_time: float
@@ -247,24 +248,22 @@ def _loglog_fit(dx: np.ndarray, dy: np.ndarray) -> tuple[float, float]:
     return float(slope), float(np.exp(intercept))
 
 
-def holder_probe(result: SimulationResult, n_locations: int = 16,
-                 seed: int | None = None) -> HolderProbe:
+def holder_probe(result: SimulationResult) -> HolderProbe:
     """Least-squares Hoelder exponents/constants from snapshot pairs.
 
     Fits log sup_x |u(t2,x)-u(t1,x)| against log|t2-t1| over all snapshot
     pairs (and the spatial analog with |x2-x1|^(1/2) scaling).  Estimates
     come with the sampling resolution; they are measurements, not asserted
-    inequalities.  CAPILLARY1D_SEED fixes the sampled locations.
+    inequalities.  CAPILLARY1D_SEED fixes the HOLDER_LOCATIONS sampled
+    grid nodes.
     """
-    if seed is None:
-        seed = int(os.environ.get("CAPILLARY1D_SEED", "0"))
     times = result.snapshot_times
     if times.size < 3:
         return HolderProbe(np.nan, np.nan, np.nan, np.nan, 0, False, "needs >= 3 snapshots")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(int(os.environ.get("CAPILLARY1D_SEED", "0")))
     t = tables(result.domain)
     G = t.x.size
-    locs = np.sort(rng.choice(G, size=min(n_locations, G), replace=False))
+    locs = np.sort(rng.choice(G, size=min(HOLDER_LOCATIONS, G), replace=False))
     fields = np.stack([synthesize(result.snapshot_field(i), result.domain, order=0).u[locs]
                        for i in range(times.size)])
 
@@ -301,20 +300,19 @@ def holder_probe(result: SimulationResult, n_locations: int = 16,
 class PositivityReport:
     min_u: np.ndarray
     zero_frac: np.ndarray
-    tol_neg: float
-    pos_floor: float
     nonneg_ok: bool
     zero_measure_ok: bool | None
     positive_ok: bool | None
 
 
 def positivity_report(records: list[DiagnosticsRecord], params: ModelParams,
-                      domain: DomainSpec, pos_floor: float | None = None) -> PositivityReport:
+                      domain: DomainSpec) -> PositivityReport:
     """Per-snapshot minima and zero-set fractions with trajectory verdicts.
 
     (a) min u >= -tol_neg for n >= 1 (nonnegativity up to truncation noise);
     (b) zero-set fraction at most one grid node for n >= 2;
-    (c) min u >= pos_floor for n >= 8/3 given strictly positive data.
+    (c) min u >= pos_floor = 1e-2 min u(0) for n >= 8/3 given strictly
+    positive data.
     min u and the zero-set fractions are the records' own.  Verdicts are
     reported, never raised: genuine violations (large delta, linear mode) are
     findings.
@@ -322,15 +320,12 @@ def positivity_report(records: list[DiagnosticsRecord], params: ModelParams,
     first = records[0]
     scale = max(1.0, first.max_u, -first.min_u)
     tol_neg = DEFAULT_TOL_NEG_REL * scale
-    if pos_floor is None:
-        pos_floor = 1e-2 * max(first.min_u, 0.0)
+    pos_floor = 1e-2 * max(first.min_u, 0.0)
     mins = np.array([r.min_u for r in records])
     fracs = np.array([r.zero_frac for r in records])
     return PositivityReport(
         min_u=mins,
         zero_frac=fracs,
-        tol_neg=tol_neg,
-        pos_floor=pos_floor,
         nonneg_ok=bool(mins.min() >= -tol_neg),
         zero_measure_ok=bool(fracs.max() <= 1.0 / domain.grid_size) if params.n >= 2.0 else None,
         positive_ok=(bool(mins.min() >= pos_floor)

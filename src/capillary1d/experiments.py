@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import evaluate, synthesize, tables
-from .config import ConfigError, RunOutput, _integer, run_config
+from .config import ConfigError, RunOutput, _integer, resolve_config, run_config
 from .diagnostics import positivity_report
 from .model import InitialDataError
 
@@ -59,13 +59,14 @@ class SweepSpec:
 
 def _member_config(spec: SweepSpec, value) -> dict:
     cfg = copy.deepcopy(spec.base_config)
-    if spec.parameter == "N":
-        try:
+    try:
+        if spec.parameter == "N":
             cfg.setdefault("domain", {})["N"] = _integer(value, "N")
-        except ValueError as exc:
-            raise ConfigError(f"bad sweep value: {exc}") from exc
-    else:
-        cfg.setdefault("model", {})[spec.parameter] = float(value)
+        else:
+            cfg.setdefault("model", {})[spec.parameter] = float(value)
+        resolve_config(cfg)
+    except ValueError as exc:  # a ConfigError included
+        raise ConfigError(f"bad sweep value {spec.parameter}={value}: {exc}") from exc
     return cfg
 
 
@@ -125,8 +126,10 @@ def _plateau_verdict(values: list) -> str:
 def run_sweep(spec: SweepSpec) -> dict:
     """One simulation per value; maxima, Cauchy trend, and verdicts.
 
-    Members run concurrently when jobs > 1; assembly happens after a join in
-    submission order, so reports are deterministic for a fixed spec + seed.
+    Every member's config is resolved before the first member runs, so bad
+    input is a ConfigError.  Members run concurrently when jobs > 1; assembly
+    happens after a join in submission order, so reports are deterministic
+    for a fixed spec + seed.
     """
     configs = [_member_config(spec, v) for v in spec.values]
     members: list[dict] = []

@@ -66,8 +66,8 @@ class IntegratorSpec:
     """Time-stepping description.
 
     "rkf45" is adaptive with (rtol, atol) controlling the local error of the
-    coefficient vector in the max norm; "rk4" is fixed-step with dt, and
-    t_end/dt may not exceed MAX_STEPS.
+    coefficient vector in the max norm, and takes no dt; "rk4" is fixed-step
+    with dt, and t_end/dt may not exceed MAX_STEPS.
     Explicit methods need dt = O(lambda_N^-2) on the stiff linearized system;
     the controller finds that scale by rejecting steps whose error grows.
     """
@@ -93,6 +93,8 @@ class IntegratorSpec:
         if self.method == "rkf45" and not (0.0 < self.rtol < 1.0
                                            and 0.0 < self.atol < float("inf")):
             raise ValueError("rkf45 needs 0 < rtol < 1 and a positive finite atol")
+        if self.method == "rkf45" and self.dt is not None:
+            raise ValueError(f"rkf45 chooses its own steps and takes no dt, got {self.dt}")
         for s in self.snapshot_times:
             if not (0.0 <= s <= self.t_end * (1 + 1e-12)):
                 raise ValueError(f"snapshot time {s} outside [0, {self.t_end}]")
@@ -129,7 +131,6 @@ class NodeSeries:
 class SimulationResult:
     domain: DomainSpec
     params: ModelParams
-    spec: IntegratorSpec
     snapshot_times: np.ndarray
     coeffs: np.ndarray                     # (n_snapshots, N+1)
     dissipation_cum: np.ndarray            # cumulative integrals at snapshots
@@ -188,12 +189,6 @@ def _hermite(theta: float, y0, d0, y1, d1, h: float):
             + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * h * d1)
 
 
-def _weak_residual_max(t, c_dot, u, flux, tol_zero: float) -> float:
-    # zero to roundoff for j <= N by Galerkin orthogonality
-    _, _, a, b = kernels.weak_residual_terms(t, c_dot, u, flux, tol_zero)
-    return float(np.abs(a + b).max())
-
-
 def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
              domain: DomainSpec, r_values=DEFAULT_R_VALUES,
              track_weak_residual: bool = False,
@@ -248,7 +243,7 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
     node_q = [q]  # q is rebound at every step, never written in place
     node_weak = [] if track_weak_residual else None
     if track_weak_residual:
-        node_weak.append(_weak_residual_max(t, k1, u_grid, flux, tol_zero))
+        node_weak.append(kernels.weak_residual_max(t, k1, u_grid, flux, tol_zero))
 
     n_snap = snap_times.size
     snap_c = np.empty((n_snap, c.shape[0]))
@@ -360,7 +355,7 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
         node_ed.append(aux1[3 + nr])
         node_q.append(q)
         if track_weak_residual:
-            node_weak.append(_weak_residual_max(t, k1, u_grid, flux, tol_zero))
+            node_weak.append(kernels.weak_residual_max(t, k1, u_grid, flux, tol_zero))
 
     # any trailing snapshots at t_end within tolerance
     while isnap < n_snap:
@@ -382,7 +377,6 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
     return SimulationResult(
         domain=domain,
         params=params,
-        spec=spec,
         snapshot_times=snap_times,
         coeffs=snap_c,
         dissipation_cum=snap_q[:, 0],

@@ -97,3 +97,10 @@ def weak_residual_terms(t: BasisTables, c_dot: np.ndarray, u: np.ndarray,
     ut = t.E @ c_dot
     J = np.where(u > tol_zero, flux, 0.0)
     return ut, J, t.ET @ (t.w * ut), t.ExT @ (t.w * J)
+
+
+def weak_residual_max(t: BasisTables, c_dot: np.ndarray, u: np.ndarray,
+                      flux: np.ndarray, tol_zero: float) -> float:
+    """max_j |r_j| over j = 0..N: zero to roundoff by Galerkin orthogonality."""
+    _, _, a, b = weak_residual_terms(t, c_dot, u, flux, tol_zero)
+    return float(np.abs(a + b).max())

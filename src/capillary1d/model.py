@@ -142,8 +142,6 @@ class EntropyEval:
     g: Callable[[np.ndarray], np.ndarray]
     G: Callable[[np.ndarray], np.ndarray]
     closed_form: bool
-    n: float
-    epsilon: float
     anchor: float
 
 
@@ -338,7 +336,7 @@ def entropy_functions(params: ModelParams) -> EntropyEval:
     else:
         g, G = _entropy_numeric(n, eps, a)
         closed = False
-    return EntropyEval(g=g, G=G, closed_form=closed, n=n, epsilon=eps, anchor=a)
+    return EntropyEval(g=g, G=G, closed_form=closed, anchor=a)
 
 
 def entropy_integral(u_grid: np.ndarray, entropy: EntropyEval, domain: DomainSpec) -> float:

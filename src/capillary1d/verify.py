@@ -145,11 +145,11 @@ def render_table(results: list["CheckResult"]) -> str:
     return "\n".join(lines)
 
 
-def _check_mass(ref, ref_seconds: float | None = None) -> CheckResult:
+def _check_mass(ref, ref_seconds: float) -> CheckResult:
     drift = mass_drift(ref.records)
     # runtime bound asserted as a boolean only: raw seconds would break the
     # byte-identity of repeated reports
-    runtime_ok = True if ref_seconds is None else ref_seconds <= 30.0
+    runtime_ok = ref_seconds <= 30.0
     return CheckResult(1, "mass conservation <= 1e-10 relative; runtime <= 30 s",
                        drift <= 1e-10 and runtime_ok,
                        {"relative_drift": drift, "runtime_within_30s": runtime_ok})

@@ -5,6 +5,8 @@ which re-executes the suite and byte-compares the serialized report) and
 prints one pass/fail line per criterion.
 """
 
+import time
+
 import pytest
 
 from capillary1d.verify import _report_bytes, run_all
@@ -69,6 +71,8 @@ def test_mass_leak_negative_control(monkeypatch):
         return c_dot, d, u, flux, aux
 
     monkeypatch.setattr(kernels, "rhs", leaky_rhs)
+    t0 = time.perf_counter()
     out = run_config(REFERENCE_RUN)
-    check = _check_mass(out)
+    check = _check_mass(out, time.perf_counter() - t0)
     assert not check.passed
+    assert check.details["relative_drift"] > 1e-10  # failed on mass, not on time

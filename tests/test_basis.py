@@ -32,7 +32,6 @@ def test_domain_validation():
     assert DomainSpec(half_length=1.0, modes=255, oversample=8).grid_size == MAX_GRID_SIZE
     d = DomainSpec(half_length=1.0, modes=8)
     assert d.grid_size == 8 * 9
-    assert d.measure == 2.0
 
 
 def test_modes_constant_mode():

@@ -4,6 +4,7 @@ Tier-1 tests do not run perfbench, so a renamed or deleted layer function
 would otherwise only show as a crash of ``perfbench/run.py --trace 1``.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -13,9 +14,9 @@ import pytest
 
 from capillary1d import experiments, kernels
 from capillary1d.basis import DomainSpec, project
-from capillary1d.config import load_config
+from capillary1d.config import load_config, run_config
 from capillary1d.galerkin import IntegratorSpec, simulate
-from capillary1d.model import ModelParams
+from capillary1d.model import ModelParams, entropy_functions
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -58,3 +59,48 @@ def test_simulate_looks_up_the_kernel_at_call_time(monkeypatch):
                       domain)
     assert result.stats.accepted > 0
     assert len(calls) == result.stats.rhs_calls
+
+
+def test_run_result_carries_what_perfbench_reads():
+    # perfbench/checks.py reads the snapshot coefficients and times and the
+    # per-step energy, spans.py the step counts, and test_controls.py edits
+    # nodes.energy_surface in place
+    cfg = load_config(str(PERFBENCH / "configs" / "relax_decay.json"))
+    cfg["integrator"].update(T=1e-3, snapshots=[0.0, 5e-4, 1e-3])
+    result = run_config(cfg).result
+    np.testing.assert_array_equal(result.snapshot_times, [0.0, 5e-4, 1e-3])
+    assert result.coeffs.shape == (3, cfg["domain"]["N"] + 1)
+    assert result.coeffs[0][0] == cfg["initial_data"]["parameters"]["values"][0]
+    stats = result.stats
+    assert stats.accepted > 0 and stats.rejected >= 0
+    assert stats.rhs_calls > stats.accepted + stats.rejected
+    assert result.nodes.energy.shape == (stats.accepted + 1,)
+    assert result.nodes.energy_surface.flags.writeable
+
+
+def test_entropy_pair_takes_wrapped_functions():
+    # spans.py counts the entropy evaluations through dataclasses.replace
+    entropy = entropy_functions(ModelParams(n=1.5, delta=0.05, epsilon=0.1, entropy_anchor=2.0))
+
+    def g(s):
+        return entropy.g(s)
+
+    def G(s):
+        return entropy.G(s)
+
+    wrapped = dataclasses.replace(entropy, g=g, G=G)
+    assert (wrapped.g, wrapped.G, wrapped.anchor) == (g, G, entropy.anchor)
+    s = np.array([0.5, 1.0, 1.5])
+    np.testing.assert_array_equal(wrapped.G(s), entropy.G(s))
+
+
+def test_sweep_error_carries_the_partial_report():
+    # perfbench/workloads.py scores a failed sweep from exc.partial_report
+    base = load_config(str(PERFBENCH / "configs" / "eps_sweep.json"))
+    base["model"]["entropy_anchor"] = 0.5  # below the data: the first member fails
+    spec = experiments.SweepSpec(parameter="epsilon", values=(1e-1, 1e-2, 1e-3),
+                                 base_config=base, jobs=1)
+    with pytest.raises(experiments.SweepError) as exc:
+        experiments.run_sweep(spec)
+    report = exc.value.partial_report
+    assert report["members"] == [] and report["complete"] is False

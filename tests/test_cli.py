@@ -8,7 +8,7 @@ import pytest
 
 from capillary1d import experiments
 from capillary1d.basis import synthesize, tables
-from capillary1d.cli import main
+from capillary1d.cli import DEFAULT_SWEEP_VALUES, main
 from capillary1d.config import load_config, resolve_config, run_config
 from capillary1d.model import galerkin_pressure_coeffs
 
@@ -154,6 +154,9 @@ def test_simulate_rejected_data_exit_2(tmp_path, capsys):
                  "rk4 needs a positive finite dt", id="rk4-dt-nan"),
     pytest.param(('integrator.method="rk4"', "integrator.dt=Infinity"),
                  "rk4 needs a positive finite dt", id="rk4-dt-inf"),
+    # rkf45 chooses its own steps: a dt would only sit unread in summary.json
+    ("integrator.dt=-5", "rkf45 chooses its own steps and takes no dt, got -5.0"),
+    ("integrator.dt=NaN", "rkf45 chooses its own steps and takes no dt, got nan"),
 ])
 def test_simulate_bad_value_exit_2(cfgfile, tmp_path, capsys, override, message):
     # rejected up front: never truncated, never left to blow up mid-run
@@ -295,13 +298,47 @@ def test_sweep_fractional_n_exit_2(cfgfile, tmp_path, capsys, monkeypatch):
         raise AssertionError("a member ran")
 
     monkeypatch.setattr(experiments, "_run_member", no_member)
-    rc = main(["sweep", "--config", cfgfile, "--out", str(tmp_path / "sw"),
-               "--param", "N", "--values", "8.5,12,16"])
-    assert rc == 2
+    # the last member's grid (8 * 301 nodes) is refused before the first runs
+    for values, message in (("8.5,12,16", "N must be an integer"),
+                            ("8,16,300", "bad sweep value N=300.0: bad domain section: "
+                                         "grid size oversample*(N+1) = 2408 exceeds 2048")):
+        rc = main(["sweep", "--config", cfgfile, "--out", str(tmp_path / "sw"),
+                   "--param", "N", "--values", values])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError"
+        assert message in record["message"]
+        assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_default_values(cfgfile, tmp_path):
+    # without --values a sweep runs the parameter's default ladder
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfgfile, "--out", str(out), "--param", "eta"]) == 0
+    report = json.loads((out / "sweep_report.json").read_text())
+    assert report["values"] == list(DEFAULT_SWEEP_VALUES["eta"])
+    assert report["complete"]
+
+
+def test_sweep_failed_member_writes_partial_report_exit_3(tmp_path, capsys):
+    # an anchor below the data fails the first member's initial-data check,
+    # which runs with the member: exit 3, with the partial report written
+    cfg = json.loads(json.dumps(BASE))
+    cfg["model"]["entropy_anchor"] = 0.5
+    cfg["diagnostics"] = {"track_entropy": False}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--config", str(p), "--out", str(out), "--param", "eta",
+               "--values", "1.0,0.1,0.01"])
+    assert rc == 3
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"] == "ConfigError"
-    assert "N must be an integer" in record["message"]
-    assert not (tmp_path / "sw").exists()
+    assert record["error"] == "SweepError"
+    report = json.loads((out / "sweep_report.json").read_text())
+    assert report["complete"] is False
+    assert report["members"] == []
+    assert report["failure"].startswith("member eta=1.0 failed: entropy anchor 0.5 must exceed")
+    assert not (out / "sweep_report.csv").exists()
 
 
 def test_sweep_epsilon_deep_gate(cfgfile, tmp_path):

@@ -239,6 +239,36 @@ def test_anchor_violation_aborts():
         simulate(u0, spec, p, d)
 
 
+def test_step_size_underflow_aborts(monkeypatch):
+    # a slope that flips sign from one kernel call to the next is rough at
+    # every step size, so no step meets a tolerance below roundoff and the
+    # controller shrinks dt under DT_MIN instead of stalling
+    true_rhs = kernels.rhs
+    calls = []
+
+    def rough_rhs(c, *args):
+        calls.append(1)
+        c_dot, *rest = true_rhs(c, *args)
+        return (c_dot + (-1.0) ** len(calls), *rest)
+
+    monkeypatch.setattr(kernels, "rhs", rough_rhs)
+    u0 = project(lambda x: 1.0 + 0.5 * (1.0 + np.cos(np.pi * x)), D8)
+    spec = IntegratorSpec(t_end=1e-3, rtol=1e-17, atol=1e-300)
+    with pytest.raises(SimulationAbort, match="step size underflow at t = 0:"):
+        simulate(u0, spec, ModelParams(n=2, delta=0.1, epsilon=0.1), D8)
+
+
+def test_horizon_below_the_end_tolerance_keeps_u0():
+    # t_end under the end tolerance takes no step: the trailing-snapshot loop
+    # fills every snapshot after t = 0 with u0, bit for bit
+    u0 = project(lambda x: 1.0 + 0.5 * (1.0 + np.cos(np.pi * x)), D8)
+    spec = IntegratorSpec(t_end=1e-13, snapshot_times=(0.0, 5e-14, 1e-13))
+    res = simulate(u0, spec, ModelParams(n=2, delta=0.1, epsilon=0.1), D8)
+    assert (res.stats.accepted, res.stats.rejected) == (0, 0)
+    assert [row.tobytes() for row in res.coeffs] == [u0.coeffs.tobytes()] * 3
+    np.testing.assert_array_equal(res.dissipation_cum, 0.0)
+
+
 def test_weak_residual_zero_on_positive_run():
     d = DomainSpec(half_length=1.0, modes=8)
     p = ModelParams(n=2, delta=0.1, epsilon=0.1)
@@ -265,6 +295,9 @@ def test_integrator_spec_validation():
     IntegratorSpec(t_end=1.0, method="rk4", dt=1.0 / MAX_STEPS)
     with pytest.raises(ValueError, match="exceeds MAX_STEPS"):
         IntegratorSpec(t_end=1.0, method="rk4", dt=0.99 / MAX_STEPS)
+    # rkf45 chooses its own steps, so a dt would be a value no run reads
+    with pytest.raises(ValueError, match="rkf45 chooses its own steps and takes no dt"):
+        IntegratorSpec(t_end=1.0, dt=1e-4)
 
 
 def test_dissipation_cumulative_nonnegative_and_increasing():
