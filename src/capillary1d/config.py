@@ -25,6 +25,7 @@ from .galerkin import DEFAULT_R_VALUES, IntegratorSpec, SimulationResult, simula
 from .model import (
     InitialDataError,
     ModelParams,
+    ValidationReport,
     entropy_functions,
     validate_initial_data,
 )
@@ -55,7 +56,6 @@ DEFAULT_CONFIG: dict = {
     "initial_data": {"kind": "cosine_bump", "parameters": {}},
     "diagnostics": {
         "r_values": list(DEFAULT_R_VALUES),
-        "tol_zero": None,
         "holder_probe": False,
         "track_entropy": True,
         "track_weak_residual": False,
@@ -265,10 +265,8 @@ def resolve_config(raw: dict) -> ResolvedConfig:
     for key in ("holder_probe", "track_entropy", "track_weak_residual"):
         if not isinstance(diag[key], bool):
             raise ConfigError(f"diagnostics.{key} must be true or false, got {diag[key]!r}")
-    tol_zero, r_values = diag["tol_zero"], diag["r_values"]
+    r_values = diag["r_values"]
     try:
-        if tol_zero is not None and not 0.0 <= _number(tol_zero, "tol_zero") < math.inf:
-            raise ValueError(f"tol_zero must be null or a finite number >= 0, got {tol_zero!r}")
         if not (isinstance(r_values, (list, tuple))
                 and all(math.isfinite(_number(r, "r_values")) for r in r_values)):
             raise ValueError(f"r_values must be a list of finite numbers, got {r_values!r}")
@@ -285,6 +283,15 @@ def resolve_config(raw: dict) -> ResolvedConfig:
         u0=u0,
         resolved=resolved,
     )
+
+
+def check_initial_data(rc: ResolvedConfig) -> ValidationReport:
+    """validate_initial_data on rc; raises InitialDataError when u0 is not admissible."""
+    report = validate_initial_data(rc.u0, rc.params, rc.domain,
+                                   entropy_required=rc.resolved["diagnostics"]["track_entropy"])
+    if not report.valid:
+        raise InitialDataError("; ".join(report.errors))
+    return report
 
 
 @dataclass
@@ -318,25 +325,21 @@ def run_config(raw: dict) -> RunOutput:
     diag = rc.resolved["diagnostics"]
     track_entropy = diag["track_entropy"]
 
-    report = validate_initial_data(rc.u0, rc.params, rc.domain, entropy_required=track_entropy)
-    if not report.valid:
-        raise InitialDataError("; ".join(report.errors))
+    report = check_initial_data(rc)
     lap("model.validate")
 
     entropy = entropy_functions(rc.params) if track_entropy else None
     lap("model.entropy")
     r_values = tuple(float(r) for r in diag["r_values"])
-    tol_zero = diag["tol_zero"]
-    if tol_zero is None:
-        tol_zero = default_tol_zero(synthesize(rc.u0, rc.domain, order=0).u)
+    tol_zero = default_tol_zero(synthesize(rc.u0, rc.domain, order=0).u)
     result = simulate(
         rc.u0, rc.spec, rc.params, rc.domain,
         r_values=r_values,
         track_weak_residual=diag["track_weak_residual"],
-        tol_zero=float(tol_zero),
+        tol_zero=tol_zero,
     )
     lap("galerkin.integrate")
-    records = trajectory_records(result, entropy=entropy, tol_zero=float(tol_zero))
+    records = trajectory_records(result, entropy=entropy, tol_zero=tol_zero)
     lap("diagnostics.records")
     probe = holder_probe(result) if diag["holder_probe"] else None
     lap("diagnostics.probe")

@@ -68,8 +68,8 @@ def snapshot_diagnostics(c: SpectralField, params: ModelParams, domain: DomainSp
                          tol_zero: float | None = None) -> DiagnosticsRecord:
     """Instantaneous fields of the record (cumulative ones filled by caller).
 
-    Aborts when the entropy anchor is violated (sup u >= a) since G is only
-    defined below the anchor.
+    Aborts when the entropy anchor is violated (sup|u| >= a) since G is only
+    defined on (-a, a).
     """
     fld = synthesize(c, domain, order=2)
     if tol_zero is None:
@@ -77,9 +77,9 @@ def snapshot_diagnostics(c: SpectralField, params: ModelParams, domain: DomainSp
 
     ent = float("nan")
     if entropy is not None:
-        if float(fld.u.max()) >= entropy.anchor:
+        if float(np.abs(fld.u).max()) >= entropy.anchor:
             raise SimulationAbort(
-                f"entropy anchor violated in diagnostics: sup u = {fld.u.max():.6g}"
+                f"entropy anchor violated in diagnostics: sup|u| = {np.abs(fld.u).max():.6g}"
                 f" >= a = {entropy.anchor:.6g}")
         ent = entropy_integral(fld.u, entropy, domain)
 

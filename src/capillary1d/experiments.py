@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import evaluate, synthesize, tables
-from .config import ConfigError, RunOutput, _integer, resolve_config, run_config
+from .config import ConfigError, RunOutput, _integer, check_initial_data, resolve_config, run_config
 from .diagnostics import positivity_report
 from .model import InitialDataError
 
@@ -64,8 +64,8 @@ def _member_config(spec: SweepSpec, value) -> dict:
             cfg.setdefault("domain", {})["N"] = _integer(value, "N")
         else:
             cfg.setdefault("model", {})[spec.parameter] = float(value)
-        resolve_config(cfg)
-    except ValueError as exc:  # a ConfigError included
+        check_initial_data(resolve_config(cfg))
+    except ValueError as exc:  # a ConfigError or an InitialDataError included
         raise ConfigError(f"bad sweep value {spec.parameter}={value}: {exc}") from exc
     return cfg
 
@@ -126,10 +126,10 @@ def _plateau_verdict(values: list) -> str:
 def run_sweep(spec: SweepSpec) -> dict:
     """One simulation per value; maxima, Cauchy trend, and verdicts.
 
-    Every member's config is resolved before the first member runs, so bad
-    input is a ConfigError.  Members run concurrently when jobs > 1; assembly
-    happens after a join in submission order, so reports are deterministic
-    for a fixed spec + seed.
+    Every member's config is resolved, and its initial data checked, before
+    the first member runs, so bad input is a ConfigError.  Members run
+    concurrently when jobs > 1; assembly happens after a join in submission
+    order, so reports are deterministic for a fixed spec + seed.
     """
     configs = [_member_config(spec, v) for v in spec.values]
     members: list[dict] = []

@@ -66,7 +66,8 @@ class IntegratorSpec:
     """Time-stepping description.
 
     "rkf45" is adaptive with (rtol, atol) controlling the local error of the
-    coefficient vector in the max norm, and takes no dt; "rk4" is fixed-step
+    coefficient vector in the max norm, with rtol no smaller than machine
+    epsilon, and takes no dt; "rk4" is fixed-step
     with dt, and t_end/dt may not exceed MAX_STEPS.
     Explicit methods need dt = O(lambda_N^-2) on the stiff linearized system;
     the controller finds that scale by rejecting steps whose error grows.
@@ -90,9 +91,11 @@ class IntegratorSpec:
         if self.method == "rk4" and self.t_end / self.dt > MAX_STEPS:
             raise ValueError(f"rk4 with t_end/dt = {self.t_end / self.dt:.3g} steps "
                              f"exceeds MAX_STEPS = {MAX_STEPS}")
-        if self.method == "rkf45" and not (0.0 < self.rtol < 1.0
+        # no step can meet a relative tolerance below roundoff
+        if self.method == "rkf45" and not (np.finfo(float).eps <= self.rtol < 1.0
                                            and 0.0 < self.atol < float("inf")):
-            raise ValueError("rkf45 needs 0 < rtol < 1 and a positive finite atol")
+            raise ValueError(f"rkf45 needs {np.finfo(float).eps:.3g} <= rtol < 1"
+                             " and a positive finite atol")
         if self.method == "rkf45" and self.dt is not None:
             raise ValueError(f"rkf45 chooses its own steps and takes no dt, got {self.dt}")
         for s in self.snapshot_times:

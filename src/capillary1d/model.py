@@ -9,7 +9,6 @@ constant 1, so the bare mobility is exactly |s|^n.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -59,6 +58,9 @@ class ModelParams:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        if 0.0 < self.epsilon < 1e-300:
+            # the entropy table's first node (1e-6 eps)^(1/n) must be a normal float
+            raise ValueError(f"epsilon must be 0 or at least 1e-300, got {self.epsilon}")
         if self.pressure_mode not in PRESSURE_MODES:
             raise ValueError(f"pressure_mode must be one of {PRESSURE_MODES}")
         if self.mobility_mode not in MOBILITY_MODES:
@@ -120,18 +122,21 @@ def pressure_coeffs(ux: np.ndarray, Q: np.ndarray, t: BasisTables,
 # with m_eps(r) = |r|^n + eps (the eta cap never enters the entropy).
 # Fubini collapses G to the single integral int_s^a (r - s)/m_eps(r) dr.
 #
-# Without a closed form, _TABLE_SIZE geometric nodes s_i from a*_TABLE_FLOOR
-# to a carry B_i = int_{s_i}^a 1/m and G_i = G(s_i), summed backwards from
-# the anchor (B = G = 0 at s = a) over 8-point Gauss-Legendre panels:
+# For eps > 0 (n = 2 aside, which has arctan/log primitives) _TABLE_SIZE
+# geometric nodes s_i from s_0 to a carry B_i = int_{s_i}^a 1/m and
+# G_i = G(s_i), summed backwards from the anchor (B = G = 0 at s = a) over
+# 8-point Gauss-Legendre panels:
 #   B_i = B_{i+1} + int_{s_i}^{s_{i+1}} 1/m
 #   G_i = G_{i+1} + (s_{i+1} - s_i) B_{i+1} + int_{s_i}^{s_{i+1}} (r - s_i)/m
-# Every term is positive, so nothing cancels near the anchor.  A value s
-# inside the table adds one more panel [s, s_j] to its next node s_j >= s,
-# by the same recursions; s < 0 with |s| in the table reflects through 0
-# (m is even), and only the remaining values go to adaptive quadrature.
+# Every term is positive, so nothing cancels near the anchor.  A value s adds
+# one more panel [|s|, s_j] to its next node s_j >= |s|, by the same
+# recursions.  s_0 = min(a*_TABLE_FLOOR, (1e-6 eps)^(1/n)) keeps m within a
+# relative 1e-6 of eps on [0, s_0], so that single panel is exact to
+# roundoff for every |s| < s_0, and it also gives B_0 = int_0^a 1/m, through
+# which s < 0 reflects (m is even).
 
 _TABLE_SIZE = 4096
-_TABLE_FLOOR = 1e-9  # table covers s in [a*_TABLE_FLOOR, a]
+_TABLE_FLOOR = 1e-9  # the first node is at most a*_TABLE_FLOOR
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
@@ -141,7 +146,6 @@ class EntropyEval:
 
     g: Callable[[np.ndarray], np.ndarray]
     G: Callable[[np.ndarray], np.ndarray]
-    closed_form: bool
     anchor: float
 
 
@@ -177,33 +181,6 @@ def _entropy_closed_eps0(n: float, a: float):
     return g, G
 
 
-def _entropy_closed_n1(eps: float, a: float):
-    # m(r) = |r| + eps; piecewise primitives glued continuously at 0
-    def Phi(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r >= 0.0,
-                        np.log(np.maximum(r, 0.0) + eps),
-                        2.0 * np.log(eps) - np.log(eps - np.minimum(r, 0.0)))
-
-    def Psi(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r >= 0.0,
-                        r - eps * np.log(np.maximum(r, 0.0) + eps),
-                        -r - eps * np.log(eps - np.minimum(r, 0.0)))
-
-    Phia = float(Phi(np.array(a)))
-    Psia = float(Psi(np.array(a)))
-
-    def g(s):
-        return Phi(s) - Phia
-
-    def G(s):
-        s = np.asarray(s, dtype=float)
-        return (Psia - Psi(s)) + s * g(s)
-
-    return g, G
-
-
 def _entropy_closed_n2(eps: float, a: float):
     # m(r) = r^2 + eps
     rt = math.sqrt(eps)
@@ -223,13 +200,6 @@ def _entropy_closed_n2(eps: float, a: float):
     return g, G
 
 
-def _adaptive_quad(f, lo, hi, **kwargs):
-    """scipy.integrate.quad, imported on first use: it dominates the import time."""
-    from scipy.integrate import quad
-
-    return quad(f, lo, hi, **kwargs)
-
-
 def _panels(lo, hi, m):
     """int_lo^hi 1/m and int_lo^hi (r - lo)/m per panel, 8-point Gauss-Legendre."""
     half = 0.5 * (hi - lo)
@@ -247,33 +217,19 @@ def _entropy_numeric(n: float, eps: float, a: float):
     def m(r):
         return np.abs(r) ** n + eps
 
-    def g_scalar(s):
-        val, _ = _adaptive_quad(lambda r: 1.0 / m(r), s, a, epsabs=1e-12, epsrel=1e-12, limit=400)
-        return -val
-
-    def G_scalar(s):
-        val, _ = _adaptive_quad(lambda r: (r - s) / m(r), s, a, epsabs=1e-12, epsrel=1e-12, limit=400)
-        return val
-
-    nodes = np.geomspace(a * _TABLE_FLOOR, a, _TABLE_SIZE)
+    nodes = np.geomspace(min(a * _TABLE_FLOOR, (1e-6 * eps) ** (1.0 / n)), a, _TABLE_SIZE)
     B_panel, L_panel = _panels(nodes[:-1], nodes[1:], m)
     B = np.zeros(_TABLE_SIZE)
     B[:-1] = np.cumsum(B_panel[::-1])[::-1]
     G_nodes = np.zeros(_TABLE_SIZE)
     G_nodes[:-1] = np.cumsum((L_panel + (nodes[1:] - nodes[:-1]) * B[1:])[::-1])[::-1]
-
-    @functools.cache
-    def zero_to_anchor():
-        """int_0^a 1/m: the table's int_{s_0}^a plus [0, s_0] by quadrature."""
-        val, _ = _adaptive_quad(lambda r: 1.0 / m(r), 0.0, nodes[0],
-                                epsabs=1e-12, epsrel=1e-12, limit=400)
-        return B[0] + val
+    B_0 = B[0] + _panels(0.0, nodes[0], m)[0]  # int_0^a 1/m
 
     def tail(s):
-        """(int_s^a 1/m, G(s)) for |s| in the table: node s_j >= |s| plus the panel [|s|, s_j].
+        """(int_s^a 1/m, G(s)) from the node s_j >= |s| plus the panel [|s|, s_j].
 
         s < 0 reflects through 0, where m is even: int_s^a 1/m = 2 B_0 - int_|s|^a 1/m
-        and G(s) = G(|s|) + 2 |s| B_0 with B_0 = int_0^a 1/m.
+        and G(s) = G(|s|) + 2 |s| B_0.
         """
         x = np.abs(s)
         j = np.searchsorted(nodes, x)
@@ -282,30 +238,22 @@ def _entropy_numeric(n: float, eps: float, a: float):
         inv = B[j] + B_x
         G = G_nodes[j] + (sj - x) * B[j] + L_x
         neg = s < 0.0
-        if np.any(neg):
-            B_0 = zero_to_anchor()
-            inv[neg] = 2.0 * B_0 - inv[neg]
-            G[neg] += 2.0 * x[neg] * B_0
+        inv[neg] = 2.0 * B_0 - inv[neg]
+        G[neg] += 2.0 * x[neg] * B_0
         return inv, G
 
-    def evaluate(s, pick, scalar):
+    def evaluate(s, pick):
         s = np.asarray(s, dtype=float)
         flat = np.atleast_1d(s)
-        out = np.empty(flat.shape)
-        size = np.abs(flat)
-        inside = (size >= nodes[0]) & (size <= a)
-        if np.any(inside):
-            out[inside] = pick(*tail(flat[inside]))
-        rest = ~inside
-        if np.any(rest):
-            out[rest] = [scalar(v) for v in flat[rest]]
-        return out.reshape(s.shape)
+        if not np.all(np.abs(flat) <= a):
+            raise ValueError(f"entropy pair evaluated outside [-a, a] with a = {a}")
+        return pick(*tail(flat)).reshape(s.shape)
 
     def g(s):
-        return evaluate(s, lambda inv, G: -inv, g_scalar)
+        return evaluate(s, lambda inv, G: -inv)
 
     def G(s):
-        return evaluate(s, lambda inv, G: G, G_scalar)
+        return evaluate(s, lambda inv, G: G)
 
     return g, G
 
@@ -313,30 +261,26 @@ def _entropy_numeric(n: float, eps: float, a: float):
 def entropy_functions(params: ModelParams) -> EntropyEval:
     """Build the entropy pair for params (anchor must be set).
 
-    Closed forms: any n with eps = 0 (power/log primitives), and n in {1, 2}
-    with eps > 0.  Everything else uses a node table of int_s^a 1/m and G
-    on [a*_TABLE_FLOOR, a], summed from 8-point Gauss-Legendre panels; g and
-    G at s add one more panel from s to the next node, which keeps them at
-    roundoff accuracy.  s < 0 reflects through 0, and only |s| outside the
-    table uses adaptive quadrature.  With eps = 0, evaluation at s <= 0
-    returns the +/-inf sentinel instead of raising; the blow-up is exactly
-    what the nonnegativity argument rests on.
+    Closed forms for eps = 0 (power/log primitives, any n) and for n = 2
+    with eps > 0 (arctan/log).  Every other eps > 0 uses the node table of
+    int_s^a 1/m and G summed from 8-point Gauss-Legendre panels; g and G at
+    s add one more panel from |s| to the next node, which keeps them at
+    roundoff accuracy, and s < 0 reflects through 0.  The table refuses
+    |s| > a with a ValueError.  With eps = 0, evaluation at s <= 0 returns
+    the +/-inf sentinel instead of raising; the blow-up is exactly what the
+    nonnegativity argument rests on.
     """
     a = params.entropy_anchor
     if a is None or not np.isfinite(a) or a <= 0:
         raise ValueError(f"entropy anchor must be positive and finite, got {a}")
     n, eps = params.n, params.epsilon
-    closed = True
     if eps == 0.0:
         g, G = _entropy_closed_eps0(n, a)
-    elif n == 1.0:
-        g, G = _entropy_closed_n1(eps, a)
     elif n == 2.0:
         g, G = _entropy_closed_n2(eps, a)
     else:
         g, G = _entropy_numeric(n, eps, a)
-        closed = False
-    return EntropyEval(g=g, G=G, closed_form=closed, anchor=a)
+    return EntropyEval(g=g, G=G, anchor=a)
 
 
 def entropy_integral(u_grid: np.ndarray, entropy: EntropyEval, domain: DomainSpec) -> float:

@@ -94,10 +94,16 @@ def test_entropy_pair_takes_wrapped_functions():
     np.testing.assert_array_equal(wrapped.G(s), entropy.G(s))
 
 
-def test_sweep_error_carries_the_partial_report():
+def test_sweep_error_carries_the_partial_report(monkeypatch):
     # perfbench/workloads.py scores a failed sweep from exc.partial_report
     base = load_config(str(PERFBENCH / "configs" / "eps_sweep.json"))
-    base["model"]["entropy_anchor"] = 0.5  # below the data: the first member fails
+    true_rhs = kernels.rhs
+
+    def nan_rhs(c, *args):  # every member's first slope is non-finite
+        c_dot, *rest = true_rhs(c, *args)
+        return (c_dot * np.nan, *rest)
+
+    monkeypatch.setattr(kernels, "rhs", nan_rhs)
     spec = experiments.SweepSpec(parameter="epsilon", values=(1e-1, 1e-2, 1e-3),
                                  base_config=base, jobs=1)
     with pytest.raises(experiments.SweepError) as exc:

@@ -1,8 +1,10 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 
+from capillary1d import kernels
 from capillary1d.config import ConfigError
 from capillary1d.experiments import (
     SweepError,
@@ -77,17 +79,23 @@ def test_delta_sweep_uniform_verdict_logic():
         and report["verdicts"]["y_max_below_one"])
 
 
-def test_sweep_partial_report_on_failure():
-    bad = copy.deepcopy(TINY)
-    # an anchor below the data forces an abort in every member
-    bad["model"]["entropy_anchor"] = 0.5
-    bad["diagnostics"] = {"track_entropy": False}
-    spec = SweepSpec(parameter="eta", values=(1.0, 0.1, 0.01), base_config=bad)
+def test_sweep_partial_report_on_failure(monkeypatch):
+    # a non-finite slope aborts the last member at run time
+    true_rhs = kernels.rhs
+
+    def nan_rhs(c, t, params, *args):
+        c_dot, *rest = true_rhs(c, t, params, *args)
+        return (c_dot * np.nan if params.eta == 0.01 else c_dot, *rest)
+
+    monkeypatch.setattr(kernels, "rhs", nan_rhs)
+    spec = SweepSpec(parameter="eta", values=(1.0, 0.1, 0.01), base_config=TINY)
     with pytest.raises(SweepError) as err:
         run_sweep(spec)
     partial = err.value.partial_report
     assert not partial["complete"]
     assert "failure" in partial
+    assert len(partial["members"]) == 2
+
 
 
 def test_n_sweep_cauchy_decreasing():

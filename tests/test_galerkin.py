@@ -253,7 +253,7 @@ def test_step_size_underflow_aborts(monkeypatch):
 
     monkeypatch.setattr(kernels, "rhs", rough_rhs)
     u0 = project(lambda x: 1.0 + 0.5 * (1.0 + np.cos(np.pi * x)), D8)
-    spec = IntegratorSpec(t_end=1e-3, rtol=1e-17, atol=1e-300)
+    spec = IntegratorSpec(t_end=1e-3, rtol=np.finfo(float).eps, atol=1e-300)
     with pytest.raises(SimulationAbort, match="step size underflow at t = 0:"):
         simulate(u0, spec, ModelParams(n=2, delta=0.1, epsilon=0.1), D8)
 
