@@ -153,6 +153,18 @@ def tables(domain: DomainSpec) -> BasisTables:
     )
 
 
+def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for one vector x of shape (n,), or for every row of a stack (B, n).
+
+    A stack takes one gemv per member with np.dot's arguments, so each row
+    is bit-identical to np.dot(A, row); one gemm over the stack,
+    np.dot(A, x.T), would sum in another order and move the last bits.
+    """
+    if x.ndim == 1:
+        return np.dot(A, x)
+    return np.matmul(A, x[..., None])[..., 0]
+
+
 def quadrature(values: np.ndarray, domain: DomainSpec) -> float:
     """Integral of grid samples over (-l, l) under the module rule."""
     values = np.asarray(values, dtype=float)

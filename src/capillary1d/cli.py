@@ -29,7 +29,7 @@ from .config import (
     load_config,
     run_config,
 )
-from .diagnostics import energy_identity_residual, mass_drift, slope_threshold
+from .diagnostics import energy_identity_residual, mass_drift, run_seed, slope_threshold
 from .experiments import (
     SWEEP_PARAMETERS,
     SweepError,
@@ -292,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a regularization-parameter or N sweep")
     common(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for the members")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, one member each; 1 (the default) steps the "
+                        "members of an eta, epsilon or delta sweep together in this process")
     p.add_argument("--deep", action="store_true",
                    help="allow expensive settings (epsilon < 1e-3)")
     p.add_argument("--param", required=True, choices=SWEEP_PARAMETERS)
@@ -317,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        run_seed()  # a bad CAPILLARY1D_SEED is refused before any run
         return args.func(args)
     except (ConfigError, InitialDataError) as exc:
         return _emit_error(exc, 2)

@@ -20,9 +20,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import DomainSpec, SpectralField, project, synthesize
-from .diagnostics import DiagnosticsRecord, default_tol_zero, holder_probe, trajectory_records
-from .galerkin import DEFAULT_R_VALUES, IntegratorSpec, SimulationResult, simulate
+from .diagnostics import (
+    DiagnosticsRecord,
+    default_tol_zero,
+    holder_probe,
+    trajectory_records,
+)
+from .galerkin import (
+    DEFAULT_R_VALUES,
+    IntegratorSpec,
+    SimulationResult,
+    simulate,
+    simulate_stack,
+)
 from .model import (
+    ConfigError,
     InitialDataError,
     ModelParams,
     ValidationReport,
@@ -69,10 +81,6 @@ INITIAL_DATA_KINDS = {
     "droplet": {"floor": 1e-6, "amplitude": 1.0, "power": 3},
     "coeffs": {"values": []},
 }
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent configuration."""
 
 
 def load_config(path: str) -> dict:
@@ -307,48 +315,105 @@ class RunOutput:
     timings: dict[str, float] = field(default_factory=dict)
 
 
+# the model keys in which the configs of one run_configs stack may differ
+STACK_KEYS = ("delta", "epsilon", "eta", "entropy_anchor")
+
+
 def run_config(raw: dict) -> RunOutput:
     """Validate, simulate and attach diagnostics for one configuration."""
-    timings: dict[str, float] = {}
+    outputs, failure = run_configs([raw])
+    if failure is not None:
+        raise failure
+    return outputs[0]
+
+
+def run_configs(raws: list[dict]) -> tuple[list[RunOutput], Exception | None]:
+    """run_config on each of raws in order, their integrations stepped as one stack.
+
+    The configs may differ in the model keys STACK_KEYS only (ValueError
+    otherwise).  One config runs through galerkin.simulate, several through
+    galerkin.simulate_stack, and every output is bit-identical to run_config
+    on its config alone; a stack member's galerkin.integrate timing is the
+    whole stack's.  Returns (outputs, failure) as if the configs had run one
+    after another: the outputs of the configs before the first one that
+    raised in any phase, and that exception (None when every config ran).
+    """
+    timings = [{} for _ in raws]
     mark = time.perf_counter()
 
-    def lap(phase: str) -> None:
-        # a phase runs from the end of the previous one, so the phases add
-        # up to the whole call
+    def lap(i: int, phase: str) -> None:
+        # a phase runs from the end of the previous one, so one config's
+        # phases add up to its whole call
         nonlocal mark
         now = time.perf_counter()
-        timings[phase] = now - mark
+        timings[i][phase] = now - mark
         mark = now
 
-    rc = resolve_config(raw)
-    lap("config.resolve")
-    diag = rc.resolved["diagnostics"]
-    track_entropy = diag["track_entropy"]
+    prepared = []  # (rc, validation report, entropy pair, tol_zero) per config
+    failure = None
+    for i, raw in enumerate(raws):
+        try:
+            rc = resolve_config(raw)
+            lap(i, "config.resolve")
+            report = check_initial_data(rc)
+            lap(i, "model.validate")
+            track_entropy = rc.resolved["diagnostics"]["track_entropy"]
+            entropy = entropy_functions(rc.params) if track_entropy else None
+            lap(i, "model.entropy")
+        except Exception as exc:  # this config fails; the later ones never run
+            failure = exc
+            break
+        prepared.append((rc, report, entropy,
+                         default_tol_zero(synthesize(rc.u0, rc.domain, order=0).u)))
+    if not prepared:
+        return [], failure
 
-    report = check_initial_data(rc)
-    lap("model.validate")
+    def shared(rc):
+        cfg = copy.deepcopy(rc.resolved)
+        for key in STACK_KEYS:
+            del cfg["model"][key]
+        return cfg
 
-    entropy = entropy_functions(rc.params) if track_entropy else None
-    lap("model.entropy")
+    rc0 = prepared[0][0]
+    if any(shared(rc) != shared(rc0) for rc, *_ in prepared[1:]):
+        raise ValueError(f"configs of one stack may differ in model.{STACK_KEYS} only")
+    diag = rc0.resolved["diagnostics"]
     r_values = tuple(float(r) for r in diag["r_values"])
-    tol_zero = default_tol_zero(synthesize(rc.u0, rc.domain, order=0).u)
-    result = simulate(
-        rc.u0, rc.spec, rc.params, rc.domain,
-        r_values=r_values,
-        track_weak_residual=diag["track_weak_residual"],
-        tol_zero=tol_zero,
-    )
-    lap("galerkin.integrate")
-    records = trajectory_records(result, entropy=entropy, tol_zero=tol_zero)
-    lap("diagnostics.records")
-    probe = holder_probe(result) if diag["holder_probe"] else None
-    lap("diagnostics.probe")
-    return RunOutput(
-        config=rc,
-        result=result,
-        records=records,
-        entropy_tracked=track_entropy,
-        validation_warnings=report.warnings,
-        probe=probe,
-        timings=timings,
-    )
+    if len(prepared) == 1:
+        try:
+            results = [simulate(rc0.u0, rc0.spec, rc0.params, rc0.domain, r_values=r_values,
+                                track_weak_residual=diag["track_weak_residual"],
+                                tol_zero=prepared[0][3])]
+        except Exception as exc:
+            results, failure = [], exc
+    else:
+        results, abort = simulate_stack(
+            [rc.u0 for rc, *_ in prepared], rc0.spec, [rc.params for rc, *_ in prepared],
+            rc0.domain, r_values=r_values, track_weak_residual=diag["track_weak_residual"],
+            tol_zero=[tol_zero for *_, tol_zero in prepared])
+        if abort is not None:  # from a config before the one that failed, if any
+            failure = abort
+    elapsed = time.perf_counter() - mark
+    mark += elapsed
+    for t in timings[:len(results)]:
+        t["galerkin.integrate"] = elapsed
+
+    outputs = []
+    for i, ((rc, report, entropy, tol_zero), result) in enumerate(zip(prepared, results)):
+        try:
+            records = trajectory_records(result, entropy=entropy, tol_zero=tol_zero)
+            lap(i, "diagnostics.records")
+            probe = holder_probe(result) if rc.resolved["diagnostics"]["holder_probe"] else None
+            lap(i, "diagnostics.probe")
+        except Exception as exc:
+            return outputs, exc
+        outputs.append(RunOutput(
+            config=rc,
+            result=result,
+            records=records,
+            entropy_tracked=entropy is not None,
+            validation_warnings=report.warnings,
+            probe=probe,
+            timings=timings[i],
+        ))
+    return outputs, failure

@@ -32,6 +32,7 @@ from .galerkin import SimulationAbort, SimulationResult, rhs_output
 from .model import (
     DEFAULT_TOL_NEG_REL,
     DEFAULT_TOL_ZERO_REL,
+    ConfigError,
     EntropyEval,
     ModelParams,
     entropy_integral,
@@ -248,6 +249,18 @@ def _loglog_fit(dx: np.ndarray, dy: np.ndarray) -> tuple[float, float]:
     return float(slope), float(np.exp(intercept))
 
 
+def run_seed() -> int:
+    """CAPILLARY1D_SEED (0 when unset), refused unless a non-negative integer."""
+    raw = os.environ.get("CAPILLARY1D_SEED", "0")
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ConfigError(f"CAPILLARY1D_SEED must be a non-negative integer, got {raw!r}")
+    return seed
+
+
 def holder_probe(result: SimulationResult) -> HolderProbe:
     """Least-squares Hoelder exponents/constants from snapshot pairs.
 
@@ -260,7 +273,7 @@ def holder_probe(result: SimulationResult) -> HolderProbe:
     times = result.snapshot_times
     if times.size < 3:
         return HolderProbe(np.nan, np.nan, np.nan, np.nan, 0, False, "needs >= 3 snapshots")
-    rng = np.random.default_rng(int(os.environ.get("CAPILLARY1D_SEED", "0")))
+    rng = np.random.default_rng(run_seed())
     t = tables(result.domain)
     G = t.x.size
     locs = np.sort(rng.choice(G, size=min(HOLDER_LOCATIONS, G), replace=False))

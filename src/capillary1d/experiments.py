@@ -13,15 +13,23 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import evaluate, synthesize, tables
-from .config import ConfigError, RunOutput, _integer, check_initial_data, resolve_config, run_config
-from .diagnostics import positivity_report
+from .config import (
+    STACK_KEYS,
+    ConfigError,
+    RunOutput,
+    _integer,
+    check_initial_data,
+    resolve_config,
+    run_config,
+    run_configs,
+)
+from .diagnostics import positivity_report, run_seed
 from .model import InitialDataError
 
 PLATEAU_FACTOR = 2.0
@@ -50,6 +58,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.parameter not in SWEEP_PARAMETERS:
             raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}")
+        if isinstance(self.jobs, bool) or not isinstance(self.jobs, int) or self.jobs < 1:
+            raise ConfigError(f"sweep jobs must be a positive integer, got {self.jobs!r}")
         if len(self.values) < 3:
             raise ConfigError("sweep needs at least 3 values")
         diffs = np.diff(np.asarray(self.values, dtype=float))
@@ -81,11 +91,9 @@ def _comparison_samples(out: RunOutput) -> np.ndarray:
     ])
 
 
-def _run_member(cfg: dict) -> dict:
-    """Worker entry point (top-level for process pools)."""
-    out = run_config(cfg)
+def _member_summary(out: RunOutput) -> dict:
     recs = out.records
-    member = {
+    return {
         "config": out.config.resolved,
         "flags": out.result.flags,
         "steps_accepted": out.result.stats.accepted,
@@ -102,7 +110,22 @@ def _run_member(cfg: dict) -> dict:
         "_samples": _comparison_samples(out),
         "_times": out.result.snapshot_times,
     }
-    return member
+
+
+def _run_member(cfgs: list[dict]) -> tuple[list[dict], Exception | None]:
+    """Worker entry point (top-level for process pools): one stack of members.
+
+    Returns the summaries of the members before the first one that failed,
+    in any phase, and that member's exception (None when all of them ran).
+    """
+    outputs, failure = run_configs(cfgs)
+    members = []
+    try:
+        for out in outputs:
+            members.append(_member_summary(out))
+    except Exception as exc:  # this member fails; the later ones are dropped
+        failure = exc
+    return members, failure
 
 
 def _l2_spacetime_difference(times: np.ndarray, ua: np.ndarray, ub: np.ndarray,
@@ -126,20 +149,31 @@ def _plateau_verdict(values: list) -> str:
 def run_sweep(spec: SweepSpec) -> dict:
     """One simulation per value; maxima, Cauchy trend, and verdicts.
 
-    Every member's config is resolved, and its initial data checked, before
-    the first member runs, so bad input is a ConfigError.  Members run
-    concurrently when jobs > 1; assembly happens after a join in submission
-    order, so reports are deterministic for a fixed spec + seed.
+    Every member's config is resolved, its initial data checked, and
+    CAPILLARY1D_SEED read before the first member runs, so bad input is a
+    ConfigError.  With jobs = 1 the members of an eta, epsilon or delta
+    sweep step together as one stack (config.run_configs), bit-identical to
+    running them one at a time; an N sweep runs its members one by one.
+    jobs > 1 runs one member per worker process.  A failed member ends the
+    sweep with the members before it, as a serial run would.  Reports are
+    deterministic for a fixed spec + seed.
     """
+    seed = run_seed()
     configs = [_member_config(spec, v) for v in spec.values]
+    stacks = ([configs] if spec.jobs == 1 and spec.parameter in STACK_KEYS
+              else [[cfg] for cfg in configs])
     members: list[dict] = []
-    failure = None
+    error = None
     with ProcessPoolExecutor(spec.jobs) if spec.jobs > 1 else contextlib.nullcontext() as pool:
         try:
-            for member in (map if pool is None else pool.map)(_run_member, configs):
-                members.append(member)
-        except Exception as exc:  # partial report on member failure
-            failure = f"member {spec.parameter}={spec.values[len(members)]} failed: {exc}"
+            for done, error in (map if pool is None else pool.map)(_run_member, stacks):
+                members += done
+                if error is not None:  # partial report on member failure
+                    break
+        except Exception as exc:  # a worker process that could not return its member
+            error = exc
+    failure = (None if error is None
+               else f"member {spec.parameter}={spec.values[len(members)]} failed: {error}")
 
     half_length = float(members[0]["config"]["domain"]["l"]) if members else 0.0
     cauchy = []
@@ -166,7 +200,7 @@ def run_sweep(spec: SweepSpec) -> dict:
         "kind": "sweep",
         "parameter": spec.parameter,
         "values": values_done,
-        "seed": int(os.environ.get("CAPILLARY1D_SEED", "0")),
+        "seed": seed,
         "members": members,
         "cauchy_l2_differences": cauchy,
         "cauchy_trend": cauchy_trend if cauchy else "n/a",

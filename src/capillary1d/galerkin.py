@@ -7,8 +7,20 @@ algebraically identical to the eliminated double-sum form because the
 pressure lives in the Galerkin space.  Component 0 of dc/dt is identically
 zero (e_0' = 0), so mass is conserved to the last bit by every integrator.
 
-simulate is the one stepping loop, for both RKF45 (adaptive) and RK4
-(fixed step); every stage calls kernels.rhs.  A step is a row update
+simulate_stack holds the one stepping loop, for both RKF45 (adaptive) and
+RK4 (fixed step); every stage calls kernels.rhs.  It steps one member, for
+simulate, or a stack of B members whose parameters differ in delta,
+epsilon and eta only, and its arrays carry a leading member shape: () for
+one member, so a run by itself makes the same numpy calls on 1-D arrays,
+and (B,) for a stack, which makes one kernel call per stage for all B.
+Each member keeps its own dt, accept/reject decision, snapshots, anchor
+check and StepStats; the step-size control runs on Python floats, member by
+member, since numpy's array power can differ from Python's ** in the last
+bit.  The kernel acts row by row, so a member's output in a stack is
+bit-identical to its run alone.  A step that stands for some members only
+still makes one call at the accepted states: the others' rows go back to
+their last accepted states, whose slopes the call gives again bit for bit.
+A step is a row update
 (Hairer, Norsett & Wanner, Solving ODEs I, II.1) on one buffer per run:
 its rows hold the stage inputs, then the propagated and (RKF45) the
 embedded solution.  Each step sets every row to c and adds each slope to
@@ -36,13 +48,13 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .basis import BasisTables, DomainSpec, SpectralField, tables
-from .model import DEFAULT_TOL_ZERO_REL, ModelParams
+from .basis import DomainSpec, SpectralField, tables
+from .model import DEFAULT_TOL_ZERO_REL, ModelParams, stacked_params
 
 DT_MIN = 1e-12
 # accepted plus rejected steps of one run: about 50x the longest verify run
@@ -147,19 +159,13 @@ class SimulationResult:
         return SpectralField(self.coeffs[i].copy())
 
 
-def _checked_rhs(c: np.ndarray, t: BasisTables, params: ModelParams,
-                 r_values: np.ndarray) -> tuple:
-    """kernels.rhs with all of aux, looked up at call time, its c_dot refused if non-finite."""
-    out = kernels.rhs(c, t, params, r_values)
+def rhs_output(c: SpectralField, params: ModelParams, domain: DomainSpec) -> tuple:
+    """One kernels.rhs call at c: (c_dot, d, u, flux, aux), refused if non-finite."""
+    out = kernels.rhs(np.ascontiguousarray(c.coeffs), tables(domain), params,
+                      np.asarray(DEFAULT_R_VALUES))
     if not np.isfinite(out[0]).all():
         raise SimulationAbort("non-finite right-hand side")
     return out
-
-
-def rhs_output(c: SpectralField, params: ModelParams, domain: DomainSpec) -> tuple:
-    """One kernels.rhs call at c: (c_dot, d, u, flux, aux), refused if non-finite."""
-    return _checked_rhs(np.ascontiguousarray(c.coeffs), tables(domain), params,
-                        np.asarray(DEFAULT_R_VALUES))
 
 
 # explicit tableaux (A rows, propagated weights b, embedded weights or None);
@@ -192,6 +198,33 @@ def _hermite(theta: float, y0, d0, y1, d1, h: float):
             + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * h * d1)
 
 
+@dataclass(eq=False, slots=True)
+class _Member:
+    """One member of a run: its parameters, its step control and its outputs.
+
+    c, k1, aux1 and q are the member's rows at its last accepted state; the
+    step-size control reads only the Python floats t, dt, dt_next and c_max.
+    """
+
+    index: int
+    params: ModelParams
+    tol_zero: float
+    snap_c: np.ndarray
+    snap_q: np.ndarray
+    stats: StepStats = field(default_factory=StepStats)
+    c: np.ndarray | None = None
+    k1: np.ndarray | None = None
+    aux1: np.ndarray | None = None
+    q: np.ndarray | None = None
+    t: float = 0.0
+    dt: float = 0.0
+    dt_next: float = 0.0
+    c_max: float = 0.0
+    isnap: int = 0
+    # the node series: lists of t, E_surface, E_delta, q and the weak residual
+    nodes: tuple = field(default_factory=lambda: ([], [], [], [], []))
+
+
 def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
              domain: DomainSpec, r_values=DEFAULT_R_VALUES,
              track_weak_residual: bool = False,
@@ -202,190 +235,283 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
     accepted step: sup|u| >= a aborts the run, and so does reaching
     MAX_STEPS accepted plus rejected steps.
     """
+    results, failure = simulate_stack([u0], spec, [params], domain, r_values,
+                                      track_weak_residual, [tol_zero])
+    if failure is not None:
+        raise failure
+    return results[0]
+
+
+def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: DomainSpec,
+                   r_values=DEFAULT_R_VALUES, track_weak_residual: bool = False,
+                   tol_zero: list | None = None) -> tuple[list, SimulationAbort | None]:
+    """simulate on several members at once, stepped as one stack.
+
+    The members share the domain, the integrator spec and r_values; their
+    ModelParams may differ in delta, epsilon, eta and the entropy anchor
+    (model.stacked_params), and each has its own u0 and tol_zero (default
+    DEFAULT_TOL_ZERO_REL).  Each member keeps its own dt, accept/reject
+    decision, snapshots, anchor check, MAX_STEPS count and StepStats, and
+    its result is bit-identical to simulate on that member alone.
+
+    Returns (results, failure).  The run fails as if its members had run one
+    after another in order: when a member aborts, it and every later member
+    leave the stack, so results holds the members before the first one that
+    aborted, and failure is that member's SimulationAbort (None when every
+    member reached t_end).
+    """
     global rhs_calls_tally
     snap_times = np.asarray(sorted(spec.snapshot_times), dtype=float)
     if snap_times.size == 0:
         snap_times = np.array([0.0, spec.t_end])
-    flags: list[str] = []
-    if params.eta == 0.0 and params.mobility_mode == "standard":
-        flags.append("eta = 0: mobility unbounded above (outside the discrete existence lemma)")
-
-    anchor = params.entropy_anchor
-    c = np.ascontiguousarray(u0.coeffs.astype(float))
-    if c.shape[0] != domain.modes + 1:
+    n_snap = snap_times.size
+    snap_next = snap_times.tolist() + [float("inf")]  # a member's next one is snap_next[isnap]
+    cs = [np.ascontiguousarray(u0.coeffs.astype(float)) for u0 in u0s]
+    if any(c.shape[0] != domain.modes + 1 for c in cs):
         raise ValueError("initial coefficients do not match the domain")
 
     t = tables(domain)
     r_arr = np.asarray(r_values, dtype=float)
     nr = len(r_values)
     nq = 2 + nr  # cumulative integrals: the leading aux entries D, S, D_r...
-    stats = StepStats()
-
-    def rhs(y):
-        # the call at an accepted state: all of aux, and its own finite check,
-        # since its k1 enters this step's Hermite snapshots as well as the
-        # next step
-        stats.rhs_calls += 1
-        return _checked_rhs(y, t, params, r_arr)
-
-    tcur = 0.0
-    q = np.zeros(nq)
-    k1, _, u_grid, flux, aux1 = rhs(c)
-
-    def check_anchor(aux, tt):
-        if anchor is not None and aux[-1] >= anchor:
-            raise SimulationAbort(
-                f"entropy anchor violated at t = {tt:.6g}: sup|u| = {aux[-1]:.6g} >= a = {anchor:.6g}"
-            )
-
-    check_anchor(aux1, 0.0)
-
-    node_t = [0.0]
-    node_es = [aux1[2 + nr]]
-    node_ed = [aux1[3 + nr]]
-    node_q = [q]  # q is rebound at every step, never written in place
-    node_weak = [] if track_weak_residual else None
-    if track_weak_residual:
-        node_weak.append(kernels.weak_residual_max(t, k1, u_grid, flux, tol_zero))
-
-    n_snap = snap_times.size
-    snap_c = np.empty((n_snap, c.shape[0]))
-    snap_q = np.empty((n_snap, nq))
-    isnap = 0
-    # snapshots at t = 0
-    while isnap < n_snap and snap_times[isnap] <= 0.0:
-        snap_c[isnap] = c
-        snap_q[isnap] = q
-        isnap += 1
-
-    dt = _initial_dt(spec, c, k1)
+    if tol_zero is None:
+        tol_zero = [DEFAULT_TOL_ZERO_REL] * len(cs)
+    members = [_Member(i, p, tz, np.empty((n_snap, domain.modes + 1)), np.empty((n_snap, nq)))
+               for i, (p, tz) in enumerate(zip(params, tol_zero))]
     t_end = spec.t_end
     eps_end = 1e-12 * max(1.0, t_end)
+    stop = len(members)  # the members from this index on have left the run
+    failure = None
 
-    rows, weights, embedded = _TABLEAUX[spec.method]
+    def fail(m, message):
+        nonlocal stop, failure
+        if m.index < stop:
+            stop, failure = m.index, SimulationAbort(message)
+
+    def per_member(x):
+        # an array over the members' axis as one Python value per member
+        # (single, set below, tells whether there is one member)
+        v = x.tolist()
+        return [v] if single else v
+
+    a_rows, weights, embedded = _TABLEAUX[spec.method]
     n_stages = len(weights)
     # the coefficient table: row i < n_stages is stage i's A row, row
     # n_stages the propagated weights and row n_stages + 1 the embedded ones
     tab = np.zeros((n_stages + (1 if embedded is None else 2), n_stages))
-    for i, row in enumerate(rows):
+    for i, row in enumerate(a_rows):
         tab[i, :i] = row
     tab[n_stages] = weights
     if embedded is not None:
         tab[n_stages + 1] = embedded
-    coef = np.empty_like(tab)
-    # the row buffer, one row per row of tab, and its views, built once: slope
-    # j is added to every row after j, and stage j reads row j
-    P = np.empty((tab.shape[0], c.shape[0]))
-    later_rows = [P[j + 1:] for j in range(n_stages)]
-    later_coef = [coef[j + 1:, j, None] for j in range(n_stages)]
-    stage_in = list(P[1:n_stages])
-    c_out, c_emb, sums = P[n_stages], P[-1], P[n_stages:]
     # the aux prefix each later stage asks for: none where its propagated
     # weight is zero (dq never reads it), the integrands D, S, D_r...
     # elsewhere
     stage_aux = [0 if b == 0.0 else nq for b in weights[1:]]
     dq_terms = [(i, b) for i, b in enumerate(weights) if b != 0.0]
     q_zero = np.zeros(nq)
-    c_max = float(np.abs(c).max())  # max|c|, carried over from max|c_new| on acceptance
     max_steps = MAX_STEPS
-    while tcur < t_end - eps_end:
-        if stats.accepted + stats.rejected >= max_steps:
-            raise SimulationAbort(
-                f"step limit reached at t = {tcur:.6g} of {t_end:.6g}: "
-                f"{stats.accepted} accepted and {stats.rejected} rejected steps "
-                f"(MAX_STEPS = {max_steps})"
-            )
-        dt = min(dt, t_end - tcur)
-        # row i becomes c + (dt a_i0) k_0 + (dt a_i1) k_1 + ..., summed in the
-        # order of the slopes; a zero weight adds +-0 and changes no value
-        np.multiply(tab, dt, out=coef)
-        P[:] = c
-        k = k1
-        qds = [aux1[:nq]]  # stage slopes of the cumulative integrals
-        for later, w, x, n_aux in zip(later_rows, later_coef, stage_in, stage_aux):
-            later += w * k
-            k, _, _, _, aux = kernels.rhs(x, t, params, r_arr, n_aux)
-            qds.append(aux[:nq])
-        later_rows[-1] += later_coef[-1] * k
-        stats.rhs_calls += n_stages - 1
-        # every stage slope reaches the last rows (a non-finite one through a
-        # 0 * k product if need be), so one check covers the stage calls
-        if not np.isfinite(sums).all():
-            raise SimulationAbort("non-finite right-hand side")
-        dt_next = dt
-        if embedded is not None:
-            err = float(np.abs(c_emb - c_out).max())
-            c_new_max = float(np.abs(c_out).max())
-            tol = spec.atol + spec.rtol * max(c_max, c_new_max)
-            if not err <= tol:
-                stats.rejected += 1
-                dt *= max(0.1, 0.9 * (tol / err) ** 0.2)
-                if dt < DT_MIN:
-                    raise SimulationAbort(
-                        f"step size underflow at t = {tcur:.6g}: system too stiff "
-                        "for the explicit integrator at these tolerances"
-                    )
+    t_stop = t_end - eps_end
+
+    # the initial states enter as the accepted states of step 0
+    active = members
+    single = len(active) == 1
+    c_new = cs[0] if single else np.stack(cs)
+    q_new = np.zeros(c_new.shape[:-1] + (nq,))
+    ps = stacked_params(params)
+    accepted = range(len(active))
+    first = True
+    regroup = True  # whether the stack must be rebuilt before the next step
+    while True:
+        # the call at the accepted states has its own finite check, since its
+        # k1 enters the step's Hermite snapshots as well as the next step
+        out = kernels.rhs(c_new, t, ps, r_arr)
+        k1_new, _, u_grid, flux, aux_new = out
+        finite = None if np.isfinite(k1_new).all() else per_member(np.isfinite(k1_new).all(-1))
+        for pos in accepted:
+            m = active[pos]
+            if single:
+                c1, k1, a1, q1 = c_new, k1_new, aux_new, q_new
+            else:
+                c1, k1, a1, q1 = c_new[pos], k1_new[pos], aux_new[pos], q_new[pos]
+            st = m.stats
+            st.rhs_calls += 1
+            if finite is not None and not finite[pos]:
+                fail(m, "non-finite right-hand side")
+            tt = 0.0 if first else m.t + m.dt
+            anchor = m.params.entropy_anchor
+            if anchor is not None and m.index < stop and a1[-1] >= anchor:
+                fail(m, f"entropy anchor violated at t = {tt:.6g}: "
+                        f"sup|u| = {a1[-1]:.6g} >= a = {anchor:.6g}")
+            if m.index >= stop:
+                regroup = True
                 continue
-            dt_next = dt * min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
-            c_max = c_new_max
+            if first:
+                while snap_next[m.isnap] <= 0.0:
+                    m.snap_c[m.isnap] = c1
+                    m.snap_q[m.isnap] = q1
+                    m.isnap += 1
+            else:
+                # dense output: cubic Hermite for c, and for the cumulative
+                # integrals (whose time derivatives are the aux dissipation values)
+                while snap_next[m.isnap] <= tt + eps_end:
+                    theta = min(1.0, max(0.0, (snap_next[m.isnap] - m.t) / m.dt))
+                    m.snap_c[m.isnap] = _hermite(theta, m.c, m.k1, c1, k1, m.dt)
+                    m.snap_q[m.isnap] = _hermite(theta, m.q, m.aux1[:nq], q1, a1[:nq], m.dt)
+                    m.isnap += 1
+                st.dt_min = min(st.dt_min, m.dt) if st.accepted else m.dt
+                st.dt_max = max(st.dt_max, m.dt)
+                st.accepted += 1
+                st.dt_last = m.dt
+                m.dt = m.dt_next
+            m.t, m.c, m.q, m.k1, m.aux1 = tt, c1, q1, k1, a1
+            if not tt < t_stop:
+                regroup = True
+            node_t, node_es, node_ed, node_q, node_weak = m.nodes
+            node_t.append(tt)
+            node_es.append(a1[2 + nr])
+            node_ed.append(a1[3 + nr])
+            node_q.append(q1)  # q is rebound at every step, never written in place
+            if track_weak_residual:
+                uf = (u_grid, flux) if single else (u_grid[pos], flux[pos])
+                node_weak.append(kernels.weak_residual_max(t, k1, *uf, m.tol_zero))
+        C, K1, AUX1, Q = c_new, k1_new, aux_new, q_new
+        if first:
+            first = False
+            for m in members[:stop]:
+                m.dt = _initial_dt(spec, m.c, m.k1)
+                m.c_max = float(np.abs(m.c).max())  # carried over from max|c_new| on acceptance
+
+        # steps until one stands for at least one member
+        accepted = []  # the positions in the stack of the members whose step stands
+        while not accepted:
+            if regroup:
+                # members leave when they reach t_end or abort; the stack of
+                # the others' last accepted states, and the row buffer over
+                # it, one row per row of tab (slope j is added to every row
+                # after j, and stage j reads row j).  A single member steps
+                # on 1-D arrays, as a run by itself does.
+                regroup = False
+                active = [m for m in active if m.index < stop and m.t < t_stop]
+                if not active:
+                    break
+                single = len(active) == 1
+                lead = () if single else (len(active),)
+
+                def stacked(name):
+                    return getattr(active[0], name) if single else np.stack(
+                        [getattr(m, name) for m in active])
+
+                C, K1, AUX1, Q = (stacked(name) for name in ("c", "k1", "aux1", "q"))
+                ps = stacked_params([m.params for m in active])
+                tab_b = tab.reshape(tab.shape + (1,) * len(lead))
+                coef = np.empty(tab.shape + lead)
+                P = np.empty(tab.shape[:1] + lead + (domain.modes + 1,))
+                later_rows = [P[j + 1:] for j in range(n_stages)]
+                later_coef = [coef[j + 1:, j, ..., None] for j in range(n_stages)]
+                stage_in = list(P[1:n_stages])
+                c_out, c_emb, sums = P[n_stages], P[-1], P[n_stages:]
+
+            for m in active:
+                st = m.stats
+                if st.accepted + st.rejected >= max_steps:
+                    fail(m, f"step limit reached at t = {m.t:.6g} of {t_end:.6g}: "
+                            f"{st.accepted} accepted and {st.rejected} rejected steps "
+                            f"(MAX_STEPS = {max_steps})")
+                    regroup = True
+                m.dt = min(m.dt, t_end - m.t)
+            if regroup:
+                continue
+            dt = active[0].dt if single else np.array([m.dt for m in active])
+            # row i becomes c + (dt a_i0) k_0 + (dt a_i1) k_1 + ..., summed in
+            # the order of the slopes; a zero weight adds +-0 and changes no value
+            np.multiply(tab_b, dt, out=coef)
+            P[:] = C
+            k = K1
+            auxs = [AUX1]  # the cumulative integrals' stage slopes lead each aux
+            for later, w, x, n_aux in zip(later_rows, later_coef, stage_in, stage_aux):
+                later += w * k
+                k, _, _, _, aux = kernels.rhs(x, t, ps, r_arr, n_aux)
+                auxs.append(aux)
+            later_rows[-1] += later_coef[-1] * k
+            # every stage slope reaches the last rows (a non-finite one through
+            # a 0 * k product if need be), so one check covers the stage calls
+            if not np.isfinite(sums).all():
+                for m, ok in zip(active, per_member(np.isfinite(sums).all(axis=(0, -1)))):
+                    if not ok:
+                        fail(m, "non-finite right-hand side")
+                regroup = True
+            if embedded is not None:
+                errs = np.abs(c_emb - c_out).max(axis=-1).tolist()
+                c_new_maxes = np.abs(c_out).max(axis=-1).tolist()
+                if single:
+                    errs, c_new_maxes = [errs], [c_new_maxes]
+            for pos, m in enumerate(active):
+                st = m.stats
+                st.rhs_calls += n_stages - 1
+                if m.index >= stop:
+                    continue
+                m.dt_next = m.dt
+                if embedded is not None:
+                    err, c_new_max = errs[pos], c_new_maxes[pos]
+                    tol = spec.atol + spec.rtol * max(m.c_max, c_new_max)
+                    if not err <= tol:
+                        st.rejected += 1
+                        m.dt *= max(0.1, 0.9 * (tol / err) ** 0.2)
+                        if m.dt < DT_MIN:
+                            fail(m, f"step size underflow at t = {m.t:.6g}: system too stiff "
+                                    "for the explicit integrator at these tolerances")
+                            regroup = True
+                        continue
+                    m.dt_next = m.dt * min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
+                    m.c_max = c_new_max
+                accepted.append(pos)
+        if not accepted:
+            break
+
         c_new = c_out.copy()  # the next step overwrites the buffer
         dq = q_zero
+        dts = dt if single else dt[:, None]
         for i, b in dq_terms:
-            dq = dq + dt * b * qds[i]
+            dq = dq + dts * b * auxs[i][..., :nq]
+        q_new = Q + dq
+        if len(accepted) < len(active):
+            # the other members keep their last accepted rows, so the call
+            # gives their k1 and aux1 again, bit for bit
+            held = [pos for pos in range(len(active)) if pos not in accepted]
+            c_new[held] = C[held]
+            q_new[held] = Q[held]
 
-        t_new = tcur + dt
-        k1_new, _, u_grid, flux, aux_new = rhs(c_new)
-        check_anchor(aux_new, t_new)
-        q_new = q + dq
-
-        # dense output: cubic Hermite for c, and for the cumulative integrals
-        # (whose time derivatives are the aux dissipation values)
-        while isnap < n_snap and snap_times[isnap] <= t_new + eps_end:
-            s = snap_times[isnap]
-            theta = min(1.0, max(0.0, (s - tcur) / dt))
-            snap_c[isnap] = _hermite(theta, c, k1, c_new, k1_new, dt)
-            snap_q[isnap] = _hermite(theta, q, aux1[:nq], q_new, aux_new[:nq], dt)
-            isnap += 1
-
-        tcur, c, q, k1, aux1 = t_new, c_new, q_new, k1_new, aux_new
-        stats.dt_min = min(stats.dt_min, dt) if stats.accepted else dt
-        stats.dt_max = max(stats.dt_max, dt)
-        stats.accepted += 1
-        stats.dt_last = dt
-        dt = dt_next
-        node_t.append(tcur)
-        node_es.append(aux1[2 + nr])
-        node_ed.append(aux1[3 + nr])
-        node_q.append(q)
-        if track_weak_residual:
-            node_weak.append(kernels.weak_residual_max(t, k1, u_grid, flux, tol_zero))
-
-    # any trailing snapshots at t_end within tolerance
-    while isnap < n_snap:
-        snap_c[isnap] = c
-        snap_q[isnap] = q
-        isnap += 1
-
-    node_q_arr = np.asarray(node_q)
-    nodes = NodeSeries(
-        t=np.asarray(node_t),
-        energy_surface=np.asarray(node_es),
-        energy_delta=np.asarray(node_ed),
-        dissipation_cum=node_q_arr[:, 0],
-        entropy_dissipation_cum=node_q_arr[:, 1],
-        weighted_dissipation_cum={r: node_q_arr[:, 2 + i] for i, r in enumerate(r_values)},
-        weak_residual=np.asarray(node_weak) if track_weak_residual else None,
-    )
-    rhs_calls_tally += stats.rhs_calls
-    return SimulationResult(
-        domain=domain,
-        params=params,
-        snapshot_times=snap_times,
-        coeffs=snap_c,
-        dissipation_cum=snap_q[:, 0],
-        entropy_dissipation_cum=snap_q[:, 1],
-        weighted_dissipation_cum={r: snap_q[:, 2 + i] for i, r in enumerate(r_values)},
-        nodes=nodes,
-        stats=stats,
-        flags=flags,
-    )
+    results = []
+    for m in members[:stop]:
+        # any trailing snapshots at t_end within tolerance
+        m.snap_c[m.isnap:] = m.c
+        m.snap_q[m.isnap:] = m.q
+        node_t, node_es, node_ed, node_q, node_weak = m.nodes
+        node_q_arr = np.asarray(node_q)
+        nodes = NodeSeries(
+            t=np.asarray(node_t),
+            energy_surface=np.asarray(node_es),
+            energy_delta=np.asarray(node_ed),
+            dissipation_cum=node_q_arr[:, 0],
+            entropy_dissipation_cum=node_q_arr[:, 1],
+            weighted_dissipation_cum={r: node_q_arr[:, 2 + i] for i, r in enumerate(r_values)},
+            weak_residual=np.asarray(node_weak) if track_weak_residual else None,
+        )
+        flags = []
+        if m.params.eta == 0.0 and m.params.mobility_mode == "standard":
+            flags.append("eta = 0: mobility unbounded above (outside the discrete existence lemma)")
+        rhs_calls_tally += m.stats.rhs_calls
+        results.append(SimulationResult(
+            domain=domain,
+            params=m.params,
+            snapshot_times=snap_times,
+            coeffs=m.snap_c,
+            dissipation_cum=m.snap_q[:, 0],
+            entropy_dissipation_cum=m.snap_q[:, 1],
+            weighted_dissipation_cum={r: m.snap_q[:, 2 + i] for i, r in enumerate(r_values)},
+            nodes=nodes,
+            stats=m.stats,
+            flags=flags,
+        ))
+    return results, failure

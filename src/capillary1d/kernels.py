@@ -16,73 +16,86 @@ physics (mobility, weak pressure density, pressure coefficients) comes from
 the model module; this one only assembles it.  Callers look ``rhs`` up on
 the module at call time, and pass every argument positionally, so it can be
 wrapped from outside.
+
+The shape contract: c is one member's coefficients, shape (N+1,), with
+ModelParams, or a stack of B members, shape (B, N+1), with StackedParams.
+Every output of a stack gains the leading axis B (aux is a (B, n) view of
+the transposed sums), and each row is bit-identical to the call on that
+member alone: the matvecs are one gemv per member (basis.matvec) and every
+other operation acts row by row.  One call pays numpy's per-call overhead
+once for all B members; a single member stays 1-D, since a (1, N+1) stack
+costs more per call than the 1-D call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .basis import BasisTables
-from .model import ModelParams, mobility, pressure_coeffs
+from .basis import BasisTables, matvec
+from .model import ModelParams, StackedParams, mobility, pressure_coeffs
 
 
-def rhs(c: np.ndarray, t: BasisTables, params: ModelParams, r_values: np.ndarray,
-        n_aux: int | None = None):
-    """Galerkin RHS dc/dt at coefficients c.
+def rhs(c: np.ndarray, t: BasisTables, params: ModelParams | StackedParams,
+        r_values: np.ndarray, n_aux: int | None = None):
+    """Galerkin RHS dc/dt at coefficients c, of shape (N+1,) or a stack (B, N+1).
 
     Returns (c_dot, d, u, flux, aux): pressure coefficients d, grid values of
     u and of the flux m(u) p_x, and aux = [D, S, D_r..., E_surface, E_delta,
     max|u|] where D is the flux dissipation integrand's integral, S the
-    entropy-dissipation one, D_r the r-weighted dissipations.
+    entropy-dissipation one, D_r the r-weighted dissipations.  A stack
+    (params a StackedParams) gives each of them a leading axis B.
 
     n_aux is how many leading aux entries to compute: None (the default)
     gives all 5 + nr, 2 + nr gives [D, S, D_r...] only, and 0 gives an empty
     aux and skips the u_xx synthesis.  Any other value is a ValueError.  The
     entries computed are bit-identical to the full call's.
     """
+    mv = np.dot if c.ndim == 1 else matvec  # matvec's own 1-D case, without its call
+    lead = c.shape[:-1]
     w = t.w
     G = w.shape[0]
-    uux = np.dot(t.EEx, c)
-    u = uux[:G]
-    ux = uux[G:]
+    uux = mv(t.EEx, c)
+    u = uux[..., :G]
+    ux = uux[..., G:]
 
     Qsq = 1.0 + ux * ux
     Q = np.sqrt(Qsq)
 
     d = pressure_coeffs(ux, Q, t, params)
-    px = np.dot(t.Ex, d)
+    px = mv(t.Ex, d)
     mob = mobility(u, params)
     flux = mob * px
-    c_dot = -np.dot(t.ExT, w * flux)
+    c_dot = -mv(t.ExT, w * flux)
 
     nr = r_values.shape[0]
     if n_aux is None:
         n_rows = 4 + nr
     elif n_aux == 0:
-        return c_dot, d, u, flux, np.empty(0)
+        return c_dot, d, u, flux, np.empty(lead + (0,))
     elif n_aux == 2 + nr:
         n_rows = n_aux
     else:
         raise ValueError(f"n_aux must be None, 0 or {2 + nr}, got {n_aux!r}")
 
-    # the weighted integrands, one row each, summed in one pairwise reduction
-    uxx = np.dot(t.E, t.lam * c)  # -u_xx: only its square enters
+    # the weighted integrands, one row each (of shape lead + (G,)), summed in
+    # one pairwise reduction; a stack's aux is the transpose of the sums
+    uxx = mv(t.E, t.lam * c)  # -u_xx: only its square enters
     pxsq = px * px
     delta = params.delta
-    rows = np.empty((n_rows, G))
+    rows = np.empty((n_rows,) + lead + (G,))
     np.multiply(w * mob, pxsq, out=rows[0])
     np.multiply(w, uxx * uxx / (Q * Qsq) + delta * uxx * uxx, out=rows[1])
     for k in range(nr):
         np.multiply(w * mob ** r_values[k], pxsq, out=rows[2 + k])
     if n_aux is not None:
-        return c_dot, d, u, flux, np.add.reduce(rows, axis=1)
+        return c_dot, d, u, flux, np.add.reduce(rows, axis=-1).T
     np.multiply(w, Q, out=rows[2 + nr])
     np.multiply(w * ux, ux, out=rows[3 + nr])
-    aux = np.empty(5 + nr)
-    np.add.reduce(rows, axis=1, out=aux[:4 + nr])
-    aux[3 + nr] *= 0.5 * delta
-    aux[4 + nr] = np.abs(u).max()
-    return c_dot, d, u, flux, aux
+    aux = np.empty((5 + nr,) + lead)
+    np.add.reduce(rows, axis=-1, out=aux[:4 + nr])
+    aux[3 + nr] *= 0.5 * (delta[:, 0] if lead else delta)
+    aux[4 + nr] = np.abs(u).max(axis=-1)
+    return c_dot, d, u, flux, aux.T
 
 
 def weak_residual_terms(t: BasisTables, c_dot: np.ndarray, u: np.ndarray,

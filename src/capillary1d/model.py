@@ -4,7 +4,9 @@ Mobility with its (epsilon, eta) regularization, the weak pressure density
 u_x/Q + delta u_x (exact curvature plus its elliptic delta-augmentation)
 and the Galerkin pressure coefficients it defines, and the entropy pair
 (g, G) with G'' = 1/m used by the entropy estimate.  m_0 is fixed to the
-constant 1, so the bare mobility is exactly |s|^n.
+constant 1, so the bare mobility is exactly |s|^n.  The mobility and the
+pressure also take a stack of members that differ in delta, epsilon and
+eta only (StackedParams), with grid values of shape (B, G).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .basis import (
     BasisTables,
     DomainSpec,
     SpectralField,
+    matvec,
     quadrature,
     synthesize,
     tables,
@@ -26,6 +29,10 @@ from .basis import (
 
 PRESSURE_MODES = ("nonlinear", "linear")
 MOBILITY_MODES = ("standard", "constant")
+
+
+class ConfigError(ValueError):
+    """Malformed or inconsistent configuration."""
 
 
 class InitialDataError(ValueError):
@@ -70,8 +77,55 @@ class ModelParams:
         ):
             raise ValueError(f"entropy_anchor must be positive and finite, got {self.entropy_anchor}")
 
+    @property
+    def capped(self) -> bool:
+        """Whether the mobility applies the eta cap."""
+        return self.eta > 0.0
 
-def mobility(s, params: ModelParams):
+
+@dataclass(frozen=True)
+class StackedParams:
+    """The parameters of a stack of B members that differ in delta, epsilon and eta only.
+
+    delta, epsilon and eta are (B, 1) columns, so that they broadcast
+    against grid values of shape (B, G) row by row.  The eta cap applies to
+    the whole stack when any member has eta > 0: for finite m,
+    m / (1 + 0 m) is exactly m, so a member with eta = 0 keeps its bits.
+    """
+
+    n: float
+    delta: np.ndarray
+    epsilon: np.ndarray
+    eta: np.ndarray
+    pressure_mode: str
+    mobility_mode: str
+    capped: bool
+
+
+def stacked_params(members: list[ModelParams]) -> ModelParams | StackedParams:
+    """The parameters of members as one stack; one member's own ModelParams for B = 1.
+
+    Every member must share n, pressure_mode and mobility_mode
+    (ValueError otherwise); the entropy anchor is not read by the RHS.
+    """
+    first = members[0]
+    if len(members) == 1:
+        return first
+    for p in members[1:]:
+        if (p.n, p.pressure_mode, p.mobility_mode) != (
+                first.n, first.pressure_mode, first.mobility_mode):
+            raise ValueError("a stack's members may differ in delta, epsilon and eta only")
+
+    def column(name):
+        return np.array([[getattr(p, name)] for p in members])
+
+    return StackedParams(n=first.n, delta=column("delta"), epsilon=column("epsilon"),
+                         eta=column("eta"), pressure_mode=first.pressure_mode,
+                         mobility_mode=first.mobility_mode,
+                         capped=any(p.capped for p in members))
+
+
+def mobility(s, params: ModelParams | StackedParams):
     """Regularized mobility m_{eps,eta}(s) = |s|^n / (1 + eta |s|^n) + eps.
 
     Bounds eps <= m <= 1/eta + 1 hold for eta > 0; eta = 0 gives |s|^n + eps
@@ -80,12 +134,13 @@ def mobility(s, params: ModelParams):
     if params.mobility_mode == "constant":
         return params.epsilon * np.ones_like(np.asarray(s, dtype=float))
     m = np.abs(np.asarray(s, dtype=float)) ** params.n
-    if params.eta > 0.0:
+    if params.capped:
         m = m / (1.0 + params.eta * m)
     return m + params.epsilon
 
 
-def pressure_density(ux: np.ndarray, Q: np.ndarray, params: ModelParams) -> np.ndarray:
+def pressure_density(ux: np.ndarray, Q: np.ndarray,
+                     params: ModelParams | StackedParams) -> np.ndarray:
     """Integrand s of the weak pairing: u_x/Q + delta u_x, or (1+delta) u_x in linear mode.
 
     Q = sqrt(1 + u_x^2) on the same grid, passed in because the RHS kernel
@@ -111,9 +166,9 @@ def galerkin_pressure_coeffs(u: SpectralField, params: ModelParams,
 
 
 def pressure_coeffs(ux: np.ndarray, Q: np.ndarray, t: BasisTables,
-                    params: ModelParams) -> np.ndarray:
-    """d = Ex^T (w s) from grid values of u_x and Q on the tables t."""
-    return t.ExT @ (t.w * pressure_density(ux, Q, params))
+                    params: ModelParams | StackedParams) -> np.ndarray:
+    """d = Ex^T (w s) from grid values of u_x and Q on the tables t, per member of a stack."""
+    return matvec(t.ExT, t.w * pressure_density(ux, Q, params))
 
 
 # -- entropy pair ------------------------------------------------------------

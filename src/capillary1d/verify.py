@@ -21,7 +21,7 @@ import numpy as np
 
 from . import galerkin
 from .basis import DomainSpec, eigenvalue
-from .config import resolve_config, run_config
+from .config import resolve_config, run_config, run_configs
 from .diagnostics import (
     energy_identity_residual,
     entropy_identity_residual,
@@ -244,12 +244,17 @@ def _check_nonnegativity() -> CheckResult:
 
 def _check_slope_bound() -> CheckResult:
     values = (0.3, 0.1, 0.03, 0.01)
-    margins = []
-    h2_sups = []
+    configs = []
     for delta in values:
         cfg = copy.deepcopy(DELTA_SWEEP_RUN)
         cfg["model"]["delta"] = delta
-        out = run_config(cfg)
+        configs.append(cfg)
+    outputs, failure = run_configs(configs)  # the four members step as one stack
+    if failure is not None:
+        raise failure
+    margins = []
+    h2_sups = []
+    for out in outputs:
         h2_sups.append(max(r.h2 for r in out.records))
         l = out.config.domain.half_length
         margins += [slope_threshold(r.energy_surface, r.curvature_dissipation, l) - r.y_max

@@ -15,7 +15,7 @@ import pytest
 from capillary1d import experiments, kernels
 from capillary1d.basis import DomainSpec, project
 from capillary1d.config import load_config, run_config
-from capillary1d.galerkin import IntegratorSpec, simulate
+from capillary1d.galerkin import IntegratorSpec, SimulationResult, simulate
 from capillary1d.model import ModelParams, entropy_functions
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -57,8 +57,35 @@ def test_simulate_looks_up_the_kernel_at_call_time(monkeypatch):
     u0 = project(lambda x: 1.0 + 0.3 * np.cos(np.pi * x), domain)
     result = simulate(u0, IntegratorSpec(t_end=1e-3), ModelParams(n=2, delta=0.1, epsilon=0.1),
                       domain)
+    # spans.py reads the step counts from what simulate returns
+    assert isinstance(result, SimulationResult)
     assert result.stats.accepted > 0
     assert len(calls) == result.stats.rhs_calls
+
+
+def test_eps_sweep_steps_its_members_as_one_stack(monkeypatch):
+    # the benchmark's epsilon sweep: its members step as one stack from the
+    # first kernel call on, and each passes through experiments._run_member,
+    # which spans.py times
+    base = load_config(str(PERFBENCH / "configs" / "eps_sweep.json"))
+    values = (1e-1, 1e-2, 1e-3)
+    true_rhs, true_run_member = kernels.rhs, experiments._run_member
+    shapes, members = [], []
+
+    def recording_rhs(c, *args):
+        shapes.append(c.shape)
+        return true_rhs(c, *args)
+
+    def recording_run_member(cfgs):
+        members.extend(cfg["model"]["epsilon"] for cfg in cfgs)
+        return true_run_member(cfgs)
+
+    monkeypatch.setattr(kernels, "rhs", recording_rhs)
+    monkeypatch.setattr(experiments, "_run_member", recording_run_member)
+    spec = experiments.SweepSpec(parameter="epsilon", values=values, base_config=base, jobs=1)
+    assert experiments.run_sweep(spec)["complete"]
+    assert shapes[0] == (3, base["domain"]["N"] + 1)
+    assert members == list(values)
 
 
 def test_run_result_carries_what_perfbench_reads():

@@ -315,6 +315,29 @@ def test_sweep_fractional_n_exit_2(cfgfile, tmp_path, capsys, monkeypatch):
         assert not (tmp_path / "sw").exists()
 
 
+@pytest.mark.parametrize("seed", ["abc", "-1"])
+@pytest.mark.parametrize("command", [
+    ["simulate", "--set", "integrator.T=0.0005"],
+    ["sweep", "--param", "delta", "--values", "0.3,0.1,0.03"],
+])
+def test_bad_seed_exit_2_before_any_run(cfgfile, tmp_path, capsys, monkeypatch, seed, command):
+    # CAPILLARY1D_SEED picks the Hoelder probe's locations and is embedded in
+    # sweep reports: a bad one is refused up front, with nothing written
+    def no_member(cfgs):
+        raise AssertionError("a member ran")
+
+    monkeypatch.setattr(experiments, "_run_member", no_member)
+    monkeypatch.setattr(kernels, "rhs", no_member)
+    monkeypatch.setenv("CAPILLARY1D_SEED", seed)
+    out = tmp_path / "o"
+    rc = main([command[0], "--config", cfgfile, "--out", str(out), *command[1:]])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError"
+    assert record["message"] == f"CAPILLARY1D_SEED must be a non-negative integer, got {seed!r}"
+    assert not out.exists()
+
+
 def test_sweep_default_values(cfgfile, tmp_path):
     # without --values a sweep runs the parameter's default ladder
     out = tmp_path / "sw"
@@ -332,7 +355,8 @@ def test_sweep_failed_member_writes_partial_report_exit_3(cfgfile, tmp_path, cap
 
     def nan_rhs(c, t, params, *args):
         c_dot, *rest = true_rhs(c, t, params, *args)
-        return (c_dot * np.nan if params.eta == 0.01 else c_dot, *rest)
+        # the member of eta = 0.01, a stack's row or a run by itself
+        return (c_dot * np.where(params.eta == 0.01, np.nan, 1.0), *rest)
 
     monkeypatch.setattr(kernels, "rhs", nan_rhs)
     out = tmp_path / "sw"

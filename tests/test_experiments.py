@@ -33,6 +33,9 @@ def test_sweep_spec_validation():
         SweepSpec(parameter="eta", values=(1.0, 0.1), base_config=TINY)
     with pytest.raises(ConfigError):
         SweepSpec(parameter="eta", values=(1.0, 0.1, 0.5), base_config=TINY)
+    for jobs in (0, -3, 1.0, True):  # jobs = 1 stacks the members, jobs > 1 forks
+        with pytest.raises(ConfigError, match="jobs must be a positive integer"):
+            SweepSpec(parameter="eta", values=(1.0, 0.1, 0.01), base_config=TINY, jobs=jobs)
 
 
 def test_eta_sweep_structure_and_verdicts():
@@ -85,7 +88,8 @@ def test_sweep_partial_report_on_failure(monkeypatch):
 
     def nan_rhs(c, t, params, *args):
         c_dot, *rest = true_rhs(c, t, params, *args)
-        return (c_dot * np.nan if params.eta == 0.01 else c_dot, *rest)
+        # the member of eta = 0.01, a stack's row or a run by itself
+        return (c_dot * np.where(params.eta == 0.01, np.nan, 1.0), *rest)
 
     monkeypatch.setattr(kernels, "rhs", nan_rhs)
     spec = SweepSpec(parameter="eta", values=(1.0, 0.1, 0.01), base_config=TINY)
@@ -96,6 +100,51 @@ def test_sweep_partial_report_on_failure(monkeypatch):
     assert "failure" in partial
     assert len(partial["members"]) == 2
 
+
+def test_stack_fails_as_its_members_would_one_after_another(monkeypatch):
+    # the third member aborts at its first step and the second later in time:
+    # the sweep names the second, with the partial report of a serial run
+    from capillary1d import experiments
+    from capillary1d.config import resolve_config
+
+    a0 = float(np.abs(resolve_config(TINY).u0.coeffs[1:]).max())
+    true_rhs = kernels.rhs
+
+    def failing_rhs(c, t, params, *args):
+        c_dot, *rest = true_rhs(c, t, params, *args)
+        late = ((params.eta == 0.1)
+                & (np.abs(c[..., 1:]).max(axis=-1, keepdims=True) < 0.97 * a0))
+        return (c_dot * np.where((params.eta == 0.01) | late, np.nan, 1.0), *rest)
+
+    monkeypatch.setattr(kernels, "rhs", failing_rhs)
+    spec = SweepSpec(parameter="eta", values=(1.0, 0.1, 0.01), base_config=TINY)
+    stacks = []
+    true_run_member = experiments._run_member
+
+    def recording_run_member(cfgs):
+        stacks.append(len(cfgs))
+        return true_run_member(cfgs)
+
+    def one_at_a_time(cfgs):
+        members = []
+        for cfg in cfgs:
+            done, failure = true_run_member([cfg])
+            members += done
+            if failure is not None:
+                return members, failure
+        return members, None
+
+    reports = []
+    for run_member in (recording_run_member, one_at_a_time):
+        monkeypatch.setattr(experiments, "_run_member", run_member)
+        with pytest.raises(SweepError) as err:
+            run_sweep(spec)
+        reports.append(err.value.partial_report)
+        assert str(err.value) == "member eta=0.1 failed: non-finite right-hand side"
+    assert stacks == [3]
+    stacked, serial = reports
+    assert len(stacked["members"]) == 1
+    assert json.dumps(stacked, sort_keys=True) == json.dumps(serial, sort_keys=True)
 
 
 def test_n_sweep_cauchy_decreasing():

@@ -432,3 +432,125 @@ def test_non_finite_slope_aborts_within_its_step(spec, where, monkeypatch):
     with pytest.raises(SimulationAbort, match="non-finite right-hand side"):
         simulate(_step_u0(), spec, STEP_PARAMS, STEP_DOMAIN)
     assert len(calls) == last_call + 1
+
+
+# -- stacks: several members stepped together ---------------------------------
+
+STACK_TINY = {
+    "schema_version": 1,
+    "domain": {"l": 1.0, "N": 8, "oversample": 8},
+    "model": {"n": 2.0, "delta": 0.1, "epsilon": 0.1, "eta": 0.0,
+              "pressure_mode": "nonlinear", "entropy_anchor": "auto"},
+    "initial_data": {"kind": "cosine_bump", "parameters": {"base": 1.0, "amplitude": 0.3}},
+}
+
+# (base config, swept model key, values, rkf45 t_end, rk4 dt): the epsilon
+# sweep of the benchmark in both orders, verify's delta sweep (criterion 6)
+# and a small bump under delta and eta, with eta = 0 next to capped members
+STACK_CASES = {
+    "eps-sweep": ("perfbench/configs/eps_sweep.json", "epsilon", (1e-1, 1e-2, 1e-3), 2e-3, 1e-6),
+    "eps-sweep-reversed": ("perfbench/configs/eps_sweep.json", "epsilon", (1e-3, 1e-2, 1e-1),
+                           2e-3, 1e-6),
+    "criterion-6": ("DELTA_SWEEP_RUN", "delta", (0.3, 0.1, 0.03, 0.01), 1e-3, 1e-6),
+    "tiny-delta": (STACK_TINY, "delta", (0.3, 0.1, 0.03), 5e-4, 1e-5),
+    "tiny-eta": (STACK_TINY, "eta", (1.0, 0.1, 0.01), 5e-4, 1e-5),
+    "tiny-eta-zero": (STACK_TINY, "eta", (1.0, 0.1, 0.0), 5e-4, 1e-5),
+}
+
+
+def _stack_members(case, method):
+    """(u0s, spec, params, domain, tol_zeros) of one STACK_CASES case."""
+    from pathlib import Path
+
+    from capillary1d import verify
+    from capillary1d.config import load_config, resolve_config
+    from capillary1d.diagnostics import default_tol_zero
+
+    base, key, values, t_end, dt = STACK_CASES[case]
+    if base == "DELTA_SWEEP_RUN":
+        base = verify.DELTA_SWEEP_RUN
+    elif isinstance(base, str):
+        base = load_config(str(Path(__file__).resolve().parent.parent / base))
+    rcs = []
+    for v in values:
+        cfg = {**base, "model": {**base["model"], key: v}}
+        rcs.append(resolve_config(cfg))
+    if method == "rkf45":
+        spec = IntegratorSpec(t_end=t_end, snapshot_times=(0.0, t_end / 3, t_end))
+    else:
+        t_end = 100 * dt
+        spec = IntegratorSpec(t_end=t_end, method="rk4", dt=dt,
+                              snapshot_times=(0.0, t_end / 3, t_end))
+    domain = rcs[0].domain
+    tol_zeros = [default_tol_zero(synthesize(rc.u0, domain, order=0).u) for rc in rcs]
+    return [rc.u0 for rc in rcs], spec, [rc.params for rc in rcs], domain, tol_zeros
+
+
+def _assert_bit_identical(a, b, where="result"):
+    import dataclasses
+
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        name = f"{where}.{f.name}"
+        if f.name == "nodes":
+            _assert_bit_identical(x, y, name)
+        elif isinstance(x, dict):
+            assert list(x) == list(y), name
+            for k in x:
+                assert x[k].tobytes() == y[k].tobytes(), f"{name}[{k}]"
+        elif isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+        else:
+            assert x == y, name
+
+
+@pytest.mark.parametrize("method", ["rkf45", "rk4"])
+@pytest.mark.parametrize("case", list(STACK_CASES))
+def test_stack_is_bit_identical_to_serial_runs(case, method):
+    # every field of every member's result, with the weak residual tracked,
+    # and the call tally advances by the serial total
+    from capillary1d import galerkin
+    from capillary1d.galerkin import simulate_stack
+
+    u0s, spec, params, domain, tol_zeros = _stack_members(case, method)
+    n0 = galerkin.rhs_calls_tally
+    serial = [simulate(u0, spec, p, domain, track_weak_residual=True, tol_zero=tz)
+              for u0, p, tz in zip(u0s, params, tol_zeros)]
+    n1 = galerkin.rhs_calls_tally
+    stacked, failure = simulate_stack(u0s, spec, params, domain, track_weak_residual=True,
+                                      tol_zero=tol_zeros)
+    assert failure is None
+    assert len(stacked) == len(serial)
+    for a, b in zip(serial, stacked):
+        _assert_bit_identical(a, b)
+    assert galerkin.rhs_calls_tally - n1 == n1 - n0 == sum(r.stats.rhs_calls for r in serial)
+    if method == "rkf45":
+        # the members choose their own steps, so they accept and reject apart
+        assert len({(r.stats.accepted, r.stats.rejected) for r in serial}) > 1
+
+
+def test_stack_drops_the_members_from_the_first_abort_on(monkeypatch):
+    # the last member aborts at its first step and the second later in time:
+    # the stack keeps the first member's result and reports the second's abort
+    from capillary1d.galerkin import simulate_stack
+
+    u0s, spec, params, domain, tol_zeros = _stack_members("tiny-eta", "rkf45")
+    # the second member's modes decay below 0.97 of their start within the run
+    a0 = float(np.abs(u0s[1].coeffs[1:]).max())
+    free = simulate(u0s[1], spec, params[1], domain, tol_zero=tol_zeros[1])
+    assert float(np.abs(free.coeffs[-1][1:]).max()) < 0.97 * a0
+    true_rhs = kernels.rhs
+
+    def failing_rhs(c, t, p, *args):
+        c_dot, *rest = true_rhs(c, t, p, *args)
+        late = (p.eta == 0.1) & (np.abs(c[..., 1:]).max(axis=-1, keepdims=True) < 0.97 * a0)
+        return (c_dot * np.where((p.eta == 0.01) | late, np.nan, 1.0), *rest)
+
+    monkeypatch.setattr(kernels, "rhs", failing_rhs)
+    with pytest.raises(SimulationAbort) as serial_abort:
+        simulate(u0s[1], spec, params[1], domain, tol_zero=tol_zeros[1])
+    first = simulate(u0s[0], spec, params[0], domain, tol_zero=tol_zeros[0])
+    results, failure = simulate_stack(u0s, spec, params, domain, tol_zero=tol_zeros)
+    assert str(failure) == str(serial_abort.value) == "non-finite right-hand side"
+    assert len(results) == 1
+    _assert_bit_identical(first, results[0])
