@@ -153,16 +153,20 @@ def tables(domain: DomainSpec) -> BasisTables:
     )
 
 
-def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x for one vector x of shape (n,), or for every row of a stack (B, n).
+def matvec(A: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A x for one vector x of shape (n,), or for every row of a stack (..., n).
 
-    A stack takes one gemv per member with np.dot's arguments, so each row
-    is bit-identical to np.dot(A, row); one gemm over the stack,
-    np.dot(A, x.T), would sum in another order and move the last bits.
+    A stack takes one gemv per row with np.dot's arguments, so each row is
+    bit-identical to np.dot(A, row); one gemm over the stack, np.dot(A, x.T),
+    would sum in another order and move the last bits.  out, when given,
+    receives the result (C-contiguous for one vector).
     """
     if x.ndim == 1:
-        return np.dot(A, x)
-    return np.matmul(A, x[..., None])[..., 0]
+        return np.dot(A, x, out=out)
+    if out is None:
+        return np.matmul(A, x[..., None])[..., 0]
+    np.matmul(A, x[..., None], out=out[..., None])
+    return out
 
 
 def quadrature(values: np.ndarray, domain: DomainSpec) -> float:

@@ -12,7 +12,8 @@ RK4 (fixed step); every stage calls kernels.rhs.  It steps one member, for
 simulate, or a stack of B members whose parameters differ in delta,
 epsilon and eta only, and its arrays carry a leading member shape: () for
 one member, so a run by itself makes the same numpy calls on 1-D arrays,
-and (B,) for a stack, which makes one kernel call per stage for all B.
+and (B,) for a stack, which makes one kernel call per stage and one
+integrands pass per step for all B.
 Each member keeps its own dt, accept/reject decision, snapshots, anchor
 check and StepStats; the step-size control runs on Python floats, member by
 member, since numpy's array power can differ from Python's ** in the last
@@ -29,17 +30,25 @@ then sums c + (dt a_i0) k_0 + (dt a_i1) k_1 + ... in the order of the
 slopes, and a zero weight adds +-0, which changes no value.  Every slope
 reaches the last rows (a non-finite one through 0 * k if need be), so one
 finiteness check of those rows per step stands for the stage calls; the
-call at each accepted state keeps its own check.  Cumulative integrals
-(flux dissipation, entropy dissipation, r-weighted dissipations) ride
-along, summed over the same propagated weights; step-size control acts on
-the coefficient vector only.  Each call asks the kernel for only the aux
-entries that are read: a stage whose propagated weight is zero (stages 2
-and 6 of RKF45) asks for none, the other stages for the dissipation
-integrands [D, S, D_r...], and the first-stage call at each accepted state
+call at each accepted state keeps its own check.  A single member reads
+its error norm and max|c| as Python floats, and screens those rows with a
+Python sum, which is non-finite whenever a term is, before the exact check
+(Python's max alone would hide a NaN).  Cumulative integrals q (flux
+dissipation, entropy dissipation, r-weighted dissipations) ride along,
+summed over the same propagated weights; step-size control acts on the
+coefficient vector only.  The call at each accepted state asks the kernel
 for all of aux, since the energies, the anchor check and the dense output
-read that one.  Snapshots come from cubic Hermite dense output on the
-accepted steps, and the weak residual, when tracked, is measured at every
-accepted step from the same kernel output that drives the next step.
+read it, and its [D, S, D_r...] are the first stage's slopes of q.  The
+later stage calls ask for none; those whose propagated weight q reads (the
+third to fifth stages of RKF45, the second to fourth of RK4) write their
+grid values into a slot of a per-run workspace instead.  Once a step
+stands for at least one member, one kernels.integrands pass over the
+workspace and the stage inputs, which are still rows of the buffer, gives
+those stages' [D, S, D_r...] as one stack, bit-identical to what each
+stage's full call would give; a rejected step makes no pass.  Snapshots
+come from cubic Hermite dense output on the accepted steps, and the weak
+residual, when tracked, is measured at every accepted step from the same
+kernel output that drives the next step.
 
 The degenerate limit (p_x defined only on the positivity set) is never
 solved directly; it is probed through epsilon sweeps in the experiments
@@ -48,6 +57,7 @@ module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,9 +170,12 @@ class SimulationResult:
 
 
 def rhs_output(c: SpectralField, params: ModelParams, domain: DomainSpec) -> tuple:
-    """One kernels.rhs call at c: (c_dot, d, u, flux, aux), refused if non-finite."""
+    """One kernels.rhs call at c, without aux: (c_dot, d, u, flux, empty aux).
+
+    Refused with a SimulationAbort if c_dot is non-finite.
+    """
     out = kernels.rhs(np.ascontiguousarray(c.coeffs), tables(domain), params,
-                      np.asarray(DEFAULT_R_VALUES))
+                      np.asarray(DEFAULT_R_VALUES), 0)
     if not np.isfinite(out[0]).all():
         raise SimulationAbort("non-finite right-hand side")
     return out
@@ -304,10 +317,12 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
     tab[n_stages] = weights
     if embedded is not None:
         tab[n_stages + 1] = embedded
-    # the aux prefix each later stage asks for: none where its propagated
-    # weight is zero (dq never reads it), the integrands D, S, D_r...
-    # elsewhere
-    stage_aux = [0 if b == 0.0 else nq for b in weights[1:]]
+    # the later stages lo..hi-1 span every later one that dq reads (those of
+    # nonzero propagated weight): their calls fill a workspace slot each, and
+    # one kernels.integrands pass over their inputs, rows lo..hi-1 of the
+    # buffer, gives their [D, S, D_r...] once a step stands
+    read = [i for i in range(1, n_stages) if weights[i] != 0.0]
+    lo, hi = read[0], read[-1] + 1
     dq_terms = [(i, b) for i, b in enumerate(weights) if b != 0.0]
     q_zero = np.zeros(nq)
     max_steps = MAX_STEPS
@@ -411,6 +426,11 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
                 later_coef = [coef[j + 1:, j, ..., None] for j in range(n_stages)]
                 stage_in = list(P[1:n_stages])
                 c_out, c_emb, sums = P[n_stages], P[-1], P[n_stages:]
+                # slot i - lo holds Q^2, Q, p_x and m(u) at stage i's input
+                W = np.empty((4, hi - lo) + lead + (t.w.shape[0],))
+                work = tuple(W)
+                stage_work = [tuple(W[:, i - lo]) if lo <= i < hi else None
+                              for i in range(1, n_stages)]
 
             for m in active:
                 st = m.stats
@@ -428,24 +448,34 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
             np.multiply(tab_b, dt, out=coef)
             P[:] = C
             k = K1
-            auxs = [AUX1]  # the cumulative integrals' stage slopes lead each aux
-            for later, w, x, n_aux in zip(later_rows, later_coef, stage_in, stage_aux):
+            for later, w, x, slot in zip(later_rows, later_coef, stage_in, stage_work):
                 later += w * k
-                k, _, _, _, aux = kernels.rhs(x, t, ps, r_arr, n_aux)
-                auxs.append(aux)
+                k = kernels.rhs(x, t, ps, r_arr, 0, slot)[0]
             later_rows[-1] += later_coef[-1] * k
             # every stage slope reaches the last rows (a non-finite one through
-            # a 0 * k product if need be), so one check covers the stage calls
-            if not np.isfinite(sums).all():
+            # a 0 * k product if need be), so one check covers the stage calls.
+            # A single member reads its error norm as Python floats; a Python
+            # sum is non-finite when any term is, which screens for the exact
+            # check (Python's max would hide a NaN, depending on order)
+            if single:
+                out_list = c_out.tolist()
+                screen = sum(out_list)
+                if embedded is not None:
+                    diff_list = (c_emb - c_out).tolist()
+                    screen += sum(diff_list)
+                    errs = [max(map(abs, diff_list))]
+                    c_new_maxes = [max(map(abs, out_list))]
+                finite = math.isfinite(screen) or np.isfinite(sums).all()
+            else:
+                finite = np.isfinite(sums).all()
+                if embedded is not None:
+                    errs = np.abs(c_emb - c_out).max(axis=-1).tolist()
+                    c_new_maxes = np.abs(c_out).max(axis=-1).tolist()
+            if not finite:
                 for m, ok in zip(active, per_member(np.isfinite(sums).all(axis=(0, -1)))):
                     if not ok:
                         fail(m, "non-finite right-hand side")
                 regroup = True
-            if embedded is not None:
-                errs = np.abs(c_emb - c_out).max(axis=-1).tolist()
-                c_new_maxes = np.abs(c_out).max(axis=-1).tolist()
-                if single:
-                    errs, c_new_maxes = [errs], [c_new_maxes]
             for pos, m in enumerate(active):
                 st = m.stats
                 st.rhs_calls += n_stages - 1
@@ -470,10 +500,12 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
             break
 
         c_new = c_out.copy()  # the next step overwrites the buffer
+        # the stage inputs are still rows lo..hi-1 of the buffer
+        stage_q = kernels.integrands(P[lo:hi], work, t, ps, r_arr)
         dq = q_zero
         dts = dt if single else dt[:, None]
         for i, b in dq_terms:
-            dq = dq + dts * b * auxs[i][..., :nq]
+            dq = dq + dts * b * (AUX1[..., :nq] if i == 0 else stage_q[i - lo])
         q_new = Q + dq
         if len(accepted) < len(active):
             # the other members keep their last accepted rows, so the call

@@ -1,21 +1,27 @@
-"""The Galerkin right-hand side and the weak residual in table form.
+"""The Galerkin right-hand side, the stage dissipation integrands, and the weak residual.
 
 Stability-limited explicit stepping evaluates the RHS 1e4-1e5 times per run
 on grids of 72-264 points, so a call costs what its numpy calls cost, not
 its arithmetic.  The whole chain (synthesis -> mobility -> pressure
 coefficients -> flux -> projection) is therefore one numpy function over the
 cached basis tables with as few calls as it takes: one stacked matvec
-synthesizes u and u_x, and one reduction integrates every aux quantity
-that the caller asks for.  A Runge-Kutta stage reads fewer of them than the
-state a step ends at, so the caller names a prefix of aux and the kernel
-skips the rest (and with no aux at all, the u_xx synthesis too).  Every
-floating-point operation and its order is part of the contract, so that a
-change here leaves every output bit-identical (tests/test_kernels.py holds
-the reference, and checks that a prefix equals the full aux's).  The
-physics (mobility, weak pressure density, pressure coefficients) comes from
-the model module; this one only assembles it.  Callers look ``rhs`` up on
-the module at call time, and pass every argument positionally, so it can be
-wrapped from outside.
+synthesizes u and u_x, and one reduction integrates every aux quantity.
+The kernel computes all of aux or none of it (and with none, not the u_xx
+synthesis either).  A Runge-Kutta stage asks for none: the stepping loop
+needs only the dissipation integrands [D, S, D_r...] of its stages, and
+only once a step stands.  So a stage call writes the grid values they read
+besides c (Q^2, Q, p_x and m(u), the kernel's own intermediates) into a
+workspace slot, and ``integrands`` evaluates every stage of a step at once,
+one stacked pass with one u_xx synthesis and one reduction.  The integrand
+rows are defined once, in ``_dissipation_rows``, for that pass and for the
+full call alike.  Every floating-point operation and its order is part of
+the contract, so that a change here leaves every output bit-identical
+(tests/test_kernels.py holds the reference, and checks that the pass
+equals the full call's aux).  The physics (mobility, weak pressure
+density, pressure coefficients) comes from the model module; this one only
+assembles it.  Callers look ``rhs`` and ``integrands`` up on the module at
+call time, and pass every argument positionally, so they can be wrapped
+from outside.
 
 The shape contract: c is one member's coefficients, shape (N+1,), with
 ModelParams, or a stack of B members, shape (B, N+1), with StackedParams.
@@ -24,7 +30,8 @@ the transposed sums), and each row is bit-identical to the call on that
 member alone: the matvecs are one gemv per member (basis.matvec) and every
 other operation acts row by row.  One call pays numpy's per-call overhead
 once for all B members; a single member stays 1-D, since a (1, N+1) stack
-costs more per call than the 1-D call.
+costs more per call than the 1-D call.  The integrands pass puts the stage
+axis S before these: (S, N+1) or (S, B, N+1).
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .model import ModelParams, StackedParams, mobility, pressure_coeffs
 
 
 def rhs(c: np.ndarray, t: BasisTables, params: ModelParams | StackedParams,
-        r_values: np.ndarray, n_aux: int | None = None):
+        r_values: np.ndarray, n_aux: int | None = None, work: tuple | None = None):
     """Galerkin RHS dc/dt at coefficients c, of shape (N+1,) or a stack (B, N+1).
 
     Returns (c_dot, d, u, flux, aux): pressure coefficients d, grid values of
@@ -45,50 +52,42 @@ def rhs(c: np.ndarray, t: BasisTables, params: ModelParams | StackedParams,
     entropy-dissipation one, D_r the r-weighted dissipations.  A stack
     (params a StackedParams) gives each of them a leading axis B.
 
-    n_aux is how many leading aux entries to compute: None (the default)
-    gives all 5 + nr, 2 + nr gives [D, S, D_r...] only, and 0 gives an empty
-    aux and skips the u_xx synthesis.  Any other value is a ValueError.  The
-    entries computed are bit-identical to the full call's.
+    n_aux is None (the default) for all 5 + nr aux entries, or 0 for an
+    empty aux without the u_xx synthesis; any other value is a ValueError.
+    work, when given, is four arrays of shape c.shape[:-1] + (G,) that
+    receive the grid values Q^2, Q, p_x and m(u), the ones integrands()
+    reads besides c; they are the kernel's own intermediates, written in
+    place.
     """
     mv = np.dot if c.ndim == 1 else matvec  # matvec's own 1-D case, without its call
     lead = c.shape[:-1]
     w = t.w
     G = w.shape[0]
+    Qsq, Q, px, mob = (None, None, None, None) if work is None else work
     uux = mv(t.EEx, c)
     u = uux[..., :G]
     ux = uux[..., G:]
 
-    Qsq = 1.0 + ux * ux
-    Q = np.sqrt(Qsq)
+    Qsq = np.add(1.0, ux * ux, out=Qsq)
+    Q = np.sqrt(Qsq, out=Q)
 
     d = pressure_coeffs(ux, Q, t, params)
-    px = mv(t.Ex, d)
-    mob = mobility(u, params)
+    px = mv(t.Ex, d, out=px)
+    mob = mobility(u, params, out=mob)
     flux = mob * px
     c_dot = -mv(t.ExT, w * flux)
 
-    nr = r_values.shape[0]
-    if n_aux is None:
-        n_rows = 4 + nr
-    elif n_aux == 0:
+    if n_aux is not None:
+        if n_aux != 0:
+            raise ValueError(f"n_aux must be None or 0, got {n_aux!r}")
         return c_dot, d, u, flux, np.empty(lead + (0,))
-    elif n_aux == 2 + nr:
-        n_rows = n_aux
-    else:
-        raise ValueError(f"n_aux must be None, 0 or {2 + nr}, got {n_aux!r}")
 
     # the weighted integrands, one row each (of shape lead + (G,)), summed in
     # one pairwise reduction; a stack's aux is the transpose of the sums
-    uxx = mv(t.E, t.lam * c)  # -u_xx: only its square enters
-    pxsq = px * px
+    nr = r_values.shape[0]
     delta = params.delta
-    rows = np.empty((n_rows,) + lead + (G,))
-    np.multiply(w * mob, pxsq, out=rows[0])
-    np.multiply(w, uxx * uxx / (Q * Qsq) + delta * uxx * uxx, out=rows[1])
-    for k in range(nr):
-        np.multiply(w * mob ** r_values[k], pxsq, out=rows[2 + k])
-    if n_aux is not None:
-        return c_dot, d, u, flux, np.add.reduce(rows, axis=-1).T
+    rows = np.empty((4 + nr,) + lead + (G,))
+    _dissipation_rows(rows, mv(t.E, t.lam * c), Qsq, Q, px, mob, w, delta, r_values)
     np.multiply(w, Q, out=rows[2 + nr])
     np.multiply(w * ux, ux, out=rows[3 + nr])
     aux = np.empty((5 + nr,) + lead)
@@ -96,6 +95,39 @@ def rhs(c: np.ndarray, t: BasisTables, params: ModelParams | StackedParams,
     aux[3 + nr] *= 0.5 * (delta[:, 0] if lead else delta)
     aux[4 + nr] = np.abs(u).max(axis=-1)
     return c_dot, d, u, flux, aux.T
+
+
+def integrands(c: np.ndarray, work: tuple, t: BasisTables,
+               params: ModelParams | StackedParams, r_values: np.ndarray) -> np.ndarray:
+    """[D, S, D_r...] at a stack of states c, of shape (S, N+1) or (S, B, N+1).
+
+    work is four arrays of shape c.shape[:-1] + (G,) whose [i] the rhs call
+    at c[i] filled (as its work); params and r_values are that call's.
+    Returns shape c.shape[:-1] + (2 + nr,): entry [i, ..., k] is
+    bit-identical to aux[..., k] of the full rhs call at c[i], since each
+    row takes the same operations in the same order (one u_xx gemv per row,
+    basis.matvec, and one pairwise sum along the grid).  One call pays
+    numpy's per-call overhead once for every state.
+    """
+    uxx = matvec(t.E, t.lam * c)
+    Qsq, Q, px, mob = work
+    rows = np.empty((2 + r_values.shape[0],) + uxx.shape)
+    _dissipation_rows(rows, uxx, Qsq, Q, px, mob, t.w, params.delta, r_values)
+    sums = np.add.reduce(rows, axis=-1)
+    return sums.transpose(tuple(range(1, sums.ndim)) + (0,))
+
+
+def _dissipation_rows(rows, uxx, Qsq, Q, px, mob, w, delta, r_values):
+    """Write the weighted integrands of D, S, D_r... into rows[0], rows[1], rows[2 + k].
+
+    uxx is -u_xx (only its square enters); the other arguments are grid
+    values of the same shape, or broadcast against it.
+    """
+    pxsq = px * px
+    np.multiply(w * mob, pxsq, out=rows[0])
+    np.multiply(w, uxx * uxx / (Q * Qsq) + delta * uxx * uxx, out=rows[1])
+    for k in range(r_values.shape[0]):
+        np.multiply(w * mob ** r_values[k], pxsq, out=rows[2 + k])
 
 
 def weak_residual_terms(t: BasisTables, c_dot: np.ndarray, u: np.ndarray,

@@ -125,18 +125,18 @@ def stacked_params(members: list[ModelParams]) -> ModelParams | StackedParams:
                          capped=any(p.capped for p in members))
 
 
-def mobility(s, params: ModelParams | StackedParams):
+def mobility(s, params: ModelParams | StackedParams, out: np.ndarray | None = None):
     """Regularized mobility m_{eps,eta}(s) = |s|^n / (1 + eta |s|^n) + eps.
 
     Bounds eps <= m <= 1/eta + 1 hold for eta > 0; eta = 0 gives |s|^n + eps
-    and eta = eps = 0 the bare |s|^n.
+    and eta = eps = 0 the bare |s|^n.  out, when given, receives the values.
     """
     if params.mobility_mode == "constant":
-        return params.epsilon * np.ones_like(np.asarray(s, dtype=float))
+        return np.multiply(params.epsilon, np.ones_like(np.asarray(s, dtype=float)), out=out)
     m = np.abs(np.asarray(s, dtype=float)) ** params.n
     if params.capped:
         m = m / (1.0 + params.eta * m)
-    return m + params.epsilon
+    return np.add(m, params.epsilon, out=out)
 
 
 def pressure_density(ux: np.ndarray, Q: np.ndarray,
@@ -237,20 +237,43 @@ def _entropy_closed_eps0(n: float, a: float):
 
 
 def _entropy_closed_n2(eps: float, a: float):
-    # m(r) = r^2 + eps
+    # m(r) = r^2 + eps.  Near the anchor the primitives cancel: G is O(d^2)
+    # in d = a - s while its two terms are O(d) with absolute rounding errors
+    # of order 1e-16 (at eps = 0.1 and a = 1.5, G(a - 1.5e-6) came out 2.5e-3
+    # off).  Within a quarter of a of the anchor, g takes the arctan of the
+    # difference, arctan(a/rt) - arctan(s/rt) = arctan(d rt / (eps + a s)),
+    # and G one 8-point Gauss-Legendre panel of int_s^a (r - s)/m, whose
+    # integrand keeps its sign; a panel no longer than a/4 stays at least 3a/4
+    # from the poles of 1/m at +-i rt, which keeps it at roundoff accuracy
     rt = math.sqrt(eps)
+    band = 0.25 * a
+
+    def m(r):
+        return r * r + eps
 
     def Phi(r):
         return np.arctan(np.asarray(r, dtype=float) / rt) / rt
 
     Phia = float(Phi(np.array(a)))
 
+    def near_anchor(s, values, near_values):
+        # values, with those at the points of s within the band replaced
+        near = np.abs(s - a) < band
+        if not near.any():
+            return values
+        values = np.array(values)
+        values[near] = near_values(s[near])
+        return values
+
     def g(s):
-        return Phi(s) - Phia
+        s = np.asarray(s, dtype=float)
+        return near_anchor(s, Phi(s) - Phia,
+                           lambda x: -np.arctan((a - x) * rt / (eps + a * x)) / rt)
 
     def G(s):
         s = np.asarray(s, dtype=float)
-        return 0.5 * np.log((a * a + eps) / (s * s + eps)) + s * g(s)
+        return near_anchor(s, 0.5 * np.log((a * a + eps) / (s * s + eps)) + s * (Phi(s) - Phia),
+                           lambda x: _panels(x, a, m)[1])
 
     return g, G
 
@@ -317,7 +340,9 @@ def entropy_functions(params: ModelParams) -> EntropyEval:
     """Build the entropy pair for params (anchor must be set).
 
     Closed forms for eps = 0 (power/log primitives, any n) and for n = 2
-    with eps > 0 (arctan/log).  Every other eps > 0 uses the node table of
+    with eps > 0 (arctan/log; within a/4 of the anchor, where those cancel,
+    the arctan of a difference for g and one Gauss-Legendre panel for G).
+    Every other eps > 0 uses the node table of
     int_s^a 1/m and G summed from 8-point Gauss-Legendre panels; g and G at
     s add one more panel from |s| to the next node, which keeps them at
     roundoff accuracy, and s < 0 reflects through 0.  The table refuses

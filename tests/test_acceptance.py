@@ -2,7 +2,8 @@
 
 Runs the same check suite as `capillary1d verify` (criterion 10 included,
 which re-executes the suite and byte-compares the serialized report) and
-prints one pass/fail line per criterion.
+prints one pass/fail line per criterion.  Its fixture runs two verify
+passes, most of the suite's time, so the module is marked slow.
 """
 
 import time
@@ -10,6 +11,8 @@ import time
 import pytest
 
 from capillary1d.verify import _report_bytes, run_all
+
+pytestmark = pytest.mark.slow
 
 CRITERIA = list(range(1, 11))
 

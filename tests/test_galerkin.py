@@ -117,30 +117,49 @@ def test_rk4_observed_order():
     IntegratorSpec(t_end=1e-3, method="rk4", dt=2e-5, snapshot_times=(0.0, 3.1e-4, 7e-4, 1e-3)),
 ], ids=["rkf45", "rk4"])
 def test_stage_aux_prefixes_change_no_output(spec, monkeypatch):
-    # each stage asks the kernel for the aux entries its tableau weight reads;
-    # a kernel that ignores the request and computes all of aux must give the
-    # same run to the last bit
-    true_rhs = kernels.rhs
+    # every stage call asks the kernel for no aux, and those whose propagated
+    # weight dq reads fill a workspace slot for the integrands pass; a kernel
+    # that ignores the request and computes all of aux must give the same run
+    # to the last bit, and each row of every pass must equal the full aux
+    # prefix of its stage's call
+    true_rhs, true_integrands = kernels.rhs, kernels.integrands
     d = DomainSpec(half_length=1.0, modes=10)
     p = ModelParams(n=2, delta=0.1, epsilon=0.1, eta=0.05)
     u0 = project(lambda x: 1.0 + 0.4 * np.cos(np.pi * x) + 0.1 * np.cos(2 * np.pi * x), d)
     asked = set()
+    stage_aux = []  # aux prefix [D, S, D_r...] of the full calls that fill a slot
+    passes = []
 
-    def recording_rhs(c, t, params, r_values, n_aux=None):
-        asked.add(n_aux)
-        return true_rhs(c, t, params, r_values, n_aux)
+    def recording_rhs(c, t, params, r_values, n_aux=None, work=None):
+        asked.add((n_aux, work is not None))
+        return true_rhs(c, t, params, r_values, n_aux, work)
 
-    def full_rhs(c, t, params, r_values, n_aux=None):
-        return true_rhs(c, t, params, r_values)
+    def full_rhs(c, t, params, r_values, n_aux=None, work=None):
+        out = true_rhs(c, t, params, r_values, None, work)
+        if work is not None:
+            stage_aux.append(out[4][:2 + r_values.shape[0]].copy())
+        return out
+
+    def checking_integrands(c, work, t, params, r_values):
+        out = true_integrands(c, work, t, params, r_values)
+        # the pass follows the stage calls of the step it stands for
+        assert len(stage_aux) >= out.shape[0]
+        for row, want in zip(out, stage_aux[-out.shape[0]:]):
+            assert np.array_equal(row, want)
+        passes.append(out.shape[0])
+        return out
 
     runs = []
     for wrapper in (recording_rhs, full_rhs):
         monkeypatch.setattr(kernels, "rhs", wrapper)
+        if wrapper is full_rhs:
+            monkeypatch.setattr(kernels, "integrands", checking_integrands)
         runs.append(simulate(u0, spec, p, d, track_weak_residual=True))
     light, full = runs
-    nq = 2 + len(light.weighted_dissipation_cum)
-    assert asked == ({None, 0, nq} if spec.method == "rkf45" else {None, nq})
+    assert asked == ({(None, False), (0, False), (0, True)} if spec.method == "rkf45"
+                     else {(None, False), (0, True)})
     assert light.stats.accepted > 0
+    assert passes == [3] * full.stats.accepted
     assert light.stats == full.stats
     for name in ("coeffs", "dissipation_cum", "entropy_dissipation_cum"):
         assert np.array_equal(getattr(light, name), getattr(full, name)), name
@@ -228,6 +247,9 @@ def test_n_refinement_l2_agreement():
     d1 = np.sqrt(np.sum((finals[16][:9] - finals[8]) ** 2) + np.sum(finals[16][9:] ** 2))
     d2 = np.sqrt(np.sum((finals[32][:17] - finals[16]) ** 2) + np.sum(finals[32][17:] ** 2))
     assert d2 < d1
+    # the spectral rate: doubling N again gains more than two digits (d1 is
+    # about 2.2e-4, d2 about 3.2e-7)
+    assert d2 <= d1 / 100
 
 
 def test_anchor_violation_aborts():
@@ -432,6 +454,64 @@ def test_non_finite_slope_aborts_within_its_step(spec, where, monkeypatch):
     with pytest.raises(SimulationAbort, match="non-finite right-hand side"):
         simulate(_step_u0(), spec, STEP_PARAMS, STEP_DOMAIN)
     assert len(calls) == last_call + 1
+
+
+@pytest.mark.parametrize("spec", STEP_SPECS, ids=STEP_IDS)
+@pytest.mark.parametrize("index", [0, -1])
+def test_a_nan_that_python_max_would_hide_aborts_within_its_step(spec, index, monkeypatch):
+    # one NaN component of the last stage slope, first or last, which reaches
+    # no other kernel call and so stays one component of c_out and c_emb:
+    # Python's max keeps a leading NaN but drops a later one, so the
+    # single-member screen must catch both before the step control reads
+    # the error norm
+    true_rhs = kernels.rhs
+    calls = []
+    poison_at = None
+
+    def poisoned_rhs(c, *args):
+        calls.append(1)
+        out = true_rhs(c, *args)
+        if len(calls) == poison_at:
+            c_dot = out[0].copy()
+            c_dot[index] = np.nan
+            return (c_dot, *out[1:])
+        return out
+
+    monkeypatch.setattr(kernels, "rhs", poisoned_rhs)
+    n_stages = len(_TABLEAUX[spec.method][1])
+    # the last stage call of the second step (the first step was accepted)
+    poison_at = 2 * n_stages
+    with pytest.raises(SimulationAbort, match="non-finite right-hand side"):
+        simulate(_step_u0(), spec, STEP_PARAMS, STEP_DOMAIN)
+    assert len(calls) == 2 * n_stages
+
+
+def test_rejected_steps_make_no_pass_and_the_call_counts_stay(monkeypatch):
+    # one integrands pass per accepted step and none for a rejected one; the
+    # kernel calls, StepStats.rhs_calls and the tally keep the counts they
+    # had when every stage call computed its own integrands
+    from capillary1d import galerkin
+
+    true_rhs, true_integrands = kernels.rhs, kernels.integrands
+    calls = {"rhs": 0, "integrands": 0}
+
+    def counting_rhs(*args):
+        calls["rhs"] += 1
+        return true_rhs(*args)
+
+    def counting_integrands(*args):
+        calls["integrands"] += 1
+        return true_integrands(*args)
+
+    monkeypatch.setattr(kernels, "rhs", counting_rhs)
+    monkeypatch.setattr(kernels, "integrands", counting_integrands)
+    n0 = galerkin.rhs_calls_tally
+    res = simulate(_step_u0(), IntegratorSpec(t_end=2e-2, rtol=1e-8, atol=1e-10),
+                   STEP_PARAMS, STEP_DOMAIN)
+    st = res.stats
+    assert (st.accepted, st.rejected, st.rhs_calls) == (454, 23, 2840)
+    assert calls == {"rhs": 2840, "integrands": 454}
+    assert galerkin.rhs_calls_tally - n0 == 2840
 
 
 # -- stacks: several members stepped together ---------------------------------

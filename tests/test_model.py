@@ -227,6 +227,35 @@ def test_entropy_closed_forms_match_adaptive_oracle():
         assert abs(ent.G(np.array([s]))[0] - G_ref) < 1e-11
 
 
+@pytest.mark.parametrize("eps, a", [(0.1, 1.5), (1e-3, 1.5), (0.1, 3.0), (1e-2, 0.5),
+                                    (1e-6, 1.5)])
+def test_entropy_n2_closed_form_near_the_anchor(eps, a):
+    # the arctan/log primitives cancel near the anchor (at eps = 0.1 and
+    # a = 1.5 they put G(a - 1.5e-6) 2.5e-3 and G(a - 1.5e-7) 1.1e-1 off);
+    # within a/4 of it, on both sides, g and G match quad to 1e-12 relative,
+    # and so does the closed form just outside for eps >= 1e-3
+    ent = entropy_functions(ModelParams(n=2.0, epsilon=eps, entropy_anchor=a))
+    d = np.concatenate([np.geomspace(1e-9, 0.249, 25), -np.geomspace(1e-9, 0.2, 6),
+                        [0.26, 0.3] if eps >= 1e-3 else []])
+    s = a - a * d
+    G, g = ent.G(s), ent.g(s)
+    for x, G_x, g_x in zip(s, G, g):
+        # the offset y = r - x as the variable keeps the oracle's integrand
+        # exact near x; a - x is exact too (Sterbenz)
+        G_ref, _ = quad(lambda y: y / ((x + y) ** 2 + eps), 0.0, a - x, epsabs=0.0, epsrel=1e-13)
+        g_ref, _ = quad(lambda y: 1.0 / ((x + y) ** 2 + eps), 0.0, a - x, epsabs=0.0,
+                        epsrel=1e-13)
+        assert abs(G_x - G_ref) <= 1e-12 * abs(G_ref), (x, G_x, G_ref)
+        assert abs(g_x + g_ref) <= 1e-12 * abs(g_ref), (x, g_x, g_ref)
+    # the band is the only place the near-anchor forms act: away from it G
+    # keeps the closed form's own values
+    far = np.array([-0.5 * a, 0.0, 0.3 * a, 0.7 * a, 1.3 * a])
+    rt = np.sqrt(eps)
+    g_far = np.arctan(far / rt) / rt - np.arctan(np.array(a) / rt) / rt
+    assert np.array_equal(ent.g(far), g_far)
+    assert np.array_equal(ent.G(far), 0.5 * np.log((a * a + eps) / (far * far + eps)) + far * g_far)
+
+
 def test_entropy_numeric_path_matches_nested_oracle():
     a = 1.5
     n, eps = 1.5, 0.05
