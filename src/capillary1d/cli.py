@@ -175,6 +175,17 @@ def _emit_error(exc: Exception, code: int) -> int:
     return code
 
 
+def _number_list(text: str, flag: str) -> list[float]:
+    """The comma-separated numbers of a flag; a ConfigError names a bad entry."""
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(float(entry))
+        except ValueError:
+            raise ConfigError(f"{flag} entry {entry!r} is not a number") from None
+    return values
+
+
 def _load(args) -> dict:
     cfg = load_config(args.config)
     if args.set:
@@ -205,13 +216,13 @@ def _sweep_csv(report: dict, path: Path) -> None:
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     if args.values:
-        values = tuple(float(v) for v in args.values.split(","))
+        values = tuple(_number_list(args.values, "--values"))
     else:
         values = DEFAULT_SWEEP_VALUES[args.param]
     if args.param == "epsilon" and min(values) < EPSILON_DEEP_FLOOR and not args.deep:
         raise ConfigError(
             f"epsilon below {EPSILON_DEEP_FLOOR} with degenerate data needs --deep")
-    spec = SweepSpec(parameter=args.param, values=values, base_config=cfg, jobs=args.jobs)
+    spec = SweepSpec(parameter=args.param, values=values, base_config=cfg)
     outdir = Path(args.out)
     try:
         report = run_sweep(spec)
@@ -244,8 +255,7 @@ def cmd_compare(args) -> int:
 
 def cmd_thresholds(args) -> int:
     cfg = _load(args)
-    n_values = [float(v) for v in args.n_values.split(",")]
-    report = threshold_study(n_values, cfg)
+    report = threshold_study(_number_list(args.n_values, "--n-values"), cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "thresholds_report.json", report)
@@ -290,11 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="run a regularization-parameter or N sweep")
+    p = sub.add_parser("sweep", help="run a regularization-parameter or N sweep in this process "
+                                      "(eta, epsilon and delta members step as one stack)")
     common(p)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, one member each; 1 (the default) steps the "
-                        "members of an eta, epsilon or delta sweep together in this process")
     p.add_argument("--deep", action="store_true",
                    help="allow expensive settings (epsilon < 1e-3)")
     p.add_argument("--param", required=True, choices=SWEEP_PARAMETERS)

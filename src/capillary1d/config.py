@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import DomainSpec, SpectralField, project, synthesize
-from .diagnostics import (
-    DiagnosticsRecord,
-    default_tol_zero,
-    holder_probe,
-    trajectory_records,
-)
+from .diagnostics import DiagnosticsRecord, holder_probe, trajectory_records
 from .galerkin import (
     DEFAULT_R_VALUES,
     IntegratorSpec,
@@ -349,7 +344,7 @@ def run_configs(raws: list[dict]) -> tuple[list[RunOutput], Exception | None]:
         timings[i][phase] = now - mark
         mark = now
 
-    prepared = []  # (rc, validation report, entropy pair, tol_zero) per config
+    prepared = []  # (rc, validation report, entropy pair) per config
     failure = None
     for i, raw in enumerate(raws):
         try:
@@ -363,8 +358,7 @@ def run_configs(raws: list[dict]) -> tuple[list[RunOutput], Exception | None]:
         except Exception as exc:  # this config fails; the later ones never run
             failure = exc
             break
-        prepared.append((rc, report, entropy,
-                         default_tol_zero(synthesize(rc.u0, rc.domain, order=0).u)))
+        prepared.append((rc, report, entropy))
     if not prepared:
         return [], failure
 
@@ -382,15 +376,13 @@ def run_configs(raws: list[dict]) -> tuple[list[RunOutput], Exception | None]:
     if len(prepared) == 1:
         try:
             results = [simulate(rc0.u0, rc0.spec, rc0.params, rc0.domain, r_values=r_values,
-                                track_weak_residual=diag["track_weak_residual"],
-                                tol_zero=prepared[0][3])]
+                                track_weak_residual=diag["track_weak_residual"])]
         except Exception as exc:
             results, failure = [], exc
     else:
         results, abort = simulate_stack(
             [rc.u0 for rc, *_ in prepared], rc0.spec, [rc.params for rc, *_ in prepared],
-            rc0.domain, r_values=r_values, track_weak_residual=diag["track_weak_residual"],
-            tol_zero=[tol_zero for *_, tol_zero in prepared])
+            rc0.domain, r_values=r_values, track_weak_residual=diag["track_weak_residual"])
         if abort is not None:  # from a config before the one that failed, if any
             failure = abort
     elapsed = time.perf_counter() - mark
@@ -399,9 +391,9 @@ def run_configs(raws: list[dict]) -> tuple[list[RunOutput], Exception | None]:
         t["galerkin.integrate"] = elapsed
 
     outputs = []
-    for i, ((rc, report, entropy, tol_zero), result) in enumerate(zip(prepared, results)):
+    for i, ((rc, report, entropy), result) in enumerate(zip(prepared, results)):
         try:
-            records = trajectory_records(result, entropy=entropy, tol_zero=tol_zero)
+            records = trajectory_records(result, entropy=entropy)
             lap(i, "diagnostics.records")
             probe = holder_probe(result) if rc.resolved["diagnostics"]["holder_probe"] else None
             lap(i, "diagnostics.probe")

@@ -31,17 +31,12 @@ from .basis import (
 from .galerkin import SimulationAbort, SimulationResult, rhs_output
 from .model import (
     DEFAULT_TOL_NEG_REL,
-    DEFAULT_TOL_ZERO_REL,
     ConfigError,
     EntropyEval,
     ModelParams,
+    default_tol_zero,
     entropy_integral,
 )
-
-
-def default_tol_zero(u: np.ndarray) -> float:
-    """Positivity-set tolerance for grid values u, relative to max(1, max|u|)."""
-    return DEFAULT_TOL_ZERO_REL * max(1.0, float(np.abs(u).max()))
 
 
 @dataclass
@@ -106,15 +101,13 @@ def snapshot_diagnostics(c: SpectralField, params: ModelParams, domain: DomainSp
     )
 
 
-def trajectory_records(result: SimulationResult, entropy: EntropyEval | None = None,
-                       tol_zero: float | None = None) -> list[DiagnosticsRecord]:
-    """One record per snapshot, cumulative integrals merged in; tol_zero defaults from snapshot 0."""
-    if tol_zero is None:
-        tol_zero = default_tol_zero(synthesize(result.snapshot_field(0), result.domain, order=0).u)
+def trajectory_records(result: SimulationResult,
+                       entropy: EntropyEval | None = None) -> list[DiagnosticsRecord]:
+    """One record per snapshot, cumulative integrals merged in, at the run's tol_zero."""
     records = []
     for i, s in enumerate(result.snapshot_times):
         rec = snapshot_diagnostics(result.snapshot_field(i), result.params,
-                                   result.domain, entropy=entropy, tol_zero=tol_zero)
+                                   result.domain, entropy=entropy, tol_zero=result.tol_zero)
         rec.t = float(s)
         rec.dissipation_cum = float(result.dissipation_cum[i])
         rec.entropy_dissipation_cum = float(result.entropy_dissipation_cum[i])
@@ -160,12 +153,12 @@ def mass_drift(records: list[DiagnosticsRecord]) -> float:
 
 
 def flux_and_weak_residual(c: SpectralField, params: ModelParams, domain: DomainSpec,
-                           test_modes=None,
-                           tol_zero: float = DEFAULT_TOL_ZERO_REL) -> tuple[np.ndarray, float]:
+                           test_modes=None) -> tuple[np.ndarray, float]:
     """Weak residuals r_j = (u_t, e_j) + (J, e_j') per test mode.
 
     u_t, u and the flux m(u) p_x come from one kernels.rhs call; J is the
-    flux restricted to the positivity set {u > tol_zero} and zero elsewhere.
+    flux restricted to the positivity set {u > default_tol_zero(u)} and zero
+    elsewhere.
     For j <= N the residual vanishes to roundoff by Galerkin orthogonality;
     modes j > N, sampled from the closed form (basis.modes), quantify spatial
     truncation.  Returns (residuals, scale) where scale is the natural
@@ -173,7 +166,7 @@ def flux_and_weak_residual(c: SpectralField, params: ModelParams, domain: Domain
     """
     t = tables(domain)
     c_dot, _, u, flux, _ = rhs_output(c, params, domain)
-    ut, J, a_tab, b_tab = kernels.weak_residual_terms(t, c_dot, u, flux, tol_zero)
+    ut, J, a_tab, b_tab = kernels.weak_residual_terms(t, c_dot, u, flux, default_tol_zero(u))
     js = np.arange(a_tab.size) if test_modes is None else np.asarray(test_modes, dtype=int)
     inside = js <= domain.modes
     a = np.zeros(js.size)

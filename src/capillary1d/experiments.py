@@ -11,9 +11,7 @@ stays open; the sweep records the consecutive-difference trend as data only.
 
 from __future__ import annotations
 
-import contextlib
 import copy
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,13 +51,15 @@ class SweepSpec:
     parameter: str
     values: tuple
     base_config: dict
+    # every sweep runs in this process; the field stays only until the
+    # benchmark stops passing jobs=1 (ROADMAP item 1)
     jobs: int = 1
 
     def __post_init__(self):
         if self.parameter not in SWEEP_PARAMETERS:
             raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}")
-        if isinstance(self.jobs, bool) or not isinstance(self.jobs, int) or self.jobs < 1:
-            raise ConfigError(f"sweep jobs must be a positive integer, got {self.jobs!r}")
+        if type(self.jobs) is not int or self.jobs != 1:
+            raise ConfigError(f"sweep jobs must be 1, got {self.jobs!r}")
         if len(self.values) < 3:
             raise ConfigError("sweep needs at least 3 values")
         diffs = np.diff(np.asarray(self.values, dtype=float))
@@ -113,7 +113,7 @@ def _member_summary(out: RunOutput) -> dict:
 
 
 def _run_member(cfgs: list[dict]) -> tuple[list[dict], Exception | None]:
-    """Worker entry point (top-level for process pools): one stack of members.
+    """One stack of members, stepped together by config.run_configs.
 
     Returns the summaries of the members before the first one that failed,
     in any phase, and that member's exception (None when all of them ran).
@@ -151,27 +151,23 @@ def run_sweep(spec: SweepSpec) -> dict:
 
     Every member's config is resolved, its initial data checked, and
     CAPILLARY1D_SEED read before the first member runs, so bad input is a
-    ConfigError.  With jobs = 1 the members of an eta, epsilon or delta
-    sweep step together as one stack (config.run_configs), bit-identical to
-    running them one at a time; an N sweep runs its members one by one.
-    jobs > 1 runs one member per worker process.  A failed member ends the
-    sweep with the members before it, as a serial run would.  Reports are
-    deterministic for a fixed spec + seed.
+    ConfigError.  Every sweep runs in this process: the members of an eta,
+    epsilon or delta sweep step together as one stack (config.run_configs),
+    bit-identical to running them one at a time, and an N sweep runs its
+    members one by one.  A failed member ends the sweep with the members
+    before it, as a serial run would.  Reports are deterministic for a fixed
+    spec + seed.
     """
     seed = run_seed()
     configs = [_member_config(spec, v) for v in spec.values]
-    stacks = ([configs] if spec.jobs == 1 and spec.parameter in STACK_KEYS
-              else [[cfg] for cfg in configs])
+    stacks = [configs] if spec.parameter in STACK_KEYS else [[cfg] for cfg in configs]
     members: list[dict] = []
     error = None
-    with ProcessPoolExecutor(spec.jobs) if spec.jobs > 1 else contextlib.nullcontext() as pool:
-        try:
-            for done, error in (map if pool is None else pool.map)(_run_member, stacks):
-                members += done
-                if error is not None:  # partial report on member failure
-                    break
-        except Exception as exc:  # a worker process that could not return its member
-            error = exc
+    for stack in stacks:
+        done, error = _run_member(stack)
+        members += done
+        if error is not None:  # partial report on member failure
+            break
     failure = (None if error is None
                else f"member {spec.parameter}={spec.values[len(members)]} failed: {error}")
 

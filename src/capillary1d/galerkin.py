@@ -64,7 +64,7 @@ import numpy as np
 
 from . import kernels
 from .basis import DomainSpec, SpectralField, tables
-from .model import DEFAULT_TOL_ZERO_REL, ModelParams, stacked_params
+from .model import ModelParams, default_tol_zero, stacked_params
 
 DT_MIN = 1e-12
 # accepted plus rejected steps of one run: about 50x the longest verify run
@@ -164,6 +164,7 @@ class SimulationResult:
     nodes: NodeSeries
     stats: StepStats
     flags: list[str]
+    tol_zero: float  # positivity-set tolerance, default_tol_zero of u0 on the grid
 
     def snapshot_field(self, i: int) -> SpectralField:
         return SpectralField(self.coeffs[i].copy())
@@ -240,8 +241,7 @@ class _Member:
 
 def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
              domain: DomainSpec, r_values=DEFAULT_R_VALUES,
-             track_weak_residual: bool = False,
-             tol_zero: float = DEFAULT_TOL_ZERO_REL) -> SimulationResult:
+             track_weak_residual: bool = False) -> SimulationResult:
     """Integrate to t_end, sampling snapshots and accumulating dissipations.
 
     The entropy anchor (params.entropy_anchor, when set) is asserted at every
@@ -249,23 +249,24 @@ def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
     MAX_STEPS accepted plus rejected steps.
     """
     results, failure = simulate_stack([u0], spec, [params], domain, r_values,
-                                      track_weak_residual, [tol_zero])
+                                      track_weak_residual)
     if failure is not None:
         raise failure
     return results[0]
 
 
 def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: DomainSpec,
-                   r_values=DEFAULT_R_VALUES, track_weak_residual: bool = False,
-                   tol_zero: list | None = None) -> tuple[list, SimulationAbort | None]:
+                   r_values=DEFAULT_R_VALUES,
+                   track_weak_residual: bool = False) -> tuple[list, SimulationAbort | None]:
     """simulate on several members at once, stepped as one stack.
 
     The members share the domain, the integrator spec and r_values; their
     ModelParams may differ in delta, epsilon, eta and the entropy anchor
-    (model.stacked_params), and each has its own u0 and tol_zero (default
-    DEFAULT_TOL_ZERO_REL).  Each member keeps its own dt, accept/reject
-    decision, snapshots, anchor check, MAX_STEPS count and StepStats, and
-    its result is bit-identical to simulate on that member alone.
+    (model.stacked_params), and each has its own u0, whose grid values set
+    its zero-set tolerance (model.default_tol_zero, kept on the result).
+    Each member keeps its own dt, accept/reject decision, snapshots, anchor
+    check, MAX_STEPS count and StepStats, and its result is bit-identical to
+    simulate on that member alone.
 
     Returns (results, failure).  The run fails as if its members had run one
     after another in order: when a member aborts, it and every later member
@@ -287,10 +288,9 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
     r_arr = np.asarray(r_values, dtype=float)
     nr = len(r_values)
     nq = 2 + nr  # cumulative integrals: the leading aux entries D, S, D_r...
-    if tol_zero is None:
-        tol_zero = [DEFAULT_TOL_ZERO_REL] * len(cs)
-    members = [_Member(i, p, tz, np.empty((n_snap, domain.modes + 1)), np.empty((n_snap, nq)))
-               for i, (p, tz) in enumerate(zip(params, tol_zero))]
+    members = [_Member(i, p, default_tol_zero(t.E @ c), np.empty((n_snap, domain.modes + 1)),
+                       np.empty((n_snap, nq)))
+               for i, (p, c) in enumerate(zip(params, cs))]
     t_end = spec.t_end
     eps_end = 1e-12 * max(1.0, t_end)
     stop = len(members)  # the members from this index on have left the run
@@ -545,5 +545,6 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
             nodes=nodes,
             stats=m.stats,
             flags=flags,
+            tol_zero=m.tol_zero,
         ))
     return results, failure

@@ -379,6 +379,11 @@ DEFAULT_TOL_ZERO_REL = 1e-7
 DEFAULT_TOL_NEG_REL = 1e-8
 
 
+def default_tol_zero(u: np.ndarray) -> float:
+    """Positivity-set tolerance for grid values u, relative to max(1, max|u|)."""
+    return DEFAULT_TOL_ZERO_REL * max(1.0, float(np.abs(u).max()))
+
+
 @dataclass
 class ValidationReport:
     valid: bool
@@ -403,13 +408,12 @@ def validate_initial_data(u0: SpectralField, params: ModelParams, domain: Domain
     umax = float(fld.u.max())
     scale = max(1.0, abs(umax))
     tol_neg = DEFAULT_TOL_NEG_REL * scale
-    tol_touch = DEFAULT_TOL_ZERO_REL * scale
 
     errors: list[str] = []
     warnings: list[str] = []
     if umin < -tol_neg:
         errors.append(f"initial data negative on the grid: min u0 = {umin:.3e}")
-    touches = umin < tol_touch
+    touches = umin < default_tol_zero(fld.u)
 
     anchor = params.entropy_anchor if params.entropy_anchor is not None else umax + 1.0
     if anchor <= umax:

@@ -224,10 +224,18 @@ def test_simulate_step_limit_exit_3(cfgfile, tmp_path, capsys, monkeypatch):
 
 
 def test_simulate_unread_flag_exit_2(cfgfile, tmp_path):
-    # --jobs belongs to sweep only
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--config", cfgfile, "--out", str(tmp_path / "o"), "--jobs", "2"])
     assert exc.value.code == 2
+
+
+def test_sweep_jobs_flag_exit_2(cfgfile, tmp_path):
+    # every sweep runs in this process, so sweep takes no --jobs either
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", cfgfile, "--out", str(tmp_path / "o"), "--param", "delta",
+              "--jobs", "2"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
@@ -313,6 +321,28 @@ def test_sweep_fractional_n_exit_2(cfgfile, tmp_path, capsys, monkeypatch):
         assert record["error"] == "ConfigError"
         assert message in record["message"]
         assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (["sweep", "--param", "delta", "--values", "0.3,abc,0.01"],
+     "--values entry 'abc' is not a number"),
+    (["thresholds", "--n-values", "1.5,x"], "--n-values entry 'x' is not a number"),
+])
+def test_non_number_in_value_list_exit_2(cfgfile, tmp_path, capsys, monkeypatch, command,
+                                         message):
+    # refused before any member runs and before --out is created
+    def no_run(*args):
+        raise AssertionError("a member ran")
+
+    monkeypatch.setattr(experiments, "_run_member", no_run)
+    monkeypatch.setattr(experiments, "run_config", no_run)
+    out = tmp_path / "o"
+    rc = main([command[0], "--config", cfgfile, "--out", str(out), *command[1:]])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError"
+    assert record["message"] == message
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", ["abc", "-1"])

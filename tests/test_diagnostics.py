@@ -183,11 +183,9 @@ def test_weak_residual_single_definition():
     # the per-step series of simulate and the diagnostic are one computation:
     # at t = 0 they agree bit for bit on the reference configuration
     rc = resolve_config(REFERENCE_RUN)
-    tol_zero = 1e-7 * max(1.0, float(np.abs(synthesize(rc.u0, rc.domain, order=0).u).max()))
     spec = IntegratorSpec(t_end=1e-6)
-    res = simulate(rc.u0, spec, rc.params, rc.domain, track_weak_residual=True,
-                   tol_zero=tol_zero)
-    resid, _ = flux_and_weak_residual(rc.u0, rc.params, rc.domain, tol_zero=tol_zero)
+    res = simulate(rc.u0, spec, rc.params, rc.domain, track_weak_residual=True)
+    resid, _ = flux_and_weak_residual(rc.u0, rc.params, rc.domain)
     assert res.nodes.weak_residual[0] == np.max(np.abs(resid))
 
 

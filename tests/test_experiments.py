@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from capillary1d import kernels
+from capillary1d import experiments, kernels
 from capillary1d.config import ConfigError
 from capillary1d.experiments import (
     SweepError,
@@ -33,8 +33,8 @@ def test_sweep_spec_validation():
         SweepSpec(parameter="eta", values=(1.0, 0.1), base_config=TINY)
     with pytest.raises(ConfigError):
         SweepSpec(parameter="eta", values=(1.0, 0.1, 0.5), base_config=TINY)
-    for jobs in (0, -3, 1.0, True):  # jobs = 1 stacks the members, jobs > 1 forks
-        with pytest.raises(ConfigError, match="jobs must be a positive integer"):
+    for jobs in (2, 0, -3, 1.0, True):  # every sweep runs in this process
+        with pytest.raises(ConfigError, match="jobs must be 1"):
             SweepSpec(parameter="eta", values=(1.0, 0.1, 0.01), base_config=TINY, jobs=jobs)
 
 
@@ -63,14 +63,24 @@ def test_sweep_determinism():
     assert json.dumps(r1, sort_keys=True, default=str) == json.dumps(r2, sort_keys=True, default=str)
 
 
-def test_sweep_parallel_matches_sequential():
-    # worker processes assemble in submission order: bytes must not depend on jobs
-    seq = run_sweep(SweepSpec(parameter="delta", values=(0.3, 0.1, 0.03),
-                              base_config=TINY, jobs=1))
-    par = run_sweep(SweepSpec(parameter="delta", values=(0.3, 0.1, 0.03),
-                              base_config=TINY, jobs=2))
-    assert (json.dumps(seq, sort_keys=True, default=str)
-            == json.dumps(par, sort_keys=True, default=str))
+def test_sweep_parallel_matches_sequential(monkeypatch):
+    # the members stepped as one stack give the bytes of one run per member
+    spec = SweepSpec(parameter="delta", values=(0.3, 0.1, 0.03), base_config=TINY)
+    stacked = run_sweep(spec)
+    true_member = experiments._run_member
+    stacks = []
+
+    def one_at_a_time(cfgs):
+        stacks.append(len(cfgs))
+        runs = [true_member([cfg]) for cfg in cfgs]
+        assert all(failure is None for _, failure in runs)
+        return [member for done, _ in runs for member in done], None
+
+    monkeypatch.setattr(experiments, "_run_member", one_at_a_time)
+    serial = run_sweep(spec)
+    assert stacks == [3]
+    assert (json.dumps(stacked, sort_keys=True, default=str)
+            == json.dumps(serial, sort_keys=True, default=str))
 
 
 def test_delta_sweep_uniform_verdict_logic():

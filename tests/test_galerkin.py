@@ -9,7 +9,6 @@ from capillary1d.basis import (
     mass,
     project,
     quadrature,
-    synthesize,
     tables,
 )
 from capillary1d.galerkin import (
@@ -539,12 +538,11 @@ STACK_CASES = {
 
 
 def _stack_members(case, method):
-    """(u0s, spec, params, domain, tol_zeros) of one STACK_CASES case."""
+    """(u0s, spec, params, domain) of one STACK_CASES case."""
     from pathlib import Path
 
     from capillary1d import verify
     from capillary1d.config import load_config, resolve_config
-    from capillary1d.diagnostics import default_tol_zero
 
     base, key, values, t_end, dt = STACK_CASES[case]
     if base == "DELTA_SWEEP_RUN":
@@ -561,9 +559,7 @@ def _stack_members(case, method):
         t_end = 100 * dt
         spec = IntegratorSpec(t_end=t_end, method="rk4", dt=dt,
                               snapshot_times=(0.0, t_end / 3, t_end))
-    domain = rcs[0].domain
-    tol_zeros = [default_tol_zero(synthesize(rc.u0, domain, order=0).u) for rc in rcs]
-    return [rc.u0 for rc in rcs], spec, [rc.params for rc in rcs], domain, tol_zeros
+    return [rc.u0 for rc in rcs], spec, [rc.params for rc in rcs], rcs[0].domain
 
 
 def _assert_bit_identical(a, b, where="result"):
@@ -592,13 +588,12 @@ def test_stack_is_bit_identical_to_serial_runs(case, method):
     from capillary1d import galerkin
     from capillary1d.galerkin import simulate_stack
 
-    u0s, spec, params, domain, tol_zeros = _stack_members(case, method)
+    u0s, spec, params, domain = _stack_members(case, method)
     n0 = galerkin.rhs_calls_tally
-    serial = [simulate(u0, spec, p, domain, track_weak_residual=True, tol_zero=tz)
-              for u0, p, tz in zip(u0s, params, tol_zeros)]
+    serial = [simulate(u0, spec, p, domain, track_weak_residual=True)
+              for u0, p in zip(u0s, params)]
     n1 = galerkin.rhs_calls_tally
-    stacked, failure = simulate_stack(u0s, spec, params, domain, track_weak_residual=True,
-                                      tol_zero=tol_zeros)
+    stacked, failure = simulate_stack(u0s, spec, params, domain, track_weak_residual=True)
     assert failure is None
     assert len(stacked) == len(serial)
     for a, b in zip(serial, stacked):
@@ -614,10 +609,10 @@ def test_stack_drops_the_members_from_the_first_abort_on(monkeypatch):
     # the stack keeps the first member's result and reports the second's abort
     from capillary1d.galerkin import simulate_stack
 
-    u0s, spec, params, domain, tol_zeros = _stack_members("tiny-eta", "rkf45")
+    u0s, spec, params, domain = _stack_members("tiny-eta", "rkf45")
     # the second member's modes decay below 0.97 of their start within the run
     a0 = float(np.abs(u0s[1].coeffs[1:]).max())
-    free = simulate(u0s[1], spec, params[1], domain, tol_zero=tol_zeros[1])
+    free = simulate(u0s[1], spec, params[1], domain)
     assert float(np.abs(free.coeffs[-1][1:]).max()) < 0.97 * a0
     true_rhs = kernels.rhs
 
@@ -628,9 +623,9 @@ def test_stack_drops_the_members_from_the_first_abort_on(monkeypatch):
 
     monkeypatch.setattr(kernels, "rhs", failing_rhs)
     with pytest.raises(SimulationAbort) as serial_abort:
-        simulate(u0s[1], spec, params[1], domain, tol_zero=tol_zeros[1])
-    first = simulate(u0s[0], spec, params[0], domain, tol_zero=tol_zeros[0])
-    results, failure = simulate_stack(u0s, spec, params, domain, tol_zero=tol_zeros)
+        simulate(u0s[1], spec, params[1], domain)
+    first = simulate(u0s[0], spec, params[0], domain)
+    results, failure = simulate_stack(u0s, spec, params, domain)
     assert str(failure) == str(serial_abort.value) == "non-finite right-hand side"
     assert len(results) == 1
     _assert_bit_identical(first, results[0])

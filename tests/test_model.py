@@ -352,6 +352,15 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_process_pools_unloaded():
+    # every sweep runs in this process, so no process-pool machinery is imported
+    code = ("import sys, capillary1d.cli; "
+            "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=_src_env())
+    assert out.stdout.strip() == "False False"
+
+
 def test_entropy_infinite_sentinel():
     ent = entropy_functions(ModelParams(n=2, epsilon=0.0, entropy_anchor=1.0))
     vals = ent.G(np.array([-0.5, 0.0]))
