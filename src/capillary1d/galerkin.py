@@ -12,15 +12,16 @@ RK4 (fixed step); every stage calls kernels.rhs.  It steps one member, for
 simulate, or a stack of B members whose parameters differ in delta,
 epsilon and eta only, and its arrays carry a leading member shape: () for
 one member, so a run by itself makes the same numpy calls on 1-D arrays,
-and (B,) for a stack, which makes one kernel call per stage and one
-integrands pass per step for all B.
+and (B,) for a stack, which makes one kernel call per stage and one aux
+pass per accepted state for all B.
 Each member keeps its own dt, accept/reject decision, snapshots, anchor
 check and StepStats; the step-size control runs on Python floats, member by
 member, since numpy's array power can differ from Python's ** in the last
 bit.  The kernel acts row by row, so a member's output in a stack is
 bit-identical to its run alone.  A step that stands for some members only
-still makes one call at the accepted states: the others' rows go back to
-their last accepted states, whose slopes the call gives again bit for bit.
+still makes one call and one pass at the accepted states: the others' rows
+go back to their last accepted states, whose slopes and aux the call and
+the pass give again bit for bit, and their q is reset.
 A step is a row update
 (Hairer, Norsett & Wanner, Solving ODEs I, II.1) on one buffer per run:
 its rows hold the stage inputs, then the propagated and (RKF45) the
@@ -35,17 +36,19 @@ its error norm and max|c| as Python floats, and screens those rows with a
 Python sum, which is non-finite whenever a term is, before the exact check
 (Python's max alone would hide a NaN).  Cumulative integrals q (flux
 dissipation, entropy dissipation, r-weighted dissipations) ride along,
-summed over the same propagated weights; step-size control acts on the
-coefficient vector only.  The call at each accepted state asks the kernel
-for all of aux, since the energies, the anchor check and the dense output
-read it, and its [D, S, D_r...] are the first stage's slopes of q.  The
-later stage calls ask for none; those whose propagated weight q reads (the
-third to fifth stages of RKF45, the second to fourth of RK4) write their
-grid values into a slot of a per-run workspace instead.  Once a step
-stands for at least one member, one kernels.integrands pass over the
-workspace and the stage inputs, which are still rows of the buffer, gives
-those stages' [D, S, D_r...] as one stack, bit-identical to what each
-stage's full call would give; a rejected step makes no pass.  Snapshots
+summed over the same propagated weights, in slope order, as one stacked
+multiply and one reduction; step-size control acts on the coefficient
+vector only.  The kernel computes no aux; kernels.integrands computes all
+of it, once per accepted state.  The call at each accepted state is a
+plain stage call, and it and the stage calls whose propagated weight q
+reads (the third to fifth stages of RKF45, the second to fourth of RK4)
+write their grid values into a slot of a per-run workspace.  Then one pass
+over the workspace and one contiguous stack of buffer rows -- a copy of
+the new state, then those stage inputs -- gives the new state's aux
+[D, S, D_r..., E_surface, E_delta, sup|u|], which the energies, the anchor
+check and the dense output read, and the stages' [D, S, D_r...], which
+with the last state's give dq.  At t = 0 the pass runs over the initial
+state alone, and a rejected step makes none.  Snapshots
 come from cubic Hermite dense output on the accepted steps, and the weak
 residual, when tracked, is measured at every accepted step from the same
 kernel output that drives the next step.
@@ -171,12 +174,11 @@ class SimulationResult:
 
 
 def rhs_output(c: SpectralField, params: ModelParams, domain: DomainSpec) -> tuple:
-    """One kernels.rhs call at c, without aux: (c_dot, d, u, flux, empty aux).
+    """One kernels.rhs call at c: (c_dot, d, u, flux, ux).
 
     Refused with a SimulationAbort if c_dot is non-finite.
     """
-    out = kernels.rhs(np.ascontiguousarray(c.coeffs), tables(domain), params,
-                      np.asarray(DEFAULT_R_VALUES), 0)
+    out = kernels.rhs(np.ascontiguousarray(c.coeffs), tables(domain), params)
     if not np.isfinite(out[0]).all():
         raise SimulationAbort("non-finite right-hand side")
     return out
@@ -318,30 +320,56 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
     if embedded is not None:
         tab[n_stages + 1] = embedded
     # the later stages lo..hi-1 span every later one that dq reads (those of
-    # nonzero propagated weight): their calls fill a workspace slot each, and
-    # one kernels.integrands pass over their inputs, rows lo..hi-1 of the
-    # buffer, gives their [D, S, D_r...] once a step stands
+    # nonzero propagated weight); buffer row lo - 1 takes a copy of the new
+    # state once a step stands, so that one kernels.integrands pass over rows
+    # lo - 1..hi - 1 gives the new state's aux and those stages' [D, S, D_r...]
     read = [i for i in range(1, n_stages) if weights[i] != 0.0]
     lo, hi = read[0], read[-1] + 1
-    dq_terms = [(i, b) for i, b in enumerate(weights) if b != 0.0]
-    q_zero = np.zeros(nq)
+    # dq sums these slopes of q in their order: the last accepted state's,
+    # then the stages' (a zero weight among them adds +-0)
+    dq_cols = np.array([0, *range(lo, hi)])
     max_steps = MAX_STEPS
     t_stop = t_end - eps_end
+    G = t.w.shape[0]
 
-    # the initial states enter as the accepted states of step 0
+    def workspace(n, lead):
+        # n slots of the grid values the pass reads besides c (kernels.rhs's
+        # work): u and u_x side by side, then Q^2, Q, p_x and m(u)
+        return (np.empty((n,) + lead + (2 * G,)), *np.empty((4, n) + lead + (G,)))
+
+    def work_slot(work, i):
+        return tuple(a[i] for a in work)
+
+    # the initial states enter as the accepted states of step 0, and their
+    # pass runs over them alone
     active = members
     single = len(active) == 1
     c_new = cs[0] if single else np.stack(cs)
     q_new = np.zeros(c_new.shape[:-1] + (nq,))
     ps = stacked_params(params)
+    work = workspace(1, c_new.shape[:-1])
+    state_work, states = work_slot(work, 0), c_new[None]
     accepted = range(len(active))
     first = True
     regroup = True  # whether the stack must be rebuilt before the next step
     while True:
-        # the call at the accepted states has its own finite check, since its
-        # k1 enters the step's Hermite snapshots as well as the next step
-        out = kernels.rhs(c_new, t, ps, r_arr)
-        k1_new, _, u_grid, flux, aux_new = out
+        # the call at the accepted states is a stage call that fills the
+        # pass's first slot; it has its own finite check, since its k1 enters
+        # the step's Hermite snapshots as well as the next step
+        k1_new, _, u_grid, flux, _ = kernels.rhs(c_new, t, ps, state_work)
+        aux_rows = kernels.integrands(states, work, t, ps, r_arr)
+        aux_new = aux_rows[0]
+        if not first:
+            # q_new = Q + dq, dq the propagated weights times the slopes of q,
+            # summed in slope order: an axis-0 reduction of a C-ordered stack
+            # adds its rows one after another
+            q_slopes = np.concatenate((AUX1[None, ..., :nq], aux_rows[1:, ..., :nq]))
+            q_slopes *= coef[n_stages, dq_cols][..., None]
+            q_new = Q + np.add.reduce(q_slopes, axis=0)
+            if held:
+                # the other members keep their last accepted rows, so the
+                # call and the pass give their k1 and aux1 again, bit for bit
+                q_new[held] = Q[held]
         finite = None if np.isfinite(k1_new).all() else per_member(np.isfinite(k1_new).all(-1))
         for pos in accepted:
             m = active[pos]
@@ -426,10 +454,12 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
                 later_coef = [coef[j + 1:, j, ..., None] for j in range(n_stages)]
                 stage_in = list(P[1:n_stages])
                 c_out, c_emb, sums = P[n_stages], P[-1], P[n_stages:]
-                # slot i - lo holds Q^2, Q, p_x and m(u) at stage i's input
-                W = np.empty((4, hi - lo) + lead + (t.w.shape[0],))
-                work = tuple(W)
-                stage_work = [tuple(W[:, i - lo]) if lo <= i < hi else None
+                states = P[lo - 1:hi]
+                # slot 0 holds the new state's grid values, slot i - lo + 1
+                # stage i's
+                work = workspace(1 + hi - lo, lead)
+                state_work = work_slot(work, 0)
+                stage_work = [work_slot(work, i - lo + 1) if lo <= i < hi else None
                               for i in range(1, n_stages)]
 
             for m in active:
@@ -450,7 +480,7 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
             k = K1
             for later, w, x, slot in zip(later_rows, later_coef, stage_in, stage_work):
                 later += w * k
-                k = kernels.rhs(x, t, ps, r_arr, 0, slot)[0]
+                k = kernels.rhs(x, t, ps, slot)[0]
             later_rows[-1] += later_coef[-1] * k
             # every stage slope reaches the last rows (a non-finite one through
             # a 0 * k product if need be), so one check covers the stage calls.
@@ -500,19 +530,13 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
             break
 
         c_new = c_out.copy()  # the next step overwrites the buffer
-        # the stage inputs are still rows lo..hi-1 of the buffer
-        stage_q = kernels.integrands(P[lo:hi], work, t, ps, r_arr)
-        dq = q_zero
-        dts = dt if single else dt[:, None]
-        for i, b in dq_terms:
-            dq = dq + dts * b * (AUX1[..., :nq] if i == 0 else stage_q[i - lo])
-        q_new = Q + dq
-        if len(accepted) < len(active):
-            # the other members keep their last accepted rows, so the call
-            # gives their k1 and aux1 again, bit for bit
-            held = [pos for pos in range(len(active)) if pos not in accepted]
+        # the positions of the members whose step did not stand
+        held = ([] if len(accepted) == len(active)
+                else [pos for pos in range(len(active)) if pos not in accepted])
+        if held:
             c_new[held] = C[held]
-            q_new[held] = Q[held]
+        # the stage inputs the pass reads are still rows lo..hi-1 of the buffer
+        P[lo - 1] = c_new
 
     results = []
     for m in members[:stop]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from capillary1d import experiments, kernels
-from capillary1d.basis import DomainSpec, project
+from capillary1d.basis import DomainSpec, project, tables
 from capillary1d.config import load_config, run_config
 from capillary1d.galerkin import IntegratorSpec, SimulationResult, simulate
 from capillary1d.model import ModelParams, entropy_functions
@@ -61,6 +61,37 @@ def test_simulate_looks_up_the_kernel_at_call_time(monkeypatch):
     assert isinstance(result, SimulationResult)
     assert result.stats.accepted > 0
     assert len(calls) == result.stats.rhs_calls
+
+
+def test_rhs_returns_five_values_with_c_dot_first(monkeypatch):
+    # perfbench/test_controls.py unpacks five values from kernels.rhs and
+    # edits the first as the slope c_dot, and its rhs-count check takes a
+    # run's kernel calls to be stats.rhs_calls: a leak added to c_dot[0]
+    # must reach the run's mass, through exactly stats.rhs_calls calls
+    domain = DomainSpec(half_length=1.0, modes=6)
+    u0 = project(lambda x: 1.0 + 0.3 * np.cos(np.pi * x), domain)
+    params = ModelParams(n=2, delta=0.1, epsilon=0.1)
+    spec = IntegratorSpec(t_end=1e-3, snapshot_times=(0.0, 1e-3))
+    out = kernels.rhs(u0.coeffs.copy(), tables(domain), params)
+    assert len(out) == 5
+    assert out[0].shape == u0.coeffs.shape and out[0][0] == 0.0  # dc/dt, mass mode zero
+    clean = simulate(u0, spec, params, domain)
+
+    true_rhs = kernels.rhs
+    calls = []
+
+    def leaky_rhs(c, *args):
+        calls.append(1)
+        c_dot, d, u, flux, aux = true_rhs(c, *args)
+        c_dot = c_dot.copy()
+        c_dot[..., 0] += 1e-4
+        return (c_dot, d, u, flux, aux)
+
+    monkeypatch.setattr(kernels, "rhs", leaky_rhs)
+    leaky = simulate(u0, spec, params, domain)
+    assert len(calls) == leaky.stats.rhs_calls
+    assert clean.coeffs[-1][0] == u0.coeffs[0]
+    assert leaky.coeffs[-1][0] - u0.coeffs[0] == pytest.approx(1e-4 * 1e-3, rel=1e-6)
 
 
 def test_eps_sweep_steps_its_members_as_one_stack(monkeypatch):

@@ -110,65 +110,67 @@ def test_rk4_observed_order():
     assert 3.6 < order < 4.4
 
 
+def _one_state_at_a_time(true_integrands, passes):
+    # the aux pass evaluated on each state of its stack alone; passes gets
+    # the number of states of every pass
+    def integrands(c, work, t, params, r_values):
+        passes.append(c.shape[0])
+        return np.stack([true_integrands(c[i:i + 1], tuple(a[i:i + 1] for a in work), t, params,
+                                         r_values)[0] for i in range(c.shape[0])])
+    return integrands
+
+
 @pytest.mark.parametrize("spec", [
-    IntegratorSpec(t_end=2e-3, rtol=1e-8, atol=1e-10,
-                   snapshot_times=(0.0, 3e-4, 1e-3, 1.7e-3, 2e-3)),
+    IntegratorSpec(t_end=5e-3, rtol=1e-8, atol=1e-10,
+                   snapshot_times=(0.0, 3e-4, 1e-3, 1.7e-3, 5e-3)),
     IntegratorSpec(t_end=1e-3, method="rk4", dt=2e-5, snapshot_times=(0.0, 3.1e-4, 7e-4, 1e-3)),
 ], ids=["rkf45", "rk4"])
 def test_stage_aux_prefixes_change_no_output(spec, monkeypatch):
-    # every stage call asks the kernel for no aux, and those whose propagated
-    # weight dq reads fill a workspace slot for the integrands pass; a kernel
-    # that ignores the request and computes all of aux must give the same run
-    # to the last bit, and each row of every pass must equal the full aux
-    # prefix of its stage's call
-    true_rhs, true_integrands = kernels.rhs, kernels.integrands
+    # all of aux comes from one pass per accepted state, over the new state
+    # and the stages whose propagated weight dq reads (rows lo - 1..hi - 1 of
+    # the step buffer: RKF45 stages 2-4, RK4 stages 1-3, so lo = 1 for RK4),
+    # and over the initial state alone at t = 0; a rejected step makes none.
+    # A pass that takes its states one at a time gives the same run to the
+    # last bit, for one member and for a stack whose members' steps stand
+    # apart
+    from capillary1d.galerkin import simulate_stack
+
+    true_integrands = kernels.integrands
     d = DomainSpec(half_length=1.0, modes=10)
     p = ModelParams(n=2, delta=0.1, epsilon=0.1, eta=0.05)
     u0 = project(lambda x: 1.0 + 0.4 * np.cos(np.pi * x) + 0.1 * np.cos(2 * np.pi * x), d)
-    asked = set()
-    stage_aux = []  # aux prefix [D, S, D_r...] of the full calls that fill a slot
     passes = []
+    monkeypatch.setattr(kernels, "integrands", _one_state_at_a_time(true_integrands, passes))
+    one = simulate(u0, spec, p, d, track_weak_residual=True)
+    monkeypatch.setattr(kernels, "integrands", true_integrands)
+    together = simulate(u0, spec, p, d, track_weak_residual=True)
+    st = together.stats
+    assert st.accepted > 0
+    if spec.method == "rkf45":
+        assert st.rejected > 0
+    assert passes == [1] + [4] * st.accepted
+    _assert_bit_identical(one, together)
 
-    def recording_rhs(c, t, params, r_values, n_aux=None, work=None):
-        asked.add((n_aux, work is not None))
-        return true_rhs(c, t, params, r_values, n_aux, work)
-
-    def full_rhs(c, t, params, r_values, n_aux=None, work=None):
-        out = true_rhs(c, t, params, r_values, None, work)
-        if work is not None:
-            stage_aux.append(out[4][:2 + r_values.shape[0]].copy())
-        return out
-
-    def checking_integrands(c, work, t, params, r_values):
-        out = true_integrands(c, work, t, params, r_values)
-        # the pass follows the stage calls of the step it stands for
-        assert len(stage_aux) >= out.shape[0]
-        for row, want in zip(out, stage_aux[-out.shape[0]:]):
-            assert np.array_equal(row, want)
-        passes.append(out.shape[0])
-        return out
-
-    runs = []
-    for wrapper in (recording_rhs, full_rhs):
-        monkeypatch.setattr(kernels, "rhs", wrapper)
-        if wrapper is full_rhs:
-            monkeypatch.setattr(kernels, "integrands", checking_integrands)
-        runs.append(simulate(u0, spec, p, d, track_weak_residual=True))
-    light, full = runs
-    assert asked == ({(None, False), (0, False), (0, True)} if spec.method == "rkf45"
-                     else {(None, False), (0, True)})
-    assert light.stats.accepted > 0
-    assert passes == [3] * full.stats.accepted
-    assert light.stats == full.stats
-    for name in ("coeffs", "dissipation_cum", "entropy_dissipation_cum"):
-        assert np.array_equal(getattr(light, name), getattr(full, name)), name
-    for name in ("t", "energy_surface", "energy_delta", "dissipation_cum",
-                 "entropy_dissipation_cum", "weak_residual"):
-        assert np.array_equal(getattr(light.nodes, name), getattr(full.nodes, name)), name
-    for r in light.weighted_dissipation_cum:
-        assert np.array_equal(light.weighted_dissipation_cum[r], full.weighted_dissipation_cum[r])
-        assert np.array_equal(light.nodes.weighted_dissipation_cum[r],
-                              full.nodes.weighted_dissipation_cum[r])
+    # a stack of members whose steps stand apart (RKF45), with the pass one
+    # state at a time, against the members run one at a time
+    u0s, _, params, domain = _stack_members("tiny-eta", spec.method)
+    member_spec = IntegratorSpec(t_end=spec.t_end / 10, method=spec.method, rtol=spec.rtol,
+                                 atol=spec.atol, dt=spec.dt,
+                                 snapshot_times=(0.0, spec.t_end / 30, spec.t_end / 10))
+    serial = [simulate(u, member_spec, q, domain, track_weak_residual=True)
+              for u, q in zip(u0s, params)]
+    if spec.method == "rkf45":
+        assert len({(r.stats.accepted, r.stats.rejected) for r in serial}) > 1
+    passes.clear()
+    monkeypatch.setattr(kernels, "integrands", _one_state_at_a_time(true_integrands, passes))
+    results, failure = simulate_stack(u0s, member_spec, params, domain, track_weak_residual=True)
+    assert failure is None
+    assert len(results) == len(serial)
+    for a, b in zip(serial, results):
+        _assert_bit_identical(a, b)
+    # a pass per step that stands for at least one member
+    accepted = [r.stats.accepted for r in serial]
+    assert 1 + max(accepted) <= len(passes) <= 1 + sum(accepted)
 
 
 def test_simulate_constant_data():
@@ -258,6 +260,54 @@ def test_anchor_violation_aborts():
     spec = IntegratorSpec(t_end=1e-3)
     with pytest.raises(SimulationAbort, match="anchor"):
         simulate(u0, spec, p, d)
+
+
+@pytest.mark.parametrize("where", ["single", "stack member"])
+def test_anchor_crossed_after_t0_aborts_at_that_state(where, monkeypatch):
+    # sup|u| at t > 0 comes from the aux pass: a pass that lifts it to twice
+    # the anchor at the 5th accepted state aborts the run at that state's
+    # time, for a run by itself and for the member of a stack it lifts
+    from capillary1d.galerkin import simulate_stack
+
+    if where == "single":
+        params = [ModelParams(n=2, delta=0.1, epsilon=0.1, eta=0.05, entropy_anchor=3.0)]
+        u0s, spec, domain = [_step_u0()], STEP_SPECS[0], STEP_DOMAIN
+        lifted = 0
+    else:
+        # RK4: every member's step stands, so the 5th pass is every member's
+        # 5th accepted state
+        u0s, spec, params, domain = _stack_members("tiny-eta", "rk4")
+        lifted = 1
+    clean = simulate(u0s[lifted], spec, params[lifted], domain)
+    anchor = params[lifted].entropy_anchor
+    assert clean.stats.accepted > 5 and anchor is not None
+    true_integrands = kernels.integrands
+    passes = []
+
+    def lifting_integrands(*args):
+        aux = true_integrands(*args)
+        passes.append(1)
+        if len(passes) == 5:
+            aux = aux.copy()
+            aux[(0, lifted, -1) if aux.ndim == 3 else (0, -1)] = 2 * anchor
+        return aux
+
+    monkeypatch.setattr(kernels, "integrands", lifting_integrands)
+    results, failure = simulate_stack(u0s, spec, params, domain)
+    assert str(failure) == (f"entropy anchor violated at t = {clean.nodes.t[4]:.6g}: "
+                            f"sup|u| = {2 * anchor:.6g} >= a = {anchor:.6g}")
+    # the members before the one that aborts run to t_end, bit for bit
+    assert len(results) == lifted
+    for u0, p, res in zip(u0s, params, results):
+        monkeypatch.setattr(kernels, "integrands", true_integrands)
+        _assert_bit_identical(simulate(u0, spec, p, domain), res)
+    if where == "single":
+        assert len(passes) == 5  # the run stops at the state it aborts at
+        monkeypatch.setattr(kernels, "integrands", lifting_integrands)
+        passes.clear()
+        with pytest.raises(SimulationAbort) as abort:
+            simulate(u0s[0], spec, params[0], domain)
+        assert str(abort.value) == str(failure)
 
 
 def test_step_size_underflow_aborts(monkeypatch):
@@ -363,16 +413,23 @@ def _combine(y, dt, weights, slopes):
     return out
 
 
+def _slope_and_aux(y):
+    """kernels.rhs's slope at y and the aux pass over y alone."""
+    t = tables(STEP_DOMAIN)
+    G = t.w.shape[0]
+    work = (np.empty((1, 2 * G)), *np.empty((4, 1, G)))
+    k = kernels.rhs(y, t, STEP_PARAMS, tuple(a[0] for a in work))[0]
+    return k, kernels.integrands(y[None], work, t, STEP_PARAMS, np.asarray(DEFAULT_R_VALUES))[0]
+
+
 def _reference_step(c, dt, method, nq):
     """One step by the plain sums: (stage inputs, c_new, embedded or None, dq)."""
     rows, weights, embedded = _TABLEAUX[method]
-    t = tables(STEP_DOMAIN)
-    r_arr = np.asarray(DEFAULT_R_VALUES)
     inputs, ks, qds = [], [], []
     for row in rows:
         y = c if not row else _combine(c, dt, row, ks)
         inputs.append(y)
-        k, _, _, _, aux = kernels.rhs(y, t, STEP_PARAMS, r_arr)
+        k, aux = _slope_and_aux(y)
         ks.append(k)
         qds.append(aux[:nq])
     return (inputs[1:], _combine(c, dt, weights, ks),
@@ -385,28 +442,34 @@ def test_row_updates_match_the_plain_sums(spec, monkeypatch):
     # the first step of a run, stepped by hand with the plain sums: stage
     # inputs, propagated and embedded solutions and the dissipation increment
     # agree bit for bit
-    true_rhs = kernels.rhs
-    calls = []  # (n_aux, input, last row of the stage buffer at the call)
+    true_rhs, true_integrands = kernels.rhs, kernels.integrands
+    events = []  # ("rhs", input, last row of the stage buffer at the call) or ("pass", states)
     buffer = []  # the buffer the stage inputs are rows of
 
     def recording_rhs(c, *args):
         if c.base is not None:
             buffer[:] = [c.base]
-        calls.append((args[3] if len(args) > 3 else None, c.copy(),
-                      buffer[0][-1].copy() if buffer else None))
+        events.append(("rhs", c.copy(), buffer[0][-1].copy() if buffer else None))
         return true_rhs(c, *args)
 
+    def recording_integrands(c, *args):
+        events.append(("pass", c.shape[0], None))
+        return true_integrands(c, *args)
+
     monkeypatch.setattr(kernels, "rhs", recording_rhs)
+    monkeypatch.setattr(kernels, "integrands", recording_integrands)
     u0 = _step_u0()
     res = simulate(u0, spec, STEP_PARAMS, STEP_DOMAIN)
     n_stages = len(_TABLEAUX[spec.method][1])
-    # the first step was accepted: its stage calls, then the call at c_new
-    full_aux = [n is None for n, _, _ in calls[:n_stages + 1]]
-    assert full_aux == [True] + [False] * (n_stages - 1) + [True]
+    # the first step was accepted: the call and the pass at u0, the step's
+    # stage calls, then the call and the pass at c_new
+    kinds = [kind for kind, _, _ in events[:n_stages + 3]]
+    assert kinds == ["rhs", "pass"] + ["rhs"] * n_stages + ["pass"]
+    calls = [e for e in events if e[0] == "rhs"]
 
     c0 = u0.coeffs.astype(float)
     nq = 2 + len(res.weighted_dissipation_cum)
-    k0 = true_rhs(c0, tables(STEP_DOMAIN), STEP_PARAMS, np.asarray(DEFAULT_R_VALUES))[0]
+    k0 = true_rhs(c0, tables(STEP_DOMAIN), STEP_PARAMS)[0]
     dt = _initial_dt(spec, c0, k0)
     inputs, c_new, emb, dq = _reference_step(c0, dt, spec.method, nq)
     for (_, got, _), want in zip(calls[1:n_stages], inputs):
@@ -427,22 +490,27 @@ def test_row_updates_match_the_plain_sums(spec, monkeypatch):
 def test_non_finite_slope_aborts_within_its_step(spec, where, monkeypatch):
     # a NaN slope from any call of the second step stops the run by the end
     # of that step, before another kernel call
-    true_rhs = kernels.rhs
-    calls = []  # n_aux of each call
+    true_rhs, true_integrands = kernels.rhs, kernels.integrands
+    calls = []
+    state_calls = []  # the index of the call at each accepted state
     poison_from = None
 
     def poisoned_rhs(c, *args):
-        calls.append(args[3] if len(args) > 3 else None)
+        calls.append(1)
         out = true_rhs(c, *args)
         if poison_from is not None and len(calls) > poison_from:
             return (np.full_like(out[0], np.nan), *out[1:])
         return out
 
+    def recording_integrands(*args):
+        # the aux pass follows the call at each accepted state
+        state_calls.append(len(calls) - 1)
+        return true_integrands(*args)
+
     monkeypatch.setattr(kernels, "rhs", poisoned_rhs)
+    monkeypatch.setattr(kernels, "integrands", recording_integrands)
     assert simulate(_step_u0(), spec, STEP_PARAMS, STEP_DOMAIN).stats.accepted > 2
-    # calls at accepted states ask for all of aux; the second step's stage
-    # calls follow the one at the first accepted state
-    state_calls = [i for i, n_aux in enumerate(calls) if n_aux is None]
+    # the second step's stage calls follow the one at the first accepted state
     n_stages = len(_TABLEAUX[spec.method][1])
     poison_from, last_call = {
         "first stage": (state_calls[1] + 1, state_calls[1] + n_stages - 1),
@@ -486,9 +554,9 @@ def test_a_nan_that_python_max_would_hide_aborts_within_its_step(spec, index, mo
 
 
 def test_rejected_steps_make_no_pass_and_the_call_counts_stay(monkeypatch):
-    # one integrands pass per accepted step and none for a rejected one; the
-    # kernel calls, StepStats.rhs_calls and the tally keep the counts they
-    # had when every stage call computed its own integrands
+    # one aux pass per accepted state (the initial one included) and none
+    # for a rejected step; the kernel calls, StepStats.rhs_calls and the
+    # tally keep the counts they had when every call computed its own aux
     from capillary1d import galerkin
 
     true_rhs, true_integrands = kernels.rhs, kernels.integrands
@@ -509,7 +577,7 @@ def test_rejected_steps_make_no_pass_and_the_call_counts_stay(monkeypatch):
                    STEP_PARAMS, STEP_DOMAIN)
     st = res.stats
     assert (st.accepted, st.rejected, st.rhs_calls) == (454, 23, 2840)
-    assert calls == {"rhs": 2840, "integrands": 454}
+    assert calls == {"rhs": 2840, "integrands": 455}
     assert galerkin.rhs_calls_tally - n0 == 2840
 
 

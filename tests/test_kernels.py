@@ -1,12 +1,12 @@
-"""kernels.rhs is bit-identical to the plain form of the same arithmetic.
+"""kernels.rhs and the aux pass are bit-identical to the plain form of the same arithmetic.
 
 _reference_rhs is the kernel as it stood before its numpy calls were cut
 (separate syntheses of u and u_x, one np.sum per integral, the pressure
-density inline).  Every floating-point operation of the fast kernel and its
-order must match it, so all five outputs are compared with array_equal,
-not with a tolerance.  A call that asks for no aux, or fills a workspace,
-must return the same arrays as the full call, and the integrands pass over
-the workspaces must give the full call's leading aux entries [D, S, D_r...].
+density inline, aux computed in the same call).  Every floating-point
+operation of the fast kernel and its order must match it, so every output
+is compared with array_equal, not with a tolerance: rhs's c_dot, d, u, flux
+and u_x, and every row of the integrands pass, which computes all of aux
+from the workspaces the rhs calls fill.
 """
 
 import itertools
@@ -75,11 +75,17 @@ def _draws(N, rng, count=3):
         yield c
 
 
+# r_values of length 0 to 3; (0.5, 2.0, 3.0) mixes numpy's fast scalar
+# powers with a general one, where a broadcast np.power over every r would
+# move the last bits of the r = 0.5 and r = 2.0 rows
+R_VALUES = ((), (1.5,), (1.5, 2.0), (0.5, 2.0, 3.0))
+
+
 def _grid(N, pressure_mode, mobility_mode):
     # (label, params, r_values, c) over eta x n x delta x r_values x draws
     rng = np.random.default_rng(1000 * N + len(pressure_mode) + len(mobility_mode))
     for eta, n, delta, r in itertools.product((0.0, 0.05), (1.0, 1.5, 2.0, 3.0),
-                                              (0.0, 0.2), ((), (1.5, 2.0))):
+                                              (0.0, 0.2), R_VALUES):
         params = ModelParams(n=n, delta=delta, epsilon=0.01, eta=eta,
                              pressure_mode=pressure_mode, mobility_mode=mobility_mode)
         r_values = np.asarray(r, dtype=float)
@@ -92,72 +98,76 @@ GRID = pytest.mark.parametrize("pressure_mode, mobility_mode",
                                                       ("standard", "constant"))))
 
 
+def _workspace(lead, t):
+    # the pass's workspace for lead states, NaN until an rhs call writes it:
+    # u and u_x side by side, then Q^2, Q, p_x and m(u)
+    G = t.w.shape[0]
+    return (np.full(lead + (2 * G,), np.nan), *np.full((4,) + lead + (G,), np.nan))
+
+
+def _slot(work, i):
+    return tuple(a[i] for a in work)
+
+
 @pytest.mark.parametrize("N", [8, 16, 32])
 @GRID
 def test_rhs_bit_identical_to_reference(N, pressure_mode, mobility_mode):
+    # rhs returns the reference's c_dot, d, u and flux, and u_x; the pass
+    # over the state alone returns the reference's aux
     domain = DomainSpec(half_length=1.3, modes=N)
     t = tables(domain)
     ref_t = _reference_tables(domain)
     for label, params, r_values, c in _grid(N, pressure_mode, mobility_mode):
-        got = kernels.rhs(c, t, params, r_values)
+        got = kernels.rhs(c, t, params)
         want = _reference_rhs(c, ref_t, params, r_values)
         assert len(got) == 5
-        for name, a, b in zip(("c_dot", "d", "u", "flux", "aux"), got, want):
+        for name, a, b in zip(("c_dot", "d", "u", "flux"), got, want):
             assert np.array_equal(a, b), (name, label)
-
-
-def _workspace(lead, t):
-    # the integrands' workspace (Q^2, Q, p_x, m(u)) for lead states, NaN until written
-    return np.full((4,) + lead + t.w.shape, np.nan)
+        assert np.array_equal(got[4], np.dot(ref_t.Ex, c)), ("ux", label)
+        work = _workspace((1,), t)
+        kernels.rhs(c, t, params, _slot(work, 0))
+        aux = kernels.integrands(c[None], work, t, params, r_values)
+        assert aux.shape == (1, 5 + r_values.shape[0]), label
+        assert np.array_equal(aux[0], want[4]), label
 
 
 @pytest.mark.parametrize("N", [8, 16, 32])
 @GRID
 def test_rhs_aux_prefix_is_the_full_calls(N, pressure_mode, mobility_mode):
-    # the lighter calls a Runge-Kutta stage makes change nothing they return;
-    # the workspace a stage call fills holds the full call's Q^2, Q, p_x and
-    # m(u), and the integrands pass over it gives the full call's aux prefix
-    # [D, S, D_r...]
+    # a call that fills a workspace slot returns what a call without one
+    # returns, and the slot holds the kernel's own u, u_x, Q^2, Q, p_x and
+    # m(u): the grid values the pass reads besides c
     t = tables(DomainSpec(half_length=1.3, modes=N))
-    for label, params, r_values, c in _grid(N, pressure_mode, mobility_mode):
-        nq = 2 + r_values.shape[0]
-        full = kernels.rhs(c, t, params, r_values)
-        assert full[4].shape == (nq + 3,)
-        for n_aux, fill in itertools.product((None, 0), (False, True)):
-            work = _workspace((1,), t)
-            got = kernels.rhs(c, t, params, r_values, n_aux, tuple(work[:, 0]) if fill else None)
-            for name, a, b in zip(("c_dot", "d", "u", "flux"), got, full):
-                assert np.array_equal(a, b), (name, n_aux, fill, label)
-            want = full[4] if n_aux is None else full[4][:0]
-            assert got[4].shape == want.shape, (n_aux, fill, label)
-            assert np.array_equal(got[4], want), (n_aux, fill, label)
-            if not fill:
-                continue
-            ux = np.dot(t.Ex, c)
-            assert np.array_equal(work[0, 0], 1.0 + ux * ux), label
-            assert np.array_equal(work[1, 0], np.sqrt(1.0 + ux * ux)), label
-            assert np.array_equal(work[2, 0], np.dot(t.Ex, full[1])), label
-            assert np.array_equal(work[3, 0], mobility(full[2], params)), label
-            prefix = kernels.integrands(c[None], tuple(work), t, params, r_values)
-            assert prefix.shape == (1, nq), label
-            assert np.array_equal(prefix[0], full[4][:nq]), (n_aux, label)
+    G = t.w.shape[0]
+    for label, params, _, c in _grid(N, pressure_mode, mobility_mode):
+        plain = kernels.rhs(c, t, params)
+        work = _workspace((1,), t)
+        got = kernels.rhs(c, t, params, _slot(work, 0))
+        for name, a, b in zip(("c_dot", "d", "u", "flux", "ux"), got, plain):
+            assert np.array_equal(a, b), (name, label)
+        ux = np.dot(t.Ex, c)
+        assert np.array_equal(work[0][0, :G], plain[2]), label
+        assert np.array_equal(work[0][0, G:], ux), label
+        assert np.array_equal(work[1][0], 1.0 + ux * ux), label
+        assert np.array_equal(work[2][0], np.sqrt(1.0 + ux * ux)), label
+        assert np.array_equal(work[3][0], np.dot(t.Ex, plain[1])), label
+        assert np.array_equal(work[4][0], mobility(plain[2], params)), label
 
 
 @pytest.mark.parametrize("N", [8, 16, 32])
 @GRID
 def test_integrands_pass_is_the_reference_prefix(N, pressure_mode, mobility_mode):
-    # one pass over a (3,) stack of stages of one member, and over a (3, B)
-    # stack of stages by members, equals the reference aux prefix of every
-    # (stage, member) state alone
+    # one pass over a (3,) stack of states of one member, and over a (3, B)
+    # stack of states by members, gives every (state, member) row the
+    # reference's aux of that state alone, [D, S, D_r...] and the rest
     domain = DomainSpec(half_length=1.3, modes=N)
     t = tables(domain)
     ref_t = _reference_tables(domain)
     rng = np.random.default_rng(7 * N + len(pressure_mode) + len(mobility_mode))
     # (delta, epsilon, eta) of the stack's members: eta = 0 next to capped ones
     triples = ((0.0, 0.01, 0.0), (0.2, 0.01, 0.05), (0.2, 0.1, 0.0), (0.05, 0.05, 0.05))
-    for n, r in itertools.product((1.0, 1.5, 2.0, 3.0), ((), (1.5, 2.0))):
+    for n, r in itertools.product((1.0, 1.5, 2.0, 3.0), R_VALUES):
         r_values = np.asarray(r, dtype=float)
-        nq = 2 + r_values.shape[0]
         members = [ModelParams(n=n, delta=dl, epsilon=e, eta=eta, pressure_mode=pressure_mode,
                                mobility_mode=mobility_mode) for dl, e, eta in triples]
         draws = np.array(list(_draws(N, rng, count=3 * len(members))))
@@ -166,24 +176,28 @@ def test_integrands_pass_is_the_reference_prefix(N, pressure_mode, mobility_mode
         for params, lead, cs in stacks:
             work = _workspace((3,) + lead, t)
             for i in range(3):
-                kernels.rhs(cs[i], t, params, r_values, 0, tuple(work[:, i]))
-            got = kernels.integrands(cs, tuple(work), t, params, r_values)
-            assert got.shape == (3,) + lead + (nq,)
+                kernels.rhs(cs[i], t, params, _slot(work, i))
+            got = kernels.integrands(cs, work, t, params, r_values)
+            assert got.shape == (3,) + lead + (5 + len(r),)
             for i, j in itertools.product(range(3), range(len(members)) if lead else [None]):
                 p = members[1] if j is None else members[j]
                 c = cs[i] if j is None else cs[i, j]
-                want = _reference_rhs(c, ref_t, p, r_values)[4][:nq]
+                want = _reference_rhs(c, ref_t, p, r_values)[4]
                 assert np.array_equal(got[i] if j is None else got[i, j], want), (n, r, lead, i, j)
 
 
 @pytest.mark.parametrize("n_aux", [1, 3, 4, 5, -1])
 def test_rhs_refuses_an_aux_prefix_it_does_not_compute(n_aux):
-    # 4 = 2 + nr was the dissipation prefix: the integrands pass computes it now
+    # the kernel computes no aux, so a call that asks for some, by r_values
+    # and an aux count after params, is refused rather than read as a
+    # workspace
     t = tables(DomainSpec(half_length=1.0, modes=8))
     c = np.array([1.5, 0.1, 0.05, 0, 0, 0, 0, 0, 0.0])
-    with pytest.raises(ValueError, match="n_aux must be None or 0"):
-        kernels.rhs(c, t, ModelParams(n=2.0, delta=0.1, epsilon=0.1),
-                    np.array([1.5, 2.0]), n_aux)
+    params = ModelParams(n=2.0, delta=0.1, epsilon=0.1)
+    with pytest.raises(TypeError):
+        kernels.rhs(c, t, params, np.array([1.5, 2.0]), n_aux)
+    with pytest.raises(TypeError):
+        kernels.rhs(c, t, params, n_aux=n_aux)
 
 
 @pytest.mark.parametrize("N", [8, 16, 32, 64])
