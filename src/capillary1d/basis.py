@@ -111,7 +111,10 @@ class BasisTables:
     E, Ex hold e_j and e_j' at the G quadrature nodes (shape (G, N+1)).
     They are the two halves of EEx (shape (2G, N+1)), so that one matvec
     synthesizes u and u_x together; ET, ExT are their contiguous transposes
-    for the matvec-heavy kernels.
+    for the matvec-heavy kernels.  w_tiles holds w repeated to the grid
+    shapes of kernels.integrands' stacks, built there on first use: an
+    operand of the same shape spares numpy's broadcasting set-up on each
+    weighted row.
     """
 
     x: np.ndarray = field(repr=False)
@@ -122,6 +125,7 @@ class BasisTables:
     ET: np.ndarray = field(repr=False)
     ExT: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
+    w_tiles: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @lru_cache(maxsize=32)

@@ -85,9 +85,13 @@ def integrands(c: np.ndarray, work: tuple, t: BasisTables,
     them are summed in one pairwise reduction along the grid, so a row's
     sums do not depend on the other states of the stack.
     """
-    w = t.w
-    G = w.shape[0]
+    G = t.w.shape[0]
     uux, Qsq, Q, px, mob = work
+    w = t.w_tiles.get(mob.shape)
+    if w is None:
+        w = np.broadcast_to(t.w, mob.shape).copy()
+        w.flags.writeable = False  # shared by every later pass of this shape
+        t.w_tiles[mob.shape] = w
     u = uux[..., :G]
     ux = uux[..., G:]
     uxx = matvec(t.E, t.lam * c)  # -u_xx: only its square enters
@@ -107,7 +111,7 @@ def integrands(c: np.ndarray, work: tuple, t: BasisTables,
     aux = np.empty((5 + nr,) + lead)
     np.add.reduce(rows, axis=-1, out=aux[:4 + nr])
     aux[3 + nr] *= 0.5 * (delta[:, 0] if c.ndim == 3 else delta)
-    aux[4 + nr] = np.abs(u).max(axis=-1)
+    np.maximum.reduce(np.abs(u), axis=-1, out=aux[4 + nr])
     return aux.transpose(tuple(range(1, aux.ndim)) + (0,))
 
 
