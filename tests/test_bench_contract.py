@@ -82,10 +82,10 @@ def test_rhs_returns_five_values_with_c_dot_first(monkeypatch):
 
     def leaky_rhs(c, *args):
         calls.append(1)
-        c_dot, d, u, flux, aux = true_rhs(c, *args)
+        c_dot, d, u, flux, ux = true_rhs(c, *args)
         c_dot = c_dot.copy()
         c_dot[..., 0] += 1e-4
-        return (c_dot, d, u, flux, aux)
+        return (c_dot, d, u, flux, ux)
 
     monkeypatch.setattr(kernels, "rhs", leaky_rhs)
     leaky = simulate(u0, spec, params, domain)
