@@ -234,13 +234,18 @@ class SobolevNorms:
     uxx_l2: float
 
 
-def sobolev_norms(fld: SpectralField, domain: DomainSpec) -> SobolevNorms:
-    """Exact L2/H1/H2 norms from the coefficients (Parseval)."""
-    c = fld.coeffs
-    lam = eigenvalue(np.arange(c.shape[0]), domain)
-    l2sq = float(np.sum(c * c))
-    uxsq = float(np.sum(lam * c * c))
-    uxxsq = float(np.sum(lam * lam * c * c))
+def sobolev_norms(fld: SpectralField | np.ndarray, domain: DomainSpec) -> SobolevNorms:
+    """Exact L2/H1/H2 norms from the coefficients (Parseval).
+
+    fld may also be a stack of coefficient rows, shape (S, N+1); each norm
+    is then an array of the S rows' norms, each bit-identical to the norm of
+    its row alone.
+    """
+    c = fld.coeffs if isinstance(fld, SpectralField) else fld
+    lam = eigenvalue(np.arange(c.shape[-1]), domain)
+    l2sq = np.sum(c * c, axis=-1)
+    uxsq = np.sum(lam * c * c, axis=-1)
+    uxxsq = np.sum(lam * lam * c * c, axis=-1)
     return SobolevNorms(
         l2=np.sqrt(l2sq),
         h1=np.sqrt(l2sq + uxsq),

@@ -2,8 +2,7 @@
 
 Batch tool with plot-ready outputs; no interactive UI.  All floating-point
 output is printed with shortest round-trip representation, files are UTF-8
-with LF line endings, and CAPILLARY1D_SEED pins any randomized sampling, so
-identical configs reproduce identical bytes.
+with LF line endings, so identical configs reproduce identical bytes.
 
 Exit codes: 0 success, 2 validation/config failure, 3 integrator abort or
 study failure (machine-readable error JSON goes to stderr).
@@ -29,7 +28,7 @@ from .config import (
     load_config,
     run_config,
 )
-from .diagnostics import energy_identity_residual, mass_drift, run_seed, slope_threshold
+from .diagnostics import energy_identity_residual, mass_drift, slope_threshold
 from .experiments import (
     SWEEP_PARAMETERS,
     SweepError,
@@ -327,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        run_seed()  # a bad CAPILLARY1D_SEED is refused before any run
         return args.func(args)
     except (ConfigError, InitialDataError) as exc:
         return _emit_error(exc, 2)

@@ -5,6 +5,11 @@ energy and its delta-term, flux and entropy dissipation, the entropy
 integral, positivity measures, the slope ratio y = max|u_x|/Q with its
 certified threshold, Hoelder probes, and the Galerkin weak residual.
 
+The records of a run come from one stacked pass per RECORDS_CHUNK
+snapshots: kernels.rhs, the u_xx synthesis and the entropy G each take the
+whole chunk, and each integral is one np.dot per row, so a record is
+bit-identical to the one computed for its snapshot alone.
+
 Every snapshot time is treated as belonging to the full-measure good set;
 outliers are reported, never excluded.  Unquantified generic constants are
 rendered as boundedness/trend checks by the experiments module.
@@ -12,7 +17,6 @@ rendered as boundedness/trend checks by the experiments module.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,20 +26,18 @@ from .basis import (
     DomainSpec,
     SpectralField,
     mass,
+    matvec,
     modes,
-    quadrature,
     sobolev_norms,
-    synthesize,
     tables,
 )
 from .galerkin import SimulationAbort, SimulationResult, rhs_output
 from .model import (
     DEFAULT_TOL_NEG_REL,
-    ConfigError,
     EntropyEval,
     ModelParams,
     default_tol_zero,
-    entropy_integral,
+    stacked_params,
 )
 
 
@@ -59,62 +61,100 @@ class DiagnosticsRecord:
     weak_residual: float
 
 
-def snapshot_diagnostics(c: SpectralField, params: ModelParams, domain: DomainSpec,
+def snapshot_diagnostics(coeffs: np.ndarray, params: ModelParams, domain: DomainSpec,
                          entropy: EntropyEval | None = None,
-                         tol_zero: float | None = None) -> DiagnosticsRecord:
-    """Instantaneous fields of the record (cumulative ones filled by caller).
+                         tol_zero: float | None = None) -> list[DiagnosticsRecord]:
+    """Instantaneous fields of one record per row of coeffs, shape (S, N+1).
 
-    Aborts when the entropy anchor is violated (sup|u| >= a) since G is only
-    defined on (-a, a).
+    t and the cumulative fields are left for the caller.  One kernels.rhs
+    call over the stack gives c_dot, u, u_x, Q and the flux, one synthesis
+    u_xx and one entropy.G call the entropy integrand; each row's integrals
+    are np.dot(w, row), so a record is bit-identical to the one for its row
+    alone.  tol_zero defaults to default_tol_zero of the stack's grid values.
+
+    The first failing row aborts: sup|u| >= a when entropy is tracked, since
+    G is only defined on (-a, a), and then a non-finite right-hand side.
     """
-    fld = synthesize(c, domain, order=2)
+    t = tables(domain)
+    S, G = coeffs.shape[0], t.w.shape[0]
+    work = (np.empty((S, 2 * G)), *np.empty((4, S, G)))  # u and u_x, Q^2, Q, p_x, m(u)
+    c_dot, _, u, flux, ux = kernels.rhs(coeffs, t, stacked_params([params] * S), work)
+    Q = work[2]
     if tol_zero is None:
-        tol_zero = default_tol_zero(fld.u)
-
-    ent = float("nan")
-    if entropy is not None:
-        if float(np.abs(fld.u).max()) >= entropy.anchor:
+        tol_zero = default_tol_zero(u)
+    sup = np.abs(u).max(axis=1)
+    beyond = sup >= entropy.anchor if entropy is not None else np.zeros(S, dtype=bool)
+    broken = ~np.isfinite(c_dot).all(axis=1)
+    failed = np.flatnonzero(beyond | broken)
+    if failed.size:
+        i = failed[0]
+        if beyond[i]:
             raise SimulationAbort(
-                f"entropy anchor violated in diagnostics: sup|u| = {np.abs(fld.u).max():.6g}"
+                f"entropy anchor violated in diagnostics: sup|u| = {sup[i]:.6g}"
                 f" >= a = {entropy.anchor:.6g}")
-        ent = entropy_integral(fld.u, entropy, domain)
+        raise SimulationAbort("non-finite right-hand side")
 
-    norms = sobolev_norms(c, domain)
-    c_dot, _, u, flux, _ = rhs_output(c, params, domain)
-    return DiagnosticsRecord(
-        t=float("nan"),
-        mass=mass(c, domain),
-        energy_surface=quadrature(fld.Q, domain),
-        energy_delta=0.5 * params.delta * quadrature(fld.ux**2, domain),
-        curvature_dissipation=quadrature(fld.uxx**2 / fld.Q**3, domain),
-        dissipation_cum=float("nan"),
-        entropy=ent,
-        entropy_dissipation_cum=float("nan"),
-        weighted_dissipation_cum={},
-        min_u=float(fld.u.min()),
-        max_u=float(fld.u.max()),
-        zero_frac=float(np.count_nonzero(fld.u < tol_zero)) / fld.u.size,
-        y_max=float(np.max(np.abs(fld.ux) / fld.Q)),
-        h1=norms.h1,
-        h2=norms.h2,
-        weak_residual=kernels.weak_residual_max(tables(domain), c_dot, u, flux, tol_zero),
-    )
+    uxx = matvec(t.E, t.lam * coeffs)  # -u_xx: only its square enters
+    uxsq = ux**2
+    curvature = uxx**2 / Q**3
+    u_min, u_max = u.min(axis=1), u.max(axis=1)
+    zeros = np.count_nonzero(u < tol_zero, axis=1)
+    y_max = np.max(np.abs(ux) / Q, axis=1)
+    weak = kernels.weak_residual_max(t, c_dot, u, flux, tol_zero)
+    if entropy is not None:
+        Gu = entropy.G(u)
+        finite = np.isfinite(Gu).all(axis=1)
+
+    norms = sobolev_norms(coeffs, domain)
+    w = t.w
+    records = []
+    for i, c in enumerate(coeffs):
+        ent = float("nan")
+        if entropy is not None:
+            ent = float(np.dot(w, Gu[i])) if finite[i] else float("inf")
+        records.append(DiagnosticsRecord(
+            t=float("nan"),
+            mass=mass(SpectralField(c), domain),
+            energy_surface=float(np.dot(w, Q[i])),
+            energy_delta=0.5 * params.delta * float(np.dot(w, uxsq[i])),
+            curvature_dissipation=float(np.dot(w, curvature[i])),
+            dissipation_cum=float("nan"),
+            entropy=ent,
+            entropy_dissipation_cum=float("nan"),
+            weighted_dissipation_cum={},
+            min_u=float(u_min[i]),
+            max_u=float(u_max[i]),
+            zero_frac=float(zeros[i]) / G,
+            y_max=float(y_max[i]),
+            h1=norms.h1[i],
+            h2=norms.h2[i],
+            weak_residual=float(weak[i]),
+        ))
+    return records
+
+
+RECORDS_CHUNK = 32  # snapshot rows per snapshot_diagnostics pass
 
 
 def trajectory_records(result: SimulationResult,
                        entropy: EntropyEval | None = None) -> list[DiagnosticsRecord]:
-    """One record per snapshot, cumulative integrals merged in, at the run's tol_zero."""
+    """One record per snapshot, cumulative integrals merged in, at the run's tol_zero.
+
+    The snapshots go through snapshot_diagnostics RECORDS_CHUNK rows at a
+    time, which bounds the pass's temporaries for any snapshot count and
+    grid size.
+    """
     records = []
-    for i, s in enumerate(result.snapshot_times):
-        rec = snapshot_diagnostics(result.snapshot_field(i), result.params,
-                                   result.domain, entropy=entropy, tol_zero=result.tol_zero)
-        rec.t = float(s)
+    for lo in range(0, result.snapshot_times.size, RECORDS_CHUNK):
+        records += snapshot_diagnostics(result.coeffs[lo:lo + RECORDS_CHUNK], result.params,
+                                        result.domain, entropy, result.tol_zero)
+    for i, rec in enumerate(records):
+        rec.t = float(result.snapshot_times[i])
         rec.dissipation_cum = float(result.dissipation_cum[i])
         rec.entropy_dissipation_cum = float(result.entropy_dissipation_cum[i])
         rec.weighted_dissipation_cum = {
             r: float(v[i]) for r, v in result.weighted_dissipation_cum.items()
         }
-        records.append(rec)
     return records
 
 
@@ -242,16 +282,15 @@ def _loglog_fit(dx: np.ndarray, dy: np.ndarray) -> tuple[float, float]:
     return float(slope), float(np.exp(intercept))
 
 
-def run_seed() -> int:
-    """CAPILLARY1D_SEED (0 when unset), refused unless a non-negative integer."""
-    raw = os.environ.get("CAPILLARY1D_SEED", "0")
-    try:
-        seed = int(raw)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise ConfigError(f"CAPILLARY1D_SEED must be a non-negative integer, got {raw!r}")
-    return seed
+def holder_nodes(grid_size: int) -> np.ndarray:
+    """The grid nodes the Hoelder probes sample, evenly spaced and offset.
+
+    min(HOLDER_LOCATIONS, G // 2) nodes a quarter spacing past evenly spaced
+    points, so that no node's mirror -x (node G - 1 - i of the symmetric
+    grid) is sampled too: even data would make those space pairs repeats.
+    """
+    L = min(HOLDER_LOCATIONS, grid_size // 2)
+    return (4 * np.arange(L) + 1) * grid_size // (4 * L)
 
 
 def holder_probe(result: SimulationResult) -> HolderProbe:
@@ -260,18 +299,14 @@ def holder_probe(result: SimulationResult) -> HolderProbe:
     Fits log sup_x |u(t2,x)-u(t1,x)| against log|t2-t1| over all snapshot
     pairs (and the spatial analog with |x2-x1|^(1/2) scaling).  Estimates
     come with the sampling resolution; they are measurements, not asserted
-    inequalities.  CAPILLARY1D_SEED fixes the HOLDER_LOCATIONS sampled
-    grid nodes.
+    inequalities.  It samples the grid nodes that holder_nodes picks.
     """
     times = result.snapshot_times
     if times.size < 3:
         return HolderProbe(np.nan, np.nan, np.nan, np.nan, 0, False, "needs >= 3 snapshots")
-    rng = np.random.default_rng(run_seed())
     t = tables(result.domain)
-    G = t.x.size
-    locs = np.sort(rng.choice(G, size=min(HOLDER_LOCATIONS, G), replace=False))
-    fields = np.stack([synthesize(result.snapshot_field(i), result.domain, order=0).u[locs]
-                       for i in range(times.size)])
+    locs = holder_nodes(t.x.size)
+    fields = result.coeffs @ t.E[locs].T
 
     # time pairs (i < j) one row i at a time, so no S x S x L temporary is
     # formed; space pairs (a < b) in np.triu_indices order for every snapshot

@@ -27,7 +27,7 @@ from .config import (
     run_config,
     run_configs,
 )
-from .diagnostics import positivity_report, run_seed
+from .diagnostics import positivity_report
 from .model import InitialDataError
 
 PLATEAU_FACTOR = 2.0
@@ -149,16 +149,14 @@ def _plateau_verdict(values: list) -> str:
 def run_sweep(spec: SweepSpec) -> dict:
     """One simulation per value; maxima, Cauchy trend, and verdicts.
 
-    Every member's config is resolved, its initial data checked, and
-    CAPILLARY1D_SEED read before the first member runs, so bad input is a
-    ConfigError.  Every sweep runs in this process: the members of an eta,
-    epsilon or delta sweep step together as one stack (config.run_configs),
-    bit-identical to running them one at a time, and an N sweep runs its
-    members one by one.  A failed member ends the sweep with the members
-    before it, as a serial run would.  Reports are deterministic for a fixed
-    spec + seed.
+    Every member's config is resolved and its initial data checked before
+    the first member runs, so bad input is a ConfigError.  Every sweep runs
+    in this process: the members of an eta, epsilon or delta sweep step
+    together as one stack (config.run_configs), bit-identical to running
+    them one at a time, and an N sweep runs its members one by one.  A
+    failed member ends the sweep with the members before it, as a serial run
+    would.  Reports are deterministic for a fixed spec.
     """
-    seed = run_seed()
     configs = [_member_config(spec, v) for v in spec.values]
     stacks = [configs] if spec.parameter in STACK_KEYS else [[cfg] for cfg in configs]
     members: list[dict] = []
@@ -196,7 +194,6 @@ def run_sweep(spec: SweepSpec) -> dict:
         "kind": "sweep",
         "parameter": spec.parameter,
         "values": values_done,
-        "seed": seed,
         "members": members,
         "cauchy_l2_differences": cauchy,
         "cauchy_trend": cauchy_trend if cauchy else "n/a",

@@ -123,14 +123,17 @@ def weak_residual_terms(t: BasisTables, c_dot: np.ndarray, u: np.ndarray,
     elsewhere; in table form r = E^T (w u_t) + Ex^T (w J).  Returns the grid
     values (u_t, J) and the two terms ((u_t, e_j), (J, e_j')) apart, so that
     callers can size the cancellation and pair with test modes beyond N.
+    One state's output or a stack's (rows of c_dot, u and flux) alike: the
+    products are basis.matvec's, so each row is bit-identical to its state
+    alone.
     """
-    ut = t.E @ c_dot
+    ut = matvec(t.E, c_dot)
     J = np.where(u > tol_zero, flux, 0.0)
-    return ut, J, t.ET @ (t.w * ut), t.ExT @ (t.w * J)
+    return ut, J, matvec(t.ET, t.w * ut), matvec(t.ExT, t.w * J)
 
 
 def weak_residual_max(t: BasisTables, c_dot: np.ndarray, u: np.ndarray,
-                      flux: np.ndarray, tol_zero: float) -> float:
-    """max_j |r_j| over j = 0..N: zero to roundoff by Galerkin orthogonality."""
+                      flux: np.ndarray, tol_zero: float):
+    """max_j |r_j| over j = 0..N, per state: zero to roundoff by Galerkin orthogonality."""
     _, _, a, b = weak_residual_terms(t, c_dot, u, flux, tol_zero)
-    return float(np.abs(a + b).max())
+    return np.abs(a + b).max(axis=-1)

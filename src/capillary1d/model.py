@@ -11,7 +11,6 @@ eta only (StackedParams), with grid values of shape (B, G).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -177,10 +176,9 @@ def pressure_coeffs(ux: np.ndarray, Q: np.ndarray, t: BasisTables,
 # with m_eps(r) = |r|^n + eps (the eta cap never enters the entropy).
 # Fubini collapses G to the single integral int_s^a (r - s)/m_eps(r) dr.
 #
-# For eps > 0 (n = 2 aside, which has arctan/log primitives) _TABLE_SIZE
-# geometric nodes s_i from s_0 to a carry B_i = int_{s_i}^a 1/m and
-# G_i = G(s_i), summed backwards from the anchor (B = G = 0 at s = a) over
-# 8-point Gauss-Legendre panels:
+# For eps > 0, _TABLE_SIZE geometric nodes s_i from s_0 to a carry
+# B_i = int_{s_i}^a 1/m and G_i = G(s_i), summed backwards from the anchor
+# (B = G = 0 at s = a) over 8-point Gauss-Legendre panels:
 #   B_i = B_{i+1} + int_{s_i}^{s_{i+1}} 1/m
 #   G_i = G_{i+1} + (s_{i+1} - s_i) B_{i+1} + int_{s_i}^{s_{i+1}} (r - s_i)/m
 # Every term is positive, so nothing cancels near the anchor.  A value s adds
@@ -232,48 +230,6 @@ def _entropy_closed_eps0(n: float, a: float):
             # the double integral stays finite at the contact value s = 0
             out[s == 0.0] = a ** (2.0 - n) / (2.0 - n)
         return out
-
-    return g, G
-
-
-def _entropy_closed_n2(eps: float, a: float):
-    # m(r) = r^2 + eps.  Near the anchor the primitives cancel: G is O(d^2)
-    # in d = a - s while its two terms are O(d) with absolute rounding errors
-    # of order 1e-16 (at eps = 0.1 and a = 1.5, G(a - 1.5e-6) came out 2.5e-3
-    # off).  Within a quarter of a of the anchor, g takes the arctan of the
-    # difference, arctan(a/rt) - arctan(s/rt) = arctan(d rt / (eps + a s)),
-    # and G one 8-point Gauss-Legendre panel of int_s^a (r - s)/m, whose
-    # integrand keeps its sign; a panel no longer than a/4 stays at least 3a/4
-    # from the poles of 1/m at +-i rt, which keeps it at roundoff accuracy
-    rt = math.sqrt(eps)
-    band = 0.25 * a
-
-    def m(r):
-        return r * r + eps
-
-    def Phi(r):
-        return np.arctan(np.asarray(r, dtype=float) / rt) / rt
-
-    Phia = float(Phi(np.array(a)))
-
-    def near_anchor(s, values, near_values):
-        # values, with those at the points of s within the band replaced
-        near = np.abs(s - a) < band
-        if not near.any():
-            return values
-        values = np.array(values)
-        values[near] = near_values(s[near])
-        return values
-
-    def g(s):
-        s = np.asarray(s, dtype=float)
-        return near_anchor(s, Phi(s) - Phia,
-                           lambda x: -np.arctan((a - x) * rt / (eps + a * x)) / rt)
-
-    def G(s):
-        s = np.asarray(s, dtype=float)
-        return near_anchor(s, 0.5 * np.log((a * a + eps) / (s * s + eps)) + s * (Phi(s) - Phia),
-                           lambda x: _panels(x, a, m)[1])
 
     return g, G
 
@@ -339,13 +295,11 @@ def _entropy_numeric(n: float, eps: float, a: float):
 def entropy_functions(params: ModelParams) -> EntropyEval:
     """Build the entropy pair for params (anchor must be set).
 
-    Closed forms for eps = 0 (power/log primitives, any n) and for n = 2
-    with eps > 0 (arctan/log; within a/4 of the anchor, where those cancel,
-    the arctan of a difference for g and one Gauss-Legendre panel for G).
-    Every other eps > 0 uses the node table of
-    int_s^a 1/m and G summed from 8-point Gauss-Legendre panels; g and G at
-    s add one more panel from |s| to the next node, which keeps them at
-    roundoff accuracy, and s < 0 reflects through 0.  The table refuses
+    Closed forms for eps = 0 (power/log primitives, any n).  Every eps > 0
+    uses the node table of int_s^a 1/m and G summed from 8-point
+    Gauss-Legendre panels; g and G at s add one more panel from |s| to the
+    next node, which keeps them at roundoff accuracy, and s < 0 reflects
+    through 0.  The table refuses
     |s| > a with a ValueError.  With eps = 0, evaluation at s <= 0 returns
     the +/-inf sentinel instead of raising; the blow-up is exactly what the
     nonnegativity argument rests on.
@@ -356,8 +310,6 @@ def entropy_functions(params: ModelParams) -> EntropyEval:
     n, eps = params.n, params.epsilon
     if eps == 0.0:
         g, G = _entropy_closed_eps0(n, a)
-    elif n == 2.0:
-        g, G = _entropy_closed_n2(eps, a)
     else:
         g, G = _entropy_numeric(n, eps, a)
     return EntropyEval(g=g, G=G, anchor=a)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capillary1d import experiments, kernels
+from capillary1d import diagnostics, experiments, kernels, model
 from capillary1d.basis import DomainSpec, project, tables
 from capillary1d.config import load_config, run_config
 from capillary1d.galerkin import IntegratorSpec, SimulationResult, simulate
@@ -150,6 +150,56 @@ def test_entropy_pair_takes_wrapped_functions():
     assert (wrapped.g, wrapped.G, wrapped.anchor) == (g, G, entropy.anchor)
     s = np.array([0.5, 1.0, 1.5])
     np.testing.assert_array_equal(wrapped.G(s), entropy.G(s))
+
+
+def _records_run(params):
+    # a run with two full records chunks and a remainder
+    domain = DomainSpec(half_length=1.0, modes=6)
+    u0 = project(lambda x: 1.0 + 0.3 * np.cos(np.pi * x), domain)
+    chunk = diagnostics.RECORDS_CHUNK
+    spec = IntegratorSpec(t_end=1e-3, snapshot_times=tuple(np.linspace(0.0, 1e-3, 2 * chunk + 3)))
+    return simulate(u0, spec, params, domain)
+
+
+def test_records_pass_calls_entropy_G_and_the_kernel_once_per_chunk(monkeypatch):
+    # spans.py counts model.entropy_G_calls through a G put into the pair with
+    # dataclasses.replace, and kernels.rhs_calls through the module attribute:
+    # trajectory_records must reach both that way, once per chunk
+    params = ModelParams(n=2, delta=0.1, epsilon=0.1, entropy_anchor=2.0)
+    result = _records_run(params)
+    entropy = entropy_functions(params)
+    G_calls, rhs_calls = [], []
+
+    def G(s):
+        G_calls.append(np.shape(s))
+        return entropy.G(s)
+
+    true_rhs = kernels.rhs
+
+    def counting_rhs(*args):
+        rhs_calls.append(1)
+        return true_rhs(*args)
+
+    monkeypatch.setattr(kernels, "rhs", counting_rhs)
+    records = diagnostics.trajectory_records(result, dataclasses.replace(entropy, G=G))
+    assert len(records) == 67
+    assert G_calls == [(32, 56), (32, 56), (3, 56)]
+    assert len(rhs_calls) == 3
+
+
+def test_spans_count_the_records_pass_per_chunk():
+    spans = _load_spans()
+    params = ModelParams(n=2, delta=0.1, epsilon=0.1, entropy_anchor=2.0)
+    result = _records_run(params)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        entropy = model.entropy_functions(params)
+        diagnostics.trajectory_records(result, entropy)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["model.entropy_G_calls"] == 3
+    assert tracer.rhs_call_split()[0] == 3
 
 
 def test_sweep_error_carries_the_partial_report(monkeypatch):

@@ -345,29 +345,6 @@ def test_non_number_in_value_list_exit_2(cfgfile, tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seed", ["abc", "-1"])
-@pytest.mark.parametrize("command", [
-    ["simulate", "--set", "integrator.T=0.0005"],
-    ["sweep", "--param", "delta", "--values", "0.3,0.1,0.03"],
-])
-def test_bad_seed_exit_2_before_any_run(cfgfile, tmp_path, capsys, monkeypatch, seed, command):
-    # CAPILLARY1D_SEED picks the Hoelder probe's locations and is embedded in
-    # sweep reports: a bad one is refused up front, with nothing written
-    def no_member(cfgs):
-        raise AssertionError("a member ran")
-
-    monkeypatch.setattr(experiments, "_run_member", no_member)
-    monkeypatch.setattr(kernels, "rhs", no_member)
-    monkeypatch.setenv("CAPILLARY1D_SEED", seed)
-    out = tmp_path / "o"
-    rc = main([command[0], "--config", cfgfile, "--out", str(out), *command[1:]])
-    assert rc == 2
-    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"] == "ConfigError"
-    assert record["message"] == f"CAPILLARY1D_SEED must be a non-negative integer, got {seed!r}"
-    assert not out.exists()
-
-
 def test_sweep_default_values(cfgfile, tmp_path):
     # without --values a sweep runs the parameter's default ladder
     out = tmp_path / "sw"

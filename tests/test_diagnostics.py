@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from capillary1d import kernels
 from capillary1d.basis import (
     DomainSpec,
     SpectralField,
+    mass,
     project,
     quadrature,
     sobolev_norms,
@@ -12,9 +16,12 @@ from capillary1d.basis import (
     tables,
 )
 from capillary1d.diagnostics import (
+    RECORDS_CHUNK,
+    DiagnosticsRecord,
     energy_identity_residual,
     entropy_identity_residual,
     flux_and_weak_residual,
+    holder_nodes,
     holder_probe,
     positivity_report,
     slope_threshold,
@@ -22,8 +29,8 @@ from capillary1d.diagnostics import (
     trajectory_records,
 )
 from capillary1d.config import resolve_config, run_config
-from capillary1d.galerkin import IntegratorSpec, SimulationAbort, simulate
-from capillary1d.model import ModelParams, entropy_functions
+from capillary1d.galerkin import IntegratorSpec, SimulationAbort, rhs_output, simulate
+from capillary1d.model import ModelParams, entropy_functions, entropy_integral
 from capillary1d.verify import DELTA_SWEEP_RUN, REFERENCE_RUN
 
 D8 = DomainSpec(half_length=1.0, modes=8)
@@ -40,10 +47,11 @@ def bump_field(domain, base=1.0, amp=0.3):
     return project(lambda x: base + amp * np.cos(np.pi * x / l), domain)
 
 
-def short_run(domain=D8, params=None, t_end=2e-3, n_snap=5, **kw):
+def short_run(domain=D8, params=None, t_end=2e-3, n_snap=5, u0=None, **kw):
     if params is None:
         params = ModelParams(n=2, delta=0.1, epsilon=0.1)
-    u0 = bump_field(domain)
+    if u0 is None:
+        u0 = bump_field(domain)
     spec = IntegratorSpec(t_end=t_end, rtol=1e-8, atol=1e-10,
                           snapshot_times=tuple(np.linspace(0, t_end, n_snap)))
     return simulate(u0, spec, params, domain, **kw)
@@ -51,10 +59,15 @@ def short_run(domain=D8, params=None, t_end=2e-3, n_snap=5, **kw):
 
 # -- snapshot diagnostics -------------------------------------------------------
 
+def record_of(f, params, **kw):
+    # the record of one field: a stack of one row
+    return snapshot_diagnostics(f.coeffs[None], params, D8, **kw)[0]
+
+
 def test_snapshot_flat_film():
     p = ModelParams(n=2, delta=0.1, epsilon=0.1, entropy_anchor=2.0)
     ent = entropy_functions(p)
-    rec = snapshot_diagnostics(constant_field(D8, 1.0), p, D8, entropy=ent)
+    rec = record_of(constant_field(D8, 1.0), p, entropy=ent)
     assert abs(rec.energy_surface - 2.0) < 1e-13
     assert rec.energy_delta == 0.0
     assert rec.y_max == 0.0
@@ -66,7 +79,7 @@ def test_snapshot_flat_film():
 def test_snapshot_surface_energy_against_adaptive_oracle():
     p = ModelParams(n=2, delta=0.0, epsilon=0.1)
     f = bump_field(D8)
-    rec = snapshot_diagnostics(f, p, D8)
+    rec = record_of(f, p)
 
     from capillary1d.basis import evaluate
 
@@ -87,7 +100,7 @@ def test_snapshot_y_max_algebra():
     f = SpectralField(c)
     fld = synthesize(f, D8)
     scale = 3.0 / np.abs(fld.ux).max()
-    rec = snapshot_diagnostics(SpectralField(c * scale), ModelParams(n=2), D8)
+    rec = record_of(SpectralField(c * scale), ModelParams(n=2))
     assert abs(rec.y_max - 3.0 / np.sqrt(10.0)) < 1e-6
 
 
@@ -95,7 +108,7 @@ def test_snapshot_aborts_beyond_anchor():
     p = ModelParams(n=2, epsilon=0.1, entropy_anchor=0.5)
     ent = entropy_functions(p)
     with pytest.raises(SimulationAbort):
-        snapshot_diagnostics(constant_field(D8, 1.0), p, D8, entropy=ent)
+        record_of(constant_field(D8, 1.0), p, entropy=ent)
 
 
 def test_surface_energy_lower_bound_random_fields():
@@ -104,10 +117,10 @@ def test_surface_energy_lower_bound_random_fields():
     p = ModelParams(n=2)
     for _ in range(10):
         f = SpectralField(rng.standard_normal(9) * 0.2)
-        rec = snapshot_diagnostics(f, p, D8)
+        rec = record_of(f, p)
         assert rec.energy_surface >= 2.0 - 1e-12
         assert rec.y_max < 1.0
-    flat = snapshot_diagnostics(constant_field(D8, 2.0), p, D8)
+    flat = record_of(constant_field(D8, 2.0), p)
     assert abs(flat.energy_surface - 2.0) < 1e-13
 
 
@@ -211,7 +224,7 @@ def record_threshold(rec, domain):
 
 
 def test_slope_bound_constant_state():
-    rec = snapshot_diagnostics(constant_field(D8, 3.0), ModelParams(n=2), D8)
+    rec = record_of(constant_field(D8, 3.0), ModelParams(n=2))
     assert rec.y_max == 0.0
     assert abs(rec.h2 - 3.0 * np.sqrt(2.0)) < 1e-12  # |c_0| of u == 3
     assert rec.y_max <= record_threshold(rec, D8)
@@ -222,7 +235,7 @@ def test_slope_bound_unit_slope_algebra():
     f = bump_field(D8, base=1.0, amp=0.3)
     fld = synthesize(f, D8)
     scale = 1.0 / np.abs(fld.ux).max()
-    rec = snapshot_diagnostics(SpectralField(f.coeffs * scale), ModelParams(n=2), D8)
+    rec = record_of(SpectralField(f.coeffs * scale), ModelParams(n=2))
     assert rec.y_max <= 1.0 / np.sqrt(2.0) + 1e-12
 
 
@@ -289,12 +302,19 @@ def test_holder_probe_smooth_run():
     assert probe.exponent_time >= 0.125
 
 
-def test_holder_probe_deterministic_under_seed(monkeypatch):
-    monkeypatch.setenv("CAPILLARY1D_SEED", "42")
+def test_holder_probe_deterministic_without_mirrored_nodes():
+    # no environment variable picks the nodes; the grid is symmetric, and a
+    # sampled node's mirror -x would make the space pairs of even data repeats
     res = short_run(t_end=5e-3, n_snap=7)
-    p1 = holder_probe(res)
-    p2 = holder_probe(res)
-    assert p1 == p2
+    assert holder_probe(res) == holder_probe(res)
+    x = tables(D8).x
+    xs = x[holder_nodes(x.size)]
+    assert xs.size == 16 and np.all(np.diff(xs) > 0)
+    assert not np.isin(-xs, xs).any()
+    for G in range(8, 2049):
+        locs = holder_nodes(G)
+        assert locs.size == min(16, G // 2) and np.all(np.diff(locs) > 0)
+        assert not np.isin(G - 1 - locs, locs).any(), G
 
 
 # -- positivity -------------------------------------------------------------------
@@ -361,3 +381,126 @@ def test_trajectory_records_fill_cumulative():
     assert recs[-1].dissipation_cum > 0.0
     assert np.isfinite(recs[-1].entropy)
     assert recs[-1].t == res.snapshot_times[-1]
+
+
+# -- the stacked records pass --------------------------------------------------------
+
+def reference_records(result, entropy=None):
+    # the per-snapshot body that trajectory_records ran before its stacked pass
+    domain, params, tol_zero = result.domain, result.params, result.tol_zero
+    records = []
+    for i, s in enumerate(result.snapshot_times):
+        c = result.snapshot_field(i)
+        fld = synthesize(c, domain, order=2)
+        ent = float("nan")
+        if entropy is not None:
+            if float(np.abs(fld.u).max()) >= entropy.anchor:
+                raise SimulationAbort(
+                    f"entropy anchor violated in diagnostics: sup|u| = {np.abs(fld.u).max():.6g}"
+                    f" >= a = {entropy.anchor:.6g}")
+            ent = entropy_integral(fld.u, entropy, domain)
+        norms = sobolev_norms(c, domain)
+        c_dot, _, u, flux, _ = rhs_output(c, params, domain)
+        records.append(DiagnosticsRecord(
+            t=float(s),
+            mass=mass(c, domain),
+            energy_surface=quadrature(fld.Q, domain),
+            energy_delta=0.5 * params.delta * quadrature(fld.ux**2, domain),
+            curvature_dissipation=quadrature(fld.uxx**2 / fld.Q**3, domain),
+            dissipation_cum=float(result.dissipation_cum[i]),
+            entropy=ent,
+            entropy_dissipation_cum=float(result.entropy_dissipation_cum[i]),
+            weighted_dissipation_cum={
+                r: float(v[i]) for r, v in result.weighted_dissipation_cum.items()},
+            min_u=float(fld.u.min()),
+            max_u=float(fld.u.max()),
+            zero_frac=float(np.count_nonzero(fld.u < tol_zero)) / fld.u.size,
+            y_max=float(np.max(np.abs(fld.ux) / fld.Q)),
+            h1=norms.h1,
+            h2=norms.h2,
+            weak_residual=kernels.weak_residual_max(tables(domain), c_dot, u, flux, tol_zero),
+        ))
+    return records
+
+
+N_STACKED = 2 * RECORDS_CHUNK + 3  # two full chunks and a remainder
+
+
+def stacked_run(params, u0=None):
+    return short_run(params=params, n_snap=N_STACKED, u0=u0, r_values=(1.5, 2.0))
+
+
+@pytest.mark.parametrize("params, u0, tracked", [
+    (ModelParams(n=2, delta=0.1, epsilon=0.0, entropy_anchor=2.0), None, True),
+    # a film dipping below zero: zero_frac and the weak residual's positivity set
+    (ModelParams(n=1.5, delta=0.05, epsilon=0.1, entropy_anchor=2.0),
+     bump_field(D8, base=0.2, amp=0.3), True),
+    (ModelParams(n=2, delta=0.1, epsilon=0.1, entropy_anchor=2.0), None, True),
+    (ModelParams(n=2, delta=0.1, epsilon=0.1, eta=0.05), None, False),
+])
+def test_stacked_records_equal_the_per_snapshot_body(params, u0, tracked):
+    res = stacked_run(params, u0)
+    ent = entropy_functions(params) if tracked else None
+    got, want = trajectory_records(res, entropy=ent), reference_records(res, entropy=ent)
+    assert len(got) == len(want) == N_STACKED
+    for f in dataclasses.fields(DiagnosticsRecord):
+        a = [getattr(r, f.name) for r in got]
+        b = [getattr(r, f.name) for r in want]
+        if f.name == "weighted_dissipation_cum":
+            assert a == b
+        else:
+            assert np.array_equal(a, b, equal_nan=True), f.name
+    assert any(r.zero_frac > 0 for r in got) == (u0 is not None)
+
+
+def _nan_rhs_at(row, monkeypatch):
+    # kernels.rhs with a non-finite slope at the state equal to row, alone or in a stack
+    true_rhs = kernels.rhs
+
+    def rhs(c, *args):
+        c_dot, *rest = true_rhs(c, *args)
+        c_dot = c_dot.copy()
+        c_dot[np.all(c == row, axis=-1)] = np.nan
+        return (c_dot, *rest)
+
+    monkeypatch.setattr(kernels, "rhs", rhs)
+
+
+@pytest.mark.parametrize("beyond, broken, message", [
+    ((40,), (), "entropy anchor violated"),
+    ((40,), (40,), "entropy anchor violated"),  # within a snapshot the anchor comes first
+    ((40,), (35,), "non-finite right-hand side"),
+    ((35,), (40,), "entropy anchor violated"),
+    ((), (66,), "non-finite right-hand side"),
+])
+def test_stacked_records_raise_at_the_first_failing_snapshot(monkeypatch, beyond, broken,
+                                                             message):
+    params = ModelParams(n=2, delta=0.1, epsilon=0.1, entropy_anchor=2.0)
+    res = stacked_run(params)
+    coeffs = res.coeffs.copy()
+    for i in beyond:
+        coeffs[i] *= 3.0  # sup u about 3.9, beyond the anchor
+    for i in broken:
+        _nan_rhs_at(coeffs[i].copy(), monkeypatch)
+    res = dataclasses.replace(res, coeffs=coeffs)
+    ent = entropy_functions(params)
+    with pytest.raises(SimulationAbort) as want:
+        reference_records(res, entropy=ent)
+    with pytest.raises(SimulationAbort) as got:
+        trajectory_records(res, entropy=ent)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(message)
+
+
+def test_records_pass_feeds_the_kernel_at_most_a_chunk(monkeypatch):
+    res = stacked_run(ModelParams(n=2, delta=0.1, epsilon=0.1))
+    true_rhs = kernels.rhs
+    shapes = []
+
+    def recording_rhs(c, *args):
+        shapes.append(c.shape)
+        return true_rhs(c, *args)
+
+    monkeypatch.setattr(kernels, "rhs", recording_rhs)
+    trajectory_records(res)
+    assert shapes == [(32, 9), (32, 9), (3, 9)]
