@@ -11,8 +11,8 @@ from the embedded config reproduces the series byte-identically.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
-import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -21,13 +21,7 @@ import numpy as np
 
 from .basis import DomainSpec, SpectralField, project, synthesize
 from .diagnostics import DiagnosticsRecord, holder_probe, trajectory_records
-from .galerkin import (
-    DEFAULT_R_VALUES,
-    IntegratorSpec,
-    SimulationResult,
-    simulate,
-    simulate_stack,
-)
+from .galerkin import IntegratorSpec, SimulationResult, simulate, simulate_stack
 from .model import (
     ConfigError,
     InitialDataError,
@@ -62,7 +56,9 @@ DEFAULT_CONFIG: dict = {
     },
     "initial_data": {"kind": "cosine_bump", "parameters": {}},
     "diagnostics": {
-        "r_values": list(DEFAULT_R_VALUES),
+        # the r-weighted dissipations are gone; the key stays at their old
+        # default only, which resolve_config refuses to change
+        "r_values": [1.5, 2.0],
         "holder_probe": False,
         "track_entropy": True,
         "track_weak_residual": False,
@@ -240,27 +236,29 @@ def resolve_config(raw: dict) -> ResolvedConfig:
 
     itg = cfg["integrator"]
     try:
-        T = _number(itg["T"], "T")
+        # the spec refuses a bad T before the snapshot times are spread over it
+        spec = IntegratorSpec(
+            t_end=_number(itg["T"], "T"),
+            method=itg["method"],
+            rtol=_number(itg["rtol"], "rtol"),
+            atol=_number(itg["atol"], "atol"),
+            dt=None if itg["dt"] is None else _number(itg["dt"], "dt"),
+        )
         snaps = itg["snapshots"]
         if isinstance(snaps, (int, float)) and not isinstance(snaps, bool):
             count = _integer(snaps, "snapshots count")
             if not 2 <= count <= MAX_SNAPSHOTS:
                 raise ValueError(f"snapshots count must be in [2, {MAX_SNAPSHOTS}], got {count}")
-            snap_times = tuple(float(s) for s in np.linspace(0.0, T, count))
+            snap_times = tuple(float(s) for s in np.linspace(0.0, spec.t_end, count))
         elif isinstance(snaps, (list, tuple)):
-            if len(snaps) > MAX_SNAPSHOTS:
-                raise ValueError(f"more than {MAX_SNAPSHOTS} snapshot times")
+            # an empty list would run with the default [0, T] yet embed []
+            if not 1 <= len(snaps) <= MAX_SNAPSHOTS:
+                raise ValueError(f"a snapshots list must hold 1 to {MAX_SNAPSHOTS} times,"
+                                 f" got {len(snaps)}")
             snap_times = tuple(sorted(_number(s, "snapshot time") for s in snaps))
         else:
             raise ValueError(f"snapshots must be a count or a list, got {snaps!r}")
-        spec = IntegratorSpec(
-            t_end=T,
-            method=itg["method"],
-            rtol=_number(itg["rtol"], "rtol"),
-            atol=_number(itg["atol"], "atol"),
-            dt=None if itg["dt"] is None else _number(itg["dt"], "dt"),
-            snapshot_times=snap_times,
-        )
+        spec = dataclasses.replace(spec, snapshot_times=snap_times)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad integrator section: {exc}") from exc
 
@@ -268,15 +266,13 @@ def resolve_config(raw: dict) -> ResolvedConfig:
     for key in ("holder_probe", "track_entropy", "track_weak_residual"):
         if not isinstance(diag[key], bool):
             raise ConfigError(f"diagnostics.{key} must be true or false, got {diag[key]!r}")
-    r_values = diag["r_values"]
-    try:
-        if not (isinstance(r_values, (list, tuple))
-                and all(math.isfinite(_number(r, "r_values")) for r in r_values)):
-            raise ValueError(f"r_values must be a list of finite numbers, got {r_values!r}")
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad diagnostics section: {exc}") from exc
+    r_values = DEFAULT_CONFIG["diagnostics"]["r_values"]
+    if not (isinstance(diag["r_values"], (list, tuple)) and list(diag["r_values"]) == r_values):
+        raise ConfigError(f"diagnostics.r_values is {diag['r_values']!r}: the r-weighted "
+                          "dissipations were removed, so omit the key")
 
     resolved = copy.deepcopy(cfg)
+    resolved["diagnostics"]["r_values"] = list(r_values)
     resolved["model"]["entropy_anchor"] = params.entropy_anchor
     resolved["integrator"]["snapshots"] = list(snap_times)
     return ResolvedConfig(
@@ -371,18 +367,17 @@ def run_configs(raws: list[dict]) -> tuple[list[RunOutput], Exception | None]:
     rc0 = prepared[0][0]
     if any(shared(rc) != shared(rc0) for rc, *_ in prepared[1:]):
         raise ValueError(f"configs of one stack may differ in model.{STACK_KEYS} only")
-    diag = rc0.resolved["diagnostics"]
-    r_values = tuple(float(r) for r in diag["r_values"])
+    track_weak_residual = rc0.resolved["diagnostics"]["track_weak_residual"]
     if len(prepared) == 1:
         try:
-            results = [simulate(rc0.u0, rc0.spec, rc0.params, rc0.domain, r_values=r_values,
-                                track_weak_residual=diag["track_weak_residual"])]
+            results = [simulate(rc0.u0, rc0.spec, rc0.params, rc0.domain,
+                                track_weak_residual=track_weak_residual)]
         except Exception as exc:
             results, failure = [], exc
     else:
         results, abort = simulate_stack(
             [rc.u0 for rc, *_ in prepared], rc0.spec, [rc.params for rc, *_ in prepared],
-            rc0.domain, r_values=r_values, track_weak_residual=diag["track_weak_residual"])
+            rc0.domain, track_weak_residual=track_weak_residual)
         if abort is not None:  # from a config before the one that failed, if any
             failure = abort
     elapsed = time.perf_counter() - mark

@@ -51,7 +51,6 @@ class DiagnosticsRecord:
     dissipation_cum: float
     entropy: float
     entropy_dissipation_cum: float
-    weighted_dissipation_cum: dict[float, float]
     min_u: float
     max_u: float
     zero_frac: float
@@ -121,7 +120,6 @@ def snapshot_diagnostics(coeffs: np.ndarray, params: ModelParams, domain: Domain
             dissipation_cum=float("nan"),
             entropy=ent,
             entropy_dissipation_cum=float("nan"),
-            weighted_dissipation_cum={},
             min_u=float(u_min[i]),
             max_u=float(u_max[i]),
             zero_frac=float(zeros[i]) / G,
@@ -152,9 +150,6 @@ def trajectory_records(result: SimulationResult,
         rec.t = float(result.snapshot_times[i])
         rec.dissipation_cum = float(result.dissipation_cum[i])
         rec.entropy_dissipation_cum = float(result.entropy_dissipation_cum[i])
-        rec.weighted_dissipation_cum = {
-            r: float(v[i]) for r, v in result.weighted_dissipation_cum.items()
-        }
     return records
 
 

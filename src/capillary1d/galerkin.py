@@ -35,19 +35,19 @@ call at each accepted state keeps its own check.  A single member reads
 its error norm and max|c| as Python floats, and screens those rows with a
 Python sum, which is non-finite whenever a term is, before the exact check
 (Python's max alone would hide a NaN).  Cumulative integrals q (flux
-dissipation, entropy dissipation, r-weighted dissipations) ride along,
-summed over the same propagated weights, in slope order, as one stacked
-multiply and one reduction; step-size control acts on the coefficient
-vector only.  The kernel computes no aux; kernels.integrands computes all
-of it, once per accepted state.  The call at each accepted state is a
+dissipation D, entropy dissipation S) ride along, summed over the same
+propagated weights, in slope order, as one stacked multiply and one
+reduction; step-size control acts on the coefficient vector only.  The
+kernel computes no aux; kernels.integrands computes all of it, once per
+accepted state.  The call at each accepted state is a
 plain stage call, and it and the stage calls whose propagated weight q
 reads (the third to fifth stages of RKF45, the second to fourth of RK4)
 write their grid values into a slot of a per-run workspace.  Then one pass
 over the workspace and one contiguous stack of buffer rows -- a copy of
 the new state, then those stage inputs -- gives the new state's aux
-[D, S, D_r..., E_surface, E_delta, sup|u|], which the energies, the anchor
-check and the dense output read, and the stages' [D, S, D_r...], which
-with the last state's give dq.  At t = 0 the pass runs over the initial
+[D, S, E_surface, E_delta, sup|u|], which the energies, the anchor check
+and the dense output read, and the stages' [D, S], which with the last
+state's give dq.  At t = 0 the pass runs over the initial
 state alone, and a rejected step makes none.  Snapshots
 come from cubic Hermite dense output on the accepted steps, and the weak
 residual, when tracked, is measured at every accepted step from the same
@@ -74,7 +74,6 @@ DT_MIN = 1e-12
 # (criterion 4, N = 32, about 20k steps), so a run that would take hours
 # fails early instead
 MAX_STEPS = 1_000_000
-DEFAULT_R_VALUES = (1.5, 2.0)
 
 
 # kernel calls (stats.rhs_calls) of every simulate run that has returned in
@@ -147,7 +146,6 @@ class NodeSeries:
     energy_delta: np.ndarray
     dissipation_cum: np.ndarray
     entropy_dissipation_cum: np.ndarray
-    weighted_dissipation_cum: dict[float, np.ndarray]
     weak_residual: np.ndarray | None = None
 
     @property
@@ -163,7 +161,6 @@ class SimulationResult:
     coeffs: np.ndarray                     # (n_snapshots, N+1)
     dissipation_cum: np.ndarray            # cumulative integrals at snapshots
     entropy_dissipation_cum: np.ndarray
-    weighted_dissipation_cum: dict[float, np.ndarray]
     nodes: NodeSeries
     stats: StepStats
     flags: list[str]
@@ -242,27 +239,24 @@ class _Member:
 
 
 def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
-             domain: DomainSpec, r_values=DEFAULT_R_VALUES,
-             track_weak_residual: bool = False) -> SimulationResult:
+             domain: DomainSpec, track_weak_residual: bool = False) -> SimulationResult:
     """Integrate to t_end, sampling snapshots and accumulating dissipations.
 
     The entropy anchor (params.entropy_anchor, when set) is asserted at every
     accepted step: sup|u| >= a aborts the run, and so does reaching
     MAX_STEPS accepted plus rejected steps.
     """
-    results, failure = simulate_stack([u0], spec, [params], domain, r_values,
-                                      track_weak_residual)
+    results, failure = simulate_stack([u0], spec, [params], domain, track_weak_residual)
     if failure is not None:
         raise failure
     return results[0]
 
 
 def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: DomainSpec,
-                   r_values=DEFAULT_R_VALUES,
                    track_weak_residual: bool = False) -> tuple[list, SimulationAbort | None]:
     """simulate on several members at once, stepped as one stack.
 
-    The members share the domain, the integrator spec and r_values; their
+    The members share the domain and the integrator spec; their
     ModelParams may differ in delta, epsilon, eta and the entropy anchor
     (model.stacked_params), and each has its own u0, whose grid values set
     its zero-set tolerance (model.default_tol_zero, kept on the result).
@@ -287,9 +281,7 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
         raise ValueError("initial coefficients do not match the domain")
 
     t = tables(domain)
-    r_arr = np.asarray(r_values, dtype=float)
-    nr = len(r_values)
-    nq = 2 + nr  # cumulative integrals: the leading aux entries D, S, D_r...
+    nq = 2  # cumulative integrals: the leading aux entries D and S
     members = [_Member(i, p, default_tol_zero(t.E @ c), np.empty((n_snap, domain.modes + 1)),
                        np.empty((n_snap, nq)))
                for i, (p, c) in enumerate(zip(params, cs))]
@@ -322,7 +314,7 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
     # the later stages lo..hi-1 span every later one that dq reads (those of
     # nonzero propagated weight); buffer row lo - 1 takes a copy of the new
     # state once a step stands, so that one kernels.integrands pass over rows
-    # lo - 1..hi - 1 gives the new state's aux and those stages' [D, S, D_r...]
+    # lo - 1..hi - 1 gives the new state's aux and those stages' [D, S]
     read = [i for i in range(1, n_stages) if weights[i] != 0.0]
     lo, hi = read[0], read[-1] + 1
     # dq sums these slopes of q in their order: the last accepted state's,
@@ -357,7 +349,7 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
         # pass's first slot; it has its own finite check, since its k1 enters
         # the step's Hermite snapshots as well as the next step
         k1_new, _, u_grid, flux, _ = kernels.rhs(c_new, t, ps, state_work)
-        aux_rows = kernels.integrands(states, work, t, ps, r_arr)
+        aux_rows = kernels.integrands(states, work, t, ps)
         aux_new = aux_rows[0]
         if not first:
             # q_new = Q + dq, dq the propagated weights times the slopes of q,
@@ -412,8 +404,8 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
                 regroup = True
             node_t, node_es, node_ed, node_q, node_weak = m.nodes
             node_t.append(tt)
-            node_es.append(a1[2 + nr])
-            node_ed.append(a1[3 + nr])
+            node_es.append(a1[2])
+            node_ed.append(a1[3])
             node_q.append(q1)  # q is rebound at every step, never written in place
             if track_weak_residual:
                 uf = (u_grid, flux) if single else (u_grid[pos], flux[pos])
@@ -551,7 +543,6 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
             energy_delta=np.asarray(node_ed),
             dissipation_cum=node_q_arr[:, 0],
             entropy_dissipation_cum=node_q_arr[:, 1],
-            weighted_dissipation_cum={r: node_q_arr[:, 2 + i] for i, r in enumerate(r_values)},
             weak_residual=np.asarray(node_weak) if track_weak_residual else None,
         )
         flags = []
@@ -565,7 +556,6 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
             coeffs=m.snap_c,
             dissipation_cum=m.snap_q[:, 0],
             entropy_dissipation_cum=m.snap_q[:, 1],
-            weighted_dissipation_cum={r: m.snap_q[:, 2 + i] for i, r in enumerate(r_values)},
             nodes=nodes,
             stats=m.stats,
             flags=flags,

@@ -9,10 +9,11 @@ synthesizes u and u_x.  The kernel computes no aux.  Every call, a
 Runge-Kutta stage's or the one at an accepted state, can write the grid
 values aux reads besides c (u and u_x, Q^2, Q, p_x and m(u), the kernel's
 own intermediates) into a workspace slot.  ``integrands`` is the one
-function that computes aux: it evaluates every state of a stack at once,
-one pass with one u_xx synthesis and one reduction.  The stepping loop runs
-it once per accepted state, over that state and the stages of the step
-that led to it.  Every floating-point operation and its order is part of
+function that computes aux, the fixed five entries [D, S, E_surface,
+E_delta, sup|u|]: it evaluates every state of a stack at once, one pass
+with one u_xx synthesis and one reduction.  The stepping loop runs it once
+per accepted state, over that state and the stages of the step that led
+to it.  Every floating-point operation and its order is part of
 the contract, so that a change here leaves every output bit-identical
 (tests/test_kernels.py holds the reference).  The physics (mobility, weak
 pressure density, pressure coefficients) comes from the model module; this
@@ -71,19 +72,18 @@ def rhs(c: np.ndarray, t: BasisTables, params: ModelParams | StackedParams,
 
 
 def integrands(c: np.ndarray, work: tuple, t: BasisTables,
-               params: ModelParams | StackedParams, r_values: np.ndarray) -> np.ndarray:
-    """aux = [D, S, D_r..., E_surface, E_delta, max|u|] at a stack of states c.
+               params: ModelParams | StackedParams) -> np.ndarray:
+    """aux = [D, S, E_surface, E_delta, max|u|] at a stack of states c.
 
     c has shape (S, N+1) or (S, B, N+1); work is five arrays of shape
     c.shape[:-1] + (2G,) and c.shape[:-1] + (G,) (rhs's work) whose [i] the
     rhs call at c[i] filled; params is that call's.  D is the flux
-    dissipation integrand's integral, S the entropy-dissipation one, D_r the
-    r-weighted dissipations, one for each entry of r_values, E_surface the
-    integral of Q and E_delta that of delta u_x^2 / 2.  Returns shape
-    c.shape[:-1] + (5 + nr,), the transpose of the sums: entry [i, ..., k]
-    is aux[k] at c[i].  Each integrand is one grid row per state, and all of
-    them are summed in one pairwise reduction along the grid, so a row's
-    sums do not depend on the other states of the stack.
+    dissipation integrand's integral, S the entropy-dissipation one,
+    E_surface the integral of Q and E_delta that of delta u_x^2 / 2.
+    Returns shape c.shape[:-1] + (5,), the transpose of the sums: entry
+    [i, ..., k] is aux[k] at c[i].  Each integrand is one grid row per
+    state, and all of them are summed in one pairwise reduction along the
+    grid, so a row's sums do not depend on the other states of the stack.
     """
     G = t.w.shape[0]
     uux, Qsq, Q, px, mob = work
@@ -95,23 +95,17 @@ def integrands(c: np.ndarray, work: tuple, t: BasisTables,
     u = uux[..., :G]
     ux = uux[..., G:]
     uxx = matvec(t.E, t.lam * c)  # -u_xx: only its square enters
-    nr = r_values.shape[0]
     delta = params.delta
     lead = c.shape[:-1]
-    rows = np.empty((4 + nr,) + lead + (G,))
-    pxsq = px * px
-    np.multiply(w * mob, pxsq, out=rows[0])
+    rows = np.empty((4,) + lead + (G,))
+    np.multiply(w * mob, px * px, out=rows[0])
     np.multiply(w, uxx * uxx / (Q * Qsq) + delta * uxx * uxx, out=rows[1])
-    for k in range(nr):
-        # mob ** r one r at a time: a broadcast np.power over every r moves
-        # the last bits of some powers (r = 0.5 and 2.0 next to r = 3.0)
-        np.multiply(w * mob ** r_values[k], pxsq, out=rows[2 + k])
-    np.multiply(w, Q, out=rows[2 + nr])
-    np.multiply(w * ux, ux, out=rows[3 + nr])
-    aux = np.empty((5 + nr,) + lead)
-    np.add.reduce(rows, axis=-1, out=aux[:4 + nr])
-    aux[3 + nr] *= 0.5 * (delta[:, 0] if c.ndim == 3 else delta)
-    np.maximum.reduce(np.abs(u), axis=-1, out=aux[4 + nr])
+    np.multiply(w, Q, out=rows[2])
+    np.multiply(w * ux, ux, out=rows[3])
+    aux = np.empty((5,) + lead)
+    np.add.reduce(rows, axis=-1, out=aux[:4])
+    aux[3] *= 0.5 * (delta[:, 0] if c.ndim == 3 else delta)
+    np.maximum.reduce(np.abs(u), axis=-1, out=aux[4])
     return aux.transpose(tuple(range(1, aux.ndim)) + (0,))
 
 

@@ -326,46 +326,52 @@ def _report_bytes(results: list[CheckResult]) -> bytes:
     return json.dumps(payload, sort_keys=True, default=str).encode()
 
 
-def _run_once() -> tuple[list[CheckResult], dict, dict]:
-    # criteria 1-9 with the wall seconds and the kernel calls of the runs of
-    # each; the reference run that criteria 1, 2 and 9 share is measured apart
-    t0 = time.perf_counter()
-    n0 = galerkin.rhs_calls_tally
-    ref = run_config(copy.deepcopy(REFERENCE_RUN))
-    ref_seconds = time.perf_counter() - t0
-    seconds = {"reference_run": ref_seconds}
-    calls = {"reference_run": galerkin.rhs_calls_tally - n0}
-    results = []
-    for check in (lambda: _check_mass(ref, ref_seconds),
-                  lambda: _check_energy_identity(ref),
-                  _check_decay_oracle,
-                  _check_entropy_estimate,
-                  _check_nonnegativity,
-                  _check_slope_bound,
-                  _check_steady_state,
-                  _check_profile_contrast,
-                  lambda: _check_weak_residual(ref)):
-        t0 = time.perf_counter()
-        n0 = galerkin.rhs_calls_tally
-        results.append(check())
-        seconds[str(results[-1].cid)] = time.perf_counter() - t0
-        calls[str(results[-1].cid)] = galerkin.rhs_calls_tally - n0
-    return results, seconds, calls
+def _run_once() -> tuple[list[CheckResult], dict]:
+    # criteria 1-9 with the wall seconds, the CPU seconds and the kernel calls
+    # of the runs of each, keyed by criterion id; the reference run that
+    # criteria 1, 2 and 9 share is measured apart
+    tallies = {"seconds": {}, "cpu_seconds": {}, "rhs_calls": {}}
+
+    def measured(run):
+        # run(), its measures kept under its result's criterion id
+        t0, cpu0, n0 = time.perf_counter(), time.process_time(), galerkin.rhs_calls_tally
+        out = run()
+        measures = (time.perf_counter() - t0, time.process_time() - cpu0,
+                    galerkin.rhs_calls_tally - n0)
+        key = str(out.cid) if isinstance(out, CheckResult) else "reference_run"
+        for tally, value in zip(tallies.values(), measures):
+            tally[key] = value
+        return out
+
+    ref = measured(lambda: run_config(copy.deepcopy(REFERENCE_RUN)))
+    ref_seconds = tallies["seconds"]["reference_run"]
+    results = [measured(check) for check in (
+        lambda: _check_mass(ref, ref_seconds),
+        lambda: _check_energy_identity(ref),
+        _check_decay_oracle,
+        _check_entropy_estimate,
+        _check_nonnegativity,
+        _check_slope_bound,
+        _check_steady_state,
+        _check_profile_contrast,
+        lambda: _check_weak_residual(ref))]
+    return results, tallies
 
 
 def run_all() -> tuple[list[CheckResult], dict]:
     """All ten criteria; criterion 10 reruns the suite and compares bytes.
 
     Returns the results and the timings of both passes:
-    {"seconds_per_pass": [...], "rhs_calls_per_pass": [...]}, each pass a
-    dict from criterion id (and "reference_run") to its wall seconds or to
-    the kernel calls of its simulate runs (stats.rhs_calls).  The timings
-    stay out of the results: criterion 10 compares their bytes.
+    {"seconds_per_pass": [...], "cpu_seconds_per_pass": [...],
+    "rhs_calls_per_pass": [...]}, each pass a dict from criterion id (and
+    "reference_run") to its wall seconds, to its CPU seconds
+    (time.process_time) or to the kernel calls of its simulate runs
+    (stats.rhs_calls).  The timings stay out of the results: criterion 10
+    compares their bytes.
     """
-    results, first_seconds, first_calls = _run_once()
-    second, second_seconds, second_calls = _run_once()
+    results, first = _run_once()
+    second, again = _run_once()
     identical = _report_bytes(results) == _report_bytes(second)
     results.append(CheckResult(10, "determinism: identical report bytes on a repeated run",
                                identical, {"identical": identical}))
-    return results, {"seconds_per_pass": [first_seconds, second_seconds],
-                     "rhs_calls_per_pass": [first_calls, second_calls]}
+    return results, {f"{name}_per_pass": [first[name], again[name]] for name in first}

@@ -14,7 +14,7 @@ import pytest
 
 from capillary1d import diagnostics, experiments, kernels, model
 from capillary1d.basis import DomainSpec, project, tables
-from capillary1d.config import load_config, run_config
+from capillary1d.config import load_config, resolve_config, run_config
 from capillary1d.galerkin import IntegratorSpec, SimulationResult, simulate
 from capillary1d.model import ModelParams, entropy_functions
 
@@ -31,6 +31,14 @@ def _load_spans():
 @pytest.mark.parametrize("module, attr, name", _load_spans().LAYER_FUNCTIONS)
 def test_traced_layer_function_resolves(module, attr, name):
     assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+@pytest.mark.parametrize("path", sorted((PERFBENCH / "configs").glob("*.json")),
+                         ids=lambda p: p.name)
+def test_benchmark_configs_resolve(path):
+    # dense_output.json still sets diagnostics.r_values to its old default,
+    # which resolve_config keeps accepting for it
+    resolve_config(load_config(str(path)))
 
 
 def test_sweep_spec_takes_jobs():

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,9 @@ BASE = {
 DROPLET = dict(BASE, domain={"l": 1.0, "N": 12, "oversample": 8},
                initial_data={"kind": "droplet",
                              "parameters": {"floor": 1e-2, "amplitude": 1.0, "power": 3}})
+
+
+R_VALUES_REMOVED = "the r-weighted dissipations were removed, so omit the key"
 
 
 @pytest.fixture
@@ -124,9 +128,14 @@ def test_simulate_rejected_data_exit_2(tmp_path, capsys):
     ("domain.N=300", "exceeds 2048"),
     ("domain.l=1.98e-294", "overflows"),
     ("integrator.snapshots=10001", "snapshots count must be in [2, 10000]"),
-    ('diagnostics.r_values="ab"', "r_values must be a list of finite numbers"),
-    ("diagnostics.r_values=[NaN]", "r_values must be a list of finite numbers"),
-    ("diagnostics.r_values=[true]", "r_values must be a number, got True"),
+    # diagnostics.r_values stays only at its old default [1.5, 2.0]
+    ('diagnostics.r_values="ab"', R_VALUES_REMOVED),
+    ("diagnostics.r_values=[NaN]", R_VALUES_REMOVED),
+    ("diagnostics.r_values=[true]", R_VALUES_REMOVED),
+    ("diagnostics.r_values=[]", R_VALUES_REMOVED),
+    ("diagnostics.r_values=[3.0]", R_VALUES_REMOVED),
+    # an empty list would run with snapshots at [0, T] yet embed []
+    ("integrator.snapshots=[]", "a snapshots list must hold 1 to 10000 times, got 0"),
     ("schema_version=true", "unsupported schema_version True"),
     ("domain.l=true", "l must be a number, got True"),
     ("model.n=true", "n must be a number, got True"),
@@ -144,7 +153,7 @@ def test_simulate_rejected_data_exit_2(tmp_path, capsys):
     ('model.delta="0.1"', "delta must be a number, got '0.1'"),
     ('integrator.T=" 2e-2 "', "T must be a number, got ' 2e-2 '"),
     ('domain.N="8"', "N must be a number, got '8'"),
-    ('diagnostics.r_values=["1.5"]', "r_values must be a number, got '1.5'"),
+    ('diagnostics.r_values=["1.5"]', R_VALUES_REMOVED),
     # 5e8 fixed steps would run for days: refused before the first one
     pytest.param(('integrator.method="rk4"', "integrator.dt=1e-12"),
                  "rk4 with t_end/dt = 5e+08 steps exceeds MAX_STEPS = 1000000",
@@ -169,6 +178,41 @@ def test_simulate_bad_value_exit_2(cfgfile, tmp_path, capsys, override, message)
     assert record["error"] == "ConfigError"
     assert message in record["message"]
     assert not (out / "series.csv").exists()
+
+
+@pytest.mark.parametrize("T", ["1e400", "Infinity"])
+def test_non_finite_T_writes_one_json_line(cfgfile, tmp_path, capsys, T):
+    # T is refused before the snapshot times are spread over it, so no numpy
+    # warning reaches stderr ahead of the error record
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", "--config", cfgfile, "--out", str(tmp_path / "o"),
+                   "--set", f"integrator.T={T}"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "ConfigError"
+    assert "t_end must be positive and finite" in record["message"]
+
+
+@pytest.mark.parametrize("value", ["[1.5,2.0]", "[1.5,2]"])
+def test_r_values_default_runs_as_if_omitted(cfgfile, tmp_path, value):
+    # the one value diagnostics.r_values still takes changes no output, not
+    # even the embedded config
+    outs = tmp_path / "omitted", tmp_path / "default"
+    assert main(["simulate", "--config", cfgfile, "--out", str(outs[0])]) == 0
+    assert main(["simulate", "--config", cfgfile, "--out", str(outs[1]),
+                 "--set", f"diagnostics.r_values={value}"]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        a, b = ((out / name).read_bytes() for out in outs)
+        if name == "summary.json":
+            a, b = (json.loads(x) for x in (a, b))
+            for summary in (a, b):
+                del summary["timings_s"], summary["wall_clock_seconds"]
+        assert a == b, name
 
 
 def test_simulate_abort_exit_3(tmp_path, capsys):
@@ -425,13 +469,15 @@ def test_verify_writes_timings_beside_the_report(tmp_path, monkeypatch, capsys):
     result = verify.CheckResult(1, "stub", True, {"value": 1.0})
     stub = {"seconds_per_pass": [{"reference_run": 0.125, "1": 0.25},
                                  {"reference_run": 0.375, "1": 0.5}],
+            "cpu_seconds_per_pass": [{"reference_run": 0.0625, "1": 0.1875},
+                                     {"reference_run": 0.3125, "1": 0.4375}],
             "rhs_calls_per_pass": [{"reference_run": 18947, "1": 0},
                                    {"reference_run": 18947, "1": 0}]}
     monkeypatch.setattr(verify, "run_all", lambda: ([result], stub))
     assert main(["verify", "--out", str(tmp_path)]) == 0
     report = (tmp_path / "verify_report.json").read_text()
     assert json.loads(report) == {"criteria": [result.as_dict()], "all_passed": True}
-    assert "0.125" not in report and "seconds" not in report
+    assert "0.125" not in report and "0.0625" not in report and "seconds" not in report
     assert "18947" not in report and "rhs_calls" not in report
     timings = json.loads((tmp_path / "verify_timings.json").read_text())
     assert timings == stub

@@ -354,23 +354,6 @@ def test_positivity_min_u_matches_direct_synthesis():
     np.testing.assert_array_equal(rep.min_u, direct)
 
 
-# -- weighted dissipation -----------------------------------------------------------
-
-def test_weighted_dissipation_monotone_in_r_when_m_below_one():
-    # amplitudes < 1 and small epsilon keep m <= 1 pointwise, so the
-    # integrand (and hence the cumulative integral) decreases in r
-    d = DomainSpec(half_length=1.0, modes=8)
-    p = ModelParams(n=2, delta=0.1, epsilon=0.05)
-    u0 = bump_field(d, base=0.5, amp=0.2)  # max u ~ 0.7 -> m <= 0.54
-    spec = IntegratorSpec(t_end=2e-3, rtol=1e-8, atol=1e-10)
-    res = simulate(u0, spec, p, d, r_values=(1.5, 2.0))
-    d15 = res.nodes.weighted_dissipation_cum[1.5]
-    d20 = res.nodes.weighted_dissipation_cum[2.0]
-    assert np.all(d20 <= d15 + 1e-18)
-    # and both bounded by the unweighted dissipation (r = 1)
-    assert np.all(d15 <= res.nodes.dissipation_cum + 1e-18)
-
-
 def test_trajectory_records_fill_cumulative():
     p = ModelParams(n=2, delta=0.1, epsilon=0.1, entropy_anchor=2.0)
     ent = entropy_functions(p)
@@ -410,8 +393,6 @@ def reference_records(result, entropy=None):
             dissipation_cum=float(result.dissipation_cum[i]),
             entropy=ent,
             entropy_dissipation_cum=float(result.entropy_dissipation_cum[i]),
-            weighted_dissipation_cum={
-                r: float(v[i]) for r, v in result.weighted_dissipation_cum.items()},
             min_u=float(fld.u.min()),
             max_u=float(fld.u.max()),
             zero_frac=float(np.count_nonzero(fld.u < tol_zero)) / fld.u.size,
@@ -427,7 +408,7 @@ N_STACKED = 2 * RECORDS_CHUNK + 3  # two full chunks and a remainder
 
 
 def stacked_run(params, u0=None):
-    return short_run(params=params, n_snap=N_STACKED, u0=u0, r_values=(1.5, 2.0))
+    return short_run(params=params, n_snap=N_STACKED, u0=u0)
 
 
 @pytest.mark.parametrize("params, u0, tracked", [
@@ -446,10 +427,7 @@ def test_stacked_records_equal_the_per_snapshot_body(params, u0, tracked):
     for f in dataclasses.fields(DiagnosticsRecord):
         a = [getattr(r, f.name) for r in got]
         b = [getattr(r, f.name) for r in want]
-        if f.name == "weighted_dissipation_cum":
-            assert a == b
-        else:
-            assert np.array_equal(a, b, equal_nan=True), f.name
+        assert np.array_equal(a, b, equal_nan=True), f.name
     assert any(r.zero_frac > 0 for r in got) == (u0 is not None)
 
 

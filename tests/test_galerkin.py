@@ -13,7 +13,6 @@ from capillary1d.basis import (
 )
 from capillary1d.galerkin import (
     _TABLEAUX,
-    DEFAULT_R_VALUES,
     MAX_STEPS,
     IntegratorSpec,
     SimulationAbort,
@@ -113,10 +112,10 @@ def test_rk4_observed_order():
 def _one_state_at_a_time(true_integrands, passes):
     # the aux pass evaluated on each state of its stack alone; passes gets
     # the number of states of every pass
-    def integrands(c, work, t, params, r_values):
+    def integrands(c, work, t, params):
         passes.append(c.shape[0])
-        return np.stack([true_integrands(c[i:i + 1], tuple(a[i:i + 1] for a in work), t, params,
-                                         r_values)[0] for i in range(c.shape[0])])
+        return np.stack([true_integrands(c[i:i + 1], tuple(a[i:i + 1] for a in work), t,
+                                         params)[0] for i in range(c.shape[0])])
     return integrands
 
 
@@ -379,8 +378,6 @@ def test_dissipation_cumulative_nonnegative_and_increasing():
     res = simulate(u0, spec, p, d)
     assert np.all(np.diff(res.nodes.dissipation_cum) >= -1e-15)
     assert np.all(np.diff(res.nodes.entropy_dissipation_cum) >= -1e-15)
-    for series in res.nodes.weighted_dissipation_cum.values():
-        assert np.all(np.diff(series) >= -1e-15)
 
 
 # -- the Runge-Kutta arithmetic ----------------------------------------------
@@ -419,10 +416,10 @@ def _slope_and_aux(y):
     G = t.w.shape[0]
     work = (np.empty((1, 2 * G)), *np.empty((4, 1, G)))
     k = kernels.rhs(y, t, STEP_PARAMS, tuple(a[0] for a in work))[0]
-    return k, kernels.integrands(y[None], work, t, STEP_PARAMS, np.asarray(DEFAULT_R_VALUES))[0]
+    return k, kernels.integrands(y[None], work, t, STEP_PARAMS)[0]
 
 
-def _reference_step(c, dt, method, nq):
+def _reference_step(c, dt, method):
     """One step by the plain sums: (stage inputs, c_new, embedded or None, dq)."""
     rows, weights, embedded = _TABLEAUX[method]
     inputs, ks, qds = [], [], []
@@ -431,10 +428,10 @@ def _reference_step(c, dt, method, nq):
         inputs.append(y)
         k, aux = _slope_and_aux(y)
         ks.append(k)
-        qds.append(aux[:nq])
+        qds.append(aux[:2])  # D and S
     return (inputs[1:], _combine(c, dt, weights, ks),
             None if embedded is None else _combine(c, dt, embedded, ks),
-            _combine(np.zeros(nq), dt, weights, qds))
+            _combine(np.zeros(2), dt, weights, qds))
 
 
 @pytest.mark.parametrize("spec", STEP_SPECS, ids=STEP_IDS)
@@ -468,10 +465,9 @@ def test_row_updates_match_the_plain_sums(spec, monkeypatch):
     calls = [e for e in events if e[0] == "rhs"]
 
     c0 = u0.coeffs.astype(float)
-    nq = 2 + len(res.weighted_dissipation_cum)
     k0 = true_rhs(c0, tables(STEP_DOMAIN), STEP_PARAMS)[0]
     dt = _initial_dt(spec, c0, k0)
-    inputs, c_new, emb, dq = _reference_step(c0, dt, spec.method, nq)
+    inputs, c_new, emb, dq = _reference_step(c0, dt, spec.method)
     for (_, got, _), want in zip(calls[1:n_stages], inputs):
         assert np.array_equal(got, want)
     assert np.array_equal(calls[n_stages][1], c_new)
@@ -480,8 +476,7 @@ def test_row_updates_match_the_plain_sums(spec, monkeypatch):
         # the buffer's last row holds the embedded solution when the kernel
         # is called at c_new
         assert np.array_equal(calls[n_stages][2], emb)
-    q1 = [res.nodes.dissipation_cum[1], res.nodes.entropy_dissipation_cum[1],
-          *(series[1] for series in res.nodes.weighted_dissipation_cum.values())]
+    q1 = [res.nodes.dissipation_cum[1], res.nodes.entropy_dissipation_cum[1]]
     assert np.array_equal(q1, dq)
 
 

@@ -32,7 +32,7 @@ def _reference_tables(domain):
                            ExT=np.ascontiguousarray(Ex.T), lam=eigenvalue(js, domain))
 
 
-def _reference_rhs(c, t, params, r_values):
+def _reference_rhs(c, t, params):
     w = t.w
     u = np.dot(t.E, c)
     ux = np.dot(t.Ex, c)
@@ -51,17 +51,13 @@ def _reference_rhs(c, t, params, r_values):
     flux = mob * px
     c_dot = -np.dot(t.ExT, w * flux)
 
-    pxsq = px * px
-    nr = r_values.shape[0]
     delta = params.delta
-    aux = np.empty(5 + nr)
-    aux[0] = np.sum(w * mob * pxsq)
+    aux = np.empty(5)
+    aux[0] = np.sum(w * mob * (px * px))
     aux[1] = np.sum(w * (uxx * uxx / (Q * Qsq) + delta * uxx * uxx))
-    for k in range(nr):
-        aux[2 + k] = np.sum(w * mob ** r_values[k] * pxsq)
-    aux[2 + nr] = np.sum(w * Q)
-    aux[3 + nr] = 0.5 * delta * np.sum(w * ux * ux)
-    aux[4 + nr] = np.max(np.abs(u))
+    aux[2] = np.sum(w * Q)
+    aux[3] = 0.5 * delta * np.sum(w * ux * ux)
+    aux[4] = np.max(np.abs(u))
     return c_dot, d, u, flux, aux
 
 
@@ -75,22 +71,14 @@ def _draws(N, rng, count=3):
         yield c
 
 
-# r_values of length 0 to 3; (0.5, 2.0, 3.0) mixes numpy's fast scalar
-# powers with a general one, where a broadcast np.power over every r would
-# move the last bits of the r = 0.5 and r = 2.0 rows
-R_VALUES = ((), (1.5,), (1.5, 2.0), (0.5, 2.0, 3.0))
-
-
 def _grid(N, pressure_mode, mobility_mode):
-    # (label, params, r_values, c) over eta x n x delta x r_values x draws
+    # (label, params, c) over eta x n x delta x draws
     rng = np.random.default_rng(1000 * N + len(pressure_mode) + len(mobility_mode))
-    for eta, n, delta, r in itertools.product((0.0, 0.05), (1.0, 1.5, 2.0, 3.0),
-                                              (0.0, 0.2), R_VALUES):
+    for eta, n, delta in itertools.product((0.0, 0.05), (1.0, 1.5, 2.0, 3.0), (0.0, 0.2)):
         params = ModelParams(n=n, delta=delta, epsilon=0.01, eta=eta,
                              pressure_mode=pressure_mode, mobility_mode=mobility_mode)
-        r_values = np.asarray(r, dtype=float)
         for c in _draws(N, rng):
-            yield (eta, n, delta, r), params, r_values, c
+            yield (eta, n, delta), params, c
 
 
 GRID = pytest.mark.parametrize("pressure_mode, mobility_mode",
@@ -117,17 +105,17 @@ def test_rhs_bit_identical_to_reference(N, pressure_mode, mobility_mode):
     domain = DomainSpec(half_length=1.3, modes=N)
     t = tables(domain)
     ref_t = _reference_tables(domain)
-    for label, params, r_values, c in _grid(N, pressure_mode, mobility_mode):
+    for label, params, c in _grid(N, pressure_mode, mobility_mode):
         got = kernels.rhs(c, t, params)
-        want = _reference_rhs(c, ref_t, params, r_values)
+        want = _reference_rhs(c, ref_t, params)
         assert len(got) == 5
         for name, a, b in zip(("c_dot", "d", "u", "flux"), got, want):
             assert np.array_equal(a, b), (name, label)
         assert np.array_equal(got[4], np.dot(ref_t.Ex, c)), ("ux", label)
         work = _workspace((1,), t)
         kernels.rhs(c, t, params, _slot(work, 0))
-        aux = kernels.integrands(c[None], work, t, params, r_values)
-        assert aux.shape == (1, 5 + r_values.shape[0]), label
+        aux = kernels.integrands(c[None], work, t, params)
+        assert aux.shape == (1, 5), label
         assert np.array_equal(aux[0], want[4]), label
 
 
@@ -139,7 +127,7 @@ def test_rhs_aux_prefix_is_the_full_calls(N, pressure_mode, mobility_mode):
     # m(u): the grid values the pass reads besides c
     t = tables(DomainSpec(half_length=1.3, modes=N))
     G = t.w.shape[0]
-    for label, params, _, c in _grid(N, pressure_mode, mobility_mode):
+    for label, params, c in _grid(N, pressure_mode, mobility_mode):
         plain = kernels.rhs(c, t, params)
         work = _workspace((1,), t)
         got = kernels.rhs(c, t, params, _slot(work, 0))
@@ -159,15 +147,14 @@ def test_rhs_aux_prefix_is_the_full_calls(N, pressure_mode, mobility_mode):
 def test_integrands_pass_is_the_reference_prefix(N, pressure_mode, mobility_mode):
     # one pass over a (3,) stack of states of one member, and over a (3, B)
     # stack of states by members, gives every (state, member) row the
-    # reference's aux of that state alone, [D, S, D_r...] and the rest
+    # reference's aux of that state alone, [D, S, E_surface, E_delta, sup|u|]
     domain = DomainSpec(half_length=1.3, modes=N)
     t = tables(domain)
     ref_t = _reference_tables(domain)
     rng = np.random.default_rng(7 * N + len(pressure_mode) + len(mobility_mode))
     # (delta, epsilon, eta) of the stack's members: eta = 0 next to capped ones
     triples = ((0.0, 0.01, 0.0), (0.2, 0.01, 0.05), (0.2, 0.1, 0.0), (0.05, 0.05, 0.05))
-    for n, r in itertools.product((1.0, 1.5, 2.0, 3.0), R_VALUES):
-        r_values = np.asarray(r, dtype=float)
+    for n in (1.0, 1.5, 2.0, 3.0):
         members = [ModelParams(n=n, delta=dl, epsilon=e, eta=eta, pressure_mode=pressure_mode,
                                mobility_mode=mobility_mode) for dl, e, eta in triples]
         draws = np.array(list(_draws(N, rng, count=3 * len(members))))
@@ -177,19 +164,19 @@ def test_integrands_pass_is_the_reference_prefix(N, pressure_mode, mobility_mode
             work = _workspace((3,) + lead, t)
             for i in range(3):
                 kernels.rhs(cs[i], t, params, _slot(work, i))
-            got = kernels.integrands(cs, work, t, params, r_values)
-            assert got.shape == (3,) + lead + (5 + len(r),)
+            got = kernels.integrands(cs, work, t, params)
+            assert got.shape == (3,) + lead + (5,)
             for i, j in itertools.product(range(3), range(len(members)) if lead else [None]):
                 p = members[1] if j is None else members[j]
                 c = cs[i] if j is None else cs[i, j]
-                want = _reference_rhs(c, ref_t, p, r_values)[4]
-                assert np.array_equal(got[i] if j is None else got[i, j], want), (n, r, lead, i, j)
+                want = _reference_rhs(c, ref_t, p)[4]
+                assert np.array_equal(got[i] if j is None else got[i, j], want), (n, lead, i, j)
 
 
 @pytest.mark.parametrize("n_aux", [1, 3, 4, 5, -1])
 def test_rhs_refuses_an_aux_prefix_it_does_not_compute(n_aux):
-    # the kernel computes no aux, so a call that asks for some, by r_values
-    # and an aux count after params, is refused rather than read as a
+    # the kernel computes no aux, so a call that asks for some, by an
+    # array and an aux count after params, is refused rather than read as a
     # workspace
     t = tables(DomainSpec(half_length=1.0, modes=8))
     c = np.array([1.5, 0.1, 0.05, 0, 0, 0, 0, 0, 0.0])
