@@ -7,8 +7,10 @@ homogeneous Neumann boundary conditions,
     e_j(x) = cos(sqrt(lam_j) x + pi j / 2) / sqrt(l),   lam_j = (pi j / (2 l))^2,
 
 together with a Gauss-Legendre quadrature rule whose nodes double as the
-collocation grid.  All projections, syntheses, integrals and Sobolev norms
-used by the solver go through this module.
+collocation grid.  This module holds the rule, the basis tables and the
+projection, integrals and Sobolev norms; grid values of a state's u, its
+derivatives and its pressure come from the tables through kernels.rhs and
+kernels.fields.
 """
 
 from __future__ import annotations
@@ -69,17 +71,6 @@ class SpectralField:
             raise ValueError("coeffs must be finite")
 
 
-@dataclass
-class CollocationField:
-    """Sampled values on the quadrature grid (all arrays share length G)."""
-
-    x: np.ndarray
-    u: np.ndarray
-    ux: np.ndarray | None = None
-    uxx: np.ndarray | None = None
-    Q: np.ndarray | None = None
-
-
 def eigenvalue(j, domain: DomainSpec):
     """lam_j = (pi j / (2 l))^2 for a mode index or an integer array of them; lam_0 = 0."""
     if np.any(np.asarray(j) < 0):
@@ -110,7 +101,7 @@ class BasisTables:
 
     E, Ex hold e_j and e_j' at the G quadrature nodes (shape (G, N+1)).
     They are the two halves of EEx (shape (2G, N+1)), so that one matvec
-    synthesizes u and u_x together; ET, ExT are their contiguous transposes
+    gives u and u_x together; ET, ExT are their contiguous transposes
     for the matvec-heavy kernels.  w_tiles holds w repeated to the grid
     shapes of kernels.integrands' stacks, built there on first use: an
     operand of the same shape spares numpy's broadcasting set-up on each
@@ -197,25 +188,6 @@ def project(v, domain: DomainSpec) -> SpectralField:
     if not np.all(np.isfinite(samples)):
         raise ValueError("projection input contains non-finite samples")
     return SpectralField(t.ET @ (t.w * samples))
-
-
-def synthesize(fld: SpectralField, domain: DomainSpec, order: int = 2) -> CollocationField:
-    """Evaluate u (and u_x, u_xx for order >= 1, 2) on the quadrature grid.
-
-    Derivatives come from the term-wise closed forms; in particular
-    u_xx = -sum_j lam_j c_j e_j.
-    """
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    c = fld.coeffs
-    t = tables(domain)
-    if c.shape[0] != domain.modes + 1:
-        raise ValueError(f"field has {c.shape[0]} coefficients, domain wants {domain.modes + 1}")
-    u = t.E @ c
-    ux = t.Ex @ c if order >= 1 else None
-    uxx = -(t.E @ (t.lam * c)) if order >= 2 else None
-    Q = np.sqrt(1.0 + ux * ux) if ux is not None else None
-    return CollocationField(x=t.x, u=u, ux=ux, uxx=uxx, Q=Q)
 
 
 def evaluate(fld: SpectralField, xs: np.ndarray, domain: DomainSpec, deriv: int = 0) -> np.ndarray:

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import synthesize, tables
+from . import kernels
+from .basis import tables
 from .config import (
     ConfigError,
     RunOutput,
@@ -38,7 +39,7 @@ from .experiments import (
     threshold_study,
 )
 from .galerkin import SimulationAbort
-from .model import InitialDataError, pressure_coeffs
+from .model import InitialDataError
 
 # the series.csv columns, each a DiagnosticsRecord attribute
 SERIES_COLUMNS = ("t", "mass", "energy_surface", "energy_delta", "dissipation_cum", "entropy",
@@ -102,10 +103,9 @@ def write_snapshot_csvs(out: RunOutput, outdir: Path) -> list[str]:
     # the x column is the same in every file, so it is formatted once
     x_cells = [x + "," for x in map(repr, t.x.tolist())]
     names = []
-    for i in range(out.result.snapshot_times.size):
-        fld = synthesize(out.result.snapshot_field(i), rc.domain, order=2)
-        p = t.E @ pressure_coeffs(fld.ux, fld.Q, t, rc.params)
-        rows = np.column_stack((fld.u, fld.ux, fld.uxx, p, fld.Q)).tolist()
+    for i, c in enumerate(out.result.coeffs):
+        _, d, u, ux, uxx, Q, _ = kernels.fields(c, t, rc.params)
+        rows = np.column_stack((u, ux, uxx, t.E @ d, Q)).tolist()
         name = f"snap_{i}.csv"
         _write_csv(outdir / name, SNAP_HEADER,
                    (x + ",".join(map(repr, row)) for x, row in zip(x_cells, rows)))

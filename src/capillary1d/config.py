@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import DomainSpec, SpectralField, project, synthesize
+from .basis import DomainSpec, SpectralField, project, tables
 from .diagnostics import DiagnosticsRecord, holder_probe, trajectory_records
 from .galerkin import IntegratorSpec, SimulationResult, simulate, simulate_stack
 from .model import (
@@ -157,6 +157,8 @@ def build_initial_data(kind: str, parameters: dict,
     if kind == "droplet":
         floor, amp = _number(p["floor"], "floor"), _number(p["amplitude"], "amplitude")
         power = _integer(p["power"], "power")
+        if power < 1:
+            raise ValueError(f"droplet power must be at least 1, got {power}")
         if 2 * power > domain.modes:
             raise ValueError(
                 f"droplet power {power} needs N >= {2 * power} modes for an exact representation")
@@ -220,7 +222,7 @@ def resolve_config(raw: dict) -> ResolvedConfig:
     mdl = cfg["model"]
     anchor = mdl["entropy_anchor"]
     if anchor == "auto":
-        anchor = float(synthesize(u0, domain, order=0).u.max()) + 1.0
+        anchor = float((tables(domain).E @ u0.coeffs).max()) + 1.0
     try:
         params = ModelParams(
             n=_number(mdl["n"], "n"),

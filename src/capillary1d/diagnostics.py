@@ -6,9 +6,9 @@ integral, positivity measures, the slope ratio y = max|u_x|/Q with its
 certified threshold, Hoelder probes, and the Galerkin weak residual.
 
 The records of a run come from one stacked pass per RECORDS_CHUNK
-snapshots: kernels.rhs, the u_xx synthesis and the entropy G each take the
-whole chunk, and each integral is one np.dot per row, so a record is
-bit-identical to the one computed for its snapshot alone.
+snapshots: kernels.fields and the entropy G each take the whole chunk,
+and each integral is one np.dot per row, so a record is bit-identical to
+the one computed for its snapshot alone.
 
 Every snapshot time is treated as belonging to the full-measure good set;
 outliers are reported, never excluded.  Unquantified generic constants are
@@ -26,19 +26,12 @@ from .basis import (
     DomainSpec,
     SpectralField,
     mass,
-    matvec,
     modes,
     sobolev_norms,
     tables,
 )
-from .galerkin import SimulationAbort, SimulationResult, rhs_output
-from .model import (
-    DEFAULT_TOL_NEG_REL,
-    EntropyEval,
-    ModelParams,
-    default_tol_zero,
-    stacked_params,
-)
+from .galerkin import SimulationAbort, SimulationResult
+from .model import DEFAULT_TOL_NEG_REL, EntropyEval, ModelParams, default_tol_zero
 
 
 @dataclass
@@ -65,9 +58,9 @@ def snapshot_diagnostics(coeffs: np.ndarray, params: ModelParams, domain: Domain
                          tol_zero: float | None = None) -> list[DiagnosticsRecord]:
     """Instantaneous fields of one record per row of coeffs, shape (S, N+1).
 
-    t and the cumulative fields are left for the caller.  One kernels.rhs
-    call over the stack gives c_dot, u, u_x, Q and the flux, one synthesis
-    u_xx and one entropy.G call the entropy integrand; each row's integrals
+    t and the cumulative fields are left for the caller.  One kernels.fields
+    call over the stack gives c_dot, u, u_x, u_xx, Q and the flux, and one
+    entropy.G call the entropy integrand; each row's integrals
     are np.dot(w, row), so a record is bit-identical to the one for its row
     alone.  tol_zero defaults to default_tol_zero of the stack's grid values.
 
@@ -76,9 +69,7 @@ def snapshot_diagnostics(coeffs: np.ndarray, params: ModelParams, domain: Domain
     """
     t = tables(domain)
     S, G = coeffs.shape[0], t.w.shape[0]
-    work = (np.empty((S, 2 * G)), *np.empty((4, S, G)))  # u and u_x, Q^2, Q, p_x, m(u)
-    c_dot, _, u, flux, ux = kernels.rhs(coeffs, t, stacked_params([params] * S), work)
-    Q = work[2]
+    c_dot, _, u, ux, uxx, Q, flux = kernels.fields(coeffs, t, params)
     if tol_zero is None:
         tol_zero = default_tol_zero(u)
     sup = np.abs(u).max(axis=1)
@@ -93,7 +84,6 @@ def snapshot_diagnostics(coeffs: np.ndarray, params: ModelParams, domain: Domain
                 f" >= a = {entropy.anchor:.6g}")
         raise SimulationAbort("non-finite right-hand side")
 
-    uxx = matvec(t.E, t.lam * coeffs)  # -u_xx: only its square enters
     uxsq = ux**2
     curvature = uxx**2 / Q**3
     u_min, u_max = u.min(axis=1), u.max(axis=1)
@@ -200,7 +190,9 @@ def flux_and_weak_residual(c: SpectralField, params: ModelParams, domain: Domain
     cancellation size max(1, |(u_t, e_j)|, |(J, e_j')|).
     """
     t = tables(domain)
-    c_dot, _, u, flux, _ = rhs_output(c, params, domain)
+    c_dot, _, u, flux, _ = kernels.rhs(np.ascontiguousarray(c.coeffs), t, params)
+    if not np.isfinite(c_dot).all():
+        raise SimulationAbort("non-finite right-hand side")
     ut, J, a_tab, b_tab = kernels.weak_residual_terms(t, c_dot, u, flux, default_tol_zero(u))
     js = np.arange(a_tab.size) if test_modes is None else np.asarray(test_modes, dtype=int)
     inside = js <= domain.modes

@@ -12,11 +12,12 @@ stays open; the sweep records the consecutive-difference trend as data only.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import evaluate, synthesize, tables
+from . import kernels
+from .basis import evaluate, tables
 from .config import (
     STACK_KEYS,
     ConfigError,
@@ -221,14 +222,14 @@ def _weighted_cov(values: np.ndarray, weights: np.ndarray, mask: np.ndarray) -> 
 def _profile_stats(out: RunOutput, index: int) -> dict:
     rc = out.config
     t = tables(rc.domain)
-    fld = synthesize(out.result.snapshot_field(index), rc.domain, order=2)
-    core = fld.u > 0.1 * fld.u.max()
-    kappa = fld.uxx / fld.Q**3
+    _, _, u, _, uxx, Q, _ = kernels.fields(out.result.coeffs[index], t, rc.params)
+    core = u > 0.1 * u.max()
+    kappa = uxx / Q**3
     # spectral roundoff floor for u_xx: lambda_N amplifies coefficient noise
-    noise = 1e-12 * float(t.lam.max()) * max(1.0, float(np.abs(fld.u).max()))
+    noise = 1e-12 * float(t.lam.max()) * max(1.0, float(np.abs(u).max()))
     return {
         "cov_kappa": _weighted_cov(kappa, t.w, core),
-        "cov_uxx": _weighted_cov(fld.uxx, t.w, core),
+        "cov_uxx": _weighted_cov(uxx, t.w, core),
         "core_fraction": float(np.count_nonzero(core)) / core.size,
         "kappa_scale": float(np.max(np.abs(kappa))),
         "kappa_noise_floor": noise,

@@ -1,10 +1,10 @@
 """Reduced ODE system dc/dt = f(c) and its explicit time integration.
 
-The right-hand side never forms the (N+1)x(N+1) Gram matrix: it synthesizes
-u and u_x on the grid, builds the pressure coefficients from the weak
-pairing, forms the flux density m(u) p_x pointwise and projects back --
-algebraically identical to the eliminated double-sum form because the
-pressure lives in the Galerkin space.  Component 0 of dc/dt is identically
+The right-hand side, kernels.rhs, never forms the (N+1)x(N+1) Gram matrix:
+it evaluates u and u_x on the grid, builds the pressure coefficients from
+the weak pairing, forms the flux density m(u) p_x pointwise and projects
+back -- algebraically identical to the eliminated double-sum form because
+the pressure lives in the Galerkin space.  Component 0 of dc/dt is identically
 zero (e_0' = 0), so mass is conserved to the last bit by every integrator.
 
 simulate_stack holds the one stepping loop, for both RKF45 (adaptive) and
@@ -168,17 +168,6 @@ class SimulationResult:
 
     def snapshot_field(self, i: int) -> SpectralField:
         return SpectralField(self.coeffs[i].copy())
-
-
-def rhs_output(c: SpectralField, params: ModelParams, domain: DomainSpec) -> tuple:
-    """One kernels.rhs call at c: (c_dot, d, u, flux, ux).
-
-    Refused with a SimulationAbort if c_dot is non-finite.
-    """
-    out = kernels.rhs(np.ascontiguousarray(c.coeffs), tables(domain), params)
-    if not np.isfinite(out[0]).all():
-        raise SimulationAbort("non-finite right-hand side")
-    return out
 
 
 # explicit tableaux (A rows, propagated weights b, embedded weights or None);

@@ -1,11 +1,11 @@
-"""The Galerkin right-hand side, the aux pass, and the weak residual.
+"""The Galerkin right-hand side, the grid fields, the aux pass, and the weak residual.
 
 Stability-limited explicit stepping evaluates the RHS 1e4-1e5 times per run
 on grids of 72-264 points, so a call costs what its numpy calls cost, not
 its arithmetic.  The whole chain (synthesis -> mobility -> pressure
 coefficients -> flux -> projection) is therefore one numpy function over the
 cached basis tables with as few calls as it takes: one stacked matvec
-synthesizes u and u_x.  The kernel computes no aux.  Every call, a
+gives u and u_x.  The kernel computes no aux.  Every call, a
 Runge-Kutta stage's or the one at an accepted state, can write the grid
 values aux reads besides c (u and u_x, Q^2, Q, p_x and m(u), the kernel's
 own intermediates) into a workspace slot.  ``integrands`` is the one
@@ -13,12 +13,14 @@ function that computes aux, the fixed five entries [D, S, E_surface,
 E_delta, sup|u|]: it evaluates every state of a stack at once, one pass
 with one u_xx synthesis and one reduction.  The stepping loop runs it once
 per accepted state, over that state and the stages of the step that led
-to it.  Every floating-point operation and its order is part of
-the contract, so that a change here leaves every output bit-identical
-(tests/test_kernels.py holds the reference).  The physics (mobility, weak
-pressure density, pressure coefficients) comes from the model module; this
-one only assembles it.  Callers look ``rhs`` and ``integrands`` up on the
-module at call time, and pass every argument positionally, so they can be
+to it.  Every other grid evaluation of a state (snapshot records, the
+snapshot CSVs, the profile study) goes through ``fields``: one rhs call
+with a workspace, plus u_xx.  Every floating-point operation and its order
+is part of the contract, so that a change here leaves every output
+bit-identical (tests/test_kernels.py holds the reference).  The physics
+(mobility, weak pressure density, pressure coefficients) comes from the
+model module; this one only assembles it.  Callers look ``rhs``,
+``fields`` and ``integrands`` up on the module at call time, and pass every argument positionally, so they can be
 wrapped from outside.
 
 The shape contract: c is one member's coefficients, shape (N+1,), with
@@ -28,8 +30,11 @@ bit-identical to the call on that member alone: the matvecs are one gemv
 per member (basis.matvec) and every other operation acts row by row.  One
 call pays numpy's per-call overhead once for all B members; a single
 member stays 1-D, since a (1, N+1) stack costs more per call than the 1-D
-call.  The aux pass puts the state axis S before these: (S, N+1) or
-(S, B, N+1).
+call.  One ModelParams also serves a stack of S states of one member,
+shape (S, N+1), as fields and the records pass use it: its scalars broadcast
+over the rows, each row bit-identical to the 1-D call and to the call with
+the StackedParams of S copies.  The aux pass puts the state axis S before
+these: (S, N+1) or (S, B, N+1).
 """
 
 from __future__ import annotations
@@ -69,6 +74,23 @@ def rhs(c: np.ndarray, t: BasisTables, params: ModelParams | StackedParams,
     flux = mob * px
     c_dot = -mv(t.ExT, w * flux)
     return c_dot, d, u, flux, ux
+
+
+def fields(c: np.ndarray, t: BasisTables, params: ModelParams):
+    """Grid values of one member's state c, shape (N+1,), or of a stack (S, N+1).
+
+    One rhs call with a workspace, plus the u_xx synthesis.  Returns
+    (c_dot, d, u, ux, uxx, Q, flux); uxx = -sum_j lam_j c_j e_j carries its
+    true sign.  One ModelParams serves every row of a stack, and each row is
+    bit-identical to the call on that row alone.
+    """
+    G = t.w.shape[0]
+    lead = c.shape[:-1]
+    work = (np.empty(lead + (2 * G,)), *np.empty((4,) + lead + (G,)))
+    c_dot, d, u, flux, ux = rhs(c, t, params, work)
+    uxx = matvec(t.E, t.lam * c)
+    np.negative(uxx, out=uxx)
+    return c_dot, d, u, ux, uxx, work[2], flux
 
 
 def integrands(c: np.ndarray, work: tuple, t: BasisTables,

@@ -16,15 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import (
-    BasisTables,
-    DomainSpec,
-    SpectralField,
-    matvec,
-    quadrature,
-    synthesize,
-    tables,
-)
+from .basis import BasisTables, DomainSpec, SpectralField, matvec, quadrature, tables
 
 PRESSURE_MODES = ("nonlinear", "linear")
 MOBILITY_MODES = ("standard", "constant")
@@ -150,23 +142,17 @@ def pressure_density(ux: np.ndarray, Q: np.ndarray,
     return ux / Q + params.delta * ux
 
 
-def galerkin_pressure_coeffs(u: SpectralField, params: ModelParams,
-                             domain: DomainSpec) -> SpectralField:
-    """Pressure coefficients d_k = <A_delta(u), e_k>; d_0 = 0 identically.
-
-    The weak pairing with v in the Galerkin space is d . v; it satisfies
-    |<A_delta(u), v>| <= (1+delta) ||u||_H1 ||v||_H1 and the coercivity
-    <A_delta(w), w> >= delta ||w_x||_L2^2.  d_0 vanishes because e_0' = 0 --
-    this is the mean-zero-pressure mechanism that makes the constant mode
-    stationary.
-    """
-    f = synthesize(u, domain, order=1)
-    return SpectralField(pressure_coeffs(f.ux, f.Q, tables(domain), params))
-
-
 def pressure_coeffs(ux: np.ndarray, Q: np.ndarray, t: BasisTables,
                     params: ModelParams | StackedParams) -> np.ndarray:
-    """d = Ex^T (w s) from grid values of u_x and Q on the tables t, per member of a stack."""
+    """Pressure coefficients d_k = <A_delta(u), e_k> = Ex^T (w s), per member of a stack.
+
+    ux and Q are grid values on the tables t.  The weak pairing with v in
+    the Galerkin space is d . v; it satisfies
+    |<A_delta(u), v>| <= (1+delta) ||u||_H1 ||v||_H1 and the coercivity
+    <A_delta(w), w> >= delta ||w_x||_L2^2.  d_0 = 0 identically because
+    e_0' = 0 -- this is the mean-zero-pressure mechanism that makes the
+    constant mode stationary.
+    """
     return matvec(t.ExT, t.w * pressure_density(ux, Q, params))
 
 
@@ -355,9 +341,9 @@ def validate_initial_data(u0: SpectralField, params: ModelParams, domain: Domain
     zero set of u0 to be null for n >= 2, and compact support is only
     admissible for 1 <= n < 2).
     """
-    fld = synthesize(u0, domain, order=0)
-    umin = float(fld.u.min())
-    umax = float(fld.u.max())
+    u = tables(domain).E @ u0.coeffs
+    umin = float(u.min())
+    umax = float(u.max())
     scale = max(1.0, abs(umax))
     tol_neg = DEFAULT_TOL_NEG_REL * scale
 
@@ -365,7 +351,7 @@ def validate_initial_data(u0: SpectralField, params: ModelParams, domain: Domain
     warnings: list[str] = []
     if umin < -tol_neg:
         errors.append(f"initial data negative on the grid: min u0 = {umin:.3e}")
-    touches = umin < default_tol_zero(fld.u)
+    touches = umin < default_tol_zero(u)
 
     anchor = params.entropy_anchor if params.entropy_anchor is not None else umax + 1.0
     if anchor <= umax:
@@ -378,7 +364,7 @@ def validate_initial_data(u0: SpectralField, params: ModelParams, domain: Domain
         h2_params = ModelParams(params.n, params.delta, 0.0, 0.0,
                                 params.pressure_mode, anchor, params.mobility_mode)
         entropy = entropy_functions(h2_params)
-        u_eval = np.maximum(fld.u, 0.0)  # negative dips evaluate at the contact value
+        u_eval = np.maximum(u, 0.0)  # negative dips evaluate at the contact value
         ent = entropy_integral(u_eval, entropy, domain)
         if not np.isfinite(ent):
             msg = (f"initial entropy integral is infinite (u0 touches zero with n = {params.n}"

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import galerkin
-from .basis import DomainSpec, eigenvalue
+from . import galerkin, kernels
+from .basis import DomainSpec, eigenvalue, tables
 from .config import resolve_config, run_config, run_configs
 from .diagnostics import (
     energy_identity_residual,
@@ -30,7 +30,7 @@ from .diagnostics import (
     slope_threshold,
 )
 from .experiments import SweepSpec, curvature_profile_study, run_sweep
-from .model import DEFAULT_TOL_NEG_REL, galerkin_pressure_coeffs
+from .model import DEFAULT_TOL_NEG_REL
 
 # Smooth positive reference data: 1 + 0.2 e_1 + 0.25 e_2.  Mixed parity is
 # deliberate -- even data would zero out every odd mode by symmetry and make
@@ -277,8 +277,8 @@ def _check_steady_state() -> CheckResult:
     dev = final.coeffs.copy()
     dev[0] -= mean_coeff
     u_resid = float(np.sqrt(np.sum(dev**2)))
-    p_resid = float(np.sqrt(np.sum(
-        galerkin_pressure_coeffs(final, out.config.params, out.config.domain).coeffs ** 2)))
+    d = kernels.rhs(final.coeffs, tables(out.config.domain), out.config.params)[1]
+    p_resid = float(np.sqrt(np.sum(d**2)))
     passed = u_resid <= 1e-5 and p_resid <= 1e-5
     return CheckResult(7, "relaxation to the flat steady state (u and p residuals <= 1e-5)",
                        passed, {"u_residual_l2": u_resid, "p_residual_l2": p_resid,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from capillary1d import kernels
 from capillary1d.basis import (
     MAX_GRID_SIZE,
     DomainSpec,
@@ -13,9 +14,15 @@ from capillary1d.basis import (
     project,
     quadrature,
     sobolev_norms,
-    synthesize,
     tables,
 )
+from capillary1d.model import ModelParams
+
+
+def grid_values(c: np.ndarray, d: DomainSpec):
+    """u, u_x and u_xx of coefficients c on the grid, from kernels.fields."""
+    _, _, u, ux, uxx, _, _ = kernels.fields(c, tables(d), ModelParams(n=2.0))
+    return u, ux, uxx
 
 
 def test_domain_validation():
@@ -141,26 +148,26 @@ def test_project_rejects_bad_input():
         project(lambda x: np.full_like(x, np.nan), d)
 
 
-def test_synthesize_constant_mode():
+def test_fields_constant_mode():
     d = DomainSpec(half_length=1.0, modes=4)
     c = np.zeros(5)
     c[0] = 2.5
-    fld = synthesize(SpectralField(c), d)
+    u, ux, uxx = grid_values(c, d)
     e0 = 1 / np.sqrt(2.0)
-    np.testing.assert_allclose(fld.u, 2.5 * e0)
-    np.testing.assert_allclose(fld.ux, 0.0)
-    np.testing.assert_allclose(fld.uxx, 0.0)
+    np.testing.assert_allclose(u, 2.5 * e0)
+    np.testing.assert_allclose(ux, 0.0)
+    np.testing.assert_allclose(uxx, 0.0)
 
 
-def test_synthesize_eigenfunction_identity():
+def test_fields_eigenfunction_identity():
     d = DomainSpec(half_length=1.0, modes=4)
     c = np.zeros(5)
     c[1] = 1.0
-    fld = synthesize(SpectralField(c), d)
-    assert np.abs(fld.uxx + eigenvalue(1, d) * fld.u).max() <= 1e-12
+    u, _, uxx = grid_values(c, d)
+    assert np.abs(uxx + eigenvalue(1, d) * u).max() <= 1e-12
 
 
-def test_synthesize_derivative_against_finite_differences():
+def test_evaluate_derivative_against_finite_differences():
     rng = np.random.default_rng(3)
     d = DomainSpec(half_length=1.0, modes=16)
     f = SpectralField(rng.standard_normal(17) * np.exp(-0.3 * np.arange(17)))
@@ -210,23 +217,23 @@ def test_sobolev_norms_examples():
 
 
 def test_parseval_consistency():
-    # spectral H^k norms match quadrature of synthesized derivatives
+    # spectral H^k norms match quadrature of the grid derivatives
     rng = np.random.default_rng(7)
     for N in (16, 64):
         d = DomainSpec(half_length=1.0, modes=N)
         f = SpectralField(rng.standard_normal(N + 1))
-        fld = synthesize(f, d)
+        u, ux, uxx = grid_values(f.coeffs, d)
         nrm = sobolev_norms(f, d)
-        for series, ref in ((fld.u, nrm.l2), (fld.ux, nrm.ux_l2), (fld.uxx, nrm.uxx_l2)):
+        for series, ref in ((u, nrm.l2), (ux, nrm.ux_l2), (uxx, nrm.uxx_l2)):
             got = np.sqrt(quadrature(series**2, d))
             assert abs(got - ref) <= 1e-10 * max(1.0, ref)
 
 
-def test_project_synthesize_roundtrip():
+def test_project_fields_roundtrip():
     rng = np.random.default_rng(11)
     d = DomainSpec(half_length=1.0, modes=24)
     f = SpectralField(rng.standard_normal(25))
-    back = project(synthesize(f, d, order=0).u, d)
+    back = project(grid_values(f.coeffs, d)[0], d)
     rel = np.abs(back.coeffs - f.coeffs).max() / np.abs(f.coeffs).max()
     assert rel <= 1e-12
 

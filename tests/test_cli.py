@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import warnings
 from pathlib import Path
@@ -8,10 +7,9 @@ import numpy as np
 import pytest
 
 from capillary1d import experiments, kernels
-from capillary1d.basis import synthesize, tables
+from capillary1d.basis import tables
 from capillary1d.cli import DEFAULT_SWEEP_VALUES, main
 from capillary1d.config import load_config, resolve_config, run_config
-from capillary1d.model import galerkin_pressure_coeffs
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -117,6 +115,11 @@ def test_simulate_rejected_data_exit_2(tmp_path, capsys):
     ("model=3", "section 'model' must be an object"),
     ("integrator.T=null", "bad integrator section"),
     ("initial_data.parameters.amplitdue=1", "unknown parameter 'amplitdue'"),
+    # a power below 1 is no droplet: -1 would sample 1/cos^2, 0 a constant film
+    ('initial_data={"kind": "droplet", "parameters": {"power": -1}}',
+     "droplet power must be at least 1, got -1"),
+    ('initial_data={"kind": "droplet", "parameters": {"power": 0}}',
+     "droplet power must be at least 1, got 0"),
     ("output.directory=out", "unknown config key 'output'"),
     ("diagnostics.tol_neg=1e-8", "unknown config key diagnostics.tol_neg"),
     ("diagnostics.tol_zero=1e-7", "unknown config key diagnostics.tol_zero"),
@@ -309,13 +312,14 @@ def test_snapshot_csvs_parse_back_exactly(cfgfile, tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", "--config", cfgfile, "--out", str(out)]) == 0
     run = run_config(BASE)
-    domain, params = run.config.domain, run.config.params
-    E = tables(domain).E
-    for i in range(run.result.snapshot_times.size):
-        c = run.result.snapshot_field(i)
-        fld = synthesize(c, domain, order=2)
-        p = E @ galerkin_pressure_coeffs(c, params, domain).coeffs
-        expect = np.column_stack((fld.x, fld.u, fld.ux, fld.uxx, p, fld.Q))
+    delta = run.config.params.delta
+    t = tables(run.config.domain)
+    for i, c in enumerate(run.result.coeffs):
+        # u, u_x, u_xx, p = E d and Q from the tables alone; BASE is nonlinear mode
+        ux = t.Ex @ c
+        Q = np.sqrt(1.0 + ux * ux)
+        d = t.ExT @ (t.w * (ux / Q + delta * ux))
+        expect = np.column_stack((t.x, t.E @ c, ux, -(t.E @ (t.lam * c)), t.E @ d, Q))
         lines = (out / f"snap_{i}.csv").read_text().splitlines()[1:]
         got = np.array([[float(v) for v in line.split(",")] for line in lines])
         assert got.shape == expect.shape

@@ -12,7 +12,6 @@ from capillary1d.basis import (
     project,
     quadrature,
     sobolev_norms,
-    synthesize,
     tables,
 )
 from capillary1d.diagnostics import (
@@ -29,7 +28,7 @@ from capillary1d.diagnostics import (
     trajectory_records,
 )
 from capillary1d.config import resolve_config, run_config
-from capillary1d.galerkin import IntegratorSpec, SimulationAbort, rhs_output, simulate
+from capillary1d.galerkin import IntegratorSpec, SimulationAbort, simulate
 from capillary1d.model import ModelParams, entropy_functions, entropy_integral
 from capillary1d.verify import DELTA_SWEEP_RUN, REFERENCE_RUN
 
@@ -94,12 +93,10 @@ def test_snapshot_surface_energy_against_adaptive_oracle():
 def test_snapshot_y_max_algebra():
     # max |u_x| = 3 gives y = 3/sqrt(10)
     t = tables(D8)
-    # craft a field whose synthesized slope peaks near 3 by scaling mode 1
+    # craft a field whose grid slope peaks near 3 by scaling mode 1
     c = np.zeros(9)
     c[1] = 1.0
-    f = SpectralField(c)
-    fld = synthesize(f, D8)
-    scale = 3.0 / np.abs(fld.ux).max()
+    scale = 3.0 / np.abs(t.Ex @ c).max()
     rec = record_of(SpectralField(c * scale), ModelParams(n=2))
     assert abs(rec.y_max - 3.0 / np.sqrt(10.0)) < 1e-6
 
@@ -233,8 +230,7 @@ def test_slope_bound_constant_state():
 def test_slope_bound_unit_slope_algebra():
     # |u_x| <= 1 everywhere forces y <= 1/sqrt(2)
     f = bump_field(D8, base=1.0, amp=0.3)
-    fld = synthesize(f, D8)
-    scale = 1.0 / np.abs(fld.ux).max()
+    scale = 1.0 / np.abs(tables(D8).Ex @ f.coeffs).max()
     rec = record_of(SpectralField(f.coeffs * scale), ModelParams(n=2))
     assert rec.y_max <= 1.0 / np.sqrt(2.0) + 1e-12
 
@@ -270,12 +266,15 @@ def test_slope_certificate_from_records_equals_direct_synthesis():
     # the records carry the slope certificate's inputs bit for bit (criterion 6's run)
     out = run_config(DELTA_SWEEP_RUN)
     domain = out.config.domain
+    t = tables(domain)
     for i, rec in enumerate(out.records):
         c = out.result.snapshot_field(i)
-        fld = synthesize(c, domain, order=2)
-        y_max = float(np.max(np.abs(fld.ux / fld.Q)))
-        c1 = quadrature(fld.Q, domain)
-        c2 = quadrature(fld.uxx**2 / fld.Q**3, domain)
+        ux = t.Ex @ c.coeffs
+        uxx = -(t.E @ (t.lam * c.coeffs))
+        Q = np.sqrt(1.0 + ux * ux)
+        y_max = float(np.max(np.abs(ux / Q)))
+        c1 = quadrature(Q, domain)
+        c2 = quadrature(uxx**2 / Q**3, domain)
         assert rec.y_max == y_max
         assert rec.energy_surface == c1
         assert rec.curvature_dissipation == c2
@@ -349,8 +348,7 @@ def test_positivity_min_u_matches_direct_synthesis():
     p = ModelParams(n=1.5, delta=0.05, epsilon=0.1)
     res = short_run(params=p)
     rep = positivity_report(trajectory_records(res), p, D8)
-    direct = [synthesize(res.snapshot_field(i), D8, order=0).u.min()
-              for i in range(res.snapshot_times.size)]
+    direct = [(tables(D8).E @ c).min() for c in res.coeffs]
     np.testing.assert_array_equal(rep.min_u, direct)
 
 
@@ -371,35 +369,41 @@ def test_trajectory_records_fill_cumulative():
 def reference_records(result, entropy=None):
     # the per-snapshot body that trajectory_records ran before its stacked pass
     domain, params, tol_zero = result.domain, result.params, result.tol_zero
+    t = tables(domain)
     records = []
     for i, s in enumerate(result.snapshot_times):
         c = result.snapshot_field(i)
-        fld = synthesize(c, domain, order=2)
+        u = t.E @ c.coeffs
+        ux = t.Ex @ c.coeffs
+        uxx = -(t.E @ (t.lam * c.coeffs))
+        Q = np.sqrt(1.0 + ux * ux)
         ent = float("nan")
         if entropy is not None:
-            if float(np.abs(fld.u).max()) >= entropy.anchor:
+            if float(np.abs(u).max()) >= entropy.anchor:
                 raise SimulationAbort(
-                    f"entropy anchor violated in diagnostics: sup|u| = {np.abs(fld.u).max():.6g}"
+                    f"entropy anchor violated in diagnostics: sup|u| = {np.abs(u).max():.6g}"
                     f" >= a = {entropy.anchor:.6g}")
-            ent = entropy_integral(fld.u, entropy, domain)
+            ent = entropy_integral(u, entropy, domain)
         norms = sobolev_norms(c, domain)
-        c_dot, _, u, flux, _ = rhs_output(c, params, domain)
+        c_dot, _, u_k, flux, _ = kernels.rhs(c.coeffs, t, params)
+        if not np.isfinite(c_dot).all():
+            raise SimulationAbort("non-finite right-hand side")
         records.append(DiagnosticsRecord(
             t=float(s),
             mass=mass(c, domain),
-            energy_surface=quadrature(fld.Q, domain),
-            energy_delta=0.5 * params.delta * quadrature(fld.ux**2, domain),
-            curvature_dissipation=quadrature(fld.uxx**2 / fld.Q**3, domain),
+            energy_surface=quadrature(Q, domain),
+            energy_delta=0.5 * params.delta * quadrature(ux**2, domain),
+            curvature_dissipation=quadrature(uxx**2 / Q**3, domain),
             dissipation_cum=float(result.dissipation_cum[i]),
             entropy=ent,
             entropy_dissipation_cum=float(result.entropy_dissipation_cum[i]),
-            min_u=float(fld.u.min()),
-            max_u=float(fld.u.max()),
-            zero_frac=float(np.count_nonzero(fld.u < tol_zero)) / fld.u.size,
-            y_max=float(np.max(np.abs(fld.ux) / fld.Q)),
+            min_u=float(u.min()),
+            max_u=float(u.max()),
+            zero_frac=float(np.count_nonzero(u < tol_zero)) / u.size,
+            y_max=float(np.max(np.abs(ux) / Q)),
             h1=norms.h1,
             h2=norms.h2,
-            weak_residual=kernels.weak_residual_max(tables(domain), c_dot, u, flux, tol_zero),
+            weak_residual=kernels.weak_residual_max(t, c_dot, u_k, flux, tol_zero),
         ))
     return records
 

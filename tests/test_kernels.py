@@ -198,3 +198,46 @@ def test_stacked_table_halves_are_the_mode_tables(N):
     # views into the stacked table: no second copy of either half
     assert t.E.base is t.EEx and t.Ex.base is t.EEx
     assert t.E.flags.c_contiguous and t.Ex.flags.c_contiguous
+
+
+FIELD_NAMES = ("c_dot", "d", "u", "ux", "uxx", "Q", "flux")
+
+
+@pytest.mark.parametrize("N", [8, 16, 32])
+@GRID
+def test_fields_stack_rows_are_the_single_calls(N, pressure_mode, mobility_mode):
+    # one ModelParams over an (S, N+1) stack: every row is array_equal to
+    # the call on that row alone and to the call with S copies stacked; the
+    # single call is rhs's output with u_xx and Q beside it
+    t = tables(DomainSpec(half_length=1.3, modes=N))
+    rng = np.random.default_rng(11 * N + len(pressure_mode) + len(mobility_mode))
+    for eta, n, delta in itertools.product((0.0, 0.05), (1.0, 1.5, 2.0, 3.0), (0.0, 0.2)):
+        params = ModelParams(n=n, delta=delta, epsilon=0.01, eta=eta,
+                             pressure_mode=pressure_mode, mobility_mode=mobility_mode)
+        cs = np.array(list(_draws(N, rng, count=5)))
+        got = kernels.fields(cs, t, params)
+        stacked = kernels.fields(cs, t, stacked_params([params] * len(cs)))
+        assert len(got) == len(FIELD_NAMES)
+        for i, c in enumerate(cs):
+            one = dict(zip(FIELD_NAMES, kernels.fields(c, t, params)))
+            for name, a, s in zip(FIELD_NAMES, got, stacked):
+                assert np.array_equal(a[i], one[name]), (name, eta, n, delta, i)
+                assert np.array_equal(s[i], one[name]), (name, eta, n, delta, i)
+            plain = kernels.rhs(c, t, params)
+            for name, a in zip(("c_dot", "d", "u", "flux", "ux"), plain):
+                assert np.array_equal(a, one[name]), (name, eta, n, delta, i)
+            assert np.array_equal(one["uxx"], -np.dot(t.E, t.lam * c))
+            assert np.array_equal(one["Q"], np.sqrt(1.0 + one["ux"] ** 2))
+
+
+@pytest.mark.parametrize("N", [8, 16, 32])
+def test_fields_uxx_on_an_eigenmode(N):
+    # u_xx carries its true sign: -lam_j e_j at c = e_j
+    domain = DomainSpec(half_length=0.9, modes=N)
+    t = tables(domain)
+    params = ModelParams(n=2.0, delta=0.1, epsilon=0.1)
+    for j in range(N + 1):
+        c = np.zeros(N + 1)
+        c[j] = 1.0
+        uxx = kernels.fields(c, t, params)[4]
+        assert np.array_equal(uxx, -eigenvalue(j, domain) * t.E[:, j]), j

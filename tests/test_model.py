@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from capillary1d import model
-from capillary1d.basis import DomainSpec, SpectralField, eigenvalue, modes, project, synthesize
+from capillary1d import kernels, model
+from capillary1d.basis import DomainSpec, SpectralField, eigenvalue, modes, project, tables
 from capillary1d.model import (
     ModelParams,
     entropy_functions,
     entropy_integral,
-    galerkin_pressure_coeffs,
     mobility,
     validate_initial_data,
 )
@@ -26,6 +25,11 @@ def unit_mode(j, domain, amp=1.0):
     c = np.zeros(domain.modes + 1)
     c[j] = amp
     return SpectralField(c)
+
+
+def pressure_coeffs(u, p, domain):
+    # the Galerkin pressure coefficients d, as the RHS kernel forms them
+    return kernels.rhs(u.coeffs, tables(domain), p)[1]
 
 
 def test_params_validation():
@@ -76,7 +80,7 @@ def test_mobility_constant_hook():
 
 def a_delta(u, v, p, domain):
     # the weak pairing <A_delta(u), v> in the Galerkin space
-    return galerkin_pressure_coeffs(u, p, domain).coeffs @ v.coeffs
+    return pressure_coeffs(u, p, domain) @ v.coeffs
 
 
 def test_a_delta_constant_arguments():
@@ -126,14 +130,14 @@ def test_a_delta_bounds_coercivity_monotonicity():
 
 def test_pressure_coeffs_constant_state():
     p = ModelParams(n=2, delta=0.1)
-    d = galerkin_pressure_coeffs(unit_mode(0, D8, 3.0), p, D8).coeffs
+    d = pressure_coeffs(unit_mode(0, D8, 3.0), p, D8)
     np.testing.assert_array_equal(d, 0.0)
 
 
 def test_pressure_coeffs_linear_mode_decoupling():
     p = ModelParams(n=2, delta=0.1, pressure_mode="linear")
     c1 = 0.7
-    d = galerkin_pressure_coeffs(unit_mode(1, D8, c1), p, D8).coeffs
+    d = pressure_coeffs(unit_mode(1, D8, c1), p, D8)
     lam1 = eigenvalue(1, D8)
     expect = np.zeros(9)
     expect[1] = (1 + p.delta) * lam1 * c1
@@ -143,7 +147,7 @@ def test_pressure_coeffs_linear_mode_decoupling():
 def test_pressure_coeffs_nonlinear_against_quadrature_oracle():
     p = ModelParams(n=2, delta=0.05)
     u = unit_mode(1, D8, 0.4)
-    d = galerkin_pressure_coeffs(u, p, D8).coeffs
+    d = pressure_coeffs(u, p, D8)
     for k in range(9):
         def integrand(x, kk=k):
             ux = 0.4 * modes([1], [x], D8, deriv=1)[0, 0]
@@ -159,7 +163,7 @@ def test_pressure_coeffs_mean_zero_always():
     p = ModelParams(n=2, delta=0.2)
     for _ in range(10):
         u = SpectralField(rng.standard_normal(9))
-        assert galerkin_pressure_coeffs(u, p, D8).coeffs[0] == 0.0
+        assert pressure_coeffs(u, p, D8)[0] == 0.0
 
 
 # -- entropy ------------------------------------------------------------------
@@ -430,8 +434,8 @@ def test_entropy_integral_of_projected_droplet():
     # per-node oracle evaluation
     d = DomainSpec(half_length=1.0, modes=16)
     u0 = project(lambda x: np.maximum(0.0, 0.5 - x**2), d)
-    fld = synthesize(u0, d, order=0)
-    params = ModelParams(n=1.5, entropy_anchor=float(fld.u.max()) + 1.0)
+    u = tables(d).E @ u0.coeffs
+    params = ModelParams(n=1.5, entropy_anchor=float(u.max()) + 1.0)
     ent = entropy_functions(params)
-    val = entropy_integral(np.maximum(fld.u, 0.0), ent, d)
+    val = entropy_integral(np.maximum(u, 0.0), ent, d)
     assert np.isfinite(val) and val > 0
