@@ -148,7 +148,7 @@ def test_project_rejects_bad_input():
         project(lambda x: np.full_like(x, np.nan), d)
 
 
-def test_fields_constant_mode():
+def test_synthesize_constant_mode():
     d = DomainSpec(half_length=1.0, modes=4)
     c = np.zeros(5)
     c[0] = 2.5
@@ -159,7 +159,7 @@ def test_fields_constant_mode():
     np.testing.assert_allclose(uxx, 0.0)
 
 
-def test_fields_eigenfunction_identity():
+def test_synthesize_eigenfunction_identity():
     d = DomainSpec(half_length=1.0, modes=4)
     c = np.zeros(5)
     c[1] = 1.0
@@ -229,7 +229,7 @@ def test_parseval_consistency():
             assert abs(got - ref) <= 1e-10 * max(1.0, ref)
 
 
-def test_project_fields_roundtrip():
+def test_project_synthesize_roundtrip():
     rng = np.random.default_rng(11)
     d = DomainSpec(half_length=1.0, modes=24)
     f = SpectralField(rng.standard_normal(25))
