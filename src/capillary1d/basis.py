@@ -227,6 +227,7 @@ def sobolev_norms(fld: SpectralField | np.ndarray, domain: DomainSpec) -> Sobole
     )
 
 
-def mass(fld: SpectralField, domain: DomainSpec) -> float:
-    """Integral of u over the domain; only the constant mode contributes."""
-    return float(fld.coeffs[0] * np.sqrt(2.0 * domain.half_length))
+def mass(fld: SpectralField | np.ndarray, domain: DomainSpec):
+    """Integral of u over the domain, per row of a stack (S, N+1) too; only c_0 contributes."""
+    c = fld.coeffs if isinstance(fld, SpectralField) else fld
+    return c[..., 0] * np.sqrt(2.0 * domain.half_length)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import DomainSpec, SpectralField, project, tables
-from .diagnostics import DiagnosticsRecord, holder_probe, trajectory_records
+from .diagnostics import Records, holder_probe, trajectory_records
 from .galerkin import IntegratorSpec, SimulationResult, simulate, simulate_stack
 from .model import (
     ConfigError,
@@ -299,7 +299,7 @@ def check_initial_data(rc: ResolvedConfig) -> ValidationReport:
 class RunOutput:
     config: ResolvedConfig
     result: SimulationResult
-    records: list[DiagnosticsRecord]
+    records: Records
     entropy_tracked: bool
     validation_warnings: list[str]
     probe: object | None = None

@@ -5,10 +5,11 @@ energy and its delta-term, flux and entropy dissipation, the entropy
 integral, positivity measures, the slope ratio y = max|u_x|/Q with its
 certified threshold, Hoelder probes, and the Galerkin weak residual.
 
-The records of a run come from one stacked pass per RECORDS_CHUNK
-snapshots: kernels.fields and the entropy G each take the whole chunk,
-and each integral is one np.dot per row, so a record is bit-identical to
-the one computed for its snapshot alone.
+The records of a run are columns, one array per quantity (Records).  They
+come from one stacked pass per RECORDS_CHUNK snapshots: kernels.fields and
+the entropy G each take the whole chunk, and each integral is one np.dot
+per row, so every entry is bit-identical to the one computed for its
+snapshot alone.
 
 Every snapshot time is treated as belonging to the full-measure good set;
 outliers are reported, never excluded.  Unquantified generic constants are
@@ -22,53 +23,53 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .basis import (
-    DomainSpec,
-    SpectralField,
-    mass,
-    modes,
-    sobolev_norms,
-    tables,
-)
+from .basis import DomainSpec, SpectralField, mass, modes, sobolev_norms, tables
 from .galerkin import SimulationAbort, SimulationResult
 from .model import DEFAULT_TOL_NEG_REL, EntropyEval, ModelParams, default_tol_zero
 
 
 @dataclass
-class DiagnosticsRecord:
-    t: float
-    mass: float
-    energy_surface: float
-    energy_delta: float
-    curvature_dissipation: float
-    dissipation_cum: float
-    entropy: float
-    entropy_dissipation_cum: float
-    min_u: float
-    max_u: float
-    zero_frac: float
-    y_max: float
-    h1: float
-    h2: float
-    weak_residual: float
+class Records:
+    """The snapshot records of a run as columns, one float64 array per quantity.
+
+    Entry i of every column belongs to snapshot i.
+    """
+
+    t: np.ndarray
+    mass: np.ndarray
+    energy_surface: np.ndarray
+    energy_delta: np.ndarray
+    curvature_dissipation: np.ndarray
+    dissipation_cum: np.ndarray
+    entropy: np.ndarray
+    entropy_dissipation_cum: np.ndarray
+    min_u: np.ndarray
+    max_u: np.ndarray
+    zero_frac: np.ndarray
+    y_max: np.ndarray
+    h1: np.ndarray
+    h2: np.ndarray
+    weak_residual: np.ndarray
 
 
 def snapshot_diagnostics(coeffs: np.ndarray, params: ModelParams, domain: DomainSpec,
                          entropy: EntropyEval | None = None,
-                         tol_zero: float | None = None) -> list[DiagnosticsRecord]:
-    """Instantaneous fields of one record per row of coeffs, shape (S, N+1).
+                         tol_zero: float | None = None) -> dict[str, np.ndarray]:
+    """The instantaneous Records columns of the rows of coeffs, shape (S, N+1).
 
-    t and the cumulative fields are left for the caller.  One kernels.fields
-    call over the stack gives c_dot, u, u_x, u_xx, Q and the flux, and one
-    entropy.G call the entropy integrand; each row's integrals
-    are np.dot(w, row), so a record is bit-identical to the one for its row
-    alone.  tol_zero defaults to default_tol_zero of the stack's grid values.
+    Returns every column but t and the cumulative ones, keyed by field name.
+    One kernels.fields call over the stack gives c_dot, u, u_x, u_xx, Q and
+    the flux, and one entropy.G call the entropy integrand; each row's
+    integrals are np.dot(w, row), so an entry is bit-identical to the one
+    for its row alone.  entropy is NaN when not tracked and inf where G(u)
+    is not finite.  tol_zero defaults to default_tol_zero of the stack's
+    grid values.
 
     The first failing row aborts: sup|u| >= a when entropy is tracked, since
     G is only defined on (-a, a), and then a non-finite right-hand side.
     """
     t = tables(domain)
-    S, G = coeffs.shape[0], t.w.shape[0]
+    S = coeffs.shape[0]
     c_dot, _, u, ux, uxx, Q, flux = kernels.fields(coeffs, t, params)
     if tol_zero is None:
         tol_zero = default_tol_zero(u)
@@ -84,63 +85,49 @@ def snapshot_diagnostics(coeffs: np.ndarray, params: ModelParams, domain: Domain
                 f" >= a = {entropy.anchor:.6g}")
         raise SimulationAbort("non-finite right-hand side")
 
-    uxsq = ux**2
-    curvature = uxx**2 / Q**3
-    u_min, u_max = u.min(axis=1), u.max(axis=1)
-    zeros = np.count_nonzero(u < tol_zero, axis=1)
-    y_max = np.max(np.abs(ux) / Q, axis=1)
-    weak = kernels.weak_residual_max(t, c_dot, u, flux, tol_zero)
+    def integral(rows):
+        # one np.dot per row: a gemv over the stack sums in another order
+        return np.array([np.dot(t.w, row) for row in rows])
+
+    ent = np.full(S, np.nan if entropy is None else np.inf)
     if entropy is not None:
         Gu = entropy.G(u)
         finite = np.isfinite(Gu).all(axis=1)
-
+        ent[finite] = integral(Gu[finite])
     norms = sobolev_norms(coeffs, domain)
-    w = t.w
-    records = []
-    for i, c in enumerate(coeffs):
-        ent = float("nan")
-        if entropy is not None:
-            ent = float(np.dot(w, Gu[i])) if finite[i] else float("inf")
-        records.append(DiagnosticsRecord(
-            t=float("nan"),
-            mass=mass(SpectralField(c), domain),
-            energy_surface=float(np.dot(w, Q[i])),
-            energy_delta=0.5 * params.delta * float(np.dot(w, uxsq[i])),
-            curvature_dissipation=float(np.dot(w, curvature[i])),
-            dissipation_cum=float("nan"),
-            entropy=ent,
-            entropy_dissipation_cum=float("nan"),
-            min_u=float(u_min[i]),
-            max_u=float(u_max[i]),
-            zero_frac=float(zeros[i]) / G,
-            y_max=float(y_max[i]),
-            h1=norms.h1[i],
-            h2=norms.h2[i],
-            weak_residual=float(weak[i]),
-        ))
-    return records
+    return {
+        "mass": mass(coeffs, domain),
+        "energy_surface": integral(Q),
+        "energy_delta": 0.5 * params.delta * integral(ux**2),
+        "curvature_dissipation": integral(uxx**2 / Q**3),
+        "entropy": ent,
+        "min_u": u.min(axis=1),
+        "max_u": u.max(axis=1),
+        "zero_frac": np.count_nonzero(u < tol_zero, axis=1) / u.shape[1],
+        "y_max": np.max(np.abs(ux) / Q, axis=1),
+        "h1": norms.h1,
+        "h2": norms.h2,
+        "weak_residual": kernels.weak_residual_max(t, c_dot, u, flux, tol_zero),
+    }
 
 
 RECORDS_CHUNK = 32  # snapshot rows per snapshot_diagnostics pass
 
 
-def trajectory_records(result: SimulationResult,
-                       entropy: EntropyEval | None = None) -> list[DiagnosticsRecord]:
-    """One record per snapshot, cumulative integrals merged in, at the run's tol_zero.
+def trajectory_records(result: SimulationResult, entropy: EntropyEval | None = None) -> Records:
+    """The records of every snapshot, at the run's tol_zero.
 
     The snapshots go through snapshot_diagnostics RECORDS_CHUNK rows at a
     time, which bounds the pass's temporaries for any snapshot count and
-    grid size.
+    grid size; the chunks' columns are joined once.  t and the cumulative
+    integrals are the result's own arrays.
     """
-    records = []
-    for lo in range(0, result.snapshot_times.size, RECORDS_CHUNK):
-        records += snapshot_diagnostics(result.coeffs[lo:lo + RECORDS_CHUNK], result.params,
-                                        result.domain, entropy, result.tol_zero)
-    for i, rec in enumerate(records):
-        rec.t = float(result.snapshot_times[i])
-        rec.dissipation_cum = float(result.dissipation_cum[i])
-        rec.entropy_dissipation_cum = float(result.entropy_dissipation_cum[i])
-    return records
+    chunks = [snapshot_diagnostics(result.coeffs[lo:lo + RECORDS_CHUNK], result.params,
+                                   result.domain, entropy, result.tol_zero)
+              for lo in range(0, result.snapshot_times.size, RECORDS_CHUNK)]
+    return Records(t=result.snapshot_times, dissipation_cum=result.dissipation_cum,
+                   entropy_dissipation_cum=result.entropy_dissipation_cum,
+                   **{name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]})
 
 
 def energy_identity_residual(result: SimulationResult) -> tuple[np.ndarray, float]:
@@ -154,27 +141,26 @@ def energy_identity_residual(result: SimulationResult) -> tuple[np.ndarray, floa
     return resid, float(resid.max())
 
 
-def entropy_identity_residual(records: list[DiagnosticsRecord]) -> tuple[np.ndarray, float]:
+def entropy_identity_residual(records: Records) -> tuple[np.ndarray, float]:
     """|int G(u(t)) - int G(u0) + entropy-dissipation(t)| at snapshot times.
 
     For the semidiscrete system this is only approximately zero (g(u^N) is
     not in the Galerkin space); the residual must shrink under N-refinement,
     which the acceptance suite checks across N in {8, 16, 32}.
     """
-    ent = np.array([r.entropy for r in records])
+    ent = records.entropy
     if np.any(np.isnan(ent)):
         raise SimulationAbort("the records carry no entropy (entropy not tracked)")
     if not np.all(np.isfinite(ent)):
         raise SimulationAbort("entropy integral infinite along the trajectory")
-    cum = np.array([r.entropy_dissipation_cum for r in records])
-    resid = np.abs(ent - ent[0] + cum)
+    resid = np.abs(ent - ent[0] + records.entropy_dissipation_cum)
     return resid, float(resid.max())
 
 
-def mass_drift(records: list[DiagnosticsRecord]) -> float:
+def mass_drift(records: Records) -> float:
     """max_t |m(t) - m(0)| / |m(0)|, guarded against zero initial mass."""
-    m0 = records[0].mass
-    return max(abs(r.mass - m0) for r in records) / max(abs(m0), 1e-300)
+    m = records.mass
+    return float(np.abs(m - m[0]).max()) / max(abs(float(m[0])), 1e-300)
 
 
 def flux_and_weak_residual(c: SpectralField, params: ModelParams, domain: DomainSpec,
@@ -213,8 +199,8 @@ def flux_and_weak_residual(c: SpectralField, params: ModelParams, domain: Domain
 def slope_threshold(c1: float, c2: float, half_length: float) -> float:
     """Certified slope-ratio threshold M < 1: y_max = max |u_x|/Q <= M.
 
-    Inputs are a snapshot's budgets c1 = int Q (DiagnosticsRecord's
-    energy_surface) and c2 = int u_xx^2/Q^3 (its curvature_dissipation).
+    Inputs are a snapshot's budgets c1 = int Q (the Records column
+    energy_surface) and c2 = int u_xx^2/Q^3 (curvature_dissipation).
     K = sqrt(c2)/2 is the Hoelder constant of Q^{-1/2}: the sharp
     one-dimensional embedding gives [g]_{1/2} <= ||g_x||_L2 and
     ||g_x||_L2^2 <= c2/4.  M solves
@@ -326,36 +312,31 @@ def holder_probe(result: SimulationResult) -> HolderProbe:
 
 @dataclass
 class PositivityReport:
-    min_u: np.ndarray
-    zero_frac: np.ndarray
     nonneg_ok: bool
     zero_measure_ok: bool | None
     positive_ok: bool | None
 
 
-def positivity_report(records: list[DiagnosticsRecord], params: ModelParams,
+def positivity_report(records: Records, params: ModelParams,
                       domain: DomainSpec) -> PositivityReport:
-    """Per-snapshot minima and zero-set fractions with trajectory verdicts.
+    """Trajectory verdicts on the records' minima and zero-set fractions.
 
     (a) min u >= -tol_neg for n >= 1 (nonnegativity up to truncation noise);
     (b) zero-set fraction at most one grid node for n >= 2;
     (c) min u >= pos_floor = 1e-2 min u(0) for n >= 8/3 given strictly
     positive data.
-    min u and the zero-set fractions are the records' own.  Verdicts are
-    reported, never raised: genuine violations (large delta, linear mode) are
-    findings.
+    Verdicts are reported, never raised: genuine violations (large delta,
+    linear mode) are findings.
     """
-    first = records[0]
-    scale = max(1.0, first.max_u, -first.min_u)
+    mins = records.min_u
+    first_min = float(mins[0])
+    scale = max(1.0, float(records.max_u[0]), -first_min)
     tol_neg = DEFAULT_TOL_NEG_REL * scale
-    pos_floor = 1e-2 * max(first.min_u, 0.0)
-    mins = np.array([r.min_u for r in records])
-    fracs = np.array([r.zero_frac for r in records])
+    pos_floor = 1e-2 * max(first_min, 0.0)
     return PositivityReport(
-        min_u=mins,
-        zero_frac=fracs,
         nonneg_ok=bool(mins.min() >= -tol_neg),
-        zero_measure_ok=bool(fracs.max() <= 1.0 / domain.grid_size) if params.n >= 2.0 else None,
+        zero_measure_ok=(bool(records.zero_frac.max() <= 1.0 / domain.grid_size)
+                         if params.n >= 2.0 else None),
         positive_ok=(bool(mins.min() >= pos_floor)
-                     if (params.n >= 8.0 / 3.0 and first.min_u > 0.0) else None),
+                     if (params.n >= 8.0 / 3.0 and first_min > 0.0) else None),
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .basis import evaluate, tables
+from .basis import evaluate, matvec, modes, tables
 from .config import (
     STACK_KEYS,
     ConfigError,
@@ -83,17 +83,14 @@ def _member_config(spec: SweepSpec, value) -> dict:
 
 def _comparison_samples(out: RunOutput) -> np.ndarray:
     """Trajectory sampled on a fixed uniform grid, for cross-N comparison."""
-    l = out.config.domain.half_length
-    xs = np.linspace(-l, l, _COMPARE_POINTS)
-    res = out.result
-    return np.stack([
-        evaluate(res.snapshot_field(i), xs, out.config.domain)
-        for i in range(res.snapshot_times.size)
-    ])
+    domain = out.config.domain
+    xs = np.linspace(-domain.half_length, domain.half_length, _COMPARE_POINTS)
+    # one cosine table for every snapshot; matvec keeps basis.evaluate's gemv per row
+    return matvec(modes(np.arange(domain.modes + 1), xs, domain), out.result.coeffs)
 
 
 def _member_summary(out: RunOutput) -> dict:
-    recs = out.records
+    rec = out.records
     return {
         "config": out.config.resolved,
         "flags": out.result.flags,
@@ -101,10 +98,10 @@ def _member_summary(out: RunOutput) -> dict:
         "steps_rejected": out.result.stats.rejected,
         "maxima": {
             "energy_max": float(out.result.nodes.energy.max()),
-            "h2_max": max(r.h2 for r in recs),
-            "y_max": max(r.y_max for r in recs),
-            "min_u": min(r.min_u for r in recs),
-            "entropy_max": (max(r.entropy for r in recs) if out.entropy_tracked else None),
+            "h2_max": float(rec.h2.max()),
+            "y_max": float(rec.y_max.max()),
+            "min_u": float(rec.min_u.min()),
+            "entropy_max": float(rec.entropy.max()) if out.entropy_tracked else None,
             "holder_M": (out.probe.constant_time
                          if out.probe is not None and out.probe.conclusive else None),
         },
@@ -301,12 +298,13 @@ def threshold_study(n_values: list, base_config: dict) -> dict:
             row["skipped"] = str(exc)
             rows.append(row)
             continue
-        rep = positivity_report(out.records, out.config.params, out.config.domain)
+        rec = out.records
+        rep = positivity_report(rec, out.config.params, out.config.domain)
         row.update({
             "config": out.config.resolved,
-            "min_u_overall": float(rep.min_u.min()),
-            "min_u_final": float(rep.min_u[-1]),
-            "zero_frac_max": float(rep.zero_frac.max()),
+            "min_u_overall": float(rec.min_u.min()),
+            "min_u_final": float(rec.min_u[-1]),
+            "zero_frac_max": float(rec.zero_frac.max()),
             "nonneg_ok": rep.nonneg_ok,
             "zero_measure_ok": rep.zero_measure_ok,
             "positive_ok": rep.positive_ok,

@@ -41,8 +41,9 @@ reduction; step-size control acts on the coefficient vector only.  The
 kernel computes no aux; kernels.integrands computes all of it, once per
 accepted state.  The call at each accepted state is a
 plain stage call, and it and the stage calls whose propagated weight q
-reads (the third to fifth stages of RKF45, the second to fourth of RK4)
-write their grid values into a slot of a per-run workspace.  Then one pass
+reads (stages 2-4 of RKF45 and 1-3 of RK4, counted from stage 0, the slope
+at the step's start) write their grid values into a slot of a per-run
+workspace (kernels.workspace).  Then one pass
 over the workspace and one contiguous stack of buffer rows -- a copy of
 the new state, then those stage inputs -- gives the new state's aux
 [D, S, E_surface, E_delta, sup|u|], which the energies, the anchor check
@@ -311,12 +312,6 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
     dq_cols = np.array([0, *range(lo, hi)])
     max_steps = MAX_STEPS
     t_stop = t_end - eps_end
-    G = t.w.shape[0]
-
-    def workspace(n, lead):
-        # n slots of the grid values the pass reads besides c (kernels.rhs's
-        # work): u and u_x side by side, then Q^2, Q, p_x and m(u)
-        return (np.empty((n,) + lead + (2 * G,)), *np.empty((4, n) + lead + (G,)))
 
     def work_slot(work, i):
         return tuple(a[i] for a in work)
@@ -328,7 +323,7 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
     c_new = cs[0] if single else np.stack(cs)
     q_new = np.zeros(c_new.shape[:-1] + (nq,))
     ps = stacked_params(params)
-    work = workspace(1, c_new.shape[:-1])
+    work = kernels.workspace((1,) + c_new.shape[:-1], t)
     state_work, states = work_slot(work, 0), c_new[None]
     accepted = range(len(active))
     first = True
@@ -438,7 +433,7 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
                 states = P[lo - 1:hi]
                 # slot 0 holds the new state's grid values, slot i - lo + 1
                 # stage i's
-                work = workspace(1 + hi - lo, lead)
+                work = kernels.workspace((1 + hi - lo,) + lead, t)
                 state_work = work_slot(work, 0)
                 stage_work = [work_slot(work, i - lo + 1) if lo <= i < hi else None
                               for i in range(1, n_stages)]

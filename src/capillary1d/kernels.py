@@ -51,10 +51,9 @@ def rhs(c: np.ndarray, t: BasisTables, params: ModelParams | StackedParams,
 
     Returns (c_dot, d, u, flux, ux): pressure coefficients d and grid values
     of u, of the flux m(u) p_x and of u_x.  A stack (params a StackedParams)
-    gives each of them a leading axis B.  work, when given, is five arrays
-    that receive the grid values integrands() reads besides c: u and u_x side
-    by side, of shape c.shape[:-1] + (2G,), then Q^2, Q, p_x and m(u), of
-    shape c.shape[:-1] + (G,); they are the kernel's own intermediates,
+    gives each of them a leading axis B.  work, when given, is
+    workspace(c.shape[:-1], t), the five arrays that receive the grid values
+    integrands() reads besides c; they are the kernel's own intermediates,
     written in place.
     """
     mv = np.dot if c.ndim == 1 else matvec  # matvec's own 1-D case, without its call
@@ -76,6 +75,16 @@ def rhs(c: np.ndarray, t: BasisTables, params: ModelParams | StackedParams,
     return c_dot, d, u, flux, ux
 
 
+def workspace(shape: tuple, t: BasisTables) -> tuple:
+    """Empty rhs work for states of leading shape ``shape``.
+
+    u and u_x side by side, of shape shape + (2G,), then Q^2, Q, p_x and
+    m(u), of shape shape + (G,).
+    """
+    G = t.w.shape[0]
+    return (np.empty(shape + (2 * G,)), *np.empty((4,) + shape + (G,)))
+
+
 def fields(c: np.ndarray, t: BasisTables, params: ModelParams):
     """Grid values of one member's state c, shape (N+1,), or of a stack (S, N+1).
 
@@ -84,9 +93,7 @@ def fields(c: np.ndarray, t: BasisTables, params: ModelParams):
     true sign.  One ModelParams serves every row of a stack, and each row is
     bit-identical to the call on that row alone.
     """
-    G = t.w.shape[0]
-    lead = c.shape[:-1]
-    work = (np.empty(lead + (2 * G,)), *np.empty((4,) + lead + (G,)))
+    work = workspace(c.shape[:-1], t)
     c_dot, d, u, flux, ux = rhs(c, t, params, work)
     uxx = matvec(t.E, t.lam * c)
     np.negative(uxx, out=uxx)
@@ -97,11 +104,11 @@ def integrands(c: np.ndarray, work: tuple, t: BasisTables,
                params: ModelParams | StackedParams) -> np.ndarray:
     """aux = [D, S, E_surface, E_delta, max|u|] at a stack of states c.
 
-    c has shape (S, N+1) or (S, B, N+1); work is five arrays of shape
-    c.shape[:-1] + (2G,) and c.shape[:-1] + (G,) (rhs's work) whose [i] the
-    rhs call at c[i] filled; params is that call's.  D is the flux
-    dissipation integrand's integral, S the entropy-dissipation one,
-    E_surface the integral of Q and E_delta that of delta u_x^2 / 2.
+    c has shape (S, N+1) or (S, B, N+1); work is workspace(c.shape[:-1], t)
+    (rhs's work), whose [i] the rhs call at c[i] filled; params is that
+    call's.  D is the flux dissipation integrand's integral, S the
+    entropy-dissipation one, E_surface the integral of Q and E_delta that of
+    delta u_x^2 / 2.
     Returns shape c.shape[:-1] + (5,), the transpose of the sums: entry
     [i, ..., k] is aux[k] at c[i].  Each integrand is one grid row per
     state, and all of them are summed in one pairwise reduction along the

@@ -20,6 +20,9 @@ from .basis import BasisTables, DomainSpec, SpectralField, matvec, quadrature, t
 
 PRESSURE_MODES = ("nonlinear", "linear")
 MOBILITY_MODES = ("standard", "constant")
+# the entropy table's top panel forms half * half * moment with a half-width
+# of about 0.04 a, which overflows from a of about 3e155 on
+MAX_ENTROPY_ANCHOR = 1e150
 
 
 class ConfigError(ValueError):
@@ -67,6 +70,9 @@ class ModelParams:
             np.isfinite(self.entropy_anchor) and self.entropy_anchor > 0
         ):
             raise ValueError(f"entropy_anchor must be positive and finite, got {self.entropy_anchor}")
+        if self.entropy_anchor is not None and self.entropy_anchor > MAX_ENTROPY_ANCHOR:
+            raise ValueError(f"entropy_anchor must be at most {MAX_ENTROPY_ANCHOR:g},"
+                             f" got {self.entropy_anchor}")
 
     @property
     def capped(self) -> bool:
@@ -235,7 +241,10 @@ def _panels(lo, hi, m):
 
 def _entropy_numeric(n: float, eps: float, a: float):
     def m(r):
-        return np.abs(r) ** n + eps
+        # near a large anchor |r|^n can overflow for n > 2; 1/m is then 0,
+        # its value to roundoff
+        with np.errstate(over="ignore"):
+            return np.abs(r) ** n + eps
 
     nodes = np.geomspace(min(a * _TABLE_FLOOR, (1e-6 * eps) ** (1.0 / n)), a, _TABLE_SIZE)
     B_panel, L_panel = _panels(nodes[:-1], nodes[1:], m)

@@ -216,7 +216,7 @@ def _check_entropy_estimate() -> CheckResult:
         _, mx = entropy_identity_residual(out.records)
         residuals[N] = mx
         if N == 16:
-            ent = np.array([r.entropy for r in out.records])
+            ent = out.records.entropy
             bound_ok = bool(np.max(ent) <= ent[0] * (1 + 1e-3))
             bound_vals = {"entropy_initial": float(ent[0]), "entropy_max": float(ent.max())}
     shrinking = residuals[16] < residuals[8] and residuals[32] < residuals[16]
@@ -255,10 +255,11 @@ def _check_slope_bound() -> CheckResult:
     margins = []
     h2_sups = []
     for out in outputs:
-        h2_sups.append(max(r.h2 for r in out.records))
+        rec = out.records
+        h2_sups.append(float(rec.h2.max()))
         l = out.config.domain.half_length
-        margins += [slope_threshold(r.energy_surface, r.curvature_dissipation, l) - r.y_max
-                    for r in out.records]
+        margins += [slope_threshold(c1, c2, l) - y for c1, c2, y in zip(
+            rec.energy_surface.tolist(), rec.curvature_dissipation.tolist(), rec.y_max.tolist())]
     margin_ok = min(margins) >= 0.02
     tail = h2_sups[-3:]
     plateau = max(tail) / min(tail) <= 2.0

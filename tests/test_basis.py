@@ -242,3 +242,6 @@ def test_mass_is_constant_mode():
     d = DomainSpec(half_length=1.5, modes=4)
     f = project(lambda x: 2.0 + 0.1 * x, d)
     assert abs(mass(f, d) - 2.0 * 3.0) < 1e-12
+    # a stack of rows gives each row's mass, bit for bit
+    stack = np.stack([f.coeffs, 2.0 * f.coeffs, -f.coeffs])
+    np.testing.assert_array_equal(mass(stack, d), [mass(SpectralField(c), d) for c in stack])

@@ -190,7 +190,7 @@ def test_records_pass_calls_entropy_G_and_the_kernel_once_per_chunk(monkeypatch)
 
     monkeypatch.setattr(kernels, "rhs", counting_rhs)
     records = diagnostics.trajectory_records(result, dataclasses.replace(entropy, G=G))
-    assert len(records) == 67
+    assert records.t.size == 67
     assert G_calls == [(32, 56), (32, 56), (3, 56)]
     assert len(rhs_calls) == 3
 

@@ -146,6 +146,9 @@ def test_simulate_rejected_data_exit_2(tmp_path, capsys):
     ("model.epsilon=true", "epsilon must be a number, got True"),
     ("model.eta=false", "eta must be a number, got False"),
     ("model.entropy_anchor=true", "entropy_anchor must be a number, got True"),
+    # far above the bound the entropy table's panels overflow, and every entropy reads inf
+    ("model.entropy_anchor=1e160", "entropy_anchor must be at most 1e+150, got 1e+160"),
+    ("model.entropy_anchor=1e308", "entropy_anchor must be at most 1e+150, got 1e+308"),
     ("integrator.rtol=true", "rtol must be a number, got True"),
     ("integrator.atol=true", "atol must be a number, got True"),
     ("integrator.dt=true", "dt must be a number, got True"),
@@ -181,6 +184,16 @@ def test_simulate_bad_value_exit_2(cfgfile, tmp_path, capsys, override, message)
     assert record["error"] == "ConfigError"
     assert message in record["message"]
     assert not (out / "series.csv").exists()
+
+
+def test_simulate_at_the_anchor_bound_stays_finite(cfgfile, tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["simulate", "--config", cfgfile, "--out", str(out),
+               "--set", "model.entropy_anchor=1e150"])
+    assert rc == 0 and capsys.readouterr().err == ""
+    rows = (out / "series.csv").read_text().splitlines()
+    column = rows[0].split(",").index("entropy")
+    assert all(np.isfinite(float(row.split(",")[column])) for row in rows[1:])
 
 
 @pytest.mark.parametrize("T", ["1e400", "Infinity"])

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from capillary1d.basis import (
 )
 from capillary1d.diagnostics import (
     RECORDS_CHUNK,
-    DiagnosticsRecord,
+    Records,
     energy_identity_residual,
     entropy_identity_residual,
     flux_and_weak_residual,
@@ -59,8 +60,9 @@ def short_run(domain=D8, params=None, t_end=2e-3, n_snap=5, u0=None, **kw):
 # -- snapshot diagnostics -------------------------------------------------------
 
 def record_of(f, params, **kw):
-    # the record of one field: a stack of one row
-    return snapshot_diagnostics(f.coeffs[None], params, D8, **kw)[0]
+    # the instantaneous columns of one field, a stack of one row, as scalars
+    cols = snapshot_diagnostics(f.coeffs[None], params, D8, **kw)
+    return SimpleNamespace(**{name: col[0] for name, col in cols.items()})
 
 
 def test_snapshot_flat_film():
@@ -220,6 +222,13 @@ def record_threshold(rec, domain):
     return slope_threshold(rec.energy_surface, rec.curvature_dissipation, domain.half_length)
 
 
+def records_at(records):
+    # the snapshots of column records, one namespace of scalars each
+    names = [f.name for f in dataclasses.fields(records)]
+    return [SimpleNamespace(**dict(zip(names, row)))
+            for row in zip(*(getattr(records, name) for name in names))]
+
+
 def test_slope_bound_constant_state():
     rec = record_of(constant_field(D8, 3.0), ModelParams(n=2))
     assert rec.y_max == 0.0
@@ -257,7 +266,7 @@ def test_slope_bound_threshold_against_analytic_inversion():
 
 def test_slope_bound_satisfied_on_smooth_run():
     res = short_run()
-    for rec in trajectory_records(res):
+    for rec in records_at(trajectory_records(res)):
         assert rec.y_max <= record_threshold(rec, res.domain)
         assert rec.y_max < 1.0
 
@@ -267,7 +276,7 @@ def test_slope_certificate_from_records_equals_direct_synthesis():
     out = run_config(DELTA_SWEEP_RUN)
     domain = out.config.domain
     t = tables(domain)
-    for i, rec in enumerate(out.records):
+    for i, rec in enumerate(records_at(out.records)):
         c = out.result.snapshot_field(i)
         ux = t.Ex @ c.coeffs
         uxx = -(t.E @ (t.lam * c.coeffs))
@@ -322,10 +331,11 @@ def test_positivity_flat_film():
     p = ModelParams(n=2, epsilon=0.2)
     spec = IntegratorSpec(t_end=0.1, snapshot_times=(0.0, 0.1))
     res = simulate(constant_field(D8, 1.0), spec, p, D8)
-    rep = positivity_report(trajectory_records(res), p, D8)
+    records = trajectory_records(res)
+    rep = positivity_report(records, p, D8)
     assert rep.nonneg_ok
     assert rep.zero_measure_ok
-    assert np.all(rep.zero_frac == 0.0)
+    assert np.all(records.zero_frac == 0.0)
 
 
 def test_positivity_strictly_positive_high_n():
@@ -347,9 +357,8 @@ def test_positivity_verdict_gating():
 def test_positivity_min_u_matches_direct_synthesis():
     p = ModelParams(n=1.5, delta=0.05, epsilon=0.1)
     res = short_run(params=p)
-    rep = positivity_report(trajectory_records(res), p, D8)
     direct = [(tables(D8).E @ c).min() for c in res.coeffs]
-    np.testing.assert_array_equal(rep.min_u, direct)
+    np.testing.assert_array_equal(trajectory_records(res).min_u, direct)
 
 
 def test_trajectory_records_fill_cumulative():
@@ -357,17 +366,18 @@ def test_trajectory_records_fill_cumulative():
     ent = entropy_functions(p)
     res = short_run(params=p)
     recs = trajectory_records(res, entropy=ent)
-    assert len(recs) == res.snapshot_times.size
-    assert recs[0].dissipation_cum == 0.0
-    assert recs[-1].dissipation_cum > 0.0
-    assert np.isfinite(recs[-1].entropy)
-    assert recs[-1].t == res.snapshot_times[-1]
+    assert recs.t.size == res.snapshot_times.size
+    assert recs.dissipation_cum[0] == 0.0
+    assert recs.dissipation_cum[-1] > 0.0
+    assert np.isfinite(recs.entropy[-1])
+    assert recs.t[-1] == res.snapshot_times[-1]
 
 
 # -- the stacked records pass --------------------------------------------------------
 
 def reference_records(result, entropy=None):
-    # the per-snapshot body that trajectory_records ran before its stacked pass
+    # the per-snapshot body that trajectory_records ran before its stacked
+    # pass, one record (a dict of Records' fields) per snapshot
     domain, params, tol_zero = result.domain, result.params, result.tol_zero
     t = tables(domain)
     records = []
@@ -388,7 +398,7 @@ def reference_records(result, entropy=None):
         c_dot, _, u_k, flux, _ = kernels.rhs(c.coeffs, t, params)
         if not np.isfinite(c_dot).all():
             raise SimulationAbort("non-finite right-hand side")
-        records.append(DiagnosticsRecord(
+        records.append(dict(
             t=float(s),
             mass=mass(c, domain),
             energy_surface=quadrature(Q, domain),
@@ -427,12 +437,12 @@ def test_stacked_records_equal_the_per_snapshot_body(params, u0, tracked):
     res = stacked_run(params, u0)
     ent = entropy_functions(params) if tracked else None
     got, want = trajectory_records(res, entropy=ent), reference_records(res, entropy=ent)
-    assert len(got) == len(want) == N_STACKED
-    for f in dataclasses.fields(DiagnosticsRecord):
-        a = [getattr(r, f.name) for r in got]
-        b = [getattr(r, f.name) for r in want]
-        assert np.array_equal(a, b, equal_nan=True), f.name
-    assert any(r.zero_frac > 0 for r in got) == (u0 is not None)
+    assert len(want) == N_STACKED
+    for f in dataclasses.fields(Records):
+        a = getattr(got, f.name)
+        assert a.dtype == np.float64 and a.shape == (N_STACKED,), f.name
+        assert np.array_equal(a, [r[f.name] for r in want], equal_nan=True), f.name
+    assert np.any(got.zero_frac > 0) == (u0 is not None)
 
 
 def _nan_rhs_at(row, monkeypatch):

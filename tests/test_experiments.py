@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from capillary1d import experiments, kernels
+from capillary1d import config, experiments, kernels
 from capillary1d.config import ConfigError
 from capillary1d.experiments import (
     SweepError,
@@ -155,6 +155,55 @@ def test_stack_fails_as_its_members_would_one_after_another(monkeypatch):
     stacked, serial = reports
     assert len(stacked["members"]) == 1
     assert json.dumps(stacked, sort_keys=True) == json.dumps(serial, sort_keys=True)
+
+
+DELTA_SPEC = SweepSpec(parameter="delta", values=(0.3, 0.1, 0.03), base_config=TINY)
+
+
+def _raise_for_member_2(monkeypatch, module, name, delta_of):
+    # module.name raises for DELTA_SPEC's second member, whose delta_of(first argument) is 0.1
+    true_fn = getattr(module, name)
+    error = RuntimeError(f"{name} failed")
+
+    def fn(first, *args, **kwargs):
+        if delta_of(first) == 0.1:
+            raise error
+        return true_fn(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, fn)
+    return error
+
+
+def _assert_sweep_names_member_2(error):
+    with pytest.raises(SweepError) as err:
+        run_sweep(DELTA_SPEC)
+    assert str(err.value) == f"member delta=0.1 failed: {error}"
+    partial = err.value.partial_report
+    assert partial["failure"] == str(err.value) and not partial["complete"]
+    assert [m["config"]["model"]["delta"] for m in partial["members"]] == [0.3]
+
+
+@pytest.mark.parametrize("name", ["trajectory_records", "holder_probe"])
+def test_run_configs_keeps_the_outputs_before_a_failed_records_phase(monkeypatch, name):
+    # member 2 of a 3-member stack raises after the integration, in its
+    # records or its probe: member 1's output comes back with that exception
+    error = _raise_for_member_2(monkeypatch, config, name, lambda result: result.params.delta)
+    cfgs = [experiments._member_config(DELTA_SPEC, v) for v in DELTA_SPEC.values]
+    outputs, failure = config.run_configs(cfgs)
+    assert failure is error
+    assert [out.config.params.delta for out in outputs] == [0.3]
+    _assert_sweep_names_member_2(error)
+
+
+def test_run_member_keeps_the_summaries_before_a_failed_one(monkeypatch):
+    # every member runs, and member 2's summary raises: member 1's comes back
+    error = _raise_for_member_2(monkeypatch, experiments, "_member_summary",
+                                lambda out: out.config.params.delta)
+    cfgs = [experiments._member_config(DELTA_SPEC, v) for v in DELTA_SPEC.values]
+    members, failure = experiments._run_member(cfgs)
+    assert failure is error
+    assert [m["config"]["model"]["delta"] for m in members] == [0.3]
+    _assert_sweep_names_member_2(error)
 
 
 def test_n_sweep_cauchy_decreasing():

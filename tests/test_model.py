@@ -331,7 +331,7 @@ assert np.all(np.isfinite(ent.G(s))) and np.all(np.isfinite(ent.g(s)))
 cfg = load_config({str(EPS_SWEEP)!r})
 cfg["integrator"]["T"] = 1e-3
 out = run_config(cfg)
-assert out.entropy_tracked and np.isfinite(out.records[-1].entropy)
+assert out.entropy_tracked and np.isfinite(out.records.entropy[-1])
 print("ok")
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -384,6 +384,17 @@ def test_entropy_convexity():
 def test_entropy_requires_anchor():
     with pytest.raises(ValueError):
         entropy_functions(ModelParams(n=2))
+
+
+@pytest.mark.parametrize("n", [1.0, 2.0, 8.0])
+def test_entropy_pair_finite_at_the_anchor_bound(n):
+    # at the largest accepted anchor the table's panels stay finite, and an
+    # |r|^n that overflows (n > 2) only makes 1/m zero, without a warning
+    a = model.MAX_ENTROPY_ANCHOR
+    s = np.array([-1.0, 0.0, 1e-3, 1.0, 1e10, 0.5 * a, a])
+    for eps in (1e-300, 1e-3, 1.0):
+        ent = entropy_functions(ModelParams(n=n, epsilon=eps, entropy_anchor=a))
+        assert np.all(np.isfinite(ent.g(s))) and np.all(np.isfinite(ent.G(s)))
 
 
 # -- initial data validation ---------------------------------------------------
