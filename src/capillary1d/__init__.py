@@ -4,5 +4,5 @@ studies needed to certify its dissipation structure numerically."""
 
 __version__ = "0.1.0"
 
-from .basis import DomainSpec, SpectralField  # noqa: F401
+from .basis import DomainSpec  # noqa: F401
 from .model import ModelParams  # noqa: F401

@@ -7,8 +7,10 @@ homogeneous Neumann boundary conditions,
     e_j(x) = cos(sqrt(lam_j) x + pi j / 2) / sqrt(l),   lam_j = (pi j / (2 l))^2,
 
 together with a Gauss-Legendre quadrature rule whose nodes double as the
-collocation grid.  This module holds the rule, the basis tables and the
-projection, integrals and Sobolev norms; grid values of a state's u, its
+collocation grid.  A state is its coefficient vector (c_0 ... c_N), a plain
+float array of shape (N+1,), or a stack of them, shape (S, N+1).  This
+module holds the rule, the basis tables, the projection, the one point
+evaluator, integrals and Sobolev norms; grid values of a state's u, its
 derivatives and its pressure come from the tables through kernels.rhs and
 kernels.fields.
 """
@@ -55,20 +57,6 @@ class DomainSpec:
     @property
     def grid_size(self) -> int:
         return self.oversample * (self.modes + 1)
-
-
-@dataclass
-class SpectralField:
-    """Coefficient vector (c_0 ... c_N) in the Neumann cosine basis."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.ndim != 1:
-            raise ValueError("coeffs must be a 1-D vector")
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("coeffs must be finite")
 
 
 def eigenvalue(j, domain: DomainSpec):
@@ -175,8 +163,8 @@ def quadrature(values: np.ndarray, domain: DomainSpec) -> float:
     return float(np.dot(t.w, values))
 
 
-def project(v, domain: DomainSpec) -> SpectralField:
-    """Orthogonal L2 projection onto span{e_0..e_N}.
+def project(v, domain: DomainSpec) -> np.ndarray:
+    """Orthogonal L2 projection onto span{e_0..e_N}: the coefficients, shape (N+1,).
 
     ``v`` may be a callable evaluated at the quadrature nodes or a raw
     vector of grid samples.
@@ -187,14 +175,18 @@ def project(v, domain: DomainSpec) -> SpectralField:
         raise ValueError(f"expected {t.x.shape[0]} samples, got {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise ValueError("projection input contains non-finite samples")
-    return SpectralField(t.ET @ (t.w * samples))
+    return t.ET @ (t.w * samples)
 
 
-def evaluate(fld: SpectralField, xs: np.ndarray, domain: DomainSpec, deriv: int = 0) -> np.ndarray:
-    """Evaluate the represented function (deriv=0) or its derivative (deriv=1) at arbitrary points."""
+def evaluate(c: np.ndarray, xs: np.ndarray, domain: DomainSpec, deriv: int = 0) -> np.ndarray:
+    """u (deriv=0) or u_x (deriv=1) at arbitrary points xs.
+
+    c is one coefficient row, shape (N+1,), giving shape (len(xs),), or a
+    stack (S, N+1), giving (S, len(xs)); one cosine table serves every row,
+    and each row is bit-identical to the call on that row alone (matvec).
+    """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    c = fld.coeffs
-    return modes(np.arange(c.size), xs, domain, deriv) @ c
+    return matvec(modes(np.arange(c.shape[-1]), xs, domain, deriv), c)
 
 
 @dataclass(frozen=True)
@@ -206,14 +198,13 @@ class SobolevNorms:
     uxx_l2: float
 
 
-def sobolev_norms(fld: SpectralField | np.ndarray, domain: DomainSpec) -> SobolevNorms:
+def sobolev_norms(c: np.ndarray, domain: DomainSpec) -> SobolevNorms:
     """Exact L2/H1/H2 norms from the coefficients (Parseval).
 
-    fld may also be a stack of coefficient rows, shape (S, N+1); each norm
+    c may also be a stack of coefficient rows, shape (S, N+1); each norm
     is then an array of the S rows' norms, each bit-identical to the norm of
     its row alone.
     """
-    c = fld.coeffs if isinstance(fld, SpectralField) else fld
     lam = eigenvalue(np.arange(c.shape[-1]), domain)
     l2sq = np.sum(c * c, axis=-1)
     uxsq = np.sum(lam * c * c, axis=-1)
@@ -227,7 +218,6 @@ def sobolev_norms(fld: SpectralField | np.ndarray, domain: DomainSpec) -> Sobole
     )
 
 
-def mass(fld: SpectralField | np.ndarray, domain: DomainSpec):
+def mass(c: np.ndarray, domain: DomainSpec):
     """Integral of u over the domain, per row of a stack (S, N+1) too; only c_0 contributes."""
-    c = fld.coeffs if isinstance(fld, SpectralField) else fld
     return c[..., 0] * np.sqrt(2.0 * domain.half_length)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import DomainSpec, SpectralField, project, tables
+from .basis import DomainSpec, project, tables
 from .diagnostics import Records, holder_probe, trajectory_records
 from .galerkin import IntegratorSpec, SimulationResult, simulate, simulate_stack
 from .model import (
@@ -128,8 +128,8 @@ def apply_overrides(config: dict, assignments: list[str]) -> dict:
 
 
 def build_initial_data(kind: str, parameters: dict,
-                       domain: DomainSpec) -> tuple[SpectralField, dict]:
-    """Construct u0 for the supported kinds; returns it with the full parameters.
+                       domain: DomainSpec) -> tuple[np.ndarray, dict]:
+    """Construct u0's coefficients, shape (N+1,), with the full parameters.
 
     cosine_bump: b + A (1 + cos(pi x / l)) / 2 (band-limited, exact for N >= 2).
     droplet: floor + A cos^{2k}(pi x / (2l)), a smooth compact-ish bump with
@@ -137,6 +137,8 @@ def build_initial_data(kind: str, parameters: dict,
     cosine expansion); exact in the basis for N >= 2k.
     coeffs: raw spectral coefficients, zero-padded/truncated to N+1.
     Missing parameters take the kind's defaults (INITIAL_DATA_KINDS), never another kind's.
+    Coefficients that are not finite (a NaN or infinite value, or a
+    projection that overflows) are a ValueError.
     """
     if kind not in INITIAL_DATA_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -150,11 +152,11 @@ def build_initial_data(kind: str, parameters: dict,
     l = domain.half_length
     if kind == "constant":
         value = _number(p["value"], "value")
-        return project(lambda x: np.full_like(x, value), domain), p
-    if kind == "cosine_bump":
+        c = project(lambda x: np.full_like(x, value), domain)
+    elif kind == "cosine_bump":
         base, amp = _number(p["base"], "base"), _number(p["amplitude"], "amplitude")
-        return project(lambda x: base + amp * 0.5 * (1.0 + np.cos(np.pi * x / l)), domain), p
-    if kind == "droplet":
+        c = project(lambda x: base + amp * 0.5 * (1.0 + np.cos(np.pi * x / l)), domain)
+    elif kind == "droplet":
         floor, amp = _number(p["floor"], "floor"), _number(p["amplitude"], "amplitude")
         power = _integer(p["power"], "power")
         if power < 1:
@@ -162,15 +164,17 @@ def build_initial_data(kind: str, parameters: dict,
         if 2 * power > domain.modes:
             raise ValueError(
                 f"droplet power {power} needs N >= {2 * power} modes for an exact representation")
-        return project(lambda x: floor + amp * np.cos(np.pi * x / (2 * l)) ** (2 * power),
-                       domain), p
-    if not isinstance(p["values"], (list, tuple)):
-        raise ValueError(f"values must be a list of numbers, got {p['values']!r}")
-    values = np.array([_number(v, "values") for v in p["values"]], dtype=float)
-    c = np.zeros(domain.modes + 1)
-    m = min(values.size, c.size)
-    c[:m] = values[:m]
-    return SpectralField(c), p
+        c = project(lambda x: floor + amp * np.cos(np.pi * x / (2 * l)) ** (2 * power), domain)
+    else:
+        if not isinstance(p["values"], (list, tuple)):
+            raise ValueError(f"values must be a list of numbers, got {p['values']!r}")
+        values = np.array([_number(v, "values") for v in p["values"]], dtype=float)
+        c = np.zeros(domain.modes + 1)
+        m = min(values.size, c.size)
+        c[:m] = values[:m]
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coeffs must be finite")
+    return c, p
 
 
 def _integer(value, name: str) -> int:
@@ -197,7 +201,7 @@ class ResolvedConfig:
     domain: DomainSpec
     params: ModelParams
     spec: IntegratorSpec
-    u0: SpectralField
+    u0: np.ndarray  # coefficients, shape (N+1,)
     resolved: dict  # fully-resolved raw dict, embedded in outputs
 
 
@@ -222,7 +226,7 @@ def resolve_config(raw: dict) -> ResolvedConfig:
     mdl = cfg["model"]
     anchor = mdl["entropy_anchor"]
     if anchor == "auto":
-        anchor = float((tables(domain).E @ u0.coeffs).max()) + 1.0
+        anchor = float((tables(domain).E @ u0).max()) + 1.0
     try:
         params = ModelParams(
             n=_number(mdl["n"], "n"),

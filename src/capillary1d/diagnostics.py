@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .basis import DomainSpec, SpectralField, mass, modes, sobolev_norms, tables
+from .basis import DomainSpec, mass, modes, sobolev_norms, tables
 from .galerkin import SimulationAbort, SimulationResult
 from .model import DEFAULT_TOL_NEG_REL, EntropyEval, ModelParams, default_tol_zero
 
@@ -163,9 +163,9 @@ def mass_drift(records: Records) -> float:
     return float(np.abs(m - m[0]).max()) / max(abs(float(m[0])), 1e-300)
 
 
-def flux_and_weak_residual(c: SpectralField, params: ModelParams, domain: DomainSpec,
+def flux_and_weak_residual(c: np.ndarray, params: ModelParams, domain: DomainSpec,
                            test_modes=None) -> tuple[np.ndarray, float]:
-    """Weak residuals r_j = (u_t, e_j) + (J, e_j') per test mode.
+    """Weak residuals r_j = (u_t, e_j) + (J, e_j') per test mode at coefficients c, shape (N+1,).
 
     u_t, u and the flux m(u) p_x come from one kernels.rhs call; J is the
     flux restricted to the positivity set {u > default_tol_zero(u)} and zero
@@ -176,7 +176,7 @@ def flux_and_weak_residual(c: SpectralField, params: ModelParams, domain: Domain
     cancellation size max(1, |(u_t, e_j)|, |(J, e_j')|).
     """
     t = tables(domain)
-    c_dot, _, u, flux, _ = kernels.rhs(np.ascontiguousarray(c.coeffs), t, params)
+    c_dot, _, u, flux, _ = kernels.rhs(np.ascontiguousarray(c), t, params)
     if not np.isfinite(c_dot).all():
         raise SimulationAbort("non-finite right-hand side")
     ut, J, a_tab, b_tab = kernels.weak_residual_terms(t, c_dot, u, flux, default_tol_zero(u))

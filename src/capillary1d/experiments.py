@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .basis import evaluate, matvec, modes, tables
+from .basis import evaluate, tables
 from .config import (
     STACK_KEYS,
     ConfigError,
@@ -85,8 +85,7 @@ def _comparison_samples(out: RunOutput) -> np.ndarray:
     """Trajectory sampled on a fixed uniform grid, for cross-N comparison."""
     domain = out.config.domain
     xs = np.linspace(-domain.half_length, domain.half_length, _COMPARE_POINTS)
-    # one cosine table for every snapshot; matvec keeps basis.evaluate's gemv per row
-    return matvec(modes(np.arange(domain.modes + 1), xs, domain), out.result.coeffs)
+    return evaluate(out.result.coeffs, xs, domain)
 
 
 def _member_summary(out: RunOutput) -> dict:
@@ -251,7 +250,7 @@ def curvature_profile_study(base_config: dict) -> dict:
     degenerate = False
     for mode, out in runs.items():
         first = _profile_stats(out, 0)
-        last = _profile_stats(out, out.result.snapshot_times.size - 1)
+        last = _profile_stats(out, -1)
         if first["kappa_scale"] <= first["kappa_noise_floor"]:
             degenerate = True
         xs = np.linspace(-out.config.domain.half_length, out.config.domain.half_length, 201)
@@ -260,10 +259,8 @@ def curvature_profile_study(base_config: dict) -> dict:
             "initial": first,
             "final": last,
             "profile_x": xs.tolist(),
-            "profile_u0": evaluate(out.result.snapshot_field(0), xs, out.config.domain).tolist(),
-            "profile_uT": evaluate(
-                out.result.snapshot_field(out.result.snapshot_times.size - 1),
-                xs, out.config.domain).tolist(),
+            "profile_u0": evaluate(out.result.coeffs[0], xs, out.config.domain).tolist(),
+            "profile_uT": evaluate(out.result.coeffs[-1], xs, out.config.domain).tolist(),
         }
     nl = report["modes"]["nonlinear"]
     li = report["modes"]["linear"]

@@ -6,6 +6,8 @@ the weak pairing, forms the flux density m(u) p_x pointwise and projects
 back -- algebraically identical to the eliminated double-sum form because
 the pressure lives in the Galerkin space.  Component 0 of dc/dt is identically
 zero (e_0' = 0), so mass is conserved to the last bit by every integrator.
+A state is a plain coefficient array (basis): simulate takes u0 of shape
+(N+1,), and the snapshots come back as the rows of SimulationResult.coeffs.
 
 simulate_stack holds the one stepping loop, for both RKF45 (adaptive) and
 RK4 (fixed step); every stage calls kernels.rhs.  It steps one member, for
@@ -67,7 +69,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .basis import DomainSpec, SpectralField, tables
+from .basis import DomainSpec, tables
 from .model import ModelParams, default_tol_zero, stacked_params
 
 DT_MIN = 1e-12
@@ -167,9 +169,6 @@ class SimulationResult:
     flags: list[str]
     tol_zero: float  # positivity-set tolerance, default_tol_zero of u0 on the grid
 
-    def snapshot_field(self, i: int) -> SpectralField:
-        return SpectralField(self.coeffs[i].copy())
-
 
 # explicit tableaux (A rows, propagated weights b, embedded weights or None);
 # Fehlberg 4(5) propagates the 4th-order solution
@@ -228,13 +227,14 @@ class _Member:
     nodes: tuple = field(default_factory=lambda: ([], [], [], [], []))
 
 
-def simulate(u0: SpectralField, spec: IntegratorSpec, params: ModelParams,
+def simulate(u0: np.ndarray, spec: IntegratorSpec, params: ModelParams,
              domain: DomainSpec, track_weak_residual: bool = False) -> SimulationResult:
     """Integrate to t_end, sampling snapshots and accumulating dissipations.
 
-    The entropy anchor (params.entropy_anchor, when set) is asserted at every
-    accepted step: sup|u| >= a aborts the run, and so does reaching
-    MAX_STEPS accepted plus rejected steps.
+    u0 is the initial coefficient vector, shape (N+1,).  The entropy anchor
+    (params.entropy_anchor, when set) is asserted at every accepted step:
+    sup|u| >= a aborts the run, and so does reaching MAX_STEPS accepted plus
+    rejected steps.
     """
     results, failure = simulate_stack([u0], spec, [params], domain, track_weak_residual)
     if failure is not None:
@@ -248,8 +248,9 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
 
     The members share the domain and the integrator spec; their
     ModelParams may differ in delta, epsilon, eta and the entropy anchor
-    (model.stacked_params), and each has its own u0, whose grid values set
-    its zero-set tolerance (model.default_tol_zero, kept on the result).
+    (model.stacked_params), and each has its own u0, a finite coefficient
+    vector of shape (N+1,) (anything else is a ValueError), whose grid values
+    set its zero-set tolerance (model.default_tol_zero, kept on the result).
     Each member keeps its own dt, accept/reject decision, snapshots, anchor
     check, MAX_STEPS count and StepStats, and its result is bit-identical to
     simulate on that member alone.
@@ -266,9 +267,11 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
         snap_times = np.array([0.0, spec.t_end])
     n_snap = snap_times.size
     snap_next = snap_times.tolist() + [float("inf")]  # a member's next one is snap_next[isnap]
-    cs = [np.ascontiguousarray(u0.coeffs.astype(float)) for u0 in u0s]
-    if any(c.shape[0] != domain.modes + 1 for c in cs):
-        raise ValueError("initial coefficients do not match the domain")
+    cs = [np.array(u0, dtype=float) for u0 in u0s]  # a copy, C-contiguous
+    if any(c.shape != (domain.modes + 1,) for c in cs):
+        raise ValueError(f"initial coefficients must have shape ({domain.modes + 1},)")
+    if not all(np.isfinite(c).all() for c in cs):
+        raise ValueError("initial coefficients must be finite")
 
     t = tables(domain)
     nq = 2  # cumulative integrals: the leading aux entries D and S

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import BasisTables, DomainSpec, SpectralField, matvec, quadrature, tables
+from .basis import BasisTables, DomainSpec, matvec, quadrature, tables
 
 PRESSURE_MODES = ("nonlinear", "linear")
 MOBILITY_MODES = ("standard", "constant")
@@ -268,7 +268,9 @@ def _entropy_numeric(n: float, eps: float, a: float):
         G = G_nodes[j] + (sj - x) * B[j] + L_x
         neg = s < 0.0
         inv[neg] = 2.0 * B_0 - inv[neg]
-        G[neg] += 2.0 * x[neg] * B_0
+        # a huge B_0 (tiny eps, n > 1) takes G past the float range: inf is then its value
+        with np.errstate(over="ignore"):
+            G[neg] += 2.0 * x[neg] * B_0
         return inv, G
 
     def evaluate(s, pick):
@@ -340,9 +342,9 @@ class ValidationReport:
     entropy_integral: float
 
 
-def validate_initial_data(u0: SpectralField, params: ModelParams, domain: DomainSpec,
+def validate_initial_data(u0: np.ndarray, params: ModelParams, domain: DomainSpec,
                           entropy_required: bool = False) -> ValidationReport:
-    """Check u0 >= 0 and finiteness of the initial entropy.
+    """Check u0 (coefficients, shape (N+1,)) >= 0 and finiteness of the initial entropy.
 
     Grid values below -tol_neg are a hard error.  Data touching zero with
     n >= 2 has infinite entropy: hard error when entropy tracking is
@@ -350,7 +352,7 @@ def validate_initial_data(u0: SpectralField, params: ModelParams, domain: Domain
     zero set of u0 to be null for n >= 2, and compact support is only
     admissible for 1 <= n < 2).
     """
-    u = tables(domain).E @ u0.coeffs
+    u = tables(domain).E @ u0
     umin = float(u.min())
     umax = float(u.max())
     scale = max(1.0, abs(umax))

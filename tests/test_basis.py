@@ -6,7 +6,6 @@ from capillary1d import kernels
 from capillary1d.basis import (
     MAX_GRID_SIZE,
     DomainSpec,
-    SpectralField,
     eigenvalue,
     evaluate,
     mass,
@@ -120,20 +119,20 @@ def test_modes_equal_single_mode_closed_form(l):
 
 def test_project_single_mode_and_constant():
     d = DomainSpec(half_length=1.0, modes=6)
-    c = project(lambda x: modes([2], x, d)[:, 0], d).coeffs
+    c = project(lambda x: modes([2], x, d)[:, 0], d)
     expect = np.zeros(7)
     expect[2] = 1.0
     np.testing.assert_allclose(c, expect, atol=1e-13)
 
     d5 = DomainSpec(half_length=0.5, modes=6)
-    c5 = project(lambda x: np.full_like(x, 5.0), d5).coeffs
+    c5 = project(lambda x: np.full_like(x, 5.0), d5)
     np.testing.assert_allclose(c5, [5.0, 0, 0, 0, 0, 0, 0], atol=1e-13)
 
 
 def test_project_x_squared_against_adaptive_oracle():
     # independent oracle: adaptive quadrature of (x^2, e_j) per mode
     d = DomainSpec(half_length=1.0, modes=8)
-    got = project(lambda x: x**2, d).coeffs
+    got = project(lambda x: x**2, d)
     for j in range(9):
         ref, _ = quad(lambda x: x**2 * modes([j], [x], d)[0, 0], -1, 1,
                       epsabs=1e-14, epsrel=1e-14, limit=200)
@@ -170,7 +169,7 @@ def test_synthesize_eigenfunction_identity():
 def test_evaluate_derivative_against_finite_differences():
     rng = np.random.default_rng(3)
     d = DomainSpec(half_length=1.0, modes=16)
-    f = SpectralField(rng.standard_normal(17) * np.exp(-0.3 * np.arange(17)))
+    f = rng.standard_normal(17) * np.exp(-0.3 * np.arange(17))
     xs = np.linspace(-0.9, 0.9, 31)
     got = evaluate(f, xs, d, deriv=1)
     errs = []
@@ -182,6 +181,20 @@ def test_evaluate_derivative_against_finite_differences():
     assert errs[0] < 1e-3
     order = np.log(errs[0] / errs[1]) / np.log(2.0)
     assert 1.8 < order < 2.2
+
+
+@pytest.mark.parametrize("deriv", [0, 1])
+def test_evaluate_stack_equals_each_row(deriv):
+    # one cosine table for a stack (S, N+1); each row bit-identical to its call alone
+    rng = np.random.default_rng(5)
+    d = DomainSpec(half_length=1.3, modes=12)
+    stack = rng.standard_normal((4, 13))
+    xs = np.linspace(-1.3, 1.3, 41)
+    got = evaluate(stack, xs, d, deriv=deriv)
+    assert got.shape == (4, 41)
+    for row, c in zip(got, stack):
+        assert row.tobytes() == evaluate(c, xs, d, deriv=deriv).tobytes()
+    assert evaluate(stack[0], 0.25, d, deriv=deriv).shape == (1,)
 
 
 def test_quadrature_basics():
@@ -206,13 +219,13 @@ def test_sobolev_norms_examples():
     d = DomainSpec(half_length=1.0, modes=4)
     c = np.zeros(5)
     c[1] = 1.0
-    nrm = sobolev_norms(SpectralField(c), d)
+    nrm = sobolev_norms(c, d)
     assert abs(nrm.l2 - 1.0) < 1e-14
     assert abs(nrm.ux_l2**2 - (np.pi / 2) ** 2) < 1e-12
 
     const = np.zeros(5)
     const[0] = 3.0
-    nc = sobolev_norms(SpectralField(const), d)
+    nc = sobolev_norms(const, d)
     assert abs(nc.h2 - 3.0) < 1e-14
 
 
@@ -221,8 +234,8 @@ def test_parseval_consistency():
     rng = np.random.default_rng(7)
     for N in (16, 64):
         d = DomainSpec(half_length=1.0, modes=N)
-        f = SpectralField(rng.standard_normal(N + 1))
-        u, ux, uxx = grid_values(f.coeffs, d)
+        f = rng.standard_normal(N + 1)
+        u, ux, uxx = grid_values(f, d)
         nrm = sobolev_norms(f, d)
         for series, ref in ((u, nrm.l2), (ux, nrm.ux_l2), (uxx, nrm.uxx_l2)):
             got = np.sqrt(quadrature(series**2, d))
@@ -232,9 +245,9 @@ def test_parseval_consistency():
 def test_project_synthesize_roundtrip():
     rng = np.random.default_rng(11)
     d = DomainSpec(half_length=1.0, modes=24)
-    f = SpectralField(rng.standard_normal(25))
-    back = project(grid_values(f.coeffs, d)[0], d)
-    rel = np.abs(back.coeffs - f.coeffs).max() / np.abs(f.coeffs).max()
+    f = rng.standard_normal(25)
+    back = project(grid_values(f, d)[0], d)
+    rel = np.abs(back - f).max() / np.abs(f).max()
     assert rel <= 1e-12
 
 
@@ -243,5 +256,5 @@ def test_mass_is_constant_mode():
     f = project(lambda x: 2.0 + 0.1 * x, d)
     assert abs(mass(f, d) - 2.0 * 3.0) < 1e-12
     # a stack of rows gives each row's mass, bit for bit
-    stack = np.stack([f.coeffs, 2.0 * f.coeffs, -f.coeffs])
-    np.testing.assert_array_equal(mass(stack, d), [mass(SpectralField(c), d) for c in stack])
+    stack = np.stack([f, 2.0 * f, -f])
+    np.testing.assert_array_equal(mass(stack, d), [mass(c, d) for c in stack])

@@ -80,9 +80,9 @@ def test_rhs_returns_five_values_with_c_dot_first(monkeypatch):
     u0 = project(lambda x: 1.0 + 0.3 * np.cos(np.pi * x), domain)
     params = ModelParams(n=2, delta=0.1, epsilon=0.1)
     spec = IntegratorSpec(t_end=1e-3, snapshot_times=(0.0, 1e-3))
-    out = kernels.rhs(u0.coeffs.copy(), tables(domain), params)
+    out = kernels.rhs(u0.copy(), tables(domain), params)
     assert len(out) == 5
-    assert out[0].shape == u0.coeffs.shape and out[0][0] == 0.0  # dc/dt, mass mode zero
+    assert out[0].shape == u0.shape and out[0][0] == 0.0  # dc/dt, mass mode zero
     clean = simulate(u0, spec, params, domain)
 
     true_rhs = kernels.rhs
@@ -98,8 +98,8 @@ def test_rhs_returns_five_values_with_c_dot_first(monkeypatch):
     monkeypatch.setattr(kernels, "rhs", leaky_rhs)
     leaky = simulate(u0, spec, params, domain)
     assert len(calls) == leaky.stats.rhs_calls
-    assert clean.coeffs[-1][0] == u0.coeffs[0]
-    assert leaky.coeffs[-1][0] - u0.coeffs[0] == pytest.approx(1e-4 * 1e-3, rel=1e-6)
+    assert clean.coeffs[-1][0] == u0[0]
+    assert leaky.coeffs[-1][0] - u0[0] == pytest.approx(1e-4 * 1e-3, rel=1e-6)
 
 
 def test_eps_sweep_steps_its_members_as_one_stack(monkeypatch):
@@ -208,6 +208,27 @@ def test_spans_count_the_records_pass_per_chunk():
         tracer.uninstall()
     assert tracer.counts["model.entropy_G_calls"] == 3
     assert tracer.rhs_call_split()[0] == 3
+
+
+def test_spans_book_one_point_evaluation_per_sweep_member():
+    # basis.evaluate is a layer spans.py wraps: the epsilon sweep samples each
+    # member's trajectory on its comparison grid through it, once per member,
+    # inside the sweep's one experiments.member span (the members are one stack)
+    spans = _load_spans()
+    base = load_config(str(PERFBENCH / "configs" / "eps_sweep.json"))
+    spec = experiments.SweepSpec(parameter="epsilon", values=(1e-1, 1e-2, 1e-3),
+                                 base_config=base, jobs=1)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        experiments.run_sweep(spec)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("experiments.member") == 1
+    evaluations = [span for span in tracer.spans if span[0] == "basis.evaluate"]
+    assert len(evaluations) == 3
+    assert {tracer.spans[span[3]][0] for span in evaluations} == {"experiments.member"}
 
 
 def test_sweep_error_carries_the_partial_report(monkeypatch):

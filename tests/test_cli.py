@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from capillary1d import experiments, kernels
-from capillary1d.basis import tables
+from capillary1d.basis import modes, tables
 from capillary1d.cli import DEFAULT_SWEEP_VALUES, main
 from capillary1d.config import load_config, resolve_config, run_config
 
@@ -120,6 +120,11 @@ def test_simulate_rejected_data_exit_2(tmp_path, capsys):
      "droplet power must be at least 1, got -1"),
     ('initial_data={"kind": "droplet", "parameters": {"power": 0}}',
      "droplet power must be at least 1, got 0"),
+    # raw coefficients pass no projection: build_initial_data checks them itself
+    ('initial_data={"kind": "coeffs", "parameters": {"values": [1.4, NaN]}}',
+     "coeffs must be finite"),
+    ('initial_data={"kind": "coeffs", "parameters": {"values": [1.4, Infinity]}}',
+     "coeffs must be finite"),
     ("output.directory=out", "unknown config key 'output'"),
     ("diagnostics.tol_neg=1e-8", "unknown config key diagnostics.tol_neg"),
     ("diagnostics.tol_zero=1e-7", "unknown config key diagnostics.tol_zero"),
@@ -462,6 +467,16 @@ def test_compare_cli(tmp_path):
     assert set(report["modes"]) == {"nonlinear", "linear"}
     assert (out / "profile_nonlinear.csv").exists()
     assert (out / "profile_linear.csv").exists()
+    # each profile is the closed-form cosine sum at the report's points, over
+    # the first or last snapshot of a rerun from the embedded config
+    domain = resolve_config(cfg).domain
+    for entry in report["modes"].values():
+        coeffs = run_config(entry["config"]).result.coeffs
+        xs = np.array(entry["profile_x"])
+        assert entry["profile_x"] == np.linspace(-1.0, 1.0, 201).tolist()
+        table = modes(np.arange(domain.modes + 1), xs, domain)
+        assert entry["profile_u0"] == (table @ coeffs[0]).tolist()
+        assert entry["profile_uT"] == (table @ coeffs[-1]).tolist()
 
 
 def test_thresholds_cli(tmp_path):

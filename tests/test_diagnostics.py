@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from capillary1d import kernels
 from capillary1d.basis import (
     DomainSpec,
-    SpectralField,
     mass,
     project,
     quadrature,
@@ -39,7 +38,7 @@ D8 = DomainSpec(half_length=1.0, modes=8)
 def constant_field(domain, value):
     c = np.zeros(domain.modes + 1)
     c[0] = value * np.sqrt(2 * domain.half_length)
-    return SpectralField(c)
+    return c
 
 
 def bump_field(domain, base=1.0, amp=0.3):
@@ -61,7 +60,7 @@ def short_run(domain=D8, params=None, t_end=2e-3, n_snap=5, u0=None, **kw):
 
 def record_of(f, params, **kw):
     # the instantaneous columns of one field, a stack of one row, as scalars
-    cols = snapshot_diagnostics(f.coeffs[None], params, D8, **kw)
+    cols = snapshot_diagnostics(f[None], params, D8, **kw)
     return SimpleNamespace(**{name: col[0] for name, col in cols.items()})
 
 
@@ -99,7 +98,7 @@ def test_snapshot_y_max_algebra():
     c = np.zeros(9)
     c[1] = 1.0
     scale = 3.0 / np.abs(t.Ex @ c).max()
-    rec = record_of(SpectralField(c * scale), ModelParams(n=2))
+    rec = record_of(c * scale, ModelParams(n=2))
     assert abs(rec.y_max - 3.0 / np.sqrt(10.0)) < 1e-6
 
 
@@ -115,7 +114,7 @@ def test_surface_energy_lower_bound_random_fields():
     rng = np.random.default_rng(4)
     p = ModelParams(n=2)
     for _ in range(10):
-        f = SpectralField(rng.standard_normal(9) * 0.2)
+        f = rng.standard_normal(9) * 0.2
         rec = record_of(f, p)
         assert rec.energy_surface >= 2.0 - 1e-12
         assert rec.y_max < 1.0
@@ -239,8 +238,8 @@ def test_slope_bound_constant_state():
 def test_slope_bound_unit_slope_algebra():
     # |u_x| <= 1 everywhere forces y <= 1/sqrt(2)
     f = bump_field(D8, base=1.0, amp=0.3)
-    scale = 1.0 / np.abs(tables(D8).Ex @ f.coeffs).max()
-    rec = record_of(SpectralField(f.coeffs * scale), ModelParams(n=2))
+    scale = 1.0 / np.abs(tables(D8).Ex @ f).max()
+    rec = record_of(f * scale, ModelParams(n=2))
     assert rec.y_max <= 1.0 / np.sqrt(2.0) + 1e-12
 
 
@@ -277,9 +276,9 @@ def test_slope_certificate_from_records_equals_direct_synthesis():
     domain = out.config.domain
     t = tables(domain)
     for i, rec in enumerate(records_at(out.records)):
-        c = out.result.snapshot_field(i)
-        ux = t.Ex @ c.coeffs
-        uxx = -(t.E @ (t.lam * c.coeffs))
+        c = out.result.coeffs[i]
+        ux = t.Ex @ c
+        uxx = -(t.E @ (t.lam * c))
         Q = np.sqrt(1.0 + ux * ux)
         y_max = float(np.max(np.abs(ux / Q)))
         c1 = quadrature(Q, domain)
@@ -382,10 +381,10 @@ def reference_records(result, entropy=None):
     t = tables(domain)
     records = []
     for i, s in enumerate(result.snapshot_times):
-        c = result.snapshot_field(i)
-        u = t.E @ c.coeffs
-        ux = t.Ex @ c.coeffs
-        uxx = -(t.E @ (t.lam * c.coeffs))
+        c = result.coeffs[i]
+        u = t.E @ c
+        ux = t.Ex @ c
+        uxx = -(t.E @ (t.lam * c))
         Q = np.sqrt(1.0 + ux * ux)
         ent = float("nan")
         if entropy is not None:
@@ -395,7 +394,7 @@ def reference_records(result, entropy=None):
                     f" >= a = {entropy.anchor:.6g}")
             ent = entropy_integral(u, entropy, domain)
         norms = sobolev_norms(c, domain)
-        c_dot, _, u_k, flux, _ = kernels.rhs(c.coeffs, t, params)
+        c_dot, _, u_k, flux, _ = kernels.rhs(c, t, params)
         if not np.isfinite(c_dot).all():
             raise SimulationAbort("non-finite right-hand side")
         records.append(dict(

@@ -117,7 +117,7 @@ def test_stack_fails_as_its_members_would_one_after_another(monkeypatch):
     from capillary1d import experiments
     from capillary1d.config import resolve_config
 
-    a0 = float(np.abs(resolve_config(TINY).u0.coeffs[1:]).max())
+    a0 = float(np.abs(resolve_config(TINY).u0[1:]).max())
     true_rhs = kernels.rhs
 
     def failing_rhs(c, t, params, *args):

@@ -4,7 +4,6 @@ import pytest
 from capillary1d import kernels
 from capillary1d.basis import (
     DomainSpec,
-    SpectralField,
     eigenvalue,
     mass,
     project,
@@ -27,11 +26,11 @@ def unit_mode(j, domain, amp=1.0, base=0.0):
     c = np.zeros(domain.modes + 1)
     c[0] = base * np.sqrt(2 * domain.half_length)
     c[j] = amp
-    return SpectralField(c)
+    return c
 
 
 def rhs(u, p, domain):
-    return kernels.rhs(u.coeffs, tables(domain), p)[0]
+    return kernels.rhs(u, tables(domain), p)[0]
 
 
 def test_rhs_constant_state_is_steady():
@@ -44,7 +43,7 @@ def test_rhs_mass_component_identically_zero():
     rng = np.random.default_rng(2)
     p = ModelParams(n=2, delta=0.1, epsilon=0.05, eta=0.2)
     for _ in range(10):
-        c = SpectralField(rng.standard_normal(9) * 0.3)
+        c = rng.standard_normal(9) * 0.3
         assert rhs(c, p, D8)[0] == 0.0
 
 
@@ -67,7 +66,7 @@ def test_step_trivial_dynamics():
     spec = IntegratorSpec(t_end=1.0, method="rk4", dt=0.25, snapshot_times=(0.25,))
     res = simulate(u0, spec, p, D8)
     assert res.nodes.t[1] == 0.25
-    np.testing.assert_array_equal(res.coeffs[0], u0.coeffs)
+    np.testing.assert_array_equal(res.coeffs[0], u0)
 
 
 def test_step_adaptive_matches_exponential_decay():
@@ -204,7 +203,7 @@ def test_simulate_relaxes_to_mean_with_full_mobility():
     spec = IntegratorSpec(t_end=t_end, snapshot_times=(t_end,))
     res = simulate(u0, spec, p, d)
     final = res.coeffs[-1]
-    assert abs(final[0] - u0.coeffs[0]) < 1e-12
+    assert abs(final[0] - u0[0]) < 1e-12
     assert np.max(np.abs(final[1:])) < 1e-4 * 0.3
 
 
@@ -337,7 +336,7 @@ def test_horizon_below_the_end_tolerance_keeps_u0():
     spec = IntegratorSpec(t_end=1e-13, snapshot_times=(0.0, 5e-14, 1e-13))
     res = simulate(u0, spec, ModelParams(n=2, delta=0.1, epsilon=0.1), D8)
     assert (res.stats.accepted, res.stats.rejected) == (0, 0)
-    assert [row.tobytes() for row in res.coeffs] == [u0.coeffs.tobytes()] * 3
+    assert [row.tobytes() for row in res.coeffs] == [u0.tobytes()] * 3
     np.testing.assert_array_equal(res.dissipation_cum, 0.0)
 
 
@@ -370,6 +369,22 @@ def test_integrator_spec_validation():
     # rkf45 chooses its own steps, so a dt would be a value no run reads
     with pytest.raises(ValueError, match="rkf45 chooses its own steps and takes no dt"):
         IntegratorSpec(t_end=1.0, dt=1e-4)
+
+
+@pytest.mark.parametrize("u0, message", [
+    (np.ones((1, 9)), r"must have shape \(9,\)"),
+    (np.ones(8), r"must have shape \(9,\)"),
+    (np.ones(10), r"must have shape \(9,\)"),
+    (np.array([1.0, np.nan] + [0.0] * 7), "must be finite"),
+    (np.array([1.0, np.inf] + [0.0] * 7), "must be finite"),
+], ids=["2-D", "short", "long", "nan", "inf"])
+def test_simulate_refuses_a_bad_u0(u0, message):
+    # u0 is one finite coefficient vector of shape (N+1,); a stack goes to
+    # simulate_stack as a list.  An infinite one would otherwise reach the
+    # kernel and warn before the run aborts.
+    spec = IntegratorSpec(t_end=1e-3)
+    with pytest.raises(ValueError, match="initial coefficients " + message):
+        simulate(u0, spec, ModelParams(n=2, delta=0.1, epsilon=0.1), D8)
 
 
 def test_dissipation_cumulative_nonnegative_and_increasing():
@@ -466,7 +481,7 @@ def test_row_updates_match_the_plain_sums(spec, monkeypatch):
     assert kinds == ["rhs", "pass"] + ["rhs"] * n_stages + ["pass"]
     calls = [e for e in events if e[0] == "rhs"]
 
-    c0 = u0.coeffs.astype(float)
+    c0 = u0.astype(float)
     k0 = true_rhs(c0, tables(STEP_DOMAIN), STEP_PARAMS)[0]
     dt = _initial_dt(spec, c0, k0)
     inputs, c_new, emb, dq = _reference_step(c0, dt, spec.method)
@@ -676,7 +691,7 @@ def test_stack_drops_the_members_from_the_first_abort_on(monkeypatch):
 
     u0s, spec, params, domain = _stack_members("tiny-eta", "rkf45")
     # the second member's modes decay below 0.97 of their start within the run
-    a0 = float(np.abs(u0s[1].coeffs[1:]).max())
+    a0 = float(np.abs(u0s[1][1:]).max())
     free = simulate(u0s[1], spec, params[1], domain)
     assert float(np.abs(free.coeffs[-1][1:]).max()) < 0.97 * a0
     true_rhs = kernels.rhs

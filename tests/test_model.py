@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from capillary1d import kernels, model
-from capillary1d.basis import DomainSpec, SpectralField, eigenvalue, modes, project, tables
+from capillary1d.basis import DomainSpec, eigenvalue, modes, project, tables
 from capillary1d.model import (
     ModelParams,
     entropy_functions,
@@ -24,12 +25,12 @@ EPS_SWEEP = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "eps
 def unit_mode(j, domain, amp=1.0):
     c = np.zeros(domain.modes + 1)
     c[j] = amp
-    return SpectralField(c)
+    return c
 
 
 def pressure_coeffs(u, p, domain):
     # the Galerkin pressure coefficients d, as the RHS kernel forms them
-    return kernels.rhs(u.coeffs, tables(domain), p)[1]
+    return kernels.rhs(u, tables(domain), p)[1]
 
 
 def test_params_validation():
@@ -80,7 +81,7 @@ def test_mobility_constant_hook():
 
 def a_delta(u, v, p, domain):
     # the weak pairing <A_delta(u), v> in the Galerkin space
-    return pressure_coeffs(u, p, domain) @ v.coeffs
+    return pressure_coeffs(u, p, domain) @ v
 
 
 def test_a_delta_constant_arguments():
@@ -112,8 +113,8 @@ def test_a_delta_bounds_coercivity_monotonicity():
     from capillary1d.basis import sobolev_norms
 
     for _ in range(20):
-        u = SpectralField(rng.standard_normal(9) * 0.5)
-        v = SpectralField(rng.standard_normal(9) * 0.5)
+        u = rng.standard_normal(9) * 0.5
+        v = rng.standard_normal(9) * 0.5
         val = a_delta(u, v, p, D8)
         bound = (1 + p.delta) * sobolev_norms(u, D8).h1 * sobolev_norms(v, D8).h1
         assert abs(val) <= bound + 1e-12
@@ -121,7 +122,7 @@ def test_a_delta_bounds_coercivity_monotonicity():
         uu = a_delta(u, u, p, D8)
         assert uu >= p.delta * sobolev_norms(u, D8).ux_l2 ** 2 - 1e-12
         # monotonicity of the slope density => nonnegative pairing
-        diff = SpectralField(u.coeffs - v.coeffs)
+        diff = u - v
         mono = a_delta(u, diff, p, D8) - a_delta(v, diff, p, D8)
         assert mono >= -1e-14
 
@@ -162,7 +163,7 @@ def test_pressure_coeffs_mean_zero_always():
     rng = np.random.default_rng(9)
     p = ModelParams(n=2, delta=0.2)
     for _ in range(10):
-        u = SpectralField(rng.standard_normal(9))
+        u = rng.standard_normal(9)
         assert pressure_coeffs(u, p, D8)[0] == 0.0
 
 
@@ -397,6 +398,21 @@ def test_entropy_pair_finite_at_the_anchor_bound(n):
         assert np.all(np.isfinite(ent.g(s))) and np.all(np.isfinite(ent.G(s)))
 
 
+def test_entropy_reflection_overflows_to_inf_without_a_warning():
+    # n = 3, eps = 1e-300: B_0 = int_0^a 1/m is about 1e200, so the reflection
+    # G(s) = G(|s|) + 2 |s| B_0 leaves the float range far below 0, while
+    # g(s) = -(2 B_0 - int_|s|^a 1/m) stays finite
+    a = 1e150
+    ent = entropy_functions(ModelParams(n=3, epsilon=1e-300, entropy_anchor=a))
+    s = np.array([-0.99 * a, -1e120])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        G = ent.G(s)
+        g = ent.g(s)
+    np.testing.assert_array_equal(G, np.inf)
+    assert np.all(np.isfinite(g))
+
+
 # -- initial data validation ---------------------------------------------------
 
 def test_validate_positive_constant():
@@ -416,7 +432,7 @@ def test_validate_zero_touching_entropy_mode():
     # data sitting exactly at zero: admissible for n < 2 (finite contact
     # entropy), rejected in entropy mode for n >= 2, soft warning otherwise
     d = DomainSpec(half_length=1.0, modes=8)
-    u0 = SpectralField(np.zeros(9))
+    u0 = np.zeros(9)
     rep_low = validate_initial_data(u0, ModelParams(n=1.5), d, entropy_required=True)
     assert rep_low.valid
     assert np.isfinite(rep_low.entropy_integral)
@@ -445,7 +461,7 @@ def test_entropy_integral_of_projected_droplet():
     # per-node oracle evaluation
     d = DomainSpec(half_length=1.0, modes=16)
     u0 = project(lambda x: np.maximum(0.0, 0.5 - x**2), d)
-    u = tables(d).E @ u0.coeffs
+    u = tables(d).E @ u0
     params = ModelParams(n=1.5, entropy_anchor=float(u.max()) + 1.0)
     ent = entropy_functions(params)
     val = entropy_integral(np.maximum(u, 0.0), ent, d)
