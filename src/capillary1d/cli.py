@@ -155,12 +155,8 @@ def write_run_artifacts(out: RunOutput, outdir: Path, wall_clock: float) -> dict
         },
         "snapshots": snaps,
         "holder_probe": (None if out.probe is None else {
-            "exponent_time": out.probe.exponent_time,
             "constant_time": out.probe.constant_time,
-            "exponent_space": out.probe.exponent_space,
             "constant_space": out.probe.constant_space,
-            "n_samples": out.probe.n_samples,
-            "conclusive": out.probe.conclusive,
         }),
         "wall_clock_seconds": wall_clock,
         "timings_s": {**out.timings, "cli.write": time.perf_counter() - start},

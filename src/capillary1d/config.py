@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import DomainSpec, project, tables
-from .diagnostics import Records, holder_probe, trajectory_records
+from .diagnostics import HolderProbe, Records, holder_probe, trajectory_records
 from .galerkin import IntegratorSpec, SimulationResult, simulate, simulate_stack
 from .model import (
     ConfigError,
@@ -306,7 +306,7 @@ class RunOutput:
     records: Records
     entropy_tracked: bool
     validation_warnings: list[str]
-    probe: object | None = None
+    probe: HolderProbe | None = None
     # wall seconds of each phase of run_config, keyed by the benchmark's
     # layer names; never part of a byte-compared output
     timings: dict[str, float] = field(default_factory=dict)

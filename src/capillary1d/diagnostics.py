@@ -3,7 +3,8 @@
 Everything the dissipation framework bounds is measured here: mass, surface
 energy and its delta-term, flux and entropy dissipation, the entropy
 integral, positivity measures, the slope ratio y = max|u_x|/Q with its
-certified threshold, Hoelder probes, and the Galerkin weak residual.
+certified threshold, the Hoelder seminorms at the thin-film exponents 1/8
+in time and 1/2 in space, and the Galerkin weak residual.
 
 The records of a run are columns, one array per quantity (Records).  They
 come from one stacked pass per RECORDS_CHUNK snapshots: kernels.fields and
@@ -234,78 +235,63 @@ def slope_threshold(c1: float, c2: float, half_length: float) -> float:
     return lo
 
 
-# -- Hoelder probes -------------------------------------------------------------
+# -- Hoelder probe --------------------------------------------------------------
 
-HOLDER_LOCATIONS = 16  # grid nodes the probes sample
+HOLDER_LOCATIONS = 16  # grid nodes the probe samples
+# the Hoelder exponents of weak thin-film solutions (Bernis & Friedman 1990)
+HOLDER_EXPONENT_TIME = 1 / 8
+HOLDER_EXPONENT_SPACE = 1 / 2
 
 
 @dataclass
 class HolderProbe:
-    exponent_time: float
-    constant_time: float
-    exponent_space: float
+    constant_time: float | None  # None with fewer than two distinct snapshot times
     constant_space: float
-    n_samples: int
-    conclusive: bool
-    note: str = ""
-
-
-def _loglog_fit(dx: np.ndarray, dy: np.ndarray) -> tuple[float, float]:
-    slope, intercept = np.polyfit(np.log(dx), np.log(dy), 1)
-    return float(slope), float(np.exp(intercept))
 
 
 def holder_nodes(grid_size: int) -> np.ndarray:
-    """The grid nodes the Hoelder probes sample, evenly spaced and offset.
+    """The grid nodes the Hoelder probe samples, evenly spaced and offset.
 
     min(HOLDER_LOCATIONS, G // 2) nodes a quarter spacing past evenly spaced
-    points, so that no node's mirror -x (node G - 1 - i of the symmetric
-    grid) is sampled too: even data would make those space pairs repeats.
+    points.  The probe takes maxima, so the nodes decide only which pairs
+    are seen: on configs/reference.json the 16 nodes reach 0.997 of the
+    space constant over all grid pairs.  The offset keeps each node's mirror
+    -x (node G - 1 - i of the symmetric grid) unsampled, so the samples of
+    even data are not half repeats.
     """
     L = min(HOLDER_LOCATIONS, grid_size // 2)
     return (4 * np.arange(L) + 1) * grid_size // (4 * L)
 
 
 def holder_probe(result: SimulationResult) -> HolderProbe:
-    """Least-squares Hoelder exponents/constants from snapshot pairs.
+    """The Hoelder seminorms of the snapshots at the thin-film exponents.
 
-    Fits log sup_x |u(t2,x)-u(t1,x)| against log|t2-t1| over all snapshot
-    pairs (and the spatial analog with |x2-x1|^(1/2) scaling).  Estimates
-    come with the sampling resolution; they are measurements, not asserted
-    inequalities.  It samples the grid nodes that holder_nodes picks.
+    constant_time is the max over snapshot pairs t_i < t_j and the sampled
+    nodes x of |u(t_j,x) - u(t_i,x)| / (t_j - t_i)^(1/8); constant_space the
+    max over snapshots and node pairs of |u(t,x) - u(t,y)| / |x - y|^(1/2).
+    Both are measurements on the grid nodes that holder_nodes picks, not
+    asserted inequalities.  By Cauchy-Schwarz a snapshot's space constant is
+    at most its ||u_x||_L2.
     """
     times = result.snapshot_times
-    if times.size < 3:
-        return HolderProbe(np.nan, np.nan, np.nan, np.nan, 0, False, "needs >= 3 snapshots")
     t = tables(result.domain)
     locs = holder_nodes(t.x.size)
     fields = result.coeffs @ t.E[locs].T
 
-    # time pairs (i < j) one row i at a time, so no S x S x L temporary is
-    # formed; space pairs (a < b) in np.triu_indices order for every snapshot
-    dts, dus = [], []
-    for i in range(times.size - 1):
-        dts.append(times[i + 1:] - times[i])
-        dus.append(np.max(np.abs(fields[i + 1:] - fields[i]), axis=1))
-    dt, du_t = np.concatenate(dts), np.concatenate(dus)
-    keep = (dt > 0) & (du_t > 0)
-    dt, du_t = dt[keep], du_t[keep]
+    # time pairs one row i at a time, so no S x S x L temporary is formed;
+    # the times are sorted, and row i pairs with the snapshots from j on
+    constant_time = None
+    for i, j in enumerate(np.searchsorted(times, times, side="right")):
+        if j < times.size:
+            du = np.max(np.abs(fields[j:] - fields[i]), axis=1)
+            ratio = float(np.max(du / (times[j:] - times[i]) ** HOLDER_EXPONENT_TIME))
+            constant_time = max(ratio, constant_time or 0.0)
     a, b = np.triu_indices(locs.size, k=1)
     xs = t.x[locs]
-    dx = np.broadcast_to(np.abs(xs[b] - xs[a]), (times.size, a.size))
     du_x = np.abs(fields[:, b] - fields[:, a])
-    keep = (dx > 0) & (du_x > 0)
-    dx, du_x = dx[keep], du_x[keep]
-
-    n_samples = dt.size + dx.size
-    if dt.size < 3 or dx.size < 3:
-        return HolderProbe(np.nan, np.nan, np.nan, np.nan,
-                           n_samples, False, "all increments vanish")
-    bt, Mt = _loglog_fit(dt, du_t)
-    bx, Kx = _loglog_fit(dx, du_x)
-    return HolderProbe(exponent_time=bt, constant_time=Mt,
-                       exponent_space=bx, constant_space=Kx,
-                       n_samples=n_samples, conclusive=True)
+    return HolderProbe(
+        constant_time=constant_time,
+        constant_space=float(np.max(du_x / np.abs(xs[b] - xs[a]) ** HOLDER_EXPONENT_SPACE)))
 
 
 # -- positivity -----------------------------------------------------------------

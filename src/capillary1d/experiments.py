@@ -101,8 +101,7 @@ def _member_summary(out: RunOutput) -> dict:
             "y_max": float(rec.y_max.max()),
             "min_u": float(rec.min_u.min()),
             "entropy_max": float(rec.entropy.max()) if out.entropy_tracked else None,
-            "holder_M": (out.probe.constant_time
-                         if out.probe is not None and out.probe.conclusive else None),
+            "holder_M": None if out.probe is None else out.probe.constant_time,
         },
         "_samples": _comparison_samples(out),
         "_times": out.result.snapshot_times,

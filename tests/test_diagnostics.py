@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +28,7 @@ from capillary1d.diagnostics import (
     snapshot_diagnostics,
     trajectory_records,
 )
-from capillary1d.config import resolve_config, run_config
+from capillary1d.config import apply_overrides, load_config, resolve_config, run_config
 from capillary1d.galerkin import IntegratorSpec, SimulationAbort, simulate
 from capillary1d.model import ModelParams, entropy_functions, entropy_integral
 from capillary1d.verify import DELTA_SWEEP_RUN, REFERENCE_RUN
@@ -293,20 +294,95 @@ def test_slope_certificate_from_records_equals_direct_synthesis():
 # -- Hoelder probe -----------------------------------------------------------------
 
 def test_holder_probe_steady_inconclusive():
+    # a flat film has no increments in time or space: both constants vanish
     p = ModelParams(n=2, epsilon=0.2)
     spec = IntegratorSpec(t_end=0.1, snapshot_times=(0.0, 0.05, 0.1))
     res = simulate(constant_field(D8, 1.0), spec, p, D8)
     probe = holder_probe(res)
-    assert not probe.conclusive
+    assert probe.constant_time == pytest.approx(0.0, abs=1e-12)
+    assert probe.constant_space == pytest.approx(0.0, abs=1e-12)
 
 
 def test_holder_probe_smooth_run():
+    # a smooth run is Lipschitz in time, so |du|/dt^(1/8) grows with dt and
+    # the widest pair (0, T) gives the time constant
     res = short_run(t_end=5e-3, n_snap=9)
     probe = holder_probe(res)
-    assert probe.conclusive
-    assert np.isfinite(probe.constant_time) and probe.constant_time > 0
-    # smooth trajectories are Lipschitz in time: fitted exponent >= 1/8
-    assert probe.exponent_time >= 0.125
+    t = tables(D8)
+    fields = res.coeffs @ t.E[holder_nodes(t.x.size)].T
+    widest = np.max(np.abs(fields[-1] - fields[0])) / 5e-3 ** 0.125
+    assert probe.constant_time == pytest.approx(widest, rel=1e-14)
+    assert 0.0 < probe.constant_space < np.inf
+
+
+def holder_oracle(res):
+    """Both Hoelder constants by plain loops over every sampled pair."""
+    t = tables(res.domain)
+    locs = holder_nodes(t.x.size)
+    u = res.coeffs @ t.E[locs].T
+    times = res.snapshot_times
+    constant_time = None
+    for i in range(times.size):
+        for j in range(times.size):
+            if times[j] > times[i]:
+                for k in range(locs.size):
+                    r = abs(u[j, k] - u[i, k]) / (times[j] - times[i]) ** 0.125
+                    constant_time = r if constant_time is None else max(constant_time, r)
+    constant_space = 0.0
+    for s in range(times.size):
+        for a in range(locs.size):
+            for b in range(a + 1, locs.size):
+                dx = abs(t.x[locs[b]] - t.x[locs[a]])
+                constant_space = max(constant_space, abs(u[s, b] - u[s, a]) / dx ** 0.5)
+    return constant_time, constant_space
+
+
+@pytest.mark.parametrize("times", [(0.0, 1e-3, 1e-3, 2e-3, 4e-3), (4e-3,), (0.0, 4e-3),
+                                   (2e-3, 2e-3)])
+def test_holder_probe_equals_all_pairs_loop(times):
+    # duplicate times pair with no snapshot (and warn nowhere); a time
+    # constant needs two distinct snapshot times
+    spec = IntegratorSpec(t_end=4e-3, rtol=1e-8, atol=1e-10, snapshot_times=times)
+    res = simulate(bump_field(D8), spec, ModelParams(n=2, delta=0.1, epsilon=0.1), D8)
+    probe = holder_probe(res)
+    constant_time, constant_space = holder_oracle(res)
+    if len(set(times)) < 2:
+        assert probe.constant_time is None and constant_time is None
+    else:
+        assert probe.constant_time == pytest.approx(constant_time, rel=1e-14)
+    assert probe.constant_space == pytest.approx(constant_space, rel=1e-14)
+
+
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
+
+
+@pytest.fixture(scope="module")
+def reference_snapshot_runs():
+    return {snaps: run_config(apply_overrides(load_config(str(REFERENCE_CONFIG)),
+                                              [f"integrator.snapshots={snaps}"]))
+            for snaps in ("5", "9", "17", "[0, 0.01, 0.01, 0.02]")}
+
+
+def test_holder_probe_does_not_depend_on_snapshot_spacing(reference_snapshot_runs):
+    # the maxima sit on the pair (0, T) in time and at t = 0 in space, which
+    # every snapshot choice samples: the constants agree to the bit
+    probes = {snaps: out.probe for snaps, out in reference_snapshot_runs.items()}
+    assert len({(p.constant_time, p.constant_space) for p in probes.values()}) == 1
+    assert probes["9"].constant_time == pytest.approx(0.4728, abs=1e-4)
+    assert probes["9"].constant_space == pytest.approx(0.6383, abs=1e-4)
+
+
+def test_holder_space_constant_below_ux_l2_at_every_snapshot(reference_snapshot_runs):
+    # |u(x) - u(y)| <= |x - y|^(1/2) ||u_x||_L2 (Cauchy-Schwarz) for every
+    # H^1 function, so no Galerkin state can break it
+    for out in reference_snapshot_runs.values():
+        res = out.result
+        ux_l2 = sobolev_norms(res.coeffs, res.domain).ux_l2
+        for i in range(res.snapshot_times.size):
+            one = dataclasses.replace(res, coeffs=res.coeffs[i:i + 1],
+                                      snapshot_times=res.snapshot_times[i:i + 1])
+            assert holder_probe(one).constant_space <= ux_l2[i] * (1 + 1e-12)
+        assert out.probe.constant_space <= ux_l2.max() * (1 + 1e-12)
 
 
 def test_holder_probe_deterministic_without_mirrored_nodes():

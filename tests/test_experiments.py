@@ -1,5 +1,6 @@
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from capillary1d.experiments import (
     run_sweep,
     threshold_study,
 )
+
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 
 TINY = {
     "schema_version": 1,
@@ -54,6 +57,27 @@ def test_eta_sweep_structure_and_verdicts():
     assert diffs[1] < diffs[0]
     assert report["verdicts"]["energy_max"] == "bounded-uniformly"
     assert report["verdicts"]["y_max_below_one"]
+
+
+def test_eta_sweep_holder_m_is_the_probe_time_constant(monkeypatch):
+    # two snapshots are enough for a time constant: each member's holder_M
+    # is its own probe's, and the plateau verdict over them is decided
+    probes = []
+    true_probe = config.holder_probe
+
+    def recording_probe(result):
+        probes.append(true_probe(result))
+        return probes[-1]
+
+    monkeypatch.setattr(config, "holder_probe", recording_probe)
+    base = config.apply_overrides(config.load_config(str(REFERENCE_CONFIG)),
+                                  ["integrator.snapshots=2"])
+    report = run_sweep(SweepSpec(parameter="eta", values=(1.0, 0.1, 0.01), base_config=base))
+    assert report["complete"] and len(probes) == 3
+    for member, probe in zip(report["members"], probes):
+        assert probe.constant_time is not None
+        assert member["maxima"]["holder_M"] == probe.constant_time
+    assert report["verdicts"]["holder_M"] in ("bounded-uniformly", "growing")
 
 
 def test_sweep_determinism():

@@ -1,4 +1,4 @@
-"""No module under src/ or tests/ imports a name it never uses.
+"""No module under src/, tests/ or perfbench/ imports a name it never uses.
 
 No linter ships with the project, so this is a small stdlib (ast) check of
 pyflakes' F401: a name bound by an import counts as used when it appears
@@ -11,8 +11,8 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted([p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
+                  if p.name != "__init__.py"] + list((ROOT / "perfbench").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
