@@ -91,7 +91,8 @@ class BasisTables:
     They are the two halves of EEx (shape (2G, N+1)), so that one matvec
     gives u and u_x together; ET, ExT are their contiguous transposes
     for the matvec-heavy kernels.  w_tiles holds w repeated to the grid
-    shapes of kernels.integrands' stacks, built there on first use: an
+    shapes of kernels.integrands' stacks, built there on first use, one tile
+    per per-state shape, which a shorter stack reads a prefix of: an
     operand of the same shape spares numpy's broadcasting set-up on each
     weighted row.
     """

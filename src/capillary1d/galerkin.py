@@ -15,15 +15,15 @@ simulate, or a stack of B members whose parameters differ in delta,
 epsilon and eta only, and its arrays carry a leading member shape: () for
 one member, so a run by itself makes the same numpy calls on 1-D arrays,
 and (B,) for a stack, which makes one kernel call per stage and one aux
-pass per accepted state for all B.
+pass per chunk of accepted steps for all B.
 Each member keeps its own dt, accept/reject decision, snapshots, anchor
 check and StepStats; the step-size control runs on Python floats, member by
 member, since numpy's array power can differ from Python's ** in the last
 bit.  The kernel acts row by row, so a member's output in a stack is
 bit-identical to its run alone.  A step that stands for some members only
-still makes one call and one pass at the accepted states: the others' rows
-go back to their last accepted states, whose slopes and aux the call and
-the pass give again bit for bit, and their q is reset.
+still makes one call at the accepted states and enters the chunk whole:
+the others' rows go back to their last accepted states, whose slopes and
+aux the call and the pass give again bit for bit, and their q stays.
 A step is a row update
 (Hairer, Norsett & Wanner, Solving ODEs I, II.1) on one buffer per run:
 its rows hold the stage inputs, then the propagated and (RKF45) the
@@ -38,23 +38,32 @@ its error norm and max|c| as Python floats, and screens those rows with a
 Python sum, which is non-finite whenever a term is, before the exact check
 (Python's max alone would hide a NaN).  Cumulative integrals q (flux
 dissipation D, entropy dissipation S) ride along, summed over the same
-propagated weights, in slope order, as one stacked multiply and one
-reduction; step-size control acts on the coefficient vector only.  The
-kernel computes no aux; kernels.integrands computes all of it, once per
-accepted state.  The call at each accepted state is a
-plain stage call, and it and the stage calls whose propagated weight q
-reads (stages 2-4 of RKF45 and 1-3 of RK4, counted from stage 0, the slope
-at the step's start) write their grid values into a slot of a per-run
-workspace (kernels.workspace).  Then one pass
-over the workspace and one contiguous stack of buffer rows -- a copy of
-the new state, then those stage inputs -- gives the new state's aux
-[D, S, E_surface, E_delta, sup|u|], which the energies, the anchor check
-and the dense output read, and the stages' [D, S], which with the last
-state's give dq.  At t = 0 the pass runs over the initial
-state alone, and a rejected step makes none.  Snapshots
-come from cubic Hermite dense output on the accepted steps, and the weak
-residual, when tracked, is measured at every accepted step from the same
-kernel output that drives the next step.
+propagated weights, in slope order; step-size control acts on the
+coefficient vector only.
+
+The kernel computes no aux, and no step-size decision reads it, so
+kernels.integrands computes all of it once per chunk of accepted steps.
+The call at each accepted state is a plain stage call, and it and
+the stage calls whose propagated weight q reads (stages 2-4 of RKF45 and
+1-3 of RK4, counted from stage 0, the slope at the step's start) write
+their grid values into the step's slots of a per-run chunk laid out by
+kernels.workspace; once the step stands, its states go beside them: the
+new state, then those stage inputs.  When the chunk is full, before every
+regroup of the stack and at the run's end, one pass over the chunk's K
+steps of 4 states each, flattened to (4 K, N+1) for one member or
+(4 K, B, N+1) for a stack, gives each state's aux [D, S, E_surface,
+E_delta, sup|u|].  K is AUX_CHUNK, or fewer where a grid row over the
+chunk's states would pass AUX_CHUNK_BYTES.  That flush forms
+each step's dq (the propagated weights times the last state's and the
+stages' [D, S], summed in slope order), the sequence q_j = q_{j-1} + dq_j,
+the node series (E_surface, E_delta, q) and the q half of the Hermite
+snapshots the chunk's steps passed.  The anchor check stays at each
+accepted state: it reads sup|u| from the u of that state's call, the same
+exact max as aux[4].  At t = 0 one pass runs over the initial state alone,
+and a rejected step enters no chunk.  The c half of the snapshots comes
+from cubic Hermite dense output at once, and the weak residual, when
+tracked, is measured at every accepted step from the same kernel output
+that drives the next step.
 
 The degenerate limit (p_x defined only on the positivity set) is never
 solved directly; it is probed through epsilon sweeps in the experiments
@@ -77,6 +86,15 @@ DT_MIN = 1e-12
 # (criterion 4, N = 32, about 20k steps), so a run that would take hours
 # fails early instead
 MAX_STEPS = 1_000_000
+# accepted steps whose aux one kernels.integrands pass gives: at N = 8 a pass
+# over 16 steps' states costs a quarter as much per step as a pass per step
+AUX_CHUNK = 16
+# and fewer where one grid row over the chunk's states would exceed this many
+# bytes, so that the pass's block of four such rows stays within glibc's
+# 128 KiB mmap threshold: a larger block makes the heap grow and shrink on
+# every pass, and its page faults (about 11,700 per round of the 3-member
+# N = 16 epsilon sweep at twice this size) cost more than the chunk saves
+AUX_CHUNK_BYTES = 32 * 1024
 
 
 # kernel calls (stats.rhs_calls) of every simulate run that has returned in
@@ -204,8 +222,9 @@ def _hermite(theta: float, y0, d0, y1, d1, h: float):
 class _Member:
     """One member of a run: its parameters, its step control and its outputs.
 
-    c, k1, aux1 and q are the member's rows at its last accepted state; the
-    step-size control reads only the Python floats t, dt, dt_next and c_max.
+    c and k1 are the member's rows at its last accepted state, aux1 and q
+    those at its last accepted state before the last regroup; the step-size
+    control reads only the Python floats t, dt, dt_next and c_max.
     """
 
     index: int
@@ -223,7 +242,8 @@ class _Member:
     dt_next: float = 0.0
     c_max: float = 0.0
     isnap: int = 0
-    # the node series: lists of t, E_surface, E_delta, q and the weak residual
+    # the node series: lists of t and the weak residual per accepted state,
+    # and of E_surface, E_delta and q arrays per hand-over
     nodes: tuple = field(default_factory=lambda: ([], [], [], [], []))
 
 
@@ -305,120 +325,184 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
     if embedded is not None:
         tab[n_stages + 1] = embedded
     # the later stages lo..hi-1 span every later one that dq reads (those of
-    # nonzero propagated weight); buffer row lo - 1 takes a copy of the new
-    # state once a step stands, so that one kernels.integrands pass over rows
-    # lo - 1..hi - 1 gives the new state's aux and those stages' [D, S]
+    # nonzero propagated weight); a step of the chunk holds ns states, the
+    # accepted state and then those stages' inputs, in that order
     read = [i for i in range(1, n_stages) if weights[i] != 0.0]
     lo, hi = read[0], read[-1] + 1
+    ns = 1 + hi - lo
     # dq sums these slopes of q in their order: the last accepted state's,
-    # then the stages' (a zero weight among them adds +-0)
-    dq_cols = np.array([0, *range(lo, hi)])
+    # then the stages' (a zero weight among them adds +-0), with these
+    # propagated weights, each times the step's dt
+    dq_tab = tab[n_stages, [0, *range(lo, hi)]]
     max_steps = MAX_STEPS
     t_stop = t_end - eps_end
 
     def work_slot(work, i):
         return tuple(a[i] for a in work)
 
+    # the chunk's accepted steps so far: each one's dt, the positions whose
+    # step did not stand, and the snapshots it passed, whose q half waits for
+    # the flush, as (member, snapshot index, theta, step, position, dt); and
+    # per flush since the last regroup, the aux and q of its accepted states
+    # and which members' steps stood (None: every member's)
+    chunk_dt, chunk_held, chunk_snaps, flushed = [], [], [], []
+
+    def flush():
+        # one kernels.integrands pass over the chunk's states gives their
+        # aux; from it come q and the snapshots' q half, and hand_over splits
+        # the rest into each member's node series at the next regroup
+        nonlocal AUX1, Q
+        n = len(chunk_dt)
+        if not n:
+            return
+        aux = kernels.integrands(chunk_c[:n * ns], tuple(a[:n * ns] for a in chunk_work),
+                                 t, ps)
+        aux = aux.reshape((n, ns) + aux.shape[1:])
+        # aux at the chunk's start and at each of its accepted states
+        A = np.concatenate((AUX1[None], aux[:, 0]))
+        # the slopes of q, the slope axis leading: an axis-0 reduction of a
+        # C-ordered stack adds its rows one after another, in slope order
+        slopes = np.concatenate((A[None, :n, ..., :nq], aux[:, 1:, ..., :nq].swapaxes(0, 1)))
+        slopes *= (dq_w * np.array(chunk_dt))[..., None]
+        dq = np.add.reduce(slopes, axis=0)
+        held_any = any(chunk_held)
+        if held_any:
+            stood = np.ones((n, len(active)), dtype=bool)
+            for j, held in enumerate(chunk_held):
+                stood[j, held] = False
+            # a held member keeps its q: q + 0 is q, since q starts at +0 and
+            # a sum is -0 only when both terms are
+            dq[~stood] = 0.0
+        # q_j = q_{j-1} + dq_j, one step after another
+        Qs = np.add.accumulate(np.concatenate((Q[None], dq)), axis=0)
+        for m, i, theta, j, pos, h in chunk_snaps:
+            if m.index < stop:
+                at, at1 = ((j,), (j + 1,)) if single else ((j, pos), (j + 1, pos))
+                m.snap_q[i] = _hermite(theta, Qs[at], A[at][:nq], Qs[at1], A[at1][:nq], h)
+        Q, AUX1 = Qs[n], A[n]
+        flushed.append((A[1:], Qs[1:], stood if held_any else None))
+        chunk_dt.clear()
+        chunk_held.clear()
+        chunk_snaps.clear()
+
+    def hand_over():
+        # each member's node series and its aux1 and q from the flushes since
+        # the last regroup: one selection per member and group of members
+        A = np.concatenate([a for a, _, _ in flushed])
+        Qs = np.concatenate([q for _, q, _ in flushed])
+        stood = (None if all(s is None for _, _, s in flushed) else np.concatenate(
+            [np.ones(a.shape[:2], dtype=bool) if s is None else s for a, _, s in flushed]))
+        for pos, m in enumerate(active):
+            if m.index < stop:
+                steps = slice(None) if stood is None else stood[:, pos]
+                rows = (steps,) if single else (steps, pos)
+                _, node_es, node_ed, node_q, _ = m.nodes
+                node_es.append(A[rows + (2,)])
+                node_ed.append(A[rows + (3,)])
+                node_q.append(Qs[rows])
+                m.q, m.aux1 = (Q, AUX1) if single else (Q[pos], AUX1[pos])
+        flushed.clear()
+
     # the initial states enter as the accepted states of step 0, and their
-    # pass runs over them alone
+    # pass runs over them alone, before the first step
     active = members
     single = len(active) == 1
+    anchored = any(p.entropy_anchor is not None for p in params)
     c_new = cs[0] if single else np.stack(cs)
-    q_new = np.zeros(c_new.shape[:-1] + (nq,))
     ps = stacked_params(params)
     work = kernels.workspace((1,) + c_new.shape[:-1], t)
-    state_work, states = work_slot(work, 0), c_new[None]
+    state_work = work_slot(work, 0)
     accepted = range(len(active))
     first = True
     regroup = True  # whether the stack must be rebuilt before the next step
     while True:
         # the call at the accepted states is a stage call that fills the
-        # pass's first slot; it has its own finite check, since its k1 enters
-        # the step's Hermite snapshots as well as the next step
+        # state's slot of the chunk; it has its own finite check, since its
+        # k1 enters the step's Hermite snapshots as well as the next step
         k1_new, _, u_grid, flux, _ = kernels.rhs(c_new, t, ps, state_work)
-        aux_rows = kernels.integrands(states, work, t, ps)
-        aux_new = aux_rows[0]
-        if not first:
-            # q_new = Q + dq, dq the propagated weights times the slopes of q,
-            # summed in slope order: an axis-0 reduction of a C-ordered stack
-            # adds its rows one after another
-            q_slopes = np.concatenate((AUX1[None, ..., :nq], aux_rows[1:, ..., :nq]))
-            q_slopes *= coef[n_stages, dq_cols][..., None]
-            q_new = Q + np.add.reduce(q_slopes, axis=0)
-            if held:
-                # the other members keep their last accepted rows, so the
-                # call and the pass give their k1 and aux1 again, bit for bit
-                q_new[held] = Q[held]
+        if first:
+            # handed over with the first regroup, like a flush of step 0
+            AUX1 = kernels.integrands(c_new[None], work, t, ps)[0]
+            Q = np.zeros(AUX1.shape[:-1] + (nq,))
+            flushed.append((AUX1[None], Q[None], None))
+        # sup|u| for the anchor check, the exact max that aux[4] holds
+        sup_u = per_member(np.maximum.reduce(np.abs(u_grid), axis=-1)) if anchored else None
         finite = None if np.isfinite(k1_new).all() else per_member(np.isfinite(k1_new).all(-1))
+        j = len(chunk_dt) - 1  # the step's place in the chunk
         for pos in accepted:
             m = active[pos]
             if single:
-                c1, k1, a1, q1 = c_new, k1_new, aux_new, q_new
+                c1, k1 = c_new, k1_new
             else:
-                c1, k1, a1, q1 = c_new[pos], k1_new[pos], aux_new[pos], q_new[pos]
+                c1, k1 = c_new[pos], k1_new[pos]
             st = m.stats
             st.rhs_calls += 1
             if finite is not None and not finite[pos]:
                 fail(m, "non-finite right-hand side")
             tt = 0.0 if first else m.t + m.dt
             anchor = m.params.entropy_anchor
-            if anchor is not None and m.index < stop and a1[-1] >= anchor:
+            if anchor is not None and m.index < stop and sup_u[pos] >= anchor:
                 fail(m, f"entropy anchor violated at t = {tt:.6g}: "
-                        f"sup|u| = {a1[-1]:.6g} >= a = {anchor:.6g}")
+                        f"sup|u| = {sup_u[pos]:.6g} >= a = {anchor:.6g}")
             if m.index >= stop:
                 regroup = True
                 continue
+            node_t, _, _, _, node_weak = m.nodes
             if first:
                 while snap_next[m.isnap] <= 0.0:
                     m.snap_c[m.isnap] = c1
-                    m.snap_q[m.isnap] = q1
+                    m.snap_q[m.isnap] = 0.0
                     m.isnap += 1
             else:
-                # dense output: cubic Hermite for c, and for the cumulative
-                # integrals (whose time derivatives are the aux dissipation values)
+                # dense output: cubic Hermite for c now, and for the
+                # cumulative integrals (whose time derivatives are the aux
+                # dissipation values) at the flush
                 while snap_next[m.isnap] <= tt + eps_end:
                     theta = min(1.0, max(0.0, (snap_next[m.isnap] - m.t) / m.dt))
                     m.snap_c[m.isnap] = _hermite(theta, m.c, m.k1, c1, k1, m.dt)
-                    m.snap_q[m.isnap] = _hermite(theta, m.q, m.aux1[:nq], q1, a1[:nq], m.dt)
+                    chunk_snaps.append((m, m.isnap, theta, j, pos, m.dt))
                     m.isnap += 1
                 st.dt_min = min(st.dt_min, m.dt) if st.accepted else m.dt
                 st.dt_max = max(st.dt_max, m.dt)
                 st.accepted += 1
                 st.dt_last = m.dt
                 m.dt = m.dt_next
-            m.t, m.c, m.q, m.k1, m.aux1 = tt, c1, q1, k1, a1
+            m.t, m.c, m.k1 = tt, c1, k1
             if not tt < t_stop:
                 regroup = True
-            node_t, node_es, node_ed, node_q, node_weak = m.nodes
             node_t.append(tt)
-            node_es.append(a1[2])
-            node_ed.append(a1[3])
-            node_q.append(q1)  # q is rebound at every step, never written in place
             if track_weak_residual:
                 uf = (u_grid, flux) if single else (u_grid[pos], flux[pos])
                 node_weak.append(kernels.weak_residual_max(t, k1, *uf, m.tol_zero))
-        C, K1, AUX1, Q = c_new, k1_new, aux_new, q_new
+        C, K1 = c_new, k1_new
         if first:
             first = False
             for m in members[:stop]:
                 m.dt = _initial_dt(spec, m.c, m.k1)
                 m.c_max = float(np.abs(m.c).max())  # carried over from max|c_new| on acceptance
+        elif len(chunk_dt) == chunk:
+            flush()
 
         # steps until one stands for at least one member
         accepted = []  # the positions in the stack of the members whose step stands
         while not accepted:
             if regroup:
-                # members leave when they reach t_end or abort; the stack of
-                # the others' last accepted states, and the row buffer over
-                # it, one row per row of tab (slope j is added to every row
-                # after j, and stage j reads row j).  A single member steps
-                # on 1-D arrays, as a run by itself does.
+                # members leave when they reach t_end or abort; the chunk's
+                # steps are flushed first.  Then the stack of the others'
+                # last accepted states, and the row buffer over it, one row
+                # per row of tab (slope j is added to every row after j, and
+                # stage j reads row j).  A single member steps on 1-D
+                # arrays, as a run by itself does.
                 regroup = False
+                flush()
+                if flushed:
+                    hand_over()
                 active = [m for m in active if m.index < stop and m.t < t_stop]
                 if not active:
                     break
                 single = len(active) == 1
                 lead = () if single else (len(active),)
+                anchored = any(m.params.entropy_anchor is not None for m in active)
 
                 def stacked(name):
                     return getattr(active[0], name) if single else np.stack(
@@ -433,13 +517,18 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
                 later_coef = [coef[j + 1:, j, ..., None] for j in range(n_stages)]
                 stage_in = list(P[1:n_stages])
                 c_out, c_emb, sums = P[n_stages], P[-1], P[n_stages:]
-                states = P[lo - 1:hi]
-                # slot 0 holds the new state's grid values, slot i - lo + 1
-                # stage i's
-                work = kernels.workspace((1 + hi - lo,) + lead, t)
-                state_work = work_slot(work, 0)
-                stage_work = [work_slot(work, i - lo + 1) if lo <= i < hi else None
-                              for i in range(1, n_stages)]
+                # the chunk's states, ns per step, and the workspace its
+                # calls fill: slot j ns holds step j's accepted state, slot
+                # j ns + i - lo + 1 its stage i
+                chunk = max(1, min(AUX_CHUNK, AUX_CHUNK_BYTES
+                                   // (ns * math.prod(lead) * t.w.nbytes)))
+                dq_w = dq_tab.reshape((ns, 1) + (1,) * len(lead))
+                chunk_c = np.empty((chunk * ns,) + lead + (domain.modes + 1,))
+                chunk_steps = chunk_c.reshape((chunk, ns) + chunk_c.shape[1:])
+                chunk_work = kernels.workspace((chunk * ns,) + lead, t)
+                slots = [work_slot(chunk_work, i) for i in range(chunk * ns)]
+                stage_slots = [[slots[j * ns + i - lo + 1] if lo <= i < hi else None
+                                for i in range(1, n_stages)] for j in range(chunk)]
 
             for m in active:
                 st = m.stats
@@ -457,7 +546,8 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
             np.multiply(tab_b, dt, out=coef)
             P[:] = C
             k = K1
-            for later, w, x, slot in zip(later_rows, later_coef, stage_in, stage_work):
+            for later, w, x, slot in zip(later_rows, later_coef, stage_in,
+                                         stage_slots[len(chunk_dt)]):
                 later += w * k
                 k = kernels.rhs(x, t, ps, slot)[0]
             later_rows[-1] += later_coef[-1] * k
@@ -514,8 +604,14 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
                 else [pos for pos in range(len(active)) if pos not in accepted])
         if held:
             c_new[held] = C[held]
-        # the stage inputs the pass reads are still rows lo..hi-1 of the buffer
-        P[lo - 1] = c_new
+        # the step's states enter the chunk; its stage calls have filled
+        # their slots, and the call at c_new fills the state's
+        step = len(chunk_dt)
+        chunk_steps[step, 0] = c_new
+        chunk_steps[step, 1:] = P[lo:hi]
+        state_work = slots[step * ns]
+        chunk_dt.append(dt)
+        chunk_held.append(held)
 
     results = []
     for m in members[:stop]:
@@ -523,11 +619,11 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
         m.snap_c[m.isnap:] = m.c
         m.snap_q[m.isnap:] = m.q
         node_t, node_es, node_ed, node_q, node_weak = m.nodes
-        node_q_arr = np.asarray(node_q)
+        node_q_arr = np.concatenate(node_q)
         nodes = NodeSeries(
             t=np.asarray(node_t),
-            energy_surface=np.asarray(node_es),
-            energy_delta=np.asarray(node_ed),
+            energy_surface=np.concatenate(node_es),
+            energy_delta=np.concatenate(node_ed),
             dissipation_cum=node_q_arr[:, 0],
             entropy_dissipation_cum=node_q_arr[:, 1],
             weak_residual=np.asarray(node_weak) if track_weak_residual else None,

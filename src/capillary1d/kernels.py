@@ -12,12 +12,13 @@ own intermediates) into a workspace slot.  ``integrands`` is the one
 function that computes aux, the fixed five entries [D, S, E_surface,
 E_delta, sup|u|]: it evaluates every state of a stack at once, one pass
 with one u_xx synthesis and one reduction.  The stepping loop runs it once
-per accepted state, over that state and the stages of the step that led
-to it.  Every other grid evaluation of a state (snapshot records, the
-snapshot CSVs, the profile study) goes through ``fields``: one rhs call
-with a workspace, plus u_xx.  Every floating-point operation and its order
-is part of the contract, so that a change here leaves every output
-bit-identical (tests/test_kernels.py holds the reference).  The physics
+per chunk of accepted steps, over each step's state and the stages that
+led to it, flattened into one stack of states.  Every other grid
+evaluation of a state (snapshot records, the snapshot CSVs, the profile
+study) goes through ``fields``: one rhs call with a workspace, plus u_xx.
+Every floating-point operation and its order is part of the contract, so
+that a change here leaves every output bit-identical (tests/test_kernels.py
+holds the reference).  The physics
 (mobility, weak pressure density, pressure coefficients) comes from the
 model module; this one only assembles it.  Callers look ``rhs``,
 ``fields`` and ``integrands`` up on the module at call time, and pass every argument positionally, so they can be
@@ -104,11 +105,15 @@ def integrands(c: np.ndarray, work: tuple, t: BasisTables,
                params: ModelParams | StackedParams) -> np.ndarray:
     """aux = [D, S, E_surface, E_delta, max|u|] at a stack of states c.
 
-    c has shape (S, N+1) or (S, B, N+1); work is workspace(c.shape[:-1], t)
-    (rhs's work), whose [i] the rhs call at c[i] filled; params is that
-    call's.  D is the flux dissipation integrand's integral, S the
-    entropy-dissipation one, E_surface the integral of Q and E_delta that of
-    delta u_x^2 / 2.
+    c has shape (S, N+1) or (S, B, N+1), a 3-D c always a stack of B
+    members (one member's states of several steps come flattened to 2-D);
+    work is workspace(c.shape[:-1], t) (rhs's work), whose [i] the rhs call
+    at c[i] filled; params is that call's.  D is the flux dissipation
+    integrand's integral, S the entropy-dissipation one, E_surface the
+    integral of Q and E_delta that of delta u_x^2 / 2.  The quadrature
+    weights come from one tile per per-state grid shape in t.w_tiles, as
+    long as the longest stack of that shape so far, so a shorter stack
+    reads its prefix.
     Returns shape c.shape[:-1] + (5,), the transpose of the sums: entry
     [i, ..., k] is aux[k] at c[i].  Each integrand is one grid row per
     state, and all of them are summed in one pairwise reduction along the
@@ -116,11 +121,12 @@ def integrands(c: np.ndarray, work: tuple, t: BasisTables,
     """
     G = t.w.shape[0]
     uux, Qsq, Q, px, mob = work
-    w = t.w_tiles.get(mob.shape)
-    if w is None:
+    w = t.w_tiles.get(mob.shape[1:])
+    if w is None or w.shape[0] < mob.shape[0]:
         w = np.broadcast_to(t.w, mob.shape).copy()
-        w.flags.writeable = False  # shared by every later pass of this shape
-        t.w_tiles[mob.shape] = w
+        w.flags.writeable = False  # shared by every later pass of these states' shape
+        t.w_tiles[mob.shape[1:]] = w
+    w = w[:mob.shape[0]]
     u = uux[..., :G]
     ux = uux[..., G:]
     uxx = matvec(t.E, t.lam * c)  # -u_xx: only its square enters

@@ -11,9 +11,12 @@ from capillary1d.basis import (
 )
 from capillary1d.galerkin import (
     _TABLEAUX,
+    AUX_CHUNK,
+    AUX_CHUNK_BYTES,
     MAX_STEPS,
     IntegratorSpec,
     SimulationAbort,
+    _hermite,
     _initial_dt,
     simulate,
 )
@@ -110,6 +113,20 @@ def test_rk4_observed_order():
     assert 3.6 < order < 4.4
 
 
+def _chunk_steps(domain):
+    # accepted steps per aux pass of one member: AUX_CHUNK, or fewer where a
+    # grid row over the pass's states, 4 a step, would pass AUX_CHUNK_BYTES
+    return min(AUX_CHUNK, AUX_CHUNK_BYTES // (4 * domain.grid_size * 8))
+
+
+def _chunk_passes(accepted, domain):
+    # the states of each aux pass of one member after t = 0: full chunks,
+    # and the rest at the run's end
+    chunk = _chunk_steps(domain)
+    full, rest = divmod(accepted, chunk)
+    return [4 * chunk] * full + ([4 * rest] if rest else [])
+
+
 def _one_state_at_a_time(true_integrands, passes):
     # the aux pass evaluated on each state of its stack alone; passes gets
     # the number of states of every pass
@@ -126,13 +143,13 @@ def _one_state_at_a_time(true_integrands, passes):
     IntegratorSpec(t_end=1e-3, method="rk4", dt=2e-5, snapshot_times=(0.0, 3.1e-4, 7e-4, 1e-3)),
 ], ids=["rkf45", "rk4"])
 def test_stage_aux_prefixes_change_no_output(spec, monkeypatch):
-    # all of aux comes from one pass per accepted state, over the new state
-    # and the stages whose propagated weight dq reads (rows lo - 1..hi - 1 of
-    # the step buffer: RKF45 stages 2-4, RK4 stages 1-3, so lo = 1 for RK4),
-    # and over the initial state alone at t = 0; a rejected step makes none.
-    # A pass that takes its states one at a time gives the same run to the
-    # last bit, for one member and for a stack whose members' steps stand
-    # apart
+    # all of aux comes from one pass per chunk of accepted steps, over each
+    # step's new state and the stages whose propagated weight dq reads (RKF45
+    # stages 2-4, RK4 stages 1-3), flushed early when a stack regroups and at
+    # the run's end, and from one pass over the initial state alone at
+    # t = 0; a rejected step enters none.  A pass that takes its
+    # states one at a time gives the same run to the last bit, for one
+    # member and for a stack whose members' steps stand apart
     from capillary1d.galerkin import simulate_stack
 
     true_integrands = kernels.integrands
@@ -148,7 +165,7 @@ def test_stage_aux_prefixes_change_no_output(spec, monkeypatch):
     assert st.accepted > 0
     if spec.method == "rkf45":
         assert st.rejected > 0
-    assert passes == [1] + [4] * st.accepted
+    assert passes == [1] + _chunk_passes(st.accepted, d)
     _assert_bit_identical(one, together)
 
     # a stack of members whose steps stand apart (RKF45), with the pass one
@@ -168,9 +185,12 @@ def test_stage_aux_prefixes_change_no_output(spec, monkeypatch):
     assert len(results) == len(serial)
     for a, b in zip(serial, results):
         _assert_bit_identical(a, b)
-    # a pass per step that stands for at least one member
+    # 4 states per step that stands for at least one member, whole steps in
+    # every pass
     accepted = [r.stats.accepted for r in serial]
-    assert 1 + max(accepted) <= len(passes) <= 1 + sum(accepted)
+    assert passes[0] == 1
+    assert all(0 < n <= 4 * AUX_CHUNK and n % 4 == 0 for n in passes[1:])
+    assert 1 + 4 * max(accepted) <= sum(passes) <= 1 + 4 * sum(accepted)
 
 
 def test_simulate_constant_data():
@@ -262,11 +282,32 @@ def test_anchor_violation_aborts():
         simulate(u0, spec, p, d)
 
 
+def _lifting_rhs(true_rhs, row, at, value, calls, lifted_at):
+    # kernels.rhs that sets one grid value of u to value at the at-th call
+    # at the accepted states (the one whose c is no buffer row), in the
+    # workspace the call fills, for member row of a stack; calls gets one
+    # entry per call and lifted_at the number of calls made at the lift
+    states = []
+
+    def lifting_rhs(c, *args):
+        out = true_rhs(c, *args)
+        calls.append(1)
+        if c.base is None:
+            states.append(1)
+            if len(states) == at:
+                u = out[2]
+                (u[row] if u.ndim == 2 else u)[0] = value
+                lifted_at.append(len(calls))
+        return out
+    return lifting_rhs
+
+
 @pytest.mark.parametrize("where", ["single", "stack member"])
 def test_anchor_crossed_after_t0_aborts_at_that_state(where, monkeypatch):
-    # sup|u| at t > 0 comes from the aux pass: a pass that lifts it to twice
-    # the anchor at the 5th accepted state aborts the run at that state's
-    # time, for a run by itself and for the member of a stack it lifts
+    # sup|u| at t > 0 comes from the u of the call at the accepted state: a
+    # call that lifts it to twice the anchor at the 5th state call (the 4th
+    # accepted state) aborts the run at that state's time, for a run by
+    # itself and for the member of a stack it lifts
     from capillary1d.galerkin import simulate_stack
 
     if where == "single":
@@ -281,30 +322,23 @@ def test_anchor_crossed_after_t0_aborts_at_that_state(where, monkeypatch):
     clean = simulate(u0s[lifted], spec, params[lifted], domain)
     anchor = params[lifted].entropy_anchor
     assert clean.stats.accepted > 5 and anchor is not None
-    true_integrands = kernels.integrands
-    passes = []
+    true_rhs = kernels.rhs
+    calls, lifted_at = [], []
+    lifting_rhs = _lifting_rhs(true_rhs, lifted, 5, 2 * anchor, calls, lifted_at)
 
-    def lifting_integrands(*args):
-        aux = true_integrands(*args)
-        passes.append(1)
-        if len(passes) == 5:
-            aux = aux.copy()
-            aux[(0, lifted, -1) if aux.ndim == 3 else (0, -1)] = 2 * anchor
-        return aux
-
-    monkeypatch.setattr(kernels, "integrands", lifting_integrands)
+    monkeypatch.setattr(kernels, "rhs", lifting_rhs)
     results, failure = simulate_stack(u0s, spec, params, domain)
     assert str(failure) == (f"entropy anchor violated at t = {clean.nodes.t[4]:.6g}: "
                             f"sup|u| = {2 * anchor:.6g} >= a = {anchor:.6g}")
     # the members before the one that aborts run to t_end, bit for bit
     assert len(results) == lifted
     for u0, p, res in zip(u0s, params, results):
-        monkeypatch.setattr(kernels, "integrands", true_integrands)
+        monkeypatch.setattr(kernels, "rhs", true_rhs)
         _assert_bit_identical(simulate(u0, spec, p, domain), res)
     if where == "single":
-        assert len(passes) == 5  # the run stops at the state it aborts at
-        monkeypatch.setattr(kernels, "integrands", lifting_integrands)
-        passes.clear()
+        # the run stops at the state it aborts at: no kernel call after it
+        assert len(calls) == lifted_at[0]
+        monkeypatch.setattr(kernels, "rhs", _lifting_rhs(true_rhs, lifted, 5, 2 * anchor, [], []))
         with pytest.raises(SimulationAbort) as abort:
             simulate(u0s[0], spec, params[0], domain)
         assert str(abort.value) == str(failure)
@@ -457,13 +491,17 @@ def test_row_updates_match_the_plain_sums(spec, monkeypatch):
     # inputs, propagated and embedded solutions and the dissipation increment
     # agree bit for bit
     true_rhs, true_integrands = kernels.rhs, kernels.integrands
-    events = []  # ("rhs", input, last row of the stage buffer at the call) or ("pass", states)
+    # ("stage" or "state", input, last row of the stage buffer at the call)
+    # or ("pass", states, None); the call at the accepted states is the one
+    # whose input is no buffer row
+    events = []
     buffer = []  # the buffer the stage inputs are rows of
 
     def recording_rhs(c, *args):
         if c.base is not None:
             buffer[:] = [c.base]
-        events.append(("rhs", c.copy(), buffer[0][-1].copy() if buffer else None))
+        events.append(("stage" if c.base is not None else "state", c.copy(),
+                       buffer[0][-1].copy() if buffer else None))
         return true_rhs(c, *args)
 
     def recording_integrands(c, *args):
@@ -476,10 +514,21 @@ def test_row_updates_match_the_plain_sums(spec, monkeypatch):
     res = simulate(u0, spec, STEP_PARAMS, STEP_DOMAIN)
     n_stages = len(_TABLEAUX[spec.method][1])
     # the first step was accepted: the call and the pass at u0, the step's
-    # stage calls, then the call and the pass at c_new
-    kinds = [kind for kind, _, _ in events[:n_stages + 3]]
-    assert kinds == ["rhs", "pass"] + ["rhs"] * n_stages + ["pass"]
-    calls = [e for e in events if e[0] == "rhs"]
+    # stage calls, then the call at c_new
+    kinds = [kind for kind, _, _ in events[:n_stages + 2]]
+    assert kinds == ["state", "pass"] + ["stage"] * (n_stages - 1) + ["state"]
+    # every later pass holds 4 states for each call at an accepted state
+    # since the last pass: a full chunk of steps, and the rest at the run's
+    # end
+    steps, passes = [0], []
+    for kind, n, _ in events[2:]:
+        if kind == "state":
+            steps[-1] += 1
+        elif kind == "pass":
+            passes.append(n)
+            steps.append(0)
+    assert steps[-1] == 0 and passes == _chunk_passes(res.stats.accepted, STEP_DOMAIN)
+    calls = [e for e in events if e[0] != "pass"]
 
     c0 = u0.astype(float)
     k0 = true_rhs(c0, tables(STEP_DOMAIN), STEP_PARAMS)[0]
@@ -502,25 +551,22 @@ def test_row_updates_match_the_plain_sums(spec, monkeypatch):
 def test_non_finite_slope_aborts_within_its_step(spec, where, monkeypatch):
     # a NaN slope from any call of the second step stops the run by the end
     # of that step, before another kernel call
-    true_rhs, true_integrands = kernels.rhs, kernels.integrands
+    true_rhs = kernels.rhs
     calls = []
     state_calls = []  # the index of the call at each accepted state
     poison_from = None
 
     def poisoned_rhs(c, *args):
         calls.append(1)
+        if c.base is None:
+            # the call at an accepted state: its input is no buffer row
+            state_calls.append(len(calls) - 1)
         out = true_rhs(c, *args)
         if poison_from is not None and len(calls) > poison_from:
             return (np.full_like(out[0], np.nan), *out[1:])
         return out
 
-    def recording_integrands(*args):
-        # the aux pass follows the call at each accepted state
-        state_calls.append(len(calls) - 1)
-        return true_integrands(*args)
-
     monkeypatch.setattr(kernels, "rhs", poisoned_rhs)
-    monkeypatch.setattr(kernels, "integrands", recording_integrands)
     assert simulate(_step_u0(), spec, STEP_PARAMS, STEP_DOMAIN).stats.accepted > 2
     # the second step's stage calls follow the one at the first accepted state
     n_stages = len(_TABLEAUX[spec.method][1])
@@ -566,21 +612,23 @@ def test_a_nan_that_python_max_would_hide_aborts_within_its_step(spec, index, mo
 
 
 def test_rejected_steps_make_no_pass_and_the_call_counts_stay(monkeypatch):
-    # one aux pass per accepted state (the initial one included) and none
-    # for a rejected step; the kernel calls, StepStats.rhs_calls and the
-    # tally keep the counts they had when every call computed its own aux
+    # one aux pass at t = 0 over the initial state and one per chunk of
+    # accepted steps, 4 states a step, and no state of a rejected step; the
+    # kernel calls, StepStats.rhs_calls and the tally keep the
+    # counts they had when every call computed its own aux
     from capillary1d import galerkin
 
     true_rhs, true_integrands = kernels.rhs, kernels.integrands
-    calls = {"rhs": 0, "integrands": 0}
+    calls = {"rhs": 0, "integrands": 0, "states": 0}
 
     def counting_rhs(*args):
         calls["rhs"] += 1
         return true_rhs(*args)
 
-    def counting_integrands(*args):
+    def counting_integrands(c, *args):
         calls["integrands"] += 1
-        return true_integrands(*args)
+        calls["states"] += c.shape[0]
+        return true_integrands(c, *args)
 
     monkeypatch.setattr(kernels, "rhs", counting_rhs)
     monkeypatch.setattr(kernels, "integrands", counting_integrands)
@@ -589,7 +637,8 @@ def test_rejected_steps_make_no_pass_and_the_call_counts_stay(monkeypatch):
                    STEP_PARAMS, STEP_DOMAIN)
     st = res.stats
     assert (st.accepted, st.rejected, st.rhs_calls) == (454, 23, 2840)
-    assert calls == {"rhs": 2840, "integrands": 455}
+    assert calls == {"rhs": 2840, "integrands": 1 + len(_chunk_passes(454, STEP_DOMAIN)),
+                     "states": 1 + 4 * 454}
     assert galerkin.rhs_calls_tally - n0 == 2840
 
 
@@ -683,6 +732,100 @@ def test_stack_is_bit_identical_to_serial_runs(case, method):
         # the members choose their own steps, so they accept and reject apart
         assert len({(r.stats.accepted, r.stats.rejected) for r in serial}) > 1
 
+
+
+@pytest.mark.parametrize("run", ["rkf45", "rk4", "stack", "anchor-abort"])
+def test_aux_chunk_boundaries_change_no_output(run, monkeypatch):
+    # a chunk of 1 accepted step (one aux pass per accepted state), of 3 and
+    # of AUX_CHUNK give the same runs to the last bit: RKF45 with rejections
+    # and snapshots inside chunks, RK4, a stack whose members' steps stand
+    # apart and which leave mid-chunk, and an anchor abort mid-chunk.  No
+    # pass holds a grid row of more than AUX_CHUNK_BYTES, and a flush
+    # shorter than the chunk reads a prefix of one tile per per-state grid
+    # shape and adds no tile of its own
+    from capillary1d import galerkin
+    from capillary1d.galerkin import simulate_stack
+
+    if run in ("rkf45", "rk4"):
+        spec = {"rkf45": IntegratorSpec(t_end=5e-3, rtol=1e-8, atol=1e-10,
+                                        snapshot_times=(0.0, 3e-4, 1e-3, 1.7e-3, 5e-3)),
+                "rk4": IntegratorSpec(t_end=1e-3, method="rk4", dt=2e-5,
+                                      snapshot_times=(0.0, 3.1e-4, 7e-4, 1e-3))}[run]
+        u0s, params, domain = [_step_u0()], [STEP_PARAMS], STEP_DOMAIN
+    else:
+        u0s, spec, params, domain = _stack_members("tiny-eta", "rk4" if run == "anchor-abort"
+                                                   else "rkf45")
+    true_rhs, true_integrands = kernels.rhs, kernels.integrands
+    runs = {}
+    for k in (1, 3, AUX_CHUNK):
+        monkeypatch.setattr(galerkin, "AUX_CHUNK", k)
+        passes = []
+
+        def counting_integrands(c, *args):
+            passes.append(c.shape[0])
+            assert c[..., 0].size * domain.grid_size * 8 <= galerkin.AUX_CHUNK_BYTES
+            return true_integrands(c, *args)
+
+        monkeypatch.setattr(kernels, "integrands", counting_integrands)
+        if run == "anchor-abort":
+            # the second member's 5th accepted state, inside a chunk of 3 and
+            # of the default length
+            anchor = params[1].entropy_anchor
+            monkeypatch.setattr(kernels, "rhs", _lifting_rhs(true_rhs, 1, 6, 2 * anchor, [], []))
+        runs[k] = simulate_stack(u0s, spec, params, domain, track_weak_residual=True), passes
+    (results, failure), passes = runs[AUX_CHUNK]
+    for k in (1, 3):
+        (others, other_failure), other_passes = runs[k]
+        assert str(other_failure) == str(failure)
+        assert len(others) == len(results)
+        for a, b in zip(others, results):
+            _assert_bit_identical(a, b, f"AUX_CHUNK={k}")
+        assert other_passes[0] == 1 and set(other_passes[1:]) <= set(range(4, 4 * k + 1, 4))
+        assert sum(other_passes) == sum(passes)
+    if run == "anchor-abort":
+        assert str(failure).startswith("entropy anchor violated") and len(results) == 1
+    else:
+        assert failure is None and len(results) == len(u0s)
+    accepted = [r.stats.accepted for r in results]
+    if run == "rkf45":
+        res = results[0]
+        assert res.stats.rejected > 0
+        # a snapshot falls on a step that is not the last of its chunk
+        steps = np.searchsorted(res.nodes.t, spec.snapshot_times[1:-1])
+        assert all(any(steps % k) for k in (3, _chunk_steps(domain)))
+        # the snapshots' q half is the cubic Hermite of q and its slopes
+        # [D, S] at the ends of the step it falls in, the slopes from the
+        # accepted states (the inputs of the calls that are no buffer rows)
+        # by the plain pass; the step size is taken from the node times, so
+        # up to roundoff
+        states = []
+
+        def recording_rhs(c, *args):
+            if c.base is None:
+                states.append(c.copy())
+            return true_rhs(c, *args)
+
+        monkeypatch.setattr(kernels, "rhs", recording_rhs)
+        monkeypatch.setattr(kernels, "integrands", true_integrands)
+        simulate(u0s[0], spec, params[0], domain)
+        q_nodes = np.stack([res.nodes.dissipation_cum, res.nodes.entropy_dissipation_cum], -1)
+        for k, (s, i) in enumerate(zip(spec.snapshot_times[1:-1], steps), start=1):
+            t0, t1 = res.nodes.t[i - 1:i + 1]
+            slope0, slope1 = (_slope_and_aux(states[j])[1][:2] for j in (i - 1, i))
+            want = _hermite((s - t0) / (t1 - t0), q_nodes[i - 1], slope0, q_nodes[i], slope1,
+                            t1 - t0)
+            got = [res.dissipation_cum[k], res.entropy_dissipation_cum[k]]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    if run == "stack":
+        assert len({(r.stats.accepted, r.stats.rejected) for r in results}) > 1
+        # a member leaves mid-chunk: a short pass before the run's last one
+        assert len(set(accepted)) > 1
+        assert min(runs[3][1][1:-1]) < 12
+    G = domain.grid_size
+    shapes = [(G,)] + [(b, G) for b in range(2, len(u0s) + 1)]
+    assert set(tables(domain).w_tiles) <= set(shapes)
+    # the first chunk's pass, with every member in the stack
+    assert tables(domain).w_tiles[shapes[len(u0s) - 1]].shape[0] >= passes[1]
 
 def test_stack_drops_the_members_from_the_first_abort_on(monkeypatch):
     # the last member aborts at its first step and the second later in time:

@@ -147,7 +147,9 @@ def test_rhs_aux_prefix_is_the_full_calls(N, pressure_mode, mobility_mode):
 def test_integrands_pass_is_the_reference_prefix(N, pressure_mode, mobility_mode):
     # one pass over a (3,) stack of states of one member, and over a (3, B)
     # stack of states by members, gives every (state, member) row the
-    # reference's aux of that state alone, [D, S, E_surface, E_delta, sup|u|]
+    # reference's aux of that state alone, [D, S, E_surface, E_delta, sup|u|];
+    # so does a pass over a chunk of 3 steps of 4 states each, flattened as
+    # the stepping loop passes it, (12,) for one member and (12, B) for a stack
     domain = DomainSpec(half_length=1.3, modes=N)
     t = tables(domain)
     ref_t = _reference_tables(domain)
@@ -157,16 +159,19 @@ def test_integrands_pass_is_the_reference_prefix(N, pressure_mode, mobility_mode
     for n in (1.0, 1.5, 2.0, 3.0):
         members = [ModelParams(n=n, delta=dl, epsilon=e, eta=eta, pressure_mode=pressure_mode,
                                mobility_mode=mobility_mode) for dl, e, eta in triples]
-        draws = np.array(list(_draws(N, rng, count=3 * len(members))))
+        draws = np.array(list(_draws(N, rng, count=12 * len(members))))
+        stacked = stacked_params(members)
         stacks = [(members[1], (), draws[:3]),
-                  (stacked_params(members), (len(members),), draws.reshape(3, len(members), -1))]
+                  (stacked, (len(members),), draws[:3 * len(members)].reshape(3, len(members), -1)),
+                  (members[1], (), draws[:12]),
+                  (stacked, (len(members),), draws.reshape(12, len(members), -1))]
         for params, lead, cs in stacks:
-            work = _workspace((3,) + lead, t)
-            for i in range(3):
+            work = _workspace(cs.shape[:-1], t)
+            for i in range(len(cs)):
                 kernels.rhs(cs[i], t, params, _slot(work, i))
             got = kernels.integrands(cs, work, t, params)
-            assert got.shape == (3,) + lead + (5,)
-            for i, j in itertools.product(range(3), range(len(members)) if lead else [None]):
+            assert got.shape == cs.shape[:-1] + (5,)
+            for i, j in itertools.product(range(len(cs)), range(len(members)) if lead else [None]):
                 p = members[1] if j is None else members[j]
                 c = cs[i] if j is None else cs[i, j]
                 want = _reference_rhs(c, ref_t, p)[4]
