@@ -90,11 +90,13 @@ class BasisTables:
     E, Ex hold e_j and e_j' at the G quadrature nodes (shape (G, N+1)).
     They are the two halves of EEx (shape (2G, N+1)), so that one matvec
     gives u and u_x together; ET, ExT are their contiguous transposes
-    for the matvec-heavy kernels.  w_tiles holds w repeated to the grid
-    shapes of kernels.integrands' stacks, built there on first use, one tile
-    per per-state shape, which a shorter stack reads a prefix of: an
-    operand of the same shape spares numpy's broadcasting set-up on each
-    weighted row.
+    for the matvec-heavy kernels, and ExT_neg is -ExT, so that the kernel's
+    projection -ExT (w flux) is one matvec: each product changes sign
+    exactly, and so does every rounded sum.  w_tiles holds w repeated to
+    the grid shapes of kernels.integrands' stacks, built there on first
+    use, one tile per per-state shape, which a shorter stack reads a prefix
+    of: an operand of the same shape spares numpy's broadcasting set-up on
+    each weighted row.
     """
 
     x: np.ndarray = field(repr=False)
@@ -104,6 +106,7 @@ class BasisTables:
     Ex: np.ndarray = field(repr=False)
     ET: np.ndarray = field(repr=False)
     ExT: np.ndarray = field(repr=False)
+    ExT_neg: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
     w_tiles: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -125,6 +128,7 @@ def tables(domain: DomainSpec) -> BasisTables:
     E = modes(js, x, domain)
     Ex = modes(js, x, domain, deriv=1)
     EEx = np.concatenate((E, Ex))
+    ExT = np.ascontiguousarray(Ex.T)
     return BasisTables(
         x=x,
         w=w,
@@ -132,7 +136,8 @@ def tables(domain: DomainSpec) -> BasisTables:
         E=EEx[:G],
         Ex=EEx[G:],
         ET=np.ascontiguousarray(E.T),
-        ExT=np.ascontiguousarray(Ex.T),
+        ExT=ExT,
+        ExT_neg=-ExT,
         lam=eigenvalue(js, domain),
     )
 

@@ -28,7 +28,8 @@ A step is a row update
 (Hairer, Norsett & Wanner, Solving ODEs I, II.1) on one buffer per run:
 its rows hold the stage inputs, then the propagated and (RKF45) the
 embedded solution.  Each step sets every row to c and adds each slope to
-all later rows as soon as it is known, two numpy calls per slope; row i
+all later rows as soon as it is known, two numpy calls per slope (the
+weighted slope goes into a buffer of its own, built with the rows); row i
 then sums c + (dt a_i0) k_0 + (dt a_i1) k_1 + ... in the order of the
 slopes, and a zero weight adds +-0, which changes no value.  Every slope
 reaches the last rows (a non-finite one through 0 * k if need be), so one
@@ -36,7 +37,8 @@ finiteness check of those rows per step stands for the stage calls; the
 call at each accepted state keeps its own check.  A single member reads
 its error norm and max|c| as Python floats, and screens those rows with a
 Python sum, which is non-finite whenever a term is, before the exact check
-(Python's max alone would hide a NaN).  Cumulative integrals q (flux
+(Python's max alone would hide a NaN); it screens the slope at each
+accepted state the same way.  Cumulative integrals q (flux
 dissipation D, entropy dissipation S) ride along, summed over the same
 propagated weights, in slope order; step-size control acts on the
 coefficient vector only.
@@ -48,9 +50,11 @@ the stage calls whose propagated weight q reads (stages 2-4 of RKF45 and
 1-3 of RK4, counted from stage 0, the slope at the step's start) write
 their grid values into the step's slots of a per-run chunk laid out by
 kernels.workspace; once the step stands, its states go beside them: the
-new state, then those stage inputs.  When the chunk is full, before every
-regroup of the stack and at the run's end, one pass over the chunk's K
-steps of 4 states each, flattened to (4 K, N+1) for one member or
+new state, then those stage inputs.  The other stage calls (RKF45's stages
+1 and 5) write theirs into one spare slot per run, which nothing reads, so
+no call in the loop allocates a workspace.  When the chunk is full,
+before every regroup of the stack and at the run's end, one pass over the
+chunk's K steps of 4 states each, flattened to (4 K, N+1) for one member or
 (4 K, B, N+1) for a stack, gives each state's aux [D, S, E_surface,
 E_delta, sup|u|].  K is AUX_CHUNK, or fewer where a grid row over the
 chunk's states would pass AUX_CHUNK_BYTES.  That flush forms
@@ -427,7 +431,11 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
             flushed.append((AUX1[None], Q[None], None))
         # sup|u| for the anchor check, the exact max that aux[4] holds
         sup_u = per_member(np.maximum.reduce(np.abs(u_grid), axis=-1)) if anchored else None
-        finite = None if np.isfinite(k1_new).all() else per_member(np.isfinite(k1_new).all(-1))
+        # a single member screens with a Python sum first, as the step's rows below
+        if single and math.isfinite(sum(k1_new.tolist())) or np.isfinite(k1_new).all():
+            finite = None
+        else:
+            finite = per_member(np.isfinite(k1_new).all(-1))
         j = len(chunk_dt) - 1  # the step's place in the chunk
         for pos in accepted:
             m = active[pos]
@@ -515,6 +523,8 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
                 P = np.empty(tab.shape[:1] + lead + (domain.modes + 1,))
                 later_rows = [P[j + 1:] for j in range(n_stages)]
                 later_coef = [coef[j + 1:, j, ..., None] for j in range(n_stages)]
+                # slope j times its weights, one buffer per slope
+                later_prod = [np.empty_like(rows) for rows in later_rows]
                 stage_in = list(P[1:n_stages])
                 c_out, c_emb, sums = P[n_stages], P[-1], P[n_stages:]
                 # the chunk's states, ns per step, and the workspace its
@@ -527,7 +537,10 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
                 chunk_steps = chunk_c.reshape((chunk, ns) + chunk_c.shape[1:])
                 chunk_work = kernels.workspace((chunk * ns,) + lead, t)
                 slots = [work_slot(chunk_work, i) for i in range(chunk * ns)]
-                stage_slots = [[slots[j * ns + i - lo + 1] if lo <= i < hi else None
+                # the stages that dq does not read (RKF45's 1 and 5) share a
+                # slot of their own, which nothing reads
+                spare = kernels.workspace(lead, t)
+                stage_slots = [[slots[j * ns + i - lo + 1] if lo <= i < hi else spare
                                 for i in range(1, n_stages)] for j in range(chunk)]
 
             for m in active:
@@ -546,11 +559,11 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
             np.multiply(tab_b, dt, out=coef)
             P[:] = C
             k = K1
-            for later, w, x, slot in zip(later_rows, later_coef, stage_in,
-                                         stage_slots[len(chunk_dt)]):
-                later += w * k
+            for later, w, prod, x, slot in zip(later_rows, later_coef, later_prod, stage_in,
+                                               stage_slots[len(chunk_dt)]):
+                later += np.multiply(w, k, out=prod)
                 k = kernels.rhs(x, t, ps, slot)[0]
-            later_rows[-1] += later_coef[-1] * k
+            later_rows[-1] += np.multiply(later_coef[-1], k, out=later_prod[-1])
             # every stage slope reaches the last rows (a non-finite one through
             # a 0 * k product if need be), so one check covers the stage calls.
             # A single member reads its error norm as Python floats; a Python

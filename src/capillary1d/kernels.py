@@ -5,11 +5,21 @@ on grids of 72-264 points, so a call costs what its numpy calls cost, not
 its arithmetic.  The whole chain (synthesis -> mobility -> pressure
 coefficients -> flux -> projection) is therefore one numpy function over the
 cached basis tables with as few calls as it takes: one stacked matvec
-gives u and u_x.  The kernel computes no aux.  Every call, a
-Runge-Kutta stage's or the one at an accepted state, can write the grid
-values aux reads besides c (u and u_x, Q^2, Q, p_x and m(u), the kernel's
-own intermediates) into a workspace slot.  ``integrands`` is the one
-function that computes aux, the fixed five entries [D, S, E_surface,
+gives u and u_x, and every elementwise step writes through out= into the
+workspace or into one of two per-call temporaries (delta u_x in the weak
+pressure density, and w times the flux; a capped mobility adds its
+denominator).  The workspace holds u and u_x, Q^2, Q, p_x and m(u), and
+the p_x slot holds w s until p_x replaces it.  c_dot, d and the flux are
+fresh arrays, since the stepping loop keeps a slope past the next call
+into the same slot.  The projection's minus sign is folded into the table
+t.ExT_neg = -ExT: each product changes sign exactly and so does every
+rounded sum, so c_dot keeps its bits (only a zero's sign may differ).  No
+writable scratch lives on the tables or in this module, since fields, the
+diagnostics and verify call rhs without a workspace and keep its outputs.
+The kernel computes no aux.  Every call, a Runge-Kutta stage's or the one
+at an accepted state, can write the grid values aux reads besides c (the
+kernel's own intermediates) into a workspace slot.  ``integrands`` is the
+one function that computes aux, the fixed five entries [D, S, E_surface,
 E_delta, sup|u|]: it evaluates every state of a stack at once, one pass
 with one u_xx synthesis and one reduction.  The stepping loop runs it once
 per chunk of accepted steps, over each step's state and the stages that
@@ -18,11 +28,11 @@ evaluation of a state (snapshot records, the snapshot CSVs, the profile
 study) goes through ``fields``: one rhs call with a workspace, plus u_xx.
 Every floating-point operation and its order is part of the contract, so
 that a change here leaves every output bit-identical (tests/test_kernels.py
-holds the reference).  The physics
-(mobility, weak pressure density, pressure coefficients) comes from the
-model module; this one only assembles it.  Callers look ``rhs``,
-``fields`` and ``integrands`` up on the module at call time, and pass every argument positionally, so they can be
-wrapped from outside.
+holds the reference).  The physics (mobility and the weak pressure
+density, each defined once and written in place) comes from the model
+module; this one only assembles it.  Callers look ``rhs``, ``fields`` and
+``integrands`` up on the module at call time, and pass every argument
+positionally, so they can be wrapped from outside.
 
 The shape contract: c is one member's coefficients, shape (N+1,), with
 ModelParams, or a stack of B members, shape (B, N+1), with StackedParams.
@@ -34,8 +44,9 @@ member stays 1-D, since a (1, N+1) stack costs more per call than the 1-D
 call.  One ModelParams also serves a stack of S states of one member,
 shape (S, N+1), as fields and the records pass use it: its scalars broadcast
 over the rows, each row bit-identical to the 1-D call and to the call with
-the StackedParams of S copies.  The aux pass puts the state axis S before
-these: (S, N+1) or (S, B, N+1).
+the StackedParams of S copies.  The aux pass puts any leading state axes
+before these, (..., N+1) or (..., B, N+1), and tells the two apart by the
+params, not by c's rank: a StackedParams' delta is a column.
 """
 
 from __future__ import annotations
@@ -43,7 +54,11 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import BasisTables, matvec
-from .model import ModelParams, StackedParams, mobility, pressure_coeffs
+from .model import ModelParams, StackedParams, mobility, pressure_density
+
+# 1 as a 0-d array: numpy converts a Python float operand on every call
+_ONE = np.array(1.0)
+_ONE.flags.writeable = False
 
 
 def rhs(c: np.ndarray, t: BasisTables, params: ModelParams | StackedParams,
@@ -55,24 +70,29 @@ def rhs(c: np.ndarray, t: BasisTables, params: ModelParams | StackedParams,
     gives each of them a leading axis B.  work, when given, is
     workspace(c.shape[:-1], t), the five arrays that receive the grid values
     integrands() reads besides c; they are the kernel's own intermediates,
-    written in place.
+    written in place, and u and ux are views of work[0].  c_dot, d and flux
+    are fresh arrays, so they outlive the next call into the same work.
     """
     mv = np.dot if c.ndim == 1 else matvec  # matvec's own 1-D case, without its call
     w = t.w
     G = w.shape[0]
-    uux, Qsq, Q, px, mob = (None,) * 5 if work is None else work
-    uux = mv(t.EEx, c, out=uux)
+    uux, Qsq, Q, px, mob = workspace(c.shape[:-1], t) if work is None else work
+    mv(t.EEx, c, out=uux)
     u = uux[..., :G]
     ux = uux[..., G:]
 
-    Qsq = np.add(1.0, ux * ux, out=Qsq)
-    Q = np.sqrt(Qsq, out=Q)
+    np.multiply(ux, ux, out=Qsq)
+    np.add(_ONE, Qsq, out=Qsq)
+    np.sqrt(Qsq, out=Q)
 
-    d = pressure_coeffs(ux, Q, t, params)
-    px = mv(t.Ex, d, out=px)
-    mob = mobility(u, params, out=mob)
-    flux = mob * px
-    c_dot = -mv(t.ExT, w * flux)
+    # w s, in the p_x slot until p_x replaces it
+    ws = pressure_density(ux, Q, params, px)
+    np.multiply(w, ws, out=ws)
+    d = mv(t.ExT, ws)
+    mv(t.Ex, d, out=px)
+    mobility(u, params, mob)
+    flux = np.multiply(mob, px)
+    c_dot = mv(t.ExT_neg, np.multiply(w, flux))
     return c_dot, d, u, flux, ux
 
 
@@ -105,11 +125,12 @@ def integrands(c: np.ndarray, work: tuple, t: BasisTables,
                params: ModelParams | StackedParams) -> np.ndarray:
     """aux = [D, S, E_surface, E_delta, max|u|] at a stack of states c.
 
-    c has shape (S, N+1) or (S, B, N+1), a 3-D c always a stack of B
-    members (one member's states of several steps come flattened to 2-D);
-    work is workspace(c.shape[:-1], t) (rhs's work), whose [i] the rhs call
-    at c[i] filled; params is that call's.  D is the flux dissipation
-    integrand's integral, S the entropy-dissipation one, E_surface the
+    c has shape (S, N+1) or (S, B, N+1), or more leading state axes, as
+    (steps, states, N+1); params tells one member (ModelParams) from a stack
+    of B (StackedParams), whatever c's rank.  work is
+    workspace(c.shape[:-1], t) (rhs's work), whose [i] the rhs call at c[i]
+    filled; params is that call's.  D is the flux dissipation integrand's
+    integral, S the entropy-dissipation one, E_surface the
     integral of Q and E_delta that of delta u_x^2 / 2.  The quadrature
     weights come from one tile per per-state grid shape in t.w_tiles, as
     long as the longest stack of that shape so far, so a shorter stack
@@ -139,7 +160,7 @@ def integrands(c: np.ndarray, work: tuple, t: BasisTables,
     np.multiply(w * ux, ux, out=rows[3])
     aux = np.empty((5,) + lead)
     np.add.reduce(rows, axis=-1, out=aux[:4])
-    aux[3] *= 0.5 * (delta[:, 0] if c.ndim == 3 else delta)
+    aux[3] *= 0.5 * (delta[:, 0] if np.ndim(delta) else delta)
     np.maximum.reduce(np.abs(u), axis=-1, out=aux[4])
     return aux.transpose(tuple(range(1, aux.ndim)) + (0,))
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import BasisTables, DomainSpec, matvec, quadrature, tables
+from .basis import DomainSpec, quadrature, tables
 
 PRESSURE_MODES = ("nonlinear", "linear")
 MOBILITY_MODES = ("standard", "constant")
@@ -126,40 +126,45 @@ def mobility(s, params: ModelParams | StackedParams, out: np.ndarray | None = No
     """Regularized mobility m_{eps,eta}(s) = |s|^n / (1 + eta |s|^n) + eps.
 
     Bounds eps <= m <= 1/eta + 1 hold for eta > 0; eta = 0 gives |s|^n + eps
-    and eta = eps = 0 the bare |s|^n.  out, when given, receives the values.
+    and eta = eps = 0 the bare |s|^n.  out, when given, receives the values
+    (a fresh array of s's shape otherwise), and every step writes into it.
+    For n = 2, |s|^n is s * s bit for bit: numpy's ** 2.0 squares, and
+    |s|^2 = s^2, so the abs is spared.
     """
+    if out is None:
+        out = np.empty(np.shape(s))
     if params.mobility_mode == "constant":
-        return np.multiply(params.epsilon, np.ones_like(np.asarray(s, dtype=float)), out=out)
-    m = np.abs(np.asarray(s, dtype=float)) ** params.n
+        np.copyto(out, params.epsilon)  # a stack's (B, 1) column broadcasts over its rows
+        return out
+    if params.n == 2.0:
+        np.multiply(s, s, out=out)
+    else:
+        np.abs(s, out=out)
+        out **= params.n
     if params.capped:
-        m = m / (1.0 + params.eta * m)
-    return np.add(m, params.epsilon, out=out)
+        den = params.eta * out
+        den += 1.0
+        np.divide(out, den, out=out)
+    return np.add(out, params.epsilon, out=out)
 
 
 def pressure_density(ux: np.ndarray, Q: np.ndarray,
-                     params: ModelParams | StackedParams) -> np.ndarray:
+                     params: ModelParams | StackedParams, out: np.ndarray) -> np.ndarray:
     """Integrand s of the weak pairing: u_x/Q + delta u_x, or (1+delta) u_x in linear mode.
 
     Q = sqrt(1 + u_x^2) on the same grid, passed in because the RHS kernel
-    needs it too.
+    needs it too; out receives s.  The Galerkin pressure coefficients are
+    d_k = <A_delta(u), e_k> = Ex^T (w s), per member of a stack (the kernel
+    forms them).  The weak pairing with v in the Galerkin space is d . v;
+    it satisfies |<A_delta(u), v>| <= (1+delta) ||u||_H1 ||v||_H1 and the
+    coercivity <A_delta(w), w> >= delta ||w_x||_L2^2.  d_0 = 0 identically
+    because e_0' = 0 -- this is the mean-zero-pressure mechanism that makes
+    the constant mode stationary.
     """
     if params.pressure_mode == "linear":
-        return (1.0 + params.delta) * ux
-    return ux / Q + params.delta * ux
-
-
-def pressure_coeffs(ux: np.ndarray, Q: np.ndarray, t: BasisTables,
-                    params: ModelParams | StackedParams) -> np.ndarray:
-    """Pressure coefficients d_k = <A_delta(u), e_k> = Ex^T (w s), per member of a stack.
-
-    ux and Q are grid values on the tables t.  The weak pairing with v in
-    the Galerkin space is d . v; it satisfies
-    |<A_delta(u), v>| <= (1+delta) ||u||_H1 ||v||_H1 and the coercivity
-    <A_delta(w), w> >= delta ||w_x||_L2^2.  d_0 = 0 identically because
-    e_0' = 0 -- this is the mean-zero-pressure mechanism that makes the
-    constant mode stationary.
-    """
-    return matvec(t.ExT, t.w * pressure_density(ux, Q, params))
+        return np.multiply(1.0 + params.delta, ux, out=out)
+    np.divide(ux, Q, out=out)
+    return np.add(out, params.delta * ux, out=out)
 
 
 # -- entropy pair ------------------------------------------------------------

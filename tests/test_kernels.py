@@ -149,7 +149,8 @@ def test_integrands_pass_is_the_reference_prefix(N, pressure_mode, mobility_mode
     # stack of states by members, gives every (state, member) row the
     # reference's aux of that state alone, [D, S, E_surface, E_delta, sup|u|];
     # so does a pass over a chunk of 3 steps of 4 states each, flattened as
-    # the stepping loop passes it, (12,) for one member and (12, B) for a stack
+    # the stepping loop passes it, (12,) for one member and (12, B) for a
+    # stack, and unflattened, a (3, 4) block of one member's states
     domain = DomainSpec(half_length=1.3, modes=N)
     t = tables(domain)
     ref_t = _reference_tables(domain)
@@ -164,18 +165,39 @@ def test_integrands_pass_is_the_reference_prefix(N, pressure_mode, mobility_mode
         stacks = [(members[1], (), draws[:3]),
                   (stacked, (len(members),), draws[:3 * len(members)].reshape(3, len(members), -1)),
                   (members[1], (), draws[:12]),
-                  (stacked, (len(members),), draws.reshape(12, len(members), -1))]
+                  (stacked, (len(members),), draws.reshape(12, len(members), -1)),
+                  (members[1], (), draws[:12].reshape(3, 4, -1))]
         for params, lead, cs in stacks:
             work = _workspace(cs.shape[:-1], t)
             for i in range(len(cs)):
                 kernels.rhs(cs[i], t, params, _slot(work, i))
             got = kernels.integrands(cs, work, t, params)
             assert got.shape == cs.shape[:-1] + (5,)
-            for i, j in itertools.product(range(len(cs)), range(len(members)) if lead else [None]):
-                p = members[1] if j is None else members[j]
-                c = cs[i] if j is None else cs[i, j]
-                want = _reference_rhs(c, ref_t, p)[4]
-                assert np.array_equal(got[i] if j is None else got[i, j], want), (n, lead, i, j)
+            for idx in np.ndindex(cs.shape[:-1]):
+                p = members[idx[-1]] if lead else members[1]
+                want = _reference_rhs(cs[idx], ref_t, p)[4]
+                assert np.array_equal(got[idx], want), (n, lead, idx)
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["one", "stack"])
+@GRID
+def test_rhs_outputs_outlive_the_next_call_into_the_slot(stack, pressure_mode, mobility_mode):
+    # c_dot, d and flux are fresh arrays: the stepping loop keeps a call's
+    # slope past the next call into the same workspace slot, on another state
+    t = tables(DomainSpec(half_length=1.3, modes=8))
+    members = [ModelParams(n=2.0, delta=0.2, epsilon=e, eta=eta, pressure_mode=pressure_mode,
+                           mobility_mode=mobility_mode) for e, eta in ((0.01, 0.0), (0.1, 0.05))]
+    params = stacked_params(members) if stack else members[0]
+    draws = np.array(list(_draws(8, np.random.default_rng(13), count=4)))
+    first, second = (draws[:2], draws[2:]) if stack else (draws[0], draws[1])
+    slot = _slot(_workspace((1,) + first.shape[:-1], t), 0)
+    c_dot, d, _, flux, _ = kernels.rhs(first, t, params, slot)
+    kept = [a.copy() for a in (c_dot, d, flux)]
+    later = kernels.rhs(second, t, params, slot)
+    for name, a, b, c in zip(("c_dot", "d", "flux"), (c_dot, d, flux), kept,
+                             (later[0], later[1], later[3])):
+        assert np.array_equal(a, b), name
+        assert not np.array_equal(c, b), name  # the second call's value is another
 
 
 @pytest.mark.parametrize("n_aux", [1, 3, 4, 5, -1])
@@ -199,6 +221,8 @@ def test_stacked_table_halves_are_the_mode_tables(N):
     ref_t = _reference_tables(domain)
     assert np.array_equal(t.E, ref_t.E)
     assert np.array_equal(t.Ex, ref_t.Ex)
+    assert np.array_equal(t.ExT, ref_t.ExT)
+    assert np.array_equal(t.ExT_neg, -ref_t.ExT) and t.ExT_neg.flags.c_contiguous
     assert t.EEx.shape == (2 * domain.grid_size, N + 1) and t.EEx.flags.c_contiguous
     # views into the stacked table: no second copy of either half
     assert t.E.base is t.EEx and t.Ex.base is t.EEx

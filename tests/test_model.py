@@ -15,6 +15,7 @@ from capillary1d.model import (
     entropy_functions,
     entropy_integral,
     mobility,
+    stacked_params,
     validate_initial_data,
 )
 
@@ -75,6 +76,42 @@ def test_mobility_bounds_randomized():
 def test_mobility_constant_hook():
     p = ModelParams(n=3, epsilon=0.25, mobility_mode="constant")
     np.testing.assert_allclose(mobility(np.array([0.0, 2.0, -7.0]), p), 0.25)
+
+
+# negative values, subnormals and signed zeros
+EDGE = np.array([-3.0, -0.7, -1e-160, -5e-324, -0.0, 0.0, 5e-324, 2.2e-308, 1e-160, 0.7, 3.0])
+
+
+@pytest.mark.parametrize("n", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("eta", [0.0, 0.3])
+def test_mobility_in_place_is_the_power_form(n, eta):
+    # mobility writes into out, bit for bit np.abs(s) ** n (+ the cap) + eps;
+    # at n = 2 it forms s * s, which numpy's ** 2.0 equals, and so does each
+    # row of a stack with its member's (B, 1) columns
+    def want(s, q):
+        m = np.abs(s) ** n
+        return (m / (1.0 + q.eta * m) if q.capped else m) + q.epsilon
+
+    p = ModelParams(n=n, epsilon=0.01, eta=eta)
+    out = np.full(EDGE.shape, np.nan)
+    assert mobility(EDGE, p, out=out) is out
+    assert np.array_equal(out, want(EDGE, p))
+    members = [ModelParams(n=n, epsilon=e, eta=eta) for e in (0.0, 1e-3, 0.5)]
+    s = np.stack([EDGE, -EDGE, EDGE[::-1]])
+    out = np.full(s.shape, np.nan)
+    mobility(s, stacked_params(members), out=out)
+    for row, srow, q in zip(out, s, members):
+        assert np.array_equal(row, want(srow, q)), q
+
+
+def test_mobility_constant_mode_fills_each_member_row():
+    # constant mode copies epsilon into out, a stack's (B, 1) column row by row
+    members = [ModelParams(n=2.0, epsilon=e, mobility_mode="constant") for e in (0.05, 0.25)]
+    out = np.full(EDGE.shape, np.nan)
+    assert np.array_equal(mobility(EDGE, members[0], out=out), np.full(EDGE.shape, 0.05))
+    out = np.full((2,) + EDGE.shape, np.nan)
+    mobility(np.stack([EDGE, -EDGE]), stacked_params(members), out=out)
+    assert np.array_equal(out, np.repeat([[0.05], [0.25]], EDGE.size, axis=1))
 
 
 # -- A_delta ------------------------------------------------------------------
