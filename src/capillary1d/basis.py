@@ -92,11 +92,8 @@ class BasisTables:
     gives u and u_x together; ET, ExT are their contiguous transposes
     for the matvec-heavy kernels, and ExT_neg is -ExT, so that the kernel's
     projection -ExT (w flux) is one matvec: each product changes sign
-    exactly, and so does every rounded sum.  w_tiles holds w repeated to
-    the grid shapes of kernels.integrands' stacks, built there on first
-    use, one tile per per-state shape, which a shorter stack reads a prefix
-    of: an operand of the same shape spares numpy's broadcasting set-up on
-    each weighted row.
+    exactly, and so does every rounded sum.  tables() caches one per
+    domain for every caller, so the tables hold no scratch and no state.
     """
 
     x: np.ndarray = field(repr=False)
@@ -108,7 +105,6 @@ class BasisTables:
     ExT: np.ndarray = field(repr=False)
     ExT_neg: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
-    w_tiles: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @lru_cache(maxsize=32)

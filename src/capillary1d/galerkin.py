@@ -56,12 +56,13 @@ no call in the loop allocates a workspace.  When the chunk is full,
 before every regroup of the stack and at the run's end, one pass over the
 chunk's K steps of 4 states each, flattened to (4 K, N+1) for one member or
 (4 K, B, N+1) for a stack, gives each state's aux [D, S, E_surface,
-E_delta, sup|u|].  K is AUX_CHUNK, or fewer where a grid row over the
-chunk's states would pass AUX_CHUNK_BYTES.  That flush forms
-each step's dq (the propagated weights times the last state's and the
-stages' [D, S], summed in slope order), the sequence q_j = q_{j-1} + dq_j,
-the node series (E_surface, E_delta, q) and the q half of the Hermite
-snapshots the chunk's steps passed.  The anchor check stays at each
+E_delta, sup|u|].  K is AUX_CHUNK for every grid and stack width, since
+the pass writes over its workspace and allocates one grid row.  That
+flush forms each step's dq (the propagated weights times the last state's
+and the stages' [D, S], summed in slope order), the sequence
+q_j = q_{j-1} + dq_j and the q half of the Hermite snapshots the chunk's
+steps passed, and hands each member its rows of the node series
+(E_surface, E_delta, q).  The anchor check stays at each
 accepted state: it reads sup|u| from the u of that state's call, the same
 exact max as aux[4].  At t = 0 one pass runs over the initial state alone,
 and a rejected step enters no chunk.  The c half of the snapshots comes
@@ -93,12 +94,6 @@ MAX_STEPS = 1_000_000
 # accepted steps whose aux one kernels.integrands pass gives: at N = 8 a pass
 # over 16 steps' states costs a quarter as much per step as a pass per step
 AUX_CHUNK = 16
-# and fewer where one grid row over the chunk's states would exceed this many
-# bytes, so that the pass's block of four such rows stays within glibc's
-# 128 KiB mmap threshold: a larger block makes the heap grow and shrink on
-# every pass, and its page faults (about 11,700 per round of the 3-member
-# N = 16 epsilon sweep at twice this size) cost more than the chunk saves
-AUX_CHUNK_BYTES = 32 * 1024
 
 
 # kernel calls (stats.rhs_calls) of every simulate run that has returned in
@@ -227,7 +222,7 @@ class _Member:
     """One member of a run: its parameters, its step control and its outputs.
 
     c and k1 are the member's rows at its last accepted state, aux1 and q
-    those at its last accepted state before the last regroup; the step-size
+    those at its last accepted state before the last flush; the step-size
     control reads only the Python floats t, dt, dt_next and c_max.
     """
 
@@ -247,7 +242,7 @@ class _Member:
     c_max: float = 0.0
     isnap: int = 0
     # the node series: lists of t and the weak residual per accepted state,
-    # and of E_surface, E_delta and q arrays per hand-over
+    # and of E_surface, E_delta and q arrays per flush
     nodes: tuple = field(default_factory=lambda: ([], [], [], [], []))
 
 
@@ -346,15 +341,27 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
 
     # the chunk's accepted steps so far: each one's dt, the positions whose
     # step did not stand, and the snapshots it passed, whose q half waits for
-    # the flush, as (member, snapshot index, theta, step, position, dt); and
-    # per flush since the last regroup, the aux and q of its accepted states
-    # and which members' steps stood (None: every member's)
-    chunk_dt, chunk_held, chunk_snaps, flushed = [], [], [], []
+    # the flush, as (member, snapshot index, theta, step, position, dt)
+    chunk_dt, chunk_held, chunk_snaps = [], [], []
+
+    def split(A, Qs, stood):
+        # each member's rows of the aux A and q Qs of some accepted states
+        # into its node series, and its aux1 and q at the last of them;
+        # stood tells which members' steps stood (None: every member's)
+        for pos, m in enumerate(active):
+            if m.index < stop:
+                steps = slice(None) if stood is None else stood[:, pos]
+                rows = (steps,) if single else (steps, pos)
+                _, node_es, node_ed, node_q, _ = m.nodes
+                node_es.append(A[rows + (2,)])
+                node_ed.append(A[rows + (3,)])
+                node_q.append(Qs[rows])
+                m.q, m.aux1 = (Qs[-1], A[-1]) if single else (Qs[-1, pos], A[-1, pos])
 
     def flush():
         # one kernels.integrands pass over the chunk's states gives their
-        # aux; from it come q and the snapshots' q half, and hand_over splits
-        # the rest into each member's node series at the next regroup
+        # aux; from it come q, the snapshots' q half and each member's rows
+        # of the node series
         nonlocal AUX1, Q
         n = len(chunk_dt)
         if not n:
@@ -384,28 +391,10 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
                 at, at1 = ((j,), (j + 1,)) if single else ((j, pos), (j + 1, pos))
                 m.snap_q[i] = _hermite(theta, Qs[at], A[at][:nq], Qs[at1], A[at1][:nq], h)
         Q, AUX1 = Qs[n], A[n]
-        flushed.append((A[1:], Qs[1:], stood if held_any else None))
+        split(A[1:], Qs[1:], stood if held_any else None)
         chunk_dt.clear()
         chunk_held.clear()
         chunk_snaps.clear()
-
-    def hand_over():
-        # each member's node series and its aux1 and q from the flushes since
-        # the last regroup: one selection per member and group of members
-        A = np.concatenate([a for a, _, _ in flushed])
-        Qs = np.concatenate([q for _, q, _ in flushed])
-        stood = (None if all(s is None for _, _, s in flushed) else np.concatenate(
-            [np.ones(a.shape[:2], dtype=bool) if s is None else s for a, _, s in flushed]))
-        for pos, m in enumerate(active):
-            if m.index < stop:
-                steps = slice(None) if stood is None else stood[:, pos]
-                rows = (steps,) if single else (steps, pos)
-                _, node_es, node_ed, node_q, _ = m.nodes
-                node_es.append(A[rows + (2,)])
-                node_ed.append(A[rows + (3,)])
-                node_q.append(Qs[rows])
-                m.q, m.aux1 = (Q, AUX1) if single else (Q[pos], AUX1[pos])
-        flushed.clear()
 
     # the initial states enter as the accepted states of step 0, and their
     # pass runs over them alone, before the first step
@@ -425,10 +414,10 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
         # k1 enters the step's Hermite snapshots as well as the next step
         k1_new, _, u_grid, flux, _ = kernels.rhs(c_new, t, ps, state_work)
         if first:
-            # handed over with the first regroup, like a flush of step 0
+            # split like a flush of step 0
             AUX1 = kernels.integrands(c_new[None], work, t, ps)[0]
             Q = np.zeros(AUX1.shape[:-1] + (nq,))
-            flushed.append((AUX1[None], Q[None], None))
+            split(AUX1[None], Q[None], None)
         # sup|u| for the anchor check, the exact max that aux[4] holds
         sup_u = per_member(np.maximum.reduce(np.abs(u_grid), axis=-1)) if anchored else None
         # a single member screens with a Python sum first, as the step's rows below
@@ -495,16 +484,14 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
         accepted = []  # the positions in the stack of the members whose step stands
         while not accepted:
             if regroup:
-                # members leave when they reach t_end or abort; the chunk's
-                # steps are flushed first.  Then the stack of the others'
+                # members leave when they reach t_end or abort, after a
+                # flush of the chunk's steps.  Then the stack of the others'
                 # last accepted states, and the row buffer over it, one row
                 # per row of tab (slope j is added to every row after j, and
                 # stage j reads row j).  A single member steps on 1-D
                 # arrays, as a run by itself does.
                 regroup = False
                 flush()
-                if flushed:
-                    hand_over()
                 active = [m for m in active if m.index < stop and m.t < t_stop]
                 if not active:
                     break
@@ -530,8 +517,7 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
                 # the chunk's states, ns per step, and the workspace its
                 # calls fill: slot j ns holds step j's accepted state, slot
                 # j ns + i - lo + 1 its stage i
-                chunk = max(1, min(AUX_CHUNK, AUX_CHUNK_BYTES
-                                   // (ns * math.prod(lead) * t.w.nbytes)))
+                chunk = AUX_CHUNK
                 dq_w = dq_tab.reshape((ns, 1) + (1,) * len(lead))
                 chunk_c = np.empty((chunk * ns,) + lead + (domain.modes + 1,))
                 chunk_steps = chunk_c.reshape((chunk, ns) + chunk_c.shape[1:])

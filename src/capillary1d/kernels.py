@@ -21,9 +21,10 @@ at an accepted state, can write the grid values aux reads besides c (the
 kernel's own intermediates) into a workspace slot.  ``integrands`` is the
 one function that computes aux, the fixed five entries [D, S, E_surface,
 E_delta, sup|u|]: it evaluates every state of a stack at once, one pass
-with one u_xx synthesis and one reduction.  The stepping loop runs it once
-per chunk of accepted steps, over each step's state and the stages that
-led to it, flattened into one stack of states.  Every other grid
+with one u_xx synthesis that writes its weighted integrands over the
+workspace's Q^2, Q, p_x and m(u) and keeps u and u_x.  The stepping loop
+runs it once per chunk of accepted steps, over each step's state and the
+stages that led to it, flattened into one stack of states.  Every other grid
 evaluation of a state (snapshot records, the snapshot CSVs, the profile
 study) goes through ``fields``: one rhs call with a workspace, plus u_xx.
 Every floating-point operation and its order is part of the contract, so
@@ -131,37 +132,46 @@ def integrands(c: np.ndarray, work: tuple, t: BasisTables,
     workspace(c.shape[:-1], t) (rhs's work), whose [i] the rhs call at c[i]
     filled; params is that call's.  D is the flux dissipation integrand's
     integral, S the entropy-dissipation one, E_surface the
-    integral of Q and E_delta that of delta u_x^2 / 2.  The quadrature
-    weights come from one tile per per-state grid shape in t.w_tiles, as
-    long as the longest stack of that shape so far, so a shorter stack
-    reads its prefix.
+    integral of Q and E_delta that of delta u_x^2 / 2.  The pass writes the
+    four weighted integrands over work's Q^2, Q, p_x and m(u) rows, which
+    nothing reads after it, and leaves u and u_x as they are; its only grid
+    temporary is the u_xx synthesis.
     Returns shape c.shape[:-1] + (5,), the transpose of the sums: entry
     [i, ..., k] is aux[k] at c[i].  Each integrand is one grid row per
-    state, and all of them are summed in one pairwise reduction along the
-    grid, so a row's sums do not depend on the other states of the stack.
+    state, summed by a pairwise reduction along the grid, so a row's sums
+    do not depend on the other states of the stack.
     """
-    G = t.w.shape[0]
+    w = t.w
+    G = w.shape[0]
     uux, Qsq, Q, px, mob = work
-    w = t.w_tiles.get(mob.shape[1:])
-    if w is None or w.shape[0] < mob.shape[0]:
-        w = np.broadcast_to(t.w, mob.shape).copy()
-        w.flags.writeable = False  # shared by every later pass of these states' shape
-        t.w_tiles[mob.shape[1:]] = w
-    w = w[:mob.shape[0]]
     u = uux[..., :G]
     ux = uux[..., G:]
     uxx = matvec(t.E, t.lam * c)  # -u_xx: only its square enters
     delta = params.delta
-    lead = c.shape[:-1]
-    rows = np.empty((4,) + lead + (G,))
-    np.multiply(w * mob, px * px, out=rows[0])
-    np.multiply(w, uxx * uxx / (Q * Qsq) + delta * uxx * uxx, out=rows[1])
-    np.multiply(w, Q, out=rows[2])
-    np.multiply(w * ux, ux, out=rows[3])
-    aux = np.empty((5,) + lead)
-    np.add.reduce(rows, axis=-1, out=aux[:4])
+    # D = (w m) (p_x p_x), into p_x
+    np.multiply(w, mob, out=mob)
+    np.multiply(px, px, out=px)
+    np.multiply(mob, px, out=px)
+    # E_surface = w Q, into m(u)
+    np.multiply(w, Q, out=mob)
+    # S = w (u_xx u_xx / (Q Q^2) + (delta u_xx) u_xx), into Q
+    np.multiply(Q, Qsq, out=Qsq)
+    np.multiply(delta, uxx, out=Q)
+    np.multiply(Q, uxx, out=Q)
+    np.multiply(uxx, uxx, out=uxx)
+    np.divide(uxx, Qsq, out=uxx)
+    np.add(uxx, Q, out=Q)
+    np.multiply(w, Q, out=Q)
+    # E_delta = (w u_x) u_x, into Q^2
+    np.multiply(w, ux, out=Qsq)
+    np.multiply(Qsq, ux, out=Qsq)
+    aux = np.empty((5,) + c.shape[:-1])
+    for k, row in enumerate((px, Q, mob, Qsq)):
+        np.add.reduce(row, axis=-1, out=aux[k])
     aux[3] *= 0.5 * (delta[:, 0] if np.ndim(delta) else delta)
-    np.maximum.reduce(np.abs(u), axis=-1, out=aux[4])
+    # max|u| = max(max u, -min u), exactly
+    np.maximum.reduce(u, axis=-1, out=aux[4])
+    np.maximum(aux[4], np.negative(np.minimum.reduce(u, axis=-1)), out=aux[4])
     return aux.transpose(tuple(range(1, aux.ndim)) + (0,))
 
 

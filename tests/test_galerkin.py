@@ -12,7 +12,6 @@ from capillary1d.basis import (
 from capillary1d.galerkin import (
     _TABLEAUX,
     AUX_CHUNK,
-    AUX_CHUNK_BYTES,
     MAX_STEPS,
     IntegratorSpec,
     SimulationAbort,
@@ -113,18 +112,11 @@ def test_rk4_observed_order():
     assert 3.6 < order < 4.4
 
 
-def _chunk_steps(domain):
-    # accepted steps per aux pass of one member: AUX_CHUNK, or fewer where a
-    # grid row over the pass's states, 4 a step, would pass AUX_CHUNK_BYTES
-    return min(AUX_CHUNK, AUX_CHUNK_BYTES // (4 * domain.grid_size * 8))
-
-
-def _chunk_passes(accepted, domain):
-    # the states of each aux pass of one member after t = 0: full chunks,
-    # and the rest at the run's end
-    chunk = _chunk_steps(domain)
-    full, rest = divmod(accepted, chunk)
-    return [4 * chunk] * full + ([4 * rest] if rest else [])
+def _chunk_passes(accepted):
+    # the states of each aux pass of one member after t = 0: full chunks of
+    # AUX_CHUNK steps, 4 states a step, and the rest at the run's end
+    full, rest = divmod(accepted, AUX_CHUNK)
+    return [4 * AUX_CHUNK] * full + ([4 * rest] if rest else [])
 
 
 def _one_state_at_a_time(true_integrands, passes):
@@ -145,7 +137,7 @@ def _one_state_at_a_time(true_integrands, passes):
 def test_stage_aux_prefixes_change_no_output(spec, monkeypatch):
     # all of aux comes from one pass per chunk of accepted steps, over each
     # step's new state and the stages whose propagated weight dq reads (RKF45
-    # stages 2-4, RK4 stages 1-3), flushed early when a stack regroups and at
+    # stages 2-4, RK4 stages 1-3), passed early when a stack regroups and at
     # the run's end, and from one pass over the initial state alone at
     # t = 0; a rejected step enters none.  A pass that takes its
     # states one at a time gives the same run to the last bit, for one
@@ -165,7 +157,7 @@ def test_stage_aux_prefixes_change_no_output(spec, monkeypatch):
     assert st.accepted > 0
     if spec.method == "rkf45":
         assert st.rejected > 0
-    assert passes == [1] + _chunk_passes(st.accepted, d)
+    assert passes == [1] + _chunk_passes(st.accepted)
     _assert_bit_identical(one, together)
 
     # a stack of members whose steps stand apart (RKF45), with the pass one
@@ -527,7 +519,7 @@ def test_row_updates_match_the_plain_sums(spec, monkeypatch):
         elif kind == "pass":
             passes.append(n)
             steps.append(0)
-    assert steps[-1] == 0 and passes == _chunk_passes(res.stats.accepted, STEP_DOMAIN)
+    assert steps[-1] == 0 and passes == _chunk_passes(res.stats.accepted)
     calls = [e for e in events if e[0] != "pass"]
 
     c0 = u0.astype(float)
@@ -637,7 +629,7 @@ def test_rejected_steps_make_no_pass_and_the_call_counts_stay(monkeypatch):
                    STEP_PARAMS, STEP_DOMAIN)
     st = res.stats
     assert (st.accepted, st.rejected, st.rhs_calls) == (454, 23, 2840)
-    assert calls == {"rhs": 2840, "integrands": 1 + len(_chunk_passes(454, STEP_DOMAIN)),
+    assert calls == {"rhs": 2840, "integrands": 1 + len(_chunk_passes(454)),
                      "states": 1 + 4 * 454}
     assert galerkin.rhs_calls_tally - n0 == 2840
 
@@ -734,15 +726,14 @@ def test_stack_is_bit_identical_to_serial_runs(case, method):
 
 
 
-@pytest.mark.parametrize("run", ["rkf45", "rk4", "stack", "anchor-abort"])
+@pytest.mark.parametrize("run", ["rkf45", "rk4", "stack", "eps-stack", "anchor-abort"])
 def test_aux_chunk_boundaries_change_no_output(run, monkeypatch):
     # a chunk of 1 accepted step (one aux pass per accepted state), of 3 and
     # of AUX_CHUNK give the same runs to the last bit: RKF45 with rejections
     # and snapshots inside chunks, RK4, a stack whose members' steps stand
-    # apart and which leave mid-chunk, and an anchor abort mid-chunk.  No
-    # pass holds a grid row of more than AUX_CHUNK_BYTES, and a flush
-    # shorter than the chunk reads a prefix of one tile per per-state grid
-    # shape and adds no tile of its own
+    # apart and which leave mid-chunk, the epsilon sweep's stack, and an
+    # anchor abort mid-chunk.  A chunk holds AUX_CHUNK steps whatever the
+    # grid and the stack's width
     from capillary1d import galerkin
     from capillary1d.galerkin import simulate_stack
 
@@ -752,6 +743,8 @@ def test_aux_chunk_boundaries_change_no_output(run, monkeypatch):
                 "rk4": IntegratorSpec(t_end=1e-3, method="rk4", dt=2e-5,
                                       snapshot_times=(0.0, 3.1e-4, 7e-4, 1e-3))}[run]
         u0s, params, domain = [_step_u0()], [STEP_PARAMS], STEP_DOMAIN
+    elif run == "eps-stack":
+        u0s, spec, params, domain = _stack_members("eps-sweep", "rk4")
     else:
         u0s, spec, params, domain = _stack_members("tiny-eta", "rk4" if run == "anchor-abort"
                                                    else "rkf45")
@@ -763,7 +756,6 @@ def test_aux_chunk_boundaries_change_no_output(run, monkeypatch):
 
         def counting_integrands(c, *args):
             passes.append(c.shape[0])
-            assert c[..., 0].size * domain.grid_size * 8 <= galerkin.AUX_CHUNK_BYTES
             return true_integrands(c, *args)
 
         monkeypatch.setattr(kernels, "integrands", counting_integrands)
@@ -792,7 +784,7 @@ def test_aux_chunk_boundaries_change_no_output(run, monkeypatch):
         assert res.stats.rejected > 0
         # a snapshot falls on a step that is not the last of its chunk
         steps = np.searchsorted(res.nodes.t, spec.snapshot_times[1:-1])
-        assert all(any(steps % k) for k in (3, _chunk_steps(domain)))
+        assert all(any(steps % k) for k in (3, AUX_CHUNK))
         # the snapshots' q half is the cubic Hermite of q and its slopes
         # [D, S] at the ends of the step it falls in, the slopes from the
         # accepted states (the inputs of the calls that are no buffer rows)
@@ -821,11 +813,11 @@ def test_aux_chunk_boundaries_change_no_output(run, monkeypatch):
         # a member leaves mid-chunk: a short pass before the run's last one
         assert len(set(accepted)) > 1
         assert min(runs[3][1][1:-1]) < 12
-    G = domain.grid_size
-    shapes = [(G,)] + [(b, G) for b in range(2, len(u0s) + 1)]
-    assert set(tables(domain).w_tiles) <= set(shapes)
-    # the first chunk's pass, with every member in the stack
-    assert tables(domain).w_tiles[shapes[len(u0s) - 1]].shape[0] >= passes[1]
+    if run == "eps-stack":
+        # its 3 members at N = 16 step together, so its full passes hold
+        # 4 AUX_CHUNK states, as a single member's do
+        assert len(u0s) == 3 and domain.modes == 16
+        assert passes[1:] == _chunk_passes(accepted[0]) and max(passes) == 4 * AUX_CHUNK
 
 def test_stack_drops_the_members_from_the_first_abort_on(monkeypatch):
     # the last member aborts at its first step and the second later in time:

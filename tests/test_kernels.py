@@ -179,6 +179,38 @@ def test_integrands_pass_is_the_reference_prefix(N, pressure_mode, mobility_mode
                 assert np.array_equal(got[idx], want), (n, lead, idx)
 
 
+def test_integrands_pass_allocates_one_grid_row_and_keeps_u():
+    # the pass over a full chunk of the epsilon sweep's stack, 16 steps of 4
+    # states by 3 members at N = 16, writes its integrands over the
+    # workspace: it allocates one grid row of the chunk, the u_xx synthesis,
+    # besides what does not grow with the grid (the buffers of numpy's
+    # iterator for a broadcast or strided operand, np.getbufsize() elements
+    # each, and a few (64, 3) arrays) or stays below it (lam c); and it
+    # leaves u and u_x (work[0]) bit for bit as the rhs calls wrote them
+    import tracemalloc
+
+    N = 16
+    t = tables(DomainSpec(half_length=1.0, modes=N))
+    members = [ModelParams(n=1.5, delta=0.05, epsilon=e, eta=0.0) for e in (1e-1, 1e-2, 1e-3)]
+    params = stacked_params(members)
+    cs = np.array(list(_draws(N, np.random.default_rng(5), count=64 * 3))).reshape(64, 3, N + 1)
+    work = _workspace(cs.shape[:-1], t)
+    for i in range(len(cs)):
+        kernels.rhs(cs[i], t, params, _slot(work, i))
+    uux = work[0].copy()
+    grid_row = work[1].nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        aux = kernels.integrands(cs, work, t, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert aux.shape == (64, 3, 5) and np.isfinite(aux).all()
+    assert peak - base <= grid_row + 2 * np.getbufsize() * 8 + 4096, (peak - base, grid_row)
+    assert work[0].tobytes() == uux.tobytes()
+
+
 @pytest.mark.parametrize("stack", [False, True], ids=["one", "stack"])
 @GRID
 def test_rhs_outputs_outlive_the_next_call_into_the_slot(stack, pressure_mode, mobility_mode):
