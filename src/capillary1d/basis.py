@@ -144,13 +144,14 @@ def matvec(A: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.nd
     A stack takes one gemv per row with np.dot's arguments, so each row is
     bit-identical to np.dot(A, row); one gemm over the stack, np.dot(A, x.T),
     would sum in another order and move the last bits.  out, when given,
-    receives the result (C-contiguous for one vector).
+    receives the result (C-contiguous for one vector).  One vector takes
+    np.dot's routine as the method A.dot, which skips np.dot's dispatch.
     """
     if x.ndim == 1:
-        return np.dot(A, x, out=out)
+        return A.dot(x, out)
     if out is None:
         return np.matmul(A, x[..., None])[..., 0]
-    np.matmul(A, x[..., None], out=out[..., None])
+    np.matmul(A, x[..., None], out[..., None])
     return out
 
 

@@ -51,8 +51,10 @@ the stage calls whose propagated weight q reads (stages 2-4 of RKF45 and
 their grid values into the step's slots of a per-run chunk laid out by
 kernels.workspace; once the step stands, its states go beside them: the
 new state, then those stage inputs.  The other stage calls (RKF45's stages
-1 and 5) write theirs into one spare slot per run, which nothing reads, so
-no call in the loop allocates a workspace.  When the chunk is full,
+1 and 5) write theirs into one spare slot after the chunk's, which nothing
+reads.  The chunk's states and workspace are carved at every regroup out of
+one store per run, sized for the first stack, so no call in the loop and
+no regroup allocates a workspace.  When the chunk is full,
 before every regroup of the stack and at the run's end, one pass over the
 chunk's K steps of 4 states each, flattened to (4 K, N+1) for one member or
 (4 K, B, N+1) for a stack, gives each state's aux [D, S, E_surface,
@@ -333,6 +335,12 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
     # then the stages' (a zero weight among them adds +-0), with these
     # propagated weights, each times the step's dt
     dq_tab = tab[n_stages, [0, *range(lo, hi)]]
+    # the chunk's states and its workspace, one slot more for the spare, are
+    # carved at every regroup out of one store per run, sized for the first
+    # stack, the widest (a workspace slot holds 6 G values)
+    chunk = AUX_CHUNK
+    store = np.empty(len(members) * (chunk * ns * (domain.modes + 1)
+                                     + (chunk * ns + 1) * 6 * t.w.shape[0]))
     max_steps = MAX_STEPS
     t_stop = t_end - eps_end
 
@@ -517,15 +525,16 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
                 # the chunk's states, ns per step, and the workspace its
                 # calls fill: slot j ns holds step j's accepted state, slot
                 # j ns + i - lo + 1 its stage i
-                chunk = AUX_CHUNK
                 dq_w = dq_tab.reshape((ns, 1) + (1,) * len(lead))
-                chunk_c = np.empty((chunk * ns,) + lead + (domain.modes + 1,))
-                chunk_steps = chunk_c.reshape((chunk, ns) + chunk_c.shape[1:])
-                chunk_work = kernels.workspace((chunk * ns,) + lead, t)
+                chunk_shape = (chunk * ns,) + lead + (domain.modes + 1,)
+                chunk_c = store[:math.prod(chunk_shape)].reshape(chunk_shape)
+                chunk_steps = chunk_c.reshape((chunk, ns) + chunk_shape[1:])
+                chunk_work = kernels.workspace((chunk * ns + 1,) + lead, t,
+                                               store[chunk_c.size:])
                 slots = [work_slot(chunk_work, i) for i in range(chunk * ns)]
-                # the stages that dq does not read (RKF45's 1 and 5) share a
-                # slot of their own, which nothing reads
-                spare = kernels.workspace(lead, t)
+                # the stages that dq does not read (RKF45's 1 and 5) share
+                # the last slot, which nothing reads
+                spare = work_slot(chunk_work, chunk * ns)
                 stage_slots = [[slots[j * ns + i - lo + 1] if lo <= i < hi else spare
                                 for i in range(1, n_stages)] for j in range(chunk)]
 

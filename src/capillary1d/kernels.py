@@ -5,10 +5,16 @@ on grids of 72-264 points, so a call costs what its numpy calls cost, not
 its arithmetic.  The whole chain (synthesis -> mobility -> pressure
 coefficients -> flux -> projection) is therefore one numpy function over the
 cached basis tables with as few calls as it takes: one stacked matvec
-gives u and u_x, and every elementwise step writes through out= into the
-workspace or into one of two per-call temporaries (delta u_x in the weak
-pressure density, and w times the flux; a capped mobility adds its
-denominator).  The workspace holds u and u_x, Q^2, Q, p_x and m(u), and
+gives u and u_x, and every elementwise step writes into the workspace or
+into one of two per-call temporaries (delta u_x in the weak pressure
+density, and w times the flux; a capped mobility adds its denominator).
+What a call pays besides its numpy calls is kept small too: a 1-D call
+enters no Python function but rhs, model.pressure_density and
+model.mobility.  Its matvecs are np.ndarray.dot, np.dot's routine without
+np.dot's dispatch; the scalars of params come as the read-only 0-d arrays
+ModelParams builds once (a stack's as (B, 1) columns), since numpy
+converts a Python float operand on every call; and out is passed
+positionally.  The workspace holds u and u_x, Q^2, Q, p_x and m(u), and
 the p_x slot holds w s until p_x replaces it.  c_dot, d and the flux are
 fresh arrays, since the stepping loop keeps a slope past the next call
 into the same slot.  The projection's minus sign is folded into the table
@@ -52,14 +58,15 @@ params, not by c's rank: a StackedParams' delta is a column.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .basis import BasisTables, matvec
-from .model import ModelParams, StackedParams, mobility, pressure_density
+from .model import ONE, ModelParams, StackedParams, mobility, pressure_density
 
-# 1 as a 0-d array: numpy converts a Python float operand on every call
-_ONE = np.array(1.0)
-_ONE.flags.writeable = False
+# np.dot's routine for one vector, without np.dot's __array_function__ dispatch
+_dot = np.ndarray.dot
 
 
 def rhs(c: np.ndarray, t: BasisTables, params: ModelParams | StackedParams,
@@ -74,37 +81,46 @@ def rhs(c: np.ndarray, t: BasisTables, params: ModelParams | StackedParams,
     written in place, and u and ux are views of work[0].  c_dot, d and flux
     are fresh arrays, so they outlive the next call into the same work.
     """
-    mv = np.dot if c.ndim == 1 else matvec  # matvec's own 1-D case, without its call
     w = t.w
     G = w.shape[0]
     uux, Qsq, Q, px, mob = workspace(c.shape[:-1], t) if work is None else work
-    mv(t.EEx, c, out=uux)
-    u = uux[..., :G]
-    ux = uux[..., G:]
+    if c.ndim == 1:
+        mv = _dot  # matvec's own 1-D case, without its call
+        u, ux = uux[:G], uux[G:]
+    else:
+        mv = matvec
+        u, ux = uux[..., :G], uux[..., G:]
+    mv(t.EEx, c, uux)
 
-    np.multiply(ux, ux, out=Qsq)
-    np.add(_ONE, Qsq, out=Qsq)
-    np.sqrt(Qsq, out=Q)
+    np.multiply(ux, ux, Qsq)
+    np.add(ONE, Qsq, Qsq)
+    np.sqrt(Qsq, Q)
 
     # w s, in the p_x slot until p_x replaces it
     ws = pressure_density(ux, Q, params, px)
-    np.multiply(w, ws, out=ws)
+    np.multiply(w, ws, ws)
     d = mv(t.ExT, ws)
-    mv(t.Ex, d, out=px)
+    mv(t.Ex, d, px)
     mobility(u, params, mob)
     flux = np.multiply(mob, px)
     c_dot = mv(t.ExT_neg, np.multiply(w, flux))
     return c_dot, d, u, flux, ux
 
 
-def workspace(shape: tuple, t: BasisTables) -> tuple:
+def workspace(shape: tuple, t: BasisTables, store: np.ndarray | None = None) -> tuple:
     """Empty rhs work for states of leading shape ``shape``.
 
     u and u_x side by side, of shape shape + (2G,), then Q^2, Q, p_x and
-    m(u), of shape shape + (G,).
+    m(u), of shape shape + (G,): C-contiguous views of one flat array of
+    6 G values per state, the leading part of ``store`` when given (a fresh
+    array otherwise).
     """
     G = t.w.shape[0]
-    return (np.empty(shape + (2 * G,)), *np.empty((4,) + shape + (G,)))
+    size = 2 * G * math.prod(shape)
+    if store is None:
+        store = np.empty(3 * size)
+    return (store[:size].reshape(shape + (2 * G,)),
+            *store[size:3 * size].reshape((4,) + shape + (G,)))
 
 
 def fields(c: np.ndarray, t: BasisTables, params: ModelParams):
@@ -147,7 +163,6 @@ def integrands(c: np.ndarray, work: tuple, t: BasisTables,
     u = uux[..., :G]
     ux = uux[..., G:]
     uxx = matvec(t.E, t.lam * c)  # -u_xx: only its square enters
-    delta = params.delta
     # D = (w m) (p_x p_x), into p_x
     np.multiply(w, mob, out=mob)
     np.multiply(px, px, out=px)
@@ -156,7 +171,7 @@ def integrands(c: np.ndarray, work: tuple, t: BasisTables,
     np.multiply(w, Q, out=mob)
     # S = w (u_xx u_xx / (Q Q^2) + (delta u_xx) u_xx), into Q
     np.multiply(Q, Qsq, out=Qsq)
-    np.multiply(delta, uxx, out=Q)
+    np.multiply(params.delta_op, uxx, out=Q)
     np.multiply(Q, uxx, out=Q)
     np.multiply(uxx, uxx, out=uxx)
     np.divide(uxx, Qsq, out=uxx)
@@ -168,7 +183,7 @@ def integrands(c: np.ndarray, work: tuple, t: BasisTables,
     aux = np.empty((5,) + c.shape[:-1])
     for k, row in enumerate((px, Q, mob, Qsq)):
         np.add.reduce(row, axis=-1, out=aux[k])
-    aux[3] *= 0.5 * (delta[:, 0] if np.ndim(delta) else delta)
+    aux[3] *= 0.5 * params.delta_op.ravel()
     # max|u| = max(max u, -min u), exactly
     np.maximum.reduce(u, axis=-1, out=aux[4])
     np.maximum(aux[4], np.negative(np.minimum.reduce(u, axis=-1)), out=aux[4])

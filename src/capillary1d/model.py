@@ -23,6 +23,9 @@ MOBILITY_MODES = ("standard", "constant")
 # the entropy table's top panel forms half * half * moment with a half-width
 # of about 0.04 a, which overflows from a of about 3e155 on
 MAX_ENTROPY_ANCHOR = 1e150
+# 1 as a 0-d array: numpy converts a Python float operand on every call
+ONE = np.array(1.0)
+ONE.flags.writeable = False
 
 
 class ConfigError(ValueError):
@@ -42,6 +45,13 @@ class ModelParams:
     the discrete existence argument only, not by the formulas: eta = 0 runs
     are allowed (callers flag them).  mobility_mode="constant" is a test
     hook that freezes the mobility at epsilon for closed-form decay checks.
+
+    Besides the fields, every instance carries what the RHS kernel reads on
+    each call, built once here and rebuilt by dataclasses.replace: capped,
+    whether the mobility applies the eta cap (eta > 0), and the ufunc
+    operands delta_op, one_plus_delta_op (1 + delta), epsilon_op and
+    eta_op, read-only 0-d arrays bit-equal to the floats, since numpy
+    converts a Python float operand on every call.
     """
 
     n: float
@@ -73,11 +83,7 @@ class ModelParams:
         if self.entropy_anchor is not None and self.entropy_anchor > MAX_ENTROPY_ANCHOR:
             raise ValueError(f"entropy_anchor must be at most {MAX_ENTROPY_ANCHOR:g},"
                              f" got {self.entropy_anchor}")
-
-    @property
-    def capped(self) -> bool:
-        """Whether the mobility applies the eta cap."""
-        return self.eta > 0.0
+        _set_operands(self)
 
 
 @dataclass(frozen=True)
@@ -86,8 +92,9 @@ class StackedParams:
 
     delta, epsilon and eta are (B, 1) columns, so that they broadcast
     against grid values of shape (B, G) row by row.  The eta cap applies to
-    the whole stack when any member has eta > 0: for finite m,
+    the whole stack (capped) when any member has eta > 0: for finite m,
     m / (1 + 0 m) is exactly m, so a member with eta = 0 keeps its bits.
+    The operands are those of ModelParams, as read-only (B, 1) columns.
     """
 
     n: float
@@ -96,7 +103,19 @@ class StackedParams:
     eta: np.ndarray
     pressure_mode: str
     mobility_mode: str
-    capped: bool
+
+    def __post_init__(self):
+        _set_operands(self)
+
+
+def _set_operands(p: ModelParams | StackedParams):
+    # capped and the kernel's ufunc operands, as attributes beside the fields
+    for name, value in (("delta_op", p.delta), ("one_plus_delta_op", 1.0 + p.delta),
+                        ("epsilon_op", p.epsilon), ("eta_op", p.eta)):
+        a = np.array(value, dtype=float)
+        a.flags.writeable = False
+        object.__setattr__(p, name, a)
+    object.__setattr__(p, "capped", bool((p.eta_op > 0.0).any()))
 
 
 def stacked_params(members: list[ModelParams]) -> ModelParams | StackedParams:
@@ -118,8 +137,7 @@ def stacked_params(members: list[ModelParams]) -> ModelParams | StackedParams:
 
     return StackedParams(n=first.n, delta=column("delta"), epsilon=column("epsilon"),
                          eta=column("eta"), pressure_mode=first.pressure_mode,
-                         mobility_mode=first.mobility_mode,
-                         capped=any(p.capped for p in members))
+                         mobility_mode=first.mobility_mode)
 
 
 def mobility(s, params: ModelParams | StackedParams, out: np.ndarray | None = None):
@@ -127,25 +145,28 @@ def mobility(s, params: ModelParams | StackedParams, out: np.ndarray | None = No
 
     Bounds eps <= m <= 1/eta + 1 hold for eta > 0; eta = 0 gives |s|^n + eps
     and eta = eps = 0 the bare |s|^n.  out, when given, receives the values
-    (a fresh array of s's shape otherwise), and every step writes into it.
-    For n = 2, |s|^n is s * s bit for bit: numpy's ** 2.0 squares, and
-    |s|^2 = s^2, so the abs is spared.
+    (a fresh array of s's shape otherwise), and every step writes into it;
+    the cap's denominator is the one temporary.  For n = 2, |s|^n is s * s
+    bit for bit: numpy's ** 2.0 squares, and |s|^2 = s^2, so the abs is
+    spared.  The RHS kernel calls this on every stage, so it reads params'
+    capped and its 0-d (a stack's (B, 1)) operands, passes out positionally
+    and calls no Python function.
     """
     if out is None:
         out = np.empty(np.shape(s))
     if params.mobility_mode == "constant":
-        np.copyto(out, params.epsilon)  # a stack's (B, 1) column broadcasts over its rows
+        out[...] = params.epsilon_op  # a stack's (B, 1) column broadcasts over its rows
         return out
     if params.n == 2.0:
-        np.multiply(s, s, out=out)
+        np.multiply(s, s, out)
     else:
-        np.abs(s, out=out)
+        np.abs(s, out)
         out **= params.n
     if params.capped:
-        den = params.eta * out
-        den += 1.0
-        np.divide(out, den, out=out)
-    return np.add(out, params.epsilon, out=out)
+        den = np.multiply(params.eta_op, out)
+        den += ONE
+        np.divide(out, den, out)
+    return np.add(out, params.epsilon_op, out)
 
 
 def pressure_density(ux: np.ndarray, Q: np.ndarray,
@@ -159,12 +180,14 @@ def pressure_density(ux: np.ndarray, Q: np.ndarray,
     it satisfies |<A_delta(u), v>| <= (1+delta) ||u||_H1 ||v||_H1 and the
     coercivity <A_delta(w), w> >= delta ||w_x||_L2^2.  d_0 = 0 identically
     because e_0' = 0 -- this is the mean-zero-pressure mechanism that makes
-    the constant mode stationary.
+    the constant mode stationary.  Called on every RHS stage, it reads
+    params' 0-d (a stack's (B, 1)) operands and passes out positionally;
+    delta u_x is its one temporary, in the nonlinear mode.
     """
     if params.pressure_mode == "linear":
-        return np.multiply(1.0 + params.delta, ux, out=out)
-    np.divide(ux, Q, out=out)
-    return np.add(out, params.delta * ux, out=out)
+        return np.multiply(params.one_plus_delta_op, ux, out)
+    np.divide(ux, Q, out)
+    return np.add(out, np.multiply(params.delta_op, ux), out)
 
 
 # -- entropy pair ------------------------------------------------------------

@@ -10,6 +10,7 @@ from the workspaces the rhs calls fill.
 """
 
 import itertools
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -230,6 +231,34 @@ def test_rhs_outputs_outlive_the_next_call_into_the_slot(stack, pressure_mode, m
                              (later[0], later[1], later[3])):
         assert np.array_equal(a, b), name
         assert not np.array_equal(c, b), name  # the second call's value is another
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.05], ids=["uncapped", "capped"])
+@GRID
+def test_rhs_runs_no_python_function_but_the_physics(pressure_mode, mobility_mode, eta):
+    # a 1-D call with a workspace enters three Python frames: rhs, the
+    # pressure density and the mobility.  numpy's dispatchers (np.dot,
+    # np.copyto) and properties would each add one; the per-call cost of
+    # the stepping loop is mostly such overhead
+    t = tables(DomainSpec(half_length=1.3, modes=8))
+    c = next(_draws(8, np.random.default_rng(17)))
+    work = kernels.workspace((), t)
+    for n in (1.5, 2.0):
+        params = ModelParams(n=n, delta=0.2, epsilon=0.01, eta=eta,
+                             pressure_mode=pressure_mode, mobility_mode=mobility_mode)
+        frames = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                frames.append(f"{frame.f_globals['__name__']}.{frame.f_code.co_name}")
+
+        sys.setprofile(profile)
+        try:
+            kernels.rhs(c, t, params, work)
+        finally:
+            sys.setprofile(None)
+        assert frames == ["capillary1d.kernels.rhs", "capillary1d.model.pressure_density",
+                          "capillary1d.model.mobility"], n
 
 
 @pytest.mark.parametrize("n_aux", [1, 3, 4, 5, -1])

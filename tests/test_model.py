@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -42,6 +43,42 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(n=2, pressure_mode="exact")
     ModelParams(n=1.0, delta=0.0, epsilon=0.0, eta=0.0)
+
+
+def test_params_operands_are_read_only_floats_beside_the_fields():
+    # capped and the kernel's ufunc operands are built once per instance,
+    # rebuilt by dataclasses.replace and stacked_params, and bit-equal to
+    # the floats; they are no fields, so equality, hash, repr and asdict
+    # see the seven fields only
+    def assert_operands(q, delta, epsilon, eta, shape):
+        for name, want in (("delta_op", delta), ("one_plus_delta_op", 1.0 + np.asarray(delta)),
+                           ("epsilon_op", epsilon), ("eta_op", eta)):
+            a = getattr(q, name)
+            assert a.shape == shape and a.dtype == np.float64 and not a.flags.writeable, name
+            assert a.tobytes() == np.asarray(want, dtype=float).reshape(shape).tobytes(), name
+            with pytest.raises(ValueError):
+                a[...] = 0.5
+        assert q.capped == bool(np.any(np.asarray(eta) > 0.0))
+
+    p = ModelParams(n=2.0, delta=0.3, epsilon=0.1, eta=0.05)
+    assert_operands(p, 0.3, 0.1, 0.05, ())
+    q = dataclasses.replace(p, delta=0.7, epsilon=1e-3, eta=0.0)
+    assert_operands(q, 0.7, 1e-3, 0.0, ())
+    assert_operands(p, 0.3, 0.1, 0.05, ())
+    s = stacked_params([p, q, ModelParams(n=2.0, delta=0.1)])
+    assert_operands(s, [0.3, 0.7, 0.1], [0.1, 1e-3, 0.0], [0.05, 0.0, 0.0], (3, 1))
+    assert_operands(stacked_params([q, q]), [0.7, 0.7], [1e-3, 1e-3], [0.0, 0.0], (2, 1))
+
+    names = ["n", "delta", "epsilon", "eta", "pressure_mode", "entropy_anchor",
+             "mobility_mode"]
+    assert [f.name for f in dataclasses.fields(ModelParams)] == names
+    assert dataclasses.asdict(p) == dict(zip(names, (2.0, 0.3, 0.1, 0.05, "nonlinear", None,
+                                                     "standard")))
+    assert repr(p) == ("ModelParams(n=2.0, delta=0.3, epsilon=0.1, eta=0.05, "
+                       "pressure_mode='nonlinear', entropy_anchor=None, mobility_mode='standard')")
+    twin = ModelParams(n=2.0, delta=0.3, epsilon=0.1, eta=0.05)
+    assert p == twin and hash(p) == hash(twin) == hash(tuple(getattr(p, f) for f in names))
+    assert p != q and p == dataclasses.replace(q, delta=0.3, epsilon=0.1, eta=0.05)
 
 
 # -- mobility -----------------------------------------------------------------
