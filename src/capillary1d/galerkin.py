@@ -46,20 +46,21 @@ coefficient vector only.
 The kernel computes no aux, and no step-size decision reads it, so
 kernels.integrands computes all of it once per chunk of accepted steps.
 The call at each accepted state is a plain stage call, and it and
-the stage calls whose propagated weight q reads (stages 2-4 of RKF45 and
+the stage calls whose propagated weight q reads (stages 2-5 of RKF45 and
 1-3 of RK4, counted from stage 0, the slope at the step's start) write
 their grid values into the step's slots of a per-run chunk laid out by
 kernels.workspace; once the step stands, its states go beside them: the
-new state, then those stage inputs.  The other stage calls (RKF45's stages
-1 and 5) write theirs into one spare slot after the chunk's, which nothing
-reads.  The chunk's states and workspace are carved at every regroup out of
-one store per run, sized for the first stack, so no call in the loop and
-no regroup allocates a workspace.  When the chunk is full,
+new state, then those stage inputs.  The other stage call (RKF45's stage
+1) writes its grid values into one spare slot after the chunk's, which
+nothing reads.  The chunk's states and workspace are carved at every
+regroup out of one store per run, sized for the first stack, so no call in
+the loop and no regroup allocates a workspace.  When the chunk is full,
 before every regroup of the stack and at the run's end, one pass over the
-chunk's K steps of 4 states each, flattened to (4 K, N+1) for one member or
-(4 K, B, N+1) for a stack, gives each state's aux [D, S, E_surface,
-E_delta, sup|u|].  K is AUX_CHUNK for every grid and stack width, since
-the pass writes over its workspace and allocates one grid row.  That
+chunk's K steps of ns states each (5 for RKF45, 4 for RK4), flattened to
+(ns K, N+1) for one member or (ns K, B, N+1) for a stack, gives each
+state's aux [D, S, E_surface, E_delta, sup|u|].  K is AUX_CHUNK for every
+grid and stack width, since the pass writes over its workspace and
+allocates one grid row.  That
 flush forms each step's dq (the propagated weights times the last state's
 and the stages' [D, S], summed in slope order), the sequence
 q_j = q_{j-1} + dq_j and the q half of the Hermite snapshots the chunk's
@@ -111,10 +112,11 @@ class SimulationAbort(RuntimeError):
 class IntegratorSpec:
     """Time-stepping description.
 
-    "rkf45" is adaptive with (rtol, atol) controlling the local error of the
-    coefficient vector in the max norm, with rtol no smaller than machine
-    epsilon, and takes no dt; "rk4" is fixed-step
-    with dt, and t_end/dt may not exceed MAX_STEPS.
+    "rkf45" is adaptive and takes no dt: it propagates Fehlberg's
+    fifth-order solution, and (rtol, atol), with rtol no smaller than machine
+    epsilon, bound the max norm of its difference from the fourth-order one,
+    which is the fourth-order solution's local error estimate; "rk4" is
+    fixed-step with dt, and t_end/dt may not exceed MAX_STEPS.
     Explicit methods need dt = O(lambda_N^-2) on the stiff linearized system;
     the controller finds that scale by rejecting steps whose error grows.
     """
@@ -190,14 +192,17 @@ class SimulationResult:
 
 
 # explicit tableaux (A rows, propagated weights b, embedded weights or None);
-# Fehlberg 4(5) propagates the 4th-order solution
+# Fehlberg 4(5) propagates its 5th-order solution and keeps the 4th-order
+# one as the error estimate (local extrapolation, Hairer, Norsett & Wanner,
+# II.4): the same six stages, and a real stability interval of 3.68 against
+# the 4th-order row's 3.02
 _TABLEAUX = {
     "rkf45": (
         ((), (1 / 4,), (3 / 32, 9 / 32), (1932 / 2197, -7200 / 2197, 7296 / 2197),
          (439 / 216, -8.0, 3680 / 513, -845 / 4104),
          (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40)),
-        (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0),
         (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55),
+        (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0),
     ),
     "rk4": (((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1 / 6, 1 / 3, 1 / 3, 1 / 6), None),
 }
@@ -532,8 +537,8 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
                 chunk_work = kernels.workspace((chunk * ns + 1,) + lead, t,
                                                store[chunk_c.size:])
                 slots = [work_slot(chunk_work, i) for i in range(chunk * ns)]
-                # the stages that dq does not read (RKF45's 1 and 5) share
-                # the last slot, which nothing reads
+                # the stages that dq does not read (RKF45's 1) share the
+                # last slot, which nothing reads
                 spare = work_slot(chunk_work, chunk * ns)
                 stage_slots = [[slots[j * ns + i - lo + 1] if lo <= i < hi else spare
                                 for i in range(1, n_stages)] for j in range(chunk)]

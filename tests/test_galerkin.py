@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -112,11 +114,23 @@ def test_rk4_observed_order():
     assert 3.6 < order < 4.4
 
 
-def _chunk_passes(accepted):
+def _states_per_step(method):
+    # the chunk states of one accepted step, as simulate_stack lays them out:
+    # the new state, then the inputs of the stages lo..hi-1 that span every
+    # later stage of nonzero propagated weight (RKF45 5, RK4 4)
+    weights = _TABLEAUX[method][1]
+    read = [i for i in range(1, len(weights)) if weights[i] != 0.0]
+    lo, hi = read[0], read[-1] + 1
+    return 1 + hi - lo
+
+
+def _chunk_passes(accepted, method):
     # the states of each aux pass of one member after t = 0: full chunks of
-    # AUX_CHUNK steps, 4 states a step, and the rest at the run's end
+    # AUX_CHUNK steps, _states_per_step states a step, and the rest at the
+    # run's end
+    ns = _states_per_step(method)
     full, rest = divmod(accepted, AUX_CHUNK)
-    return [4 * AUX_CHUNK] * full + ([4 * rest] if rest else [])
+    return [ns * AUX_CHUNK] * full + ([ns * rest] if rest else [])
 
 
 def _one_state_at_a_time(true_integrands, passes):
@@ -157,7 +171,7 @@ def test_stage_aux_prefixes_change_no_output(spec, monkeypatch):
     assert st.accepted > 0
     if spec.method == "rkf45":
         assert st.rejected > 0
-    assert passes == [1] + _chunk_passes(st.accepted)
+    assert passes == [1] + _chunk_passes(st.accepted, spec.method)
     _assert_bit_identical(one, together)
 
     # a stack of members whose steps stand apart (RKF45), with the pass one
@@ -177,12 +191,13 @@ def test_stage_aux_prefixes_change_no_output(spec, monkeypatch):
     assert len(results) == len(serial)
     for a, b in zip(serial, results):
         _assert_bit_identical(a, b)
-    # 4 states per step that stands for at least one member, whole steps in
+    # ns states per step that stands for at least one member, whole steps in
     # every pass
+    ns = _states_per_step(spec.method)
     accepted = [r.stats.accepted for r in serial]
     assert passes[0] == 1
-    assert all(0 < n <= 4 * AUX_CHUNK and n % 4 == 0 for n in passes[1:])
-    assert 1 + 4 * max(accepted) <= sum(passes) <= 1 + 4 * sum(accepted)
+    assert all(0 < n <= ns * AUX_CHUNK and n % ns == 0 for n in passes[1:])
+    assert 1 + ns * max(accepted) <= sum(passes) <= 1 + ns * sum(accepted)
 
 
 def test_simulate_constant_data():
@@ -263,6 +278,27 @@ def test_n_refinement_l2_agreement():
     # the spectral rate: doubling N again gains more than two digits (d1 is
     # about 2.2e-4, d2 about 3.2e-7)
     assert d2 <= d1 / 100
+
+
+def test_snapshots_stay_close_to_a_tight_run():
+    # the reference config's model and initial data at N = 8: the snapshots'
+    # c and D, which come from cubic Hermite dense output inside the steps,
+    # stay within 3x of what the 4th-order propagation measured (c 2.53e-8,
+    # D 2.46e-8 relative) against the same run at rtol 1e-12, atol 1e-14;
+    # the 5th-order propagation measures 6.7e-9 and 1.2e-8
+    import dataclasses
+
+    from capillary1d.config import apply_overrides, load_config, resolve_config
+
+    path = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
+    rc = resolve_config(apply_overrides(load_config(str(path)), ["domain.N=8"]))
+    assert rc.spec.snapshot_times == tuple(np.linspace(0.0, 0.02, 9))
+    run = simulate(rc.u0, rc.spec, rc.params, rc.domain)
+    tight = simulate(rc.u0, dataclasses.replace(rc.spec, rtol=1e-12, atol=1e-14), rc.params,
+                     rc.domain)
+    assert np.max(np.abs(run.coeffs - tight.coeffs)) < 7.6e-8
+    D = tight.dissipation_cum
+    assert np.max(np.abs(run.dissipation_cum - D)) < 7.4e-8 * np.max(np.abs(D))
 
 
 def test_anchor_violation_aborts():
@@ -477,6 +513,61 @@ def _reference_step(c, dt, method):
             _combine(np.zeros(2), dt, weights, qds))
 
 
+@pytest.mark.parametrize("row, lo, hi", [(1, 4.6, 5.4), (2, 3.6, 4.4)],
+                         ids=["propagated", "embedded"])
+def test_rkf45_rows_observed_order(row, lo, hi):
+    # each row of Fehlberg's pair, propagated on its own at fixed dt by the
+    # plain sums, has its order by Richardson: the propagated row 5 (5.04
+    # measured), the embedded one 4 (4.11)
+    a_rows, weights = _TABLEAUX["rkf45"][0], _TABLEAUX["rkf45"][row]
+    d = DomainSpec(half_length=1.0, modes=4)
+    p = ModelParams(n=2, delta=0.1, epsilon=0.5)
+    t = tables(d)
+    u0 = project(lambda x: 1.0 + 0.3 * np.cos(np.pi * x), d)
+    t_end = 2e-3
+    finals = []
+    for dt in (4e-5, 2e-5, 1e-5):
+        c = u0.copy()
+        for _ in range(round(t_end / dt)):
+            ks = []
+            for a in a_rows:
+                ks.append(kernels.rhs(c if not a else _combine(c, dt, a, ks), t, p)[0])
+            c = _combine(c, dt, weights, ks)
+        finals.append(c)
+    e1 = np.max(np.abs(finals[0] - finals[1]))
+    e2 = np.max(np.abs(finals[1] - finals[2]))
+    assert lo < np.log2(e1 / e2) < hi
+
+
+def _real_stability_interval(rows, weights):
+    # the largest X with |R(-x)| <= 1 on (0, X], where R(z) = 1 + z b^T (I -
+    # z A)^-1 1 = 1 + sum_k z^k b^T A^(k-1) 1 is the stability polynomial of
+    # the explicit tableau (A strictly lower triangular)
+    s = len(weights)
+    A = np.zeros((s, s))
+    for i, row in enumerate(rows):
+        A[i, :i] = row
+    terms, v = [1.0], np.ones(s)
+    for _ in range(s):
+        terms.append(np.dot(weights, v))
+        v = A @ v
+    x = np.arange(1, 50001) * 1e-4  # (0, 5] on a 1e-4 grid
+    R = np.polynomial.polynomial.polyval(-x, terms)
+    return x[np.argmax(np.abs(R) > 1.0) - 1]
+
+
+def test_rkf45_propagated_row_has_the_wider_stability_interval():
+    # the fifth-order row that RKF45 propagates reaches 3.68 along the
+    # negative real axis, where a stiff run's dt sits, against 3.02 for the
+    # fourth-order row it keeps as the error estimate
+    rows, weights, embedded = _TABLEAUX["rkf45"]
+    assert 3.6 < _real_stability_interval(rows, weights) < 3.7
+    assert 3.0 < _real_stability_interval(rows, embedded) < 3.05
+    # RK4's is 2.785
+    rows, weights, _ = _TABLEAUX["rk4"]
+    assert 2.78 < _real_stability_interval(rows, weights) < 2.79
+
+
 @pytest.mark.parametrize("spec", STEP_SPECS, ids=STEP_IDS)
 def test_row_updates_match_the_plain_sums(spec, monkeypatch):
     # the first step of a run, stepped by hand with the plain sums: stage
@@ -509,9 +600,9 @@ def test_row_updates_match_the_plain_sums(spec, monkeypatch):
     # stage calls, then the call at c_new
     kinds = [kind for kind, _, _ in events[:n_stages + 2]]
     assert kinds == ["state", "pass"] + ["stage"] * (n_stages - 1) + ["state"]
-    # every later pass holds 4 states for each call at an accepted state
-    # since the last pass: a full chunk of steps, and the rest at the run's
-    # end
+    # every later pass holds _states_per_step states for each call at an
+    # accepted state since the last pass: a full chunk of steps, and the
+    # rest at the run's end
     steps, passes = [0], []
     for kind, n, _ in events[2:]:
         if kind == "state":
@@ -519,7 +610,7 @@ def test_row_updates_match_the_plain_sums(spec, monkeypatch):
         elif kind == "pass":
             passes.append(n)
             steps.append(0)
-    assert steps[-1] == 0 and passes == _chunk_passes(res.stats.accepted)
+    assert steps[-1] == 0 and passes == _chunk_passes(res.stats.accepted, spec.method)
     calls = [e for e in events if e[0] != "pass"]
 
     c0 = u0.astype(float)
@@ -605,7 +696,7 @@ def test_a_nan_that_python_max_would_hide_aborts_within_its_step(spec, index, mo
 
 def test_rejected_steps_make_no_pass_and_the_call_counts_stay(monkeypatch):
     # one aux pass at t = 0 over the initial state and one per chunk of
-    # accepted steps, 4 states a step, and no state of a rejected step; the
+    # accepted steps, 5 states a step, and no state of a rejected step; the
     # kernel calls, StepStats.rhs_calls and the tally keep the
     # counts they had when every call computed its own aux
     from capillary1d import galerkin
@@ -628,10 +719,10 @@ def test_rejected_steps_make_no_pass_and_the_call_counts_stay(monkeypatch):
     res = simulate(_step_u0(), IntegratorSpec(t_end=2e-2, rtol=1e-8, atol=1e-10),
                    STEP_PARAMS, STEP_DOMAIN)
     st = res.stats
-    assert (st.accepted, st.rejected, st.rhs_calls) == (454, 23, 2840)
-    assert calls == {"rhs": 2840, "integrands": 1 + len(_chunk_passes(454)),
-                     "states": 1 + 4 * 454}
-    assert galerkin.rhs_calls_tally - n0 == 2840
+    assert (st.accepted, st.rejected, st.rhs_calls) == (393, 11, 2414)
+    assert calls == {"rhs": 2414, "integrands": 1 + len(_chunk_passes(393, "rkf45")),
+                     "states": 1 + _states_per_step("rkf45") * 393}
+    assert galerkin.rhs_calls_tally - n0 == 2414
 
 
 # -- stacks: several members stepped together ---------------------------------
@@ -776,6 +867,7 @@ def test_aux_chunk_boundaries_change_no_output(run, monkeypatch):
         u0s, spec, params, domain = _stack_members("tiny-eta", "rk4" if run == "anchor-abort"
                                                    else "rkf45")
     true_rhs, true_integrands = kernels.rhs, kernels.integrands
+    ns = _states_per_step(spec.method)
     runs = {}
     for k in (1, 3, AUX_CHUNK):
         monkeypatch.setattr(galerkin, "AUX_CHUNK", k)
@@ -799,7 +891,7 @@ def test_aux_chunk_boundaries_change_no_output(run, monkeypatch):
         assert len(others) == len(results)
         for a, b in zip(others, results):
             _assert_bit_identical(a, b, f"AUX_CHUNK={k}")
-        assert other_passes[0] == 1 and set(other_passes[1:]) <= set(range(4, 4 * k + 1, 4))
+        assert other_passes[0] == 1 and set(other_passes[1:]) <= set(range(ns, ns * k + 1, ns))
         assert sum(other_passes) == sum(passes)
     if run == "anchor-abort":
         assert str(failure).startswith("entropy anchor violated") and len(results) == 1
@@ -839,12 +931,13 @@ def test_aux_chunk_boundaries_change_no_output(run, monkeypatch):
         assert len({(r.stats.accepted, r.stats.rejected) for r in results}) > 1
         # a member leaves mid-chunk: a short pass before the run's last one
         assert len(set(accepted)) > 1
-        assert min(runs[3][1][1:-1]) < 12
+        assert min(runs[3][1][1:-1]) < 3 * ns
     if run == "eps-stack":
         # its 3 members at N = 16 step together, so its full passes hold
-        # 4 AUX_CHUNK states, as a single member's do
+        # ns AUX_CHUNK states, as a single member's do
         assert len(u0s) == 3 and domain.modes == 16
-        assert passes[1:] == _chunk_passes(accepted[0]) and max(passes) == 4 * AUX_CHUNK
+        assert passes[1:] == _chunk_passes(accepted[0], spec.method)
+        assert max(passes) == ns * AUX_CHUNK
 
 def test_stack_drops_the_members_from_the_first_abort_on(monkeypatch):
     # the last member aborts at its first step and the second later in time:
