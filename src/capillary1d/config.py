@@ -50,7 +50,6 @@ DEFAULT_CONFIG: dict = {
         "method": "rkf45",
         "rtol": 1e-8,
         "atol": 1e-10,
-        "dt": None,
         "T": 0.01,
         "snapshots": 9,
     },
@@ -80,8 +79,10 @@ def load_config(path: str) -> dict:
             raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {path}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"config file cannot be read: {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return raw
@@ -248,7 +249,6 @@ def resolve_config(raw: dict) -> ResolvedConfig:
             method=itg["method"],
             rtol=_number(itg["rtol"], "rtol"),
             atol=_number(itg["atol"], "atol"),
-            dt=None if itg["dt"] is None else _number(itg["dt"], "dt"),
         )
         snaps = itg["snapshots"]
         if isinstance(snaps, (int, float)) and not isinstance(snaps, bool):

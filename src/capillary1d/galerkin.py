@@ -9,13 +9,13 @@ zero (e_0' = 0), so mass is conserved to the last bit by every integrator.
 A state is a plain coefficient array (basis): simulate takes u0 of shape
 (N+1,), and the snapshots come back as the rows of SimulationResult.coeffs.
 
-simulate_stack holds the one stepping loop, for both RKF45 (adaptive) and
-RK4 (fixed step); every stage calls kernels.rhs.  It steps one member, for
-simulate, or a stack of B members whose parameters differ in delta,
-epsilon and eta only, and its arrays carry a leading member shape: () for
-one member, so a run by itself makes the same numpy calls on 1-D arrays,
-and (B,) for a stack, which makes one kernel call per stage and one aux
-pass per chunk of accepted steps for all B.
+simulate_stack holds the one stepping loop, adaptive RKF45; every stage
+calls kernels.rhs.  It steps one member, for simulate, or a stack of B
+members whose parameters differ in delta, epsilon and eta only, and its
+arrays carry a leading member shape: () for one member, so a run by itself
+makes the same numpy calls on 1-D arrays, and (B,) for a stack, which makes
+one kernel call per stage and one aux pass per chunk of accepted steps for
+all B.
 Each member keeps its own dt, accept/reject decision, snapshots, anchor
 check and StepStats; the step-size control runs on Python floats, member by
 member, since numpy's array power can differ from Python's ** in the last
@@ -26,10 +26,10 @@ the others' rows go back to their last accepted states, whose slopes and
 aux the call and the pass give again bit for bit, and their q stays.
 A step is a row update
 (Hairer, Norsett & Wanner, Solving ODEs I, II.1) on one buffer per run:
-its rows hold the stage inputs, then the propagated and (RKF45) the
-embedded solution.  Each step sets every row to c and adds each slope to
-all later rows as soon as it is known, two numpy calls per slope (the
-weighted slope goes into a buffer of its own, built with the rows); row i
+its rows hold the stage inputs, then the propagated and the embedded
+solution.  Each step sets every row to c and adds each slope to all later
+rows as soon as it is known, two numpy calls per slope (the weighted slope
+goes into a buffer of its own, built with the rows); row i
 then sums c + (dt a_i0) k_0 + (dt a_i1) k_1 + ... in the order of the
 slopes, and a zero weight adds +-0, which changes no value.  Every slope
 reaches the last rows (a non-finite one through 0 * k if need be), so one
@@ -45,27 +45,25 @@ coefficient vector only.
 
 The kernel computes no aux, and no step-size decision reads it, so
 kernels.integrands computes all of it once per chunk of accepted steps.
-The call at each accepted state is a plain stage call, and it and
-the stage calls whose propagated weight q reads (stages 2-5 of RKF45 and
-1-3 of RK4, counted from stage 0, the slope at the step's start) write
-their grid values into the step's slots of a per-run chunk laid out by
-kernels.workspace; once the step stands, its states go beside them: the
-new state, then those stage inputs.  The other stage call (RKF45's stage
-1) writes its grid values into one spare slot after the chunk's, which
-nothing reads.  The chunk's states and workspace are carved at every
-regroup out of one store per run, sized for the first stack, so no call in
-the loop and no regroup allocates a workspace.  When the chunk is full,
-before every regroup of the stack and at the run's end, one pass over the
-chunk's K steps of ns states each (5 for RKF45, 4 for RK4), flattened to
+The call at each accepted state is a plain stage call, and it and the
+stage calls whose propagated weight q reads (stages 2-5, counted from stage
+0, the slope at the step's start) write their grid values into the step's
+slots of a per-run chunk laid out by kernels.workspace; once the step
+stands, its states go beside them: the new state, then those stage inputs.
+The other stage call (stage 1) writes its grid values into one spare slot
+after the chunk's, which nothing reads.  The chunk's states and workspace
+are carved at every regroup out of one store per run, sized for the first
+stack, so no call in the loop and no regroup allocates a workspace.  When
+the chunk is full, before every regroup of the stack and at the run's end,
+one pass over the chunk's K steps of ns = 5 states each, flattened to
 (ns K, N+1) for one member or (ns K, B, N+1) for a stack, gives each
 state's aux [D, S, E_surface, E_delta, sup|u|].  K is AUX_CHUNK for every
 grid and stack width, since the pass writes over its workspace and
-allocates one grid row.  That
-flush forms each step's dq (the propagated weights times the last state's
-and the stages' [D, S], summed in slope order), the sequence
-q_j = q_{j-1} + dq_j and the q half of the Hermite snapshots the chunk's
-steps passed, and hands each member its rows of the node series
-(E_surface, E_delta, q).  The anchor check stays at each
+allocates one grid row.  That flush forms each step's dq (the propagated
+weights times the last state's and the stages' [D, S], summed in slope
+order), the sequence q_j = q_{j-1} + dq_j and the q half of the Hermite
+snapshots the chunk's steps passed, and hands each member its rows of the
+node series (E_surface, E_delta, q).  The anchor check stays at each
 accepted state: it reads sup|u| from the u of that state's call, the same
 exact max as aux[4].  At t = 0 one pass runs over the initial state alone,
 and a rejected step enters no chunk.  The c half of the snapshots comes
@@ -112,40 +110,30 @@ class SimulationAbort(RuntimeError):
 class IntegratorSpec:
     """Time-stepping description.
 
-    "rkf45" is adaptive and takes no dt: it propagates Fehlberg's
+    The one method, "rkf45", is adaptive: it propagates Fehlberg's
     fifth-order solution, and (rtol, atol), with rtol no smaller than machine
     epsilon, bound the max norm of its difference from the fourth-order one,
-    which is the fourth-order solution's local error estimate; "rk4" is
-    fixed-step with dt, and t_end/dt may not exceed MAX_STEPS.
-    Explicit methods need dt = O(lambda_N^-2) on the stiff linearized system;
-    the controller finds that scale by rejecting steps whose error grows.
+    which is the fourth-order solution's local error estimate.
+    An explicit method needs dt = O(lambda_N^-2) on the stiff linearized
+    system; the controller finds that scale by rejecting steps whose error
+    grows.
     """
 
     t_end: float
     method: str = "rkf45"
     rtol: float = 1e-8
     atol: float = 1e-10
-    dt: float | None = None
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        if self.method not in ("rkf45", "rk4"):
+        if self.method != "rkf45":
             raise ValueError(f"unknown method {self.method!r}")
         if not (self.t_end > 0 and np.isfinite(self.t_end)):
             raise ValueError("t_end must be positive and finite")
-        if self.method == "rk4" and not (self.dt is not None and self.dt > 0
-                                         and np.isfinite(self.dt)):
-            raise ValueError("rk4 needs a positive finite dt")
-        if self.method == "rk4" and self.t_end / self.dt > MAX_STEPS:
-            raise ValueError(f"rk4 with t_end/dt = {self.t_end / self.dt:.3g} steps "
-                             f"exceeds MAX_STEPS = {MAX_STEPS}")
         # no step can meet a relative tolerance below roundoff
-        if self.method == "rkf45" and not (np.finfo(float).eps <= self.rtol < 1.0
-                                           and 0.0 < self.atol < float("inf")):
+        if not (np.finfo(float).eps <= self.rtol < 1.0 and 0.0 < self.atol < float("inf")):
             raise ValueError(f"rkf45 needs {np.finfo(float).eps:.3g} <= rtol < 1"
                              " and a positive finite atol")
-        if self.method == "rkf45" and self.dt is not None:
-            raise ValueError(f"rkf45 chooses its own steps and takes no dt, got {self.dt}")
         for s in self.snapshot_times:
             if not (0.0 <= s <= self.t_end * (1 + 1e-12)):
                 raise ValueError(f"snapshot time {s} outside [0, {self.t_end}]")
@@ -191,26 +179,21 @@ class SimulationResult:
     tol_zero: float  # positivity-set tolerance, default_tol_zero of u0 on the grid
 
 
-# explicit tableaux (A rows, propagated weights b, embedded weights or None);
-# Fehlberg 4(5) propagates its 5th-order solution and keeps the 4th-order
-# one as the error estimate (local extrapolation, Hairer, Norsett & Wanner,
-# II.4): the same six stages, and a real stability interval of 3.68 against
-# the 4th-order row's 3.02
-_TABLEAUX = {
-    "rkf45": (
-        ((), (1 / 4,), (3 / 32, 9 / 32), (1932 / 2197, -7200 / 2197, 7296 / 2197),
-         (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-         (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40)),
-        (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55),
-        (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0),
-    ),
-    "rk4": (((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1 / 6, 1 / 3, 1 / 3, 1 / 6), None),
-}
+# Fehlberg's 4(5) tableau (A rows, propagated weights b, embedded weights):
+# it propagates its 5th-order solution and keeps the 4th-order one as the
+# error estimate (local extrapolation, Hairer, Norsett & Wanner, II.4): the
+# same six stages, and a real stability interval of 3.68 against the
+# 4th-order row's 3.02
+_RKF45 = (
+    ((), (1 / 4,), (3 / 32, 9 / 32), (1932 / 2197, -7200 / 2197, 7296 / 2197),
+     (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+     (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40)),
+    (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55),
+    (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0),
+)
 
 
 def _initial_dt(spec: IntegratorSpec, c: np.ndarray, k1: np.ndarray) -> float:
-    if spec.method == "rk4":
-        return spec.dt
     d0 = max(float(np.abs(c).max()), spec.atol)
     d1 = max(float(np.abs(k1).max()), 1e-300)
     return max(DT_MIN, min(1e-3 * spec.t_end, 1e-2 * d0 / d1))
@@ -320,16 +303,15 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
         v = x.tolist()
         return [v] if single else v
 
-    a_rows, weights, embedded = _TABLEAUX[spec.method]
+    a_rows, weights, embedded = _RKF45
     n_stages = len(weights)
     # the coefficient table: row i < n_stages is stage i's A row, row
     # n_stages the propagated weights and row n_stages + 1 the embedded ones
-    tab = np.zeros((n_stages + (1 if embedded is None else 2), n_stages))
+    tab = np.zeros((n_stages + 2, n_stages))
     for i, row in enumerate(a_rows):
         tab[i, :i] = row
     tab[n_stages] = weights
-    if embedded is not None:
-        tab[n_stages + 1] = embedded
+    tab[n_stages + 1] = embedded
     # the later stages lo..hi-1 span every later one that dq reads (those of
     # nonzero propagated weight); a step of the chunk holds ns states, the
     # accepted state and then those stages' inputs, in that order
@@ -537,8 +519,8 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
                 chunk_work = kernels.workspace((chunk * ns + 1,) + lead, t,
                                                store[chunk_c.size:])
                 slots = [work_slot(chunk_work, i) for i in range(chunk * ns)]
-                # the stages that dq does not read (RKF45's 1) share the
-                # last slot, which nothing reads
+                # the stage that dq does not read (stage 1) writes into
+                # the last slot, which nothing reads
                 spare = work_slot(chunk_work, chunk * ns)
                 stage_slots = [[slots[j * ns + i - lo + 1] if lo <= i < hi else spare
                                 for i in range(1, n_stages)] for j in range(chunk)]
@@ -571,18 +553,15 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
             # check (Python's max would hide a NaN, depending on order)
             if single:
                 out_list = c_out.tolist()
-                screen = sum(out_list)
-                if embedded is not None:
-                    diff_list = (c_emb - c_out).tolist()
-                    screen += sum(diff_list)
-                    errs = [max(map(abs, diff_list))]
-                    c_new_maxes = [max(map(abs, out_list))]
-                finite = math.isfinite(screen) or np.isfinite(sums).all()
+                diff_list = (c_emb - c_out).tolist()
+                finite = (math.isfinite(sum(out_list) + sum(diff_list))
+                          or np.isfinite(sums).all())
+                errs = [max(map(abs, diff_list))]
+                c_new_maxes = [max(map(abs, out_list))]
             else:
                 finite = np.isfinite(sums).all()
-                if embedded is not None:
-                    errs = np.abs(c_emb - c_out).max(axis=-1).tolist()
-                    c_new_maxes = np.abs(c_out).max(axis=-1).tolist()
+                errs = np.abs(c_emb - c_out).max(axis=-1).tolist()
+                c_new_maxes = np.abs(c_out).max(axis=-1).tolist()
             if not finite:
                 for m, ok in zip(active, per_member(np.isfinite(sums).all(axis=(0, -1)))):
                     if not ok:
@@ -593,20 +572,18 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
                 st.rhs_calls += n_stages - 1
                 if m.index >= stop:
                     continue
-                m.dt_next = m.dt
-                if embedded is not None:
-                    err, c_new_max = errs[pos], c_new_maxes[pos]
-                    tol = spec.atol + spec.rtol * max(m.c_max, c_new_max)
-                    if not err <= tol:
-                        st.rejected += 1
-                        m.dt *= max(0.1, 0.9 * (tol / err) ** 0.2)
-                        if m.dt < DT_MIN:
-                            fail(m, f"step size underflow at t = {m.t:.6g}: system too stiff "
-                                    "for the explicit integrator at these tolerances")
-                            regroup = True
-                        continue
-                    m.dt_next = m.dt * min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
-                    m.c_max = c_new_max
+                err, c_new_max = errs[pos], c_new_maxes[pos]
+                tol = spec.atol + spec.rtol * max(m.c_max, c_new_max)
+                if not err <= tol:
+                    st.rejected += 1
+                    m.dt *= max(0.1, 0.9 * (tol / err) ** 0.2)
+                    if m.dt < DT_MIN:
+                        fail(m, f"step size underflow at t = {m.t:.6g}: system too stiff "
+                                "for the explicit integrator at these tolerances")
+                        regroup = True
+                    continue
+                m.dt_next = m.dt * min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
+                m.c_max = c_new_max
                 accepted.append(pos)
         if not accepted:
             break

@@ -94,6 +94,26 @@ def test_simulate_missing_config_exit_2(tmp_path, capsys):
     assert "not found" in record["message"]
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("undecodable", "config is not valid JSON: "),
+    ("directory", "config file cannot be read: "),
+], ids=["undecodable", "directory"])
+def test_simulate_unreadable_config_exit_2(tmp_path, capsys, kind, message):
+    # a file that is not UTF-8 text, or a directory, is a ConfigError that
+    # names the path, not a traceback
+    path = tmp_path / "bad.json"
+    if kind == "undecodable":
+        path.write_bytes(b"\xff\xfe{}")
+    else:
+        path.mkdir()
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(message + str(path))
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_rejected_data_exit_2(tmp_path, capsys):
     cfg = dict(BASE, initial_data={"kind": "constant", "parameters": {"value": -1.0}})
     p = tmp_path / "c.json"
@@ -156,7 +176,7 @@ def test_simulate_rejected_data_exit_2(tmp_path, capsys):
     ("model.entropy_anchor=1e308", "entropy_anchor must be at most 1e+150, got 1e+308"),
     ("integrator.rtol=true", "rtol must be a number, got True"),
     ("integrator.atol=true", "atol must be a number, got True"),
-    ("integrator.dt=true", "dt must be a number, got True"),
+    ("integrator.dt=true", "unknown config key integrator.dt"),
     ("integrator.T=true", "T must be a number, got True"),
     ("integrator.snapshots=[0,true]", "snapshot time must be a number, got True"),
     ("initial_data.parameters.base=true", "base must be a number, got True"),
@@ -165,18 +185,20 @@ def test_simulate_rejected_data_exit_2(tmp_path, capsys):
     ('integrator.T=" 2e-2 "', "T must be a number, got ' 2e-2 '"),
     ('domain.N="8"', "N must be a number, got '8'"),
     ('diagnostics.r_values=["1.5"]', R_VALUES_REMOVED),
-    # 5e8 fixed steps would run for days: refused before the first one
+    # rkf45 is the one method, and it chooses its own steps: integrator.dt is
+    # no key, and the null that configs embedded by older versions carry is
+    # refused too
+    ('integrator.method="rk4"', "unknown method 'rk4'"),
+    ("integrator.dt=1e-4", "unknown config key integrator.dt"),
+    ("integrator.dt=null", "unknown config key integrator.dt"),
+    ("integrator.dt=-5", "unknown config key integrator.dt"),
+    ("integrator.dt=NaN", "unknown config key integrator.dt"),
     pytest.param(('integrator.method="rk4"', "integrator.dt=1e-12"),
-                 "rk4 with t_end/dt = 5e+08 steps exceeds MAX_STEPS = 1000000",
-                 id="rk4-dt-1e-12"),
-    # a NaN step would stop at a non-finite slope, an infinite one at the anchor
+                 "unknown config key integrator.dt", id="rk4-dt-1e-12"),
     pytest.param(('integrator.method="rk4"', "integrator.dt=NaN"),
-                 "rk4 needs a positive finite dt", id="rk4-dt-nan"),
+                 "unknown config key integrator.dt", id="rk4-dt-nan"),
     pytest.param(('integrator.method="rk4"', "integrator.dt=Infinity"),
-                 "rk4 needs a positive finite dt", id="rk4-dt-inf"),
-    # rkf45 chooses its own steps: a dt would only sit unread in summary.json
-    ("integrator.dt=-5", "rkf45 chooses its own steps and takes no dt, got -5.0"),
-    ("integrator.dt=NaN", "rkf45 chooses its own steps and takes no dt, got nan"),
+                 "unknown config key integrator.dt", id="rk4-dt-inf"),
 ])
 def test_simulate_bad_value_exit_2(cfgfile, tmp_path, capsys, override, message):
     # rejected up front: never truncated, never left to blow up mid-run
@@ -237,9 +259,10 @@ def test_r_values_default_runs_as_if_omitted(cfgfile, tmp_path, value):
 
 
 def test_simulate_abort_exit_3(tmp_path, capsys):
-    # fixed-step far above the stability limit: blow-up -> integrator abort
+    # a film 3e4 thick has m(u) about 1e9, so every stable explicit step is
+    # shorter than DT_MIN: the controller rejects its way below it and aborts
     cfg = json.loads(json.dumps(BASE))
-    cfg["integrator"] = {"method": "rk4", "dt": 0.05, "T": 1.0, "snapshots": 3}
+    cfg["initial_data"]["parameters"] = {"base": 3e4, "amplitude": 9e3}
     cfg["diagnostics"] = {"track_entropy": False}
     p = tmp_path / "c.json"
     p.write_text(json.dumps(cfg))
@@ -247,6 +270,9 @@ def test_simulate_abort_exit_3(tmp_path, capsys):
     assert rc == 3
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "SimulationAbort"
+    assert record["message"] == ("step size underflow at t = 0: system too stiff for the "
+                                 "explicit integrator at these tolerances")
+    assert not (tmp_path / "o" / "series.csv").exists()
 
 
 def test_simulate_non_finite_slope_exit_3(cfgfile, tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import copy
+import re
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -54,7 +55,7 @@ def _with_leaf(path: Path, leaf: tuple, value) -> dict:
 
 
 def test_leaves_cover_default_config():
-    assert len(LEAVES) == 23
+    assert len(LEAVES) == 22
     assert ("initial_data", "parameters") in LEAVES and ("schema_version",) in LEAVES
 
 
@@ -74,7 +75,6 @@ def test_leaves_cover_default_config():
 @example(REFERENCE, ("model", "entropy_anchor"), True)
 @example(REFERENCE, ("integrator", "rtol"), True)
 @example(REFERENCE, ("integrator", "atol"), True)
-@example(REFERENCE, ("integrator", "dt"), True)
 @example(REFERENCE, ("integrator", "T"), True)
 @example(REFERENCE, ("initial_data", "parameters"), {"base": True})
 @example(REFERENCE, ("initial_data", "parameters"), {"amplitude": False})
@@ -101,3 +101,33 @@ def test_resolve_config_refuses_or_reaches_a_fixed_point(path, leaf, value):
     assert resolve_config(resolved).resolved == resolved
     assert set(_paths_of(resolved, bool)) <= BOOLEAN_LEAVES
     assert set(_paths_of(resolved, str)) <= STRING_LEAVES
+
+
+def test_readme_config_block_names_the_schema():
+    # the README's config-key block ("section  leaf, leaf (note), ...", a
+    # section's later lines indented) names exactly the sections and leaves
+    # of DEFAULT_CONFIG, and after "per kind:" the parameters of each
+    # initial-data kind, one kind a line
+    from capillary1d.config import INITIAL_DATA_KINDS
+
+    def names(text):
+        return [item.split()[0] for item in re.sub(r"\([^)]*\)", "", text).split(",")
+                if item.strip()]
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("Config keys (JSON", 1)[1].split("```\n", 2)[1]
+    sections, kinds = {}, {}
+    for line in block.splitlines():
+        if not line.startswith(" "):
+            name, _, line = line.partition(" ")
+            sections[name] = names(line.partition("--")[0])
+        elif name == "initial_data":
+            kind, params = line.split(None, 1)
+            kinds[kind] = names(params)
+        else:
+            sections[name] += names(line)
+    assert list(sections) == list(DEFAULT_CONFIG)
+    for name, leaves in sections.items():
+        if isinstance(DEFAULT_CONFIG[name], dict):
+            assert sorted(leaves) == sorted(DEFAULT_CONFIG[name]), name
+    assert kinds == {kind: list(defaults) for kind, defaults in INITIAL_DATA_KINDS.items()}

@@ -12,9 +12,8 @@ from capillary1d.basis import (
     tables,
 )
 from capillary1d.galerkin import (
-    _TABLEAUX,
+    _RKF45,
     AUX_CHUNK,
-    MAX_STEPS,
     IntegratorSpec,
     SimulationAbort,
     _hermite,
@@ -65,11 +64,17 @@ def test_rhs_linear_constant_mobility_decoupling():
 
 
 def test_step_trivial_dynamics():
+    # a flat film's slope is exactly zero, and so is every step's error: the
+    # first step is 1e-3 t_end, each later one grows by the controller's cap
+    # of 5 until the last lands on t_end, and every state is u0
     p = ModelParams(n=2, epsilon=0.3, delta=0.1)
     u0 = unit_mode(0, D8, 2.0)
-    spec = IntegratorSpec(t_end=1.0, method="rk4", dt=0.25, snapshot_times=(0.25,))
+    spec = IntegratorSpec(t_end=1.0, snapshot_times=(0.25,))
     res = simulate(u0, spec, p, D8)
-    assert res.nodes.t[1] == 0.25
+    steps = np.diff(res.nodes.t)
+    assert steps[0] == 1e-3 and res.stats.rejected == 0
+    np.testing.assert_allclose(steps[1:-1] / steps[:-2], 5.0, rtol=1e-12)
+    assert res.nodes.t[-1] == pytest.approx(1.0, rel=1e-12)
     np.testing.assert_array_equal(res.coeffs[0], u0)
 
 
@@ -97,38 +102,41 @@ def test_step_adaptive_matches_exponential_decay():
 
 
 def test_rk4_observed_order():
-    # Richardson order estimate on a smooth nonlinear run
-    d = DomainSpec(half_length=1.0, modes=6)
+    # the order of simulate's own loop (the name is the retired fixed-step
+    # RK4's): at a tolerance every step meets, the steps are t_end times
+    # (1e-3, 5e-3, 0.025, 0.125, 0.625, 0.219), the first step and the
+    # controller's growth cap, so the error of a smooth nonlinear run
+    # against a tight one falls as t_end^6 when t_end halves, the local order
+    # of the propagated fifth-order row (5.81 and 5.91 measured)
+    d = DomainSpec(half_length=1.0, modes=4)
     p = ModelParams(n=2, delta=0.1, epsilon=0.5)
     u0 = project(lambda x: 1.0 + 0.3 * np.cos(np.pi * x / 1.0), d)
-    t_end = 2e-3
-    sols = []
-    for dt in (1e-4, 5e-5, 2.5e-5):
-        spec = IntegratorSpec(t_end=t_end, method="rk4", dt=dt,
-                              snapshot_times=(t_end,))
-        res = simulate(u0, spec, p, d)
-        sols.append(res.coeffs[-1])
-    e1 = np.max(np.abs(sols[0] - sols[1]))
-    e2 = np.max(np.abs(sols[1] - sols[2]))
-    order = np.log2(e1 / e2)
-    assert 3.6 < order < 4.4
+    errs = []
+    for t_end in (4e-4, 2e-4, 1e-4):
+        loose = IntegratorSpec(t_end=t_end, rtol=0.5, atol=1e300, snapshot_times=(t_end,))
+        tight = IntegratorSpec(t_end=t_end, rtol=1e-14, atol=1e-16, snapshot_times=(t_end,))
+        res = simulate(u0, loose, p, d)
+        assert (res.stats.accepted, res.stats.rejected) == (6, 0)
+        errs.append(np.max(np.abs(res.coeffs[-1] - simulate(u0, tight, p, d).coeffs[-1])))
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert np.all((5.6 < orders) & (orders < 6.4))
 
 
-def _states_per_step(method):
+def _states_per_step():
     # the chunk states of one accepted step, as simulate_stack lays them out:
     # the new state, then the inputs of the stages lo..hi-1 that span every
-    # later stage of nonzero propagated weight (RKF45 5, RK4 4)
-    weights = _TABLEAUX[method][1]
+    # later stage of nonzero propagated weight (5 in all)
+    weights = _RKF45[1]
     read = [i for i in range(1, len(weights)) if weights[i] != 0.0]
     lo, hi = read[0], read[-1] + 1
     return 1 + hi - lo
 
 
-def _chunk_passes(accepted, method):
+def _chunk_passes(accepted):
     # the states of each aux pass of one member after t = 0: full chunks of
     # AUX_CHUNK steps, _states_per_step states a step, and the rest at the
     # run's end
-    ns = _states_per_step(method)
+    ns = _states_per_step()
     full, rest = divmod(accepted, AUX_CHUNK)
     return [ns * AUX_CHUNK] * full + ([ns * rest] if rest else [])
 
@@ -143,19 +151,22 @@ def _one_state_at_a_time(true_integrands, passes):
     return integrands
 
 
-@pytest.mark.parametrize("spec", [
-    IntegratorSpec(t_end=5e-3, rtol=1e-8, atol=1e-10,
-                   snapshot_times=(0.0, 3e-4, 1e-3, 1.7e-3, 5e-3)),
-    IntegratorSpec(t_end=1e-3, method="rk4", dt=2e-5, snapshot_times=(0.0, 3.1e-4, 7e-4, 1e-3)),
+# (single run's spec, stack case): a run with rejected steps next to a stack
+# whose members' steps stand apart, and a short run next to a stack whose
+# members step together (the second id is the retired fixed-step RK4's)
+@pytest.mark.parametrize("spec, case", [
+    (IntegratorSpec(t_end=5e-3, rtol=1e-8, atol=1e-10,
+                    snapshot_times=(0.0, 3e-4, 1e-3, 1.7e-3, 5e-3)), "tiny-eta"),
+    (IntegratorSpec(t_end=1e-3, rtol=1e-8, atol=1e-10,
+                    snapshot_times=(0.0, 3.1e-4, 7e-4, 1e-3)), "eps-anchors"),
 ], ids=["rkf45", "rk4"])
-def test_stage_aux_prefixes_change_no_output(spec, monkeypatch):
+def test_stage_aux_prefixes_change_no_output(spec, case, monkeypatch):
     # all of aux comes from one pass per chunk of accepted steps, over each
-    # step's new state and the stages whose propagated weight dq reads (RKF45
-    # stages 2-4, RK4 stages 1-3), passed early when a stack regroups and at
-    # the run's end, and from one pass over the initial state alone at
-    # t = 0; a rejected step enters none.  A pass that takes its
-    # states one at a time gives the same run to the last bit, for one
-    # member and for a stack whose members' steps stand apart
+    # step's new state and the stages whose propagated weight dq reads
+    # (stages 2-5), passed early when a stack regroups and at the run's end,
+    # and from one pass over the initial state alone at t = 0; a rejected
+    # step enters none.  A pass that takes its states one at a time gives
+    # the same run to the last bit, for one member and for a stack
     from capillary1d.galerkin import simulate_stack
 
     true_integrands = kernels.integrands
@@ -169,21 +180,19 @@ def test_stage_aux_prefixes_change_no_output(spec, monkeypatch):
     together = simulate(u0, spec, p, d, track_weak_residual=True)
     st = together.stats
     assert st.accepted > 0
-    if spec.method == "rkf45":
-        assert st.rejected > 0
-    assert passes == [1] + _chunk_passes(st.accepted, spec.method)
+    assert (st.rejected > 0) == (case == "tiny-eta")
+    assert passes == [1] + _chunk_passes(st.accepted)
     _assert_bit_identical(one, together)
 
-    # a stack of members whose steps stand apart (RKF45), with the pass one
-    # state at a time, against the members run one at a time
-    u0s, _, params, domain = _stack_members("tiny-eta", spec.method)
-    member_spec = IntegratorSpec(t_end=spec.t_end / 10, method=spec.method, rtol=spec.rtol,
-                                 atol=spec.atol, dt=spec.dt,
+    # the stack, with the pass one state at a time, against the members run
+    # one at a time
+    u0s, _, params, domain = _stack_members(case)
+    member_spec = IntegratorSpec(t_end=spec.t_end / 10, rtol=spec.rtol, atol=spec.atol,
                                  snapshot_times=(0.0, spec.t_end / 30, spec.t_end / 10))
     serial = [simulate(u, member_spec, q, domain, track_weak_residual=True)
               for u, q in zip(u0s, params)]
-    if spec.method == "rkf45":
-        assert len({(r.stats.accepted, r.stats.rejected) for r in serial}) > 1
+    steps = {(r.stats.accepted, r.stats.rejected) for r in serial}
+    assert (len(steps) > 1) == (case == "tiny-eta")
     passes.clear()
     monkeypatch.setattr(kernels, "integrands", _one_state_at_a_time(true_integrands, passes))
     results, failure = simulate_stack(u0s, member_spec, params, domain, track_weak_residual=True)
@@ -193,7 +202,7 @@ def test_stage_aux_prefixes_change_no_output(spec, monkeypatch):
         _assert_bit_identical(a, b)
     # ns states per step that stands for at least one member, whole steps in
     # every pass
-    ns = _states_per_step(spec.method)
+    ns = _states_per_step()
     accepted = [r.stats.accepted for r in serial]
     assert passes[0] == 1
     assert all(0 < n <= ns * AUX_CHUNK and n % ns == 0 for n in passes[1:])
@@ -343,9 +352,9 @@ def test_anchor_crossed_after_t0_aborts_at_that_state(where, monkeypatch):
         u0s, spec, domain = [_step_u0()], STEP_SPECS[0], STEP_DOMAIN
         lifted = 0
     else:
-        # RK4: every member's step stands, so the 5th pass is every member's
-        # 5th accepted state
-        u0s, spec, params, domain = _stack_members("tiny-eta", "rk4")
+        # members that step together, so the 5th call at the accepted states
+        # is every member's 5th accepted state
+        u0s, spec, params, domain = _stack_members("eps-anchors")
         lifted = 1
     clean = simulate(u0s[lifted], spec, params[lifted], domain)
     anchor = params[lifted].entropy_anchor
@@ -415,21 +424,12 @@ def test_weak_residual_zero_on_positive_run():
 def test_integrator_spec_validation():
     with pytest.raises(ValueError):
         IntegratorSpec(t_end=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown method 'rk4'"):
         IntegratorSpec(t_end=1.0, method="rk4")
-    # a NaN step would only show as a non-finite slope, an infinite one as
-    # one step over all of t_end
-    for dt in (float("nan"), float("inf"), -float("inf"), 0.0):
-        with pytest.raises(ValueError, match="rk4 needs a positive finite dt"):
-            IntegratorSpec(t_end=1.0, method="rk4", dt=dt)
     with pytest.raises(ValueError):
         IntegratorSpec(t_end=1.0, snapshot_times=(2.0,))
-    # a fixed step may take at most MAX_STEPS steps
-    IntegratorSpec(t_end=1.0, method="rk4", dt=1.0 / MAX_STEPS)
-    with pytest.raises(ValueError, match="exceeds MAX_STEPS"):
-        IntegratorSpec(t_end=1.0, method="rk4", dt=0.99 / MAX_STEPS)
-    # rkf45 chooses its own steps, so a dt would be a value no run reads
-    with pytest.raises(ValueError, match="rkf45 chooses its own steps and takes no dt"):
+    # rkf45 chooses its own steps: the spec has no field for a step size
+    with pytest.raises(TypeError):
         IntegratorSpec(t_end=1.0, dt=1e-4)
 
 
@@ -463,9 +463,11 @@ def test_dissipation_cumulative_nonnegative_and_increasing():
 
 STEP_DOMAIN = DomainSpec(half_length=1.0, modes=10)
 STEP_PARAMS = ModelParams(n=2, delta=0.1, epsilon=0.1, eta=0.05)
+# the default tolerances, and a looser tolerance over a shorter run (its id is
+# the retired fixed-step RK4's)
 STEP_SPECS = [
     IntegratorSpec(t_end=2e-3, rtol=1e-8, atol=1e-10),
-    IntegratorSpec(t_end=1e-3, method="rk4", dt=2e-5),
+    IntegratorSpec(t_end=1e-3, rtol=1e-5, atol=1e-7),
 ]
 STEP_IDS = ["rkf45", "rk4"]
 
@@ -498,9 +500,9 @@ def _slope_and_aux(y):
     return k, kernels.integrands(y[None], work, t, STEP_PARAMS)[0]
 
 
-def _reference_step(c, dt, method):
-    """One step by the plain sums: (stage inputs, c_new, embedded or None, dq)."""
-    rows, weights, embedded = _TABLEAUX[method]
+def _reference_step(c, dt):
+    """One step by the plain sums: (stage inputs, c_new, embedded, dq)."""
+    rows, weights, embedded = _RKF45
     inputs, ks, qds = [], [], []
     for row in rows:
         y = c if not row else _combine(c, dt, row, ks)
@@ -508,8 +510,7 @@ def _reference_step(c, dt, method):
         k, aux = _slope_and_aux(y)
         ks.append(k)
         qds.append(aux[:2])  # D and S
-    return (inputs[1:], _combine(c, dt, weights, ks),
-            None if embedded is None else _combine(c, dt, embedded, ks),
+    return (inputs[1:], _combine(c, dt, weights, ks), _combine(c, dt, embedded, ks),
             _combine(np.zeros(2), dt, weights, qds))
 
 
@@ -519,7 +520,7 @@ def test_rkf45_rows_observed_order(row, lo, hi):
     # each row of Fehlberg's pair, propagated on its own at fixed dt by the
     # plain sums, has its order by Richardson: the propagated row 5 (5.04
     # measured), the embedded one 4 (4.11)
-    a_rows, weights = _TABLEAUX["rkf45"][0], _TABLEAUX["rkf45"][row]
+    a_rows, weights = _RKF45[0], _RKF45[row]
     d = DomainSpec(half_length=1.0, modes=4)
     p = ModelParams(n=2, delta=0.1, epsilon=0.5)
     t = tables(d)
@@ -560,12 +561,9 @@ def test_rkf45_propagated_row_has_the_wider_stability_interval():
     # the fifth-order row that RKF45 propagates reaches 3.68 along the
     # negative real axis, where a stiff run's dt sits, against 3.02 for the
     # fourth-order row it keeps as the error estimate
-    rows, weights, embedded = _TABLEAUX["rkf45"]
+    rows, weights, embedded = _RKF45
     assert 3.6 < _real_stability_interval(rows, weights) < 3.7
     assert 3.0 < _real_stability_interval(rows, embedded) < 3.05
-    # RK4's is 2.785
-    rows, weights, _ = _TABLEAUX["rk4"]
-    assert 2.78 < _real_stability_interval(rows, weights) < 2.79
 
 
 @pytest.mark.parametrize("spec", STEP_SPECS, ids=STEP_IDS)
@@ -595,7 +593,7 @@ def test_row_updates_match_the_plain_sums(spec, monkeypatch):
     monkeypatch.setattr(kernels, "integrands", recording_integrands)
     u0 = _step_u0()
     res = simulate(u0, spec, STEP_PARAMS, STEP_DOMAIN)
-    n_stages = len(_TABLEAUX[spec.method][1])
+    n_stages = len(_RKF45[1])
     # the first step was accepted: the call and the pass at u0, the step's
     # stage calls, then the call at c_new
     kinds = [kind for kind, _, _ in events[:n_stages + 2]]
@@ -610,21 +608,20 @@ def test_row_updates_match_the_plain_sums(spec, monkeypatch):
         elif kind == "pass":
             passes.append(n)
             steps.append(0)
-    assert steps[-1] == 0 and passes == _chunk_passes(res.stats.accepted, spec.method)
+    assert steps[-1] == 0 and passes == _chunk_passes(res.stats.accepted)
     calls = [e for e in events if e[0] != "pass"]
 
     c0 = u0.astype(float)
     k0 = true_rhs(c0, tables(STEP_DOMAIN), STEP_PARAMS)[0]
     dt = _initial_dt(spec, c0, k0)
-    inputs, c_new, emb, dq = _reference_step(c0, dt, spec.method)
+    inputs, c_new, emb, dq = _reference_step(c0, dt)
     for (_, got, _), want in zip(calls[1:n_stages], inputs):
         assert np.array_equal(got, want)
     assert np.array_equal(calls[n_stages][1], c_new)
     assert res.nodes.t[1] == dt
-    if emb is not None:
-        # the buffer's last row holds the embedded solution when the kernel
-        # is called at c_new
-        assert np.array_equal(calls[n_stages][2], emb)
+    # the buffer's last row holds the embedded solution when the kernel is
+    # called at c_new
+    assert np.array_equal(calls[n_stages][2], emb)
     q1 = [res.nodes.dissipation_cum[1], res.nodes.entropy_dissipation_cum[1]]
     assert np.array_equal(q1, dq)
 
@@ -652,7 +649,7 @@ def test_non_finite_slope_aborts_within_its_step(spec, where, monkeypatch):
     monkeypatch.setattr(kernels, "rhs", poisoned_rhs)
     assert simulate(_step_u0(), spec, STEP_PARAMS, STEP_DOMAIN).stats.accepted > 2
     # the second step's stage calls follow the one at the first accepted state
-    n_stages = len(_TABLEAUX[spec.method][1])
+    n_stages = len(_RKF45[1])
     poison_from, last_call = {
         "first stage": (state_calls[1] + 1, state_calls[1] + n_stages - 1),
         "last stage": (state_calls[1] + n_stages - 1, state_calls[1] + n_stages - 1),
@@ -686,7 +683,7 @@ def test_a_nan_that_python_max_would_hide_aborts_within_its_step(spec, index, mo
         return out
 
     monkeypatch.setattr(kernels, "rhs", poisoned_rhs)
-    n_stages = len(_TABLEAUX[spec.method][1])
+    n_stages = len(_RKF45[1])
     # the last stage call of the second step (the first step was accepted)
     poison_at = 2 * n_stages
     with pytest.raises(SimulationAbort, match="non-finite right-hand side"):
@@ -720,8 +717,8 @@ def test_rejected_steps_make_no_pass_and_the_call_counts_stay(monkeypatch):
                    STEP_PARAMS, STEP_DOMAIN)
     st = res.stats
     assert (st.accepted, st.rejected, st.rhs_calls) == (393, 11, 2414)
-    assert calls == {"rhs": 2414, "integrands": 1 + len(_chunk_passes(393, "rkf45")),
-                     "states": 1 + _states_per_step("rkf45") * 393}
+    assert calls == {"rhs": 2414, "integrands": 1 + len(_chunk_passes(393)),
+                     "states": 1 + _states_per_step() * 393}
     assert galerkin.rhs_calls_tally - n0 == 2414
 
 
@@ -735,28 +732,35 @@ STACK_TINY = {
     "initial_data": {"kind": "cosine_bump", "parameters": {"base": 1.0, "amplitude": 0.3}},
 }
 
-# (base config, swept model key, values, rkf45 t_end, rk4 dt): the epsilon
-# sweep of the benchmark in both orders, verify's delta sweep (criterion 6)
-# and a small bump under delta and eta, with eta = 0 next to capped members
+# (base config, swept model key, values, t_end, second t_end): the epsilon
+# sweep of the benchmark in both orders, verify's delta sweep (criterion 6),
+# a small bump under delta and eta, with eta = 0 next to capped members, and
+# the benchmark's epsilon-sweep config under anchors that no run reaches, so
+# that its members step together (at the first t_end each takes 133 accepted
+# and 2 rejected steps).  The second t_end is that of the retired fixed-step
+# RK4 runs, 100 of their steps
 STACK_CASES = {
-    "eps-sweep": ("perfbench/configs/eps_sweep.json", "epsilon", (1e-1, 1e-2, 1e-3), 2e-3, 1e-6),
+    "eps-sweep": ("perfbench/configs/eps_sweep.json", "epsilon", (1e-1, 1e-2, 1e-3), 2e-3, 1e-4),
     "eps-sweep-reversed": ("perfbench/configs/eps_sweep.json", "epsilon", (1e-3, 1e-2, 1e-1),
-                           2e-3, 1e-6),
-    "criterion-6": ("DELTA_SWEEP_RUN", "delta", (0.3, 0.1, 0.03, 0.01), 1e-3, 1e-6),
-    "tiny-delta": (STACK_TINY, "delta", (0.3, 0.1, 0.03), 5e-4, 1e-5),
-    "tiny-eta": (STACK_TINY, "eta", (1.0, 0.1, 0.01), 5e-4, 1e-5),
-    "tiny-eta-zero": (STACK_TINY, "eta", (1.0, 0.1, 0.0), 5e-4, 1e-5),
+                           2e-3, 1e-4),
+    "criterion-6": ("DELTA_SWEEP_RUN", "delta", (0.3, 0.1, 0.03, 0.01), 1e-3, 1e-4),
+    "tiny-delta": (STACK_TINY, "delta", (0.3, 0.1, 0.03), 5e-4, 1e-3),
+    "tiny-eta": (STACK_TINY, "eta", (1.0, 0.1, 0.01), 5e-4, 1e-3),
+    "tiny-eta-zero": (STACK_TINY, "eta", (1.0, 0.1, 0.0), 5e-4, 1e-3),
+    "eps-anchors": ("perfbench/configs/eps_sweep.json", "entropy_anchor", (2.0, 3.0, 4.0),
+                    2e-3, 1e-4),
 }
 
 
-def _stack_members(case, method):
-    """(u0s, spec, params, domain) of one STACK_CASES case."""
+def _stack_members(case, horizon=0):
+    """(u0s, spec, params, domain) of one STACK_CASES case, to its first
+    (horizon 0) or second (horizon 1) t_end."""
     from pathlib import Path
 
     from capillary1d import verify
     from capillary1d.config import load_config, resolve_config
 
-    base, key, values, t_end, dt = STACK_CASES[case]
+    base, key, values, *t_ends = STACK_CASES[case]
     if base == "DELTA_SWEEP_RUN":
         base = verify.DELTA_SWEEP_RUN
     elif isinstance(base, str):
@@ -765,12 +769,8 @@ def _stack_members(case, method):
     for v in values:
         cfg = {**base, "model": {**base["model"], key: v}}
         rcs.append(resolve_config(cfg))
-    if method == "rkf45":
-        spec = IntegratorSpec(t_end=t_end, snapshot_times=(0.0, t_end / 3, t_end))
-    else:
-        t_end = 100 * dt
-        spec = IntegratorSpec(t_end=t_end, method="rk4", dt=dt,
-                              snapshot_times=(0.0, t_end / 3, t_end))
+    t_end = t_ends[horizon]
+    spec = IntegratorSpec(t_end=t_end, snapshot_times=(0.0, t_end / 3, t_end))
     return [rc.u0 for rc in rcs], spec, [rc.params for rc in rcs], rcs[0].domain
 
 
@@ -792,15 +792,16 @@ def _assert_bit_identical(a, b, where="result"):
             assert x == y, name
 
 
-@pytest.mark.parametrize("method", ["rkf45", "rk4"])
+@pytest.mark.parametrize("horizon", [0, 1], ids=["rkf45", "rk4"])
 @pytest.mark.parametrize("case", list(STACK_CASES))
-def test_stack_is_bit_identical_to_serial_runs(case, method):
+def test_stack_is_bit_identical_to_serial_runs(case, horizon):
     # every field of every member's result, with the weak residual tracked,
-    # and the call tally advances by the serial total
+    # and the call tally advances by the serial total (the ids name the
+    # first and second t_end, the second the retired fixed-step RK4's)
     from capillary1d import galerkin
     from capillary1d.galerkin import simulate_stack
 
-    u0s, spec, params, domain = _stack_members(case, method)
+    u0s, spec, params, domain = _stack_members(case, horizon)
     n0 = galerkin.rhs_calls_tally
     serial = [simulate(u0, spec, p, domain, track_weak_residual=True)
               for u0, p in zip(u0s, params)]
@@ -811,9 +812,10 @@ def test_stack_is_bit_identical_to_serial_runs(case, method):
     for a, b in zip(serial, stacked):
         _assert_bit_identical(a, b)
     assert galerkin.rhs_calls_tally - n1 == n1 - n0 == sum(r.stats.rhs_calls for r in serial)
-    if method == "rkf45":
-        # the members choose their own steps, so they accept and reject apart
-        assert len({(r.stats.accepted, r.stats.rejected) for r in serial}) > 1
+    # the members choose their own steps, so they accept and reject apart,
+    # except where only the anchor differs
+    steps = {(r.stats.accepted, r.stats.rejected) for r in serial}
+    assert (len(steps) > 1) == (case != "eps-anchors")
 
 
 def test_regroups_carve_the_chunk_out_of_one_store(monkeypatch):
@@ -823,7 +825,7 @@ def test_regroups_carve_the_chunk_out_of_one_store(monkeypatch):
     # C-contiguous
     from capillary1d.galerkin import simulate_stack
 
-    u0s, spec, params, domain = _stack_members("tiny-eta", "rkf45")
+    u0s, spec, params, domain = _stack_members("tiny-eta")
     true_workspace = kernels.workspace
     stores, carved = [], []
 
@@ -847,27 +849,28 @@ def test_regroups_carve_the_chunk_out_of_one_store(monkeypatch):
 @pytest.mark.parametrize("run", ["rkf45", "rk4", "stack", "eps-stack", "anchor-abort"])
 def test_aux_chunk_boundaries_change_no_output(run, monkeypatch):
     # a chunk of 1 accepted step (one aux pass per accepted state), of 3 and
-    # of AUX_CHUNK give the same runs to the last bit: RKF45 with rejections
-    # and snapshots inside chunks, RK4, a stack whose members' steps stand
-    # apart and which leave mid-chunk, the epsilon sweep's stack, and an
-    # anchor abort mid-chunk.  A chunk holds AUX_CHUNK steps whatever the
-    # grid and the stack's width
+    # of AUX_CHUNK give the same runs to the last bit: a run with rejections
+    # and snapshots inside chunks, a shorter run at a looser tolerance (its
+    # id is the retired fixed-step RK4's), a stack whose members' steps
+    # stand apart and which leave mid-chunk, a stack of the epsilon-sweep
+    # config whose members step together, and an anchor abort mid-chunk in
+    # that stack.  A chunk holds AUX_CHUNK steps whatever the grid and the
+    # stack's width
     from capillary1d import galerkin
     from capillary1d.galerkin import simulate_stack
 
     if run in ("rkf45", "rk4"):
         spec = {"rkf45": IntegratorSpec(t_end=5e-3, rtol=1e-8, atol=1e-10,
                                         snapshot_times=(0.0, 3e-4, 1e-3, 1.7e-3, 5e-3)),
-                "rk4": IntegratorSpec(t_end=1e-3, method="rk4", dt=2e-5,
+                "rk4": IntegratorSpec(t_end=1e-3, rtol=1e-5, atol=1e-7,
                                       snapshot_times=(0.0, 3.1e-4, 7e-4, 1e-3))}[run]
         u0s, params, domain = [_step_u0()], [STEP_PARAMS], STEP_DOMAIN
-    elif run == "eps-stack":
-        u0s, spec, params, domain = _stack_members("eps-sweep", "rk4")
+    elif run == "stack":
+        u0s, spec, params, domain = _stack_members("tiny-eta")
     else:
-        u0s, spec, params, domain = _stack_members("tiny-eta", "rk4" if run == "anchor-abort"
-                                                   else "rkf45")
+        u0s, spec, params, domain = _stack_members("eps-anchors")
     true_rhs, true_integrands = kernels.rhs, kernels.integrands
-    ns = _states_per_step(spec.method)
+    ns = _states_per_step()
     runs = {}
     for k in (1, 3, AUX_CHUNK):
         monkeypatch.setattr(galerkin, "AUX_CHUNK", k)
@@ -936,7 +939,7 @@ def test_aux_chunk_boundaries_change_no_output(run, monkeypatch):
         # its 3 members at N = 16 step together, so its full passes hold
         # ns AUX_CHUNK states, as a single member's do
         assert len(u0s) == 3 and domain.modes == 16
-        assert passes[1:] == _chunk_passes(accepted[0], spec.method)
+        assert passes[1:] == _chunk_passes(accepted[0])
         assert max(passes) == ns * AUX_CHUNK
 
 def test_stack_drops_the_members_from_the_first_abort_on(monkeypatch):
@@ -944,7 +947,7 @@ def test_stack_drops_the_members_from_the_first_abort_on(monkeypatch):
     # the stack keeps the first member's result and reports the second's abort
     from capillary1d.galerkin import simulate_stack
 
-    u0s, spec, params, domain = _stack_members("tiny-eta", "rkf45")
+    u0s, spec, params, domain = _stack_members("tiny-eta")
     # the second member's modes decay below 0.97 of their start within the run
     a0 = float(np.abs(u0s[1][1:]).max())
     free = simulate(u0s[1], spec, params[1], domain)
