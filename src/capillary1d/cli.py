@@ -52,7 +52,6 @@ DEFAULT_SWEEP_VALUES = {
     "eta": (1.0, 0.1, 0.01),
     "N": (8, 16, 32),
 }
-EPSILON_DEEP_FLOOR = 1e-3
 
 
 def _fmt(v) -> str:
@@ -220,9 +219,6 @@ def cmd_sweep(args) -> int:
         values = tuple(_number_list(args.values, "--values"))
     else:
         values = DEFAULT_SWEEP_VALUES[args.param]
-    if args.param == "epsilon" and min(values) < EPSILON_DEEP_FLOOR and not args.deep:
-        raise ConfigError(
-            f"epsilon below {EPSILON_DEEP_FLOOR} with degenerate data needs --deep")
     spec = SweepSpec(parameter=args.param, values=values, base_config=cfg)
     outdir = Path(args.out)
     try:
@@ -304,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a regularization-parameter or N sweep in this process "
                                       "(eta, epsilon and delta members step as one stack)")
     common(p)
-    p.add_argument("--deep", action="store_true",
-                   help="allow expensive settings (epsilon < 1e-3)")
     p.add_argument("--param", required=True, choices=SWEEP_PARAMETERS)
     p.add_argument("--values", help="comma-separated values (default per parameter)")
     p.set_defaults(func=cmd_sweep)

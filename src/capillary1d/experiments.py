@@ -53,7 +53,7 @@ class SweepSpec:
     values: tuple
     base_config: dict
     # every sweep runs in this process; the field stays only until the
-    # benchmark stops passing jobs=1 (ROADMAP item 1)
+    # benchmark stops passing jobs=1 (ROADMAP item 2)
     jobs: int = 1
 
     def __post_init__(self):

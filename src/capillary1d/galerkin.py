@@ -50,22 +50,24 @@ stage calls whose propagated weight q reads (stages 2-5, counted from stage
 0, the slope at the step's start) write their grid values into the step's
 slots of a per-run chunk laid out by kernels.workspace; once the step
 stands, its states go beside them: the new state, then those stage inputs.
-The other stage call (stage 1) writes its grid values into one spare slot
-after the chunk's, which nothing reads.  The chunk's states and workspace
-are carved at every regroup out of one store per run, sized for the first
-stack, so no call in the loop and no regroup allocates a workspace.  When
-the chunk is full, before every regroup of the stack and at the run's end,
-one pass over the chunk's K steps of ns = 5 states each, flattened to
-(ns K, N+1) for one member or (ns K, B, N+1) for a stack, gives each
-state's aux [D, S, E_surface, E_delta, sup|u|].  K is AUX_CHUNK for every
+The other stage call (stage 1) writes its grid values into the step's
+state slot, which the call at the new state overwrites before any pass
+reads it.  The chunk's states and workspace are carved at every regroup
+out of one store per run, sized for the first stack, and so is the
+workspace of the pass at t = 0, so no call in the loop and no regroup
+allocates a workspace.  When the chunk is full, before every regroup of
+the stack and at the run's end, one pass over the chunk's K steps of
+ns = 5 states each, flattened to (ns K, N+1) for one member or
+(ns K, B, N+1) for a stack, gives each state's aux
+[D, S, E_surface, E_delta].  K is AUX_CHUNK for every
 grid and stack width, since the pass writes over its workspace and
 allocates one grid row.  That flush forms each step's dq (the propagated
 weights times the last state's and the stages' [D, S], summed in slope
 order), the sequence q_j = q_{j-1} + dq_j and the q half of the Hermite
 snapshots the chunk's steps passed, and hands each member its rows of the
 node series (E_surface, E_delta, q).  The anchor check stays at each
-accepted state: it reads sup|u| from the u of that state's call, the same
-exact max as aux[4].  At t = 0 one pass runs over the initial state alone,
+accepted state: it reads sup|u| from the u of that state's call, which
+no pass computes.  At t = 0 one pass runs over the initial state alone,
 and a rejected step enters no chunk.  The c half of the snapshots comes
 from cubic Hermite dense output at once, and the weak residual, when
 tracked, is measured at every accepted step from the same kernel output
@@ -322,12 +324,11 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
     # then the stages' (a zero weight among them adds +-0), with these
     # propagated weights, each times the step's dt
     dq_tab = tab[n_stages, [0, *range(lo, hi)]]
-    # the chunk's states and its workspace, one slot more for the spare, are
-    # carved at every regroup out of one store per run, sized for the first
-    # stack, the widest (a workspace slot holds 6 G values)
+    # the chunk's states and its workspace are carved at every regroup out
+    # of one store per run, sized for the first stack, the widest (a
+    # workspace slot holds 6 G values); the pass at t = 0 uses its head
     chunk = AUX_CHUNK
-    store = np.empty(len(members) * (chunk * ns * (domain.modes + 1)
-                                     + (chunk * ns + 1) * 6 * t.w.shape[0]))
+    store = np.empty(len(members) * chunk * ns * (domain.modes + 1 + 6 * t.w.shape[0]))
     max_steps = MAX_STEPS
     t_stop = t_end - eps_end
 
@@ -398,7 +399,7 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
     anchored = any(p.entropy_anchor is not None for p in params)
     c_new = cs[0] if single else np.stack(cs)
     ps = stacked_params(params)
-    work = kernels.workspace((1,) + c_new.shape[:-1], t)
+    work = kernels.workspace((1,) + c_new.shape[:-1], t, store)
     state_work = work_slot(work, 0)
     accepted = range(len(active))
     first = True
@@ -413,7 +414,7 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
             AUX1 = kernels.integrands(c_new[None], work, t, ps)[0]
             Q = np.zeros(AUX1.shape[:-1] + (nq,))
             split(AUX1[None], Q[None], None)
-        # sup|u| for the anchor check, the exact max that aux[4] holds
+        # sup|u| for the anchor check
         sup_u = per_member(np.maximum.reduce(np.abs(u_grid), axis=-1)) if anchored else None
         # a single member screens with a Python sum first, as the step's rows below
         if single and math.isfinite(sum(k1_new.tolist())) or np.isfinite(k1_new).all():
@@ -516,18 +517,22 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
                 chunk_shape = (chunk * ns,) + lead + (domain.modes + 1,)
                 chunk_c = store[:math.prod(chunk_shape)].reshape(chunk_shape)
                 chunk_steps = chunk_c.reshape((chunk, ns) + chunk_shape[1:])
-                chunk_work = kernels.workspace((chunk * ns + 1,) + lead, t,
-                                               store[chunk_c.size:])
+                chunk_work = kernels.workspace((chunk * ns,) + lead, t, store[chunk_c.size:])
                 slots = [work_slot(chunk_work, i) for i in range(chunk * ns)]
-                # the stage that dq does not read (stage 1) writes into
-                # the last slot, which nothing reads
-                spare = work_slot(chunk_work, chunk * ns)
-                stage_slots = [[slots[j * ns + i - lo + 1] if lo <= i < hi else spare
+                # the stage that dq does not read (stage 1) writes into the
+                # step's state slot, which the call at the new state fills
+                stage_slots = [[slots[j * ns + (i - lo + 1 if lo <= i < hi else 0)]
                                 for i in range(1, n_stages)] for j in range(chunk)]
 
+            # one check of the step size for accepted and rejected steps; a
+            # step clipped to t_end is at least eps_end >= DT_MIN
             for m in active:
                 st = m.stats
-                if st.accepted + st.rejected >= max_steps:
+                if m.dt < DT_MIN:
+                    fail(m, f"step size underflow at t = {m.t:.6g}: system too stiff "
+                            "for the explicit integrator at these tolerances")
+                    regroup = True
+                elif st.accepted + st.rejected >= max_steps:
                     fail(m, f"step limit reached at t = {m.t:.6g} of {t_end:.6g}: "
                             f"{st.accepted} accepted and {st.rejected} rejected steps "
                             f"(MAX_STEPS = {max_steps})")
@@ -577,10 +582,6 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
                 if not err <= tol:
                     st.rejected += 1
                     m.dt *= max(0.1, 0.9 * (tol / err) ** 0.2)
-                    if m.dt < DT_MIN:
-                        fail(m, f"step size underflow at t = {m.t:.6g}: system too stiff "
-                                "for the explicit integrator at these tolerances")
-                        regroup = True
                     continue
                 m.dt_next = m.dt * min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
                 m.c_max = c_new_max

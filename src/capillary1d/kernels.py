@@ -25,8 +25,8 @@ diagnostics and verify call rhs without a workspace and keep its outputs.
 The kernel computes no aux.  Every call, a Runge-Kutta stage's or the one
 at an accepted state, can write the grid values aux reads besides c (the
 kernel's own intermediates) into a workspace slot.  ``integrands`` is the
-one function that computes aux, the fixed five entries [D, S, E_surface,
-E_delta, sup|u|]: it evaluates every state of a stack at once, one pass
+one function that computes aux, the fixed four entries [D, S, E_surface,
+E_delta]: it evaluates every state of a stack at once, one pass
 with one u_xx synthesis that writes its weighted integrands over the
 workspace's Q^2, Q, p_x and m(u) and keeps u and u_x.  The stepping loop
 runs it once per chunk of accepted steps, over each step's state and the
@@ -140,7 +140,7 @@ def fields(c: np.ndarray, t: BasisTables, params: ModelParams):
 
 def integrands(c: np.ndarray, work: tuple, t: BasisTables,
                params: ModelParams | StackedParams) -> np.ndarray:
-    """aux = [D, S, E_surface, E_delta, max|u|] at a stack of states c.
+    """aux = [D, S, E_surface, E_delta] at a stack of states c.
 
     c has shape (S, N+1) or (S, B, N+1), or more leading state axes, as
     (steps, states, N+1); params tells one member (ModelParams) from a stack
@@ -152,7 +152,7 @@ def integrands(c: np.ndarray, work: tuple, t: BasisTables,
     four weighted integrands over work's Q^2, Q, p_x and m(u) rows, which
     nothing reads after it, and leaves u and u_x as they are; its only grid
     temporary is the u_xx synthesis.
-    Returns shape c.shape[:-1] + (5,), the transpose of the sums: entry
+    Returns shape c.shape[:-1] + (4,), the transpose of the sums: entry
     [i, ..., k] is aux[k] at c[i].  Each integrand is one grid row per
     state, summed by a pairwise reduction along the grid, so a row's sums
     do not depend on the other states of the stack.
@@ -160,7 +160,6 @@ def integrands(c: np.ndarray, work: tuple, t: BasisTables,
     w = t.w
     G = w.shape[0]
     uux, Qsq, Q, px, mob = work
-    u = uux[..., :G]
     ux = uux[..., G:]
     uxx = matvec(t.E, t.lam * c)  # -u_xx: only its square enters
     # D = (w m) (p_x p_x), into p_x
@@ -180,13 +179,10 @@ def integrands(c: np.ndarray, work: tuple, t: BasisTables,
     # E_delta = (w u_x) u_x, into Q^2
     np.multiply(w, ux, out=Qsq)
     np.multiply(Qsq, ux, out=Qsq)
-    aux = np.empty((5,) + c.shape[:-1])
+    aux = np.empty((4,) + c.shape[:-1])
     for k, row in enumerate((px, Q, mob, Qsq)):
         np.add.reduce(row, axis=-1, out=aux[k])
     aux[3] *= 0.5 * params.delta_op.ravel()
-    # max|u| = max(max u, -min u), exactly
-    np.maximum.reduce(u, axis=-1, out=aux[4])
-    np.maximum(aux[4], np.negative(np.minimum.reduce(u, axis=-1)), out=aux[4])
     return aux.transpose(tuple(range(1, aux.ndim)) + (0,))
 
 

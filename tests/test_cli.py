@@ -275,6 +275,27 @@ def test_simulate_abort_exit_3(tmp_path, capsys):
     assert not (tmp_path / "o" / "series.csv").exists()
 
 
+def test_simulate_accepted_steps_below_dt_min_exit_3(tmp_path, capsys):
+    # at N = 16 a film 3000 thick has a stable explicit step below DT_MIN:
+    # the controller accepts steps there, and the check at the start of each
+    # step attempt stops the run at t > 0 instead of at MAX_STEPS
+    cfg = json.loads(json.dumps(BASE))
+    cfg["domain"]["N"] = 16
+    cfg["initial_data"]["parameters"] = {"base": 3000.0, "amplitude": 300.0}
+    cfg["diagnostics"] = {"track_entropy": False}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    rc = main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "SimulationAbort"
+    message = record["message"]
+    prefix = "step size underflow at t = "
+    assert message.startswith(prefix)
+    assert float(message[len(prefix):].split(":")[0]) > 0
+    assert not (tmp_path / "o" / "series.csv").exists()
+
+
 def test_simulate_non_finite_slope_exit_3(cfgfile, tmp_path, capsys, monkeypatch):
     # a kernel that turns non-finite mid-run is an integrator abort
     from capillary1d import kernels
@@ -472,9 +493,18 @@ def test_sweep_failed_member_writes_partial_report_exit_3(cfgfile, tmp_path, cap
 
 
 def test_sweep_epsilon_deep_gate(cfgfile, tmp_path):
-    rc = main(["sweep", "--config", cfgfile, "--out", str(tmp_path / "sw"),
+    # epsilon below 1e-3 sweeps like any other value, and no flag gates it
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--config", cfgfile, "--out", str(out),
                "--param", "epsilon", "--values", "1e-2,1e-3,1e-4"])
-    assert rc == 2
+    assert rc == 0
+    report = json.loads((out / "sweep_report.json").read_text())
+    assert [m["config"]["model"]["epsilon"] for m in report["members"]] == [1e-2, 1e-3, 1e-4]
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", cfgfile, "--out", str(tmp_path / "deep"),
+              "--param", "epsilon", "--values", "1e-2,1e-3,1e-4", "--deep"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "deep").exists()
 
 
 def test_compare_cli(tmp_path):
@@ -547,3 +577,24 @@ def test_float_format_is_shortest_roundtrip():
     for v in (0.1, 1e-6, 2.0 / 3.0, np.float64(0.30000000000000004)):
         assert float(_fmt(v)) == float(v)
     assert _fmt(float("nan")) == "nan"
+
+
+def test_readme_flags_table_names_the_parser():
+    # the README's "Flags per subcommand" table ("| `name` | `--flag` (note),
+    # ... |", one subcommand a row) names exactly the subcommands of
+    # build_parser() and the long flags of each, --help aside
+    import argparse
+
+    from capillary1d.cli import build_parser
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("Flags per subcommand:", 1)[1].split("\n\n", 2)[1]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        _, name, flags, _ = row.split("|")
+        documented[name.strip().strip("`")] = sorted(re.findall(r"`(--[\w-]+)`", flags))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: sorted(opt for action in p._actions for opt in action.option_strings
+                           if opt.startswith("--") and opt != "--help")
+              for name, p in sub.choices.items()}
+    assert documented == parsed

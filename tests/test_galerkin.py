@@ -819,10 +819,10 @@ def test_stack_is_bit_identical_to_serial_runs(case, horizon):
 
 
 def test_regroups_carve_the_chunk_out_of_one_store(monkeypatch):
-    # every regroup of a stack, as its members leave, lays the chunk's
-    # workspace over one store per run instead of allocating one; only the
-    # pass at t = 0 gets a workspace of its own, and every carved array is
-    # C-contiguous
+    # the pass at t = 0 and every regroup of a stack, as its members leave,
+    # lay their workspace over one store per run instead of allocating one:
+    # the pass at t = 0 gets the store itself, every later workspace a view
+    # of it, and every carved array is a C-contiguous view of it
     from capillary1d.galerkin import simulate_stack
 
     u0s, spec, params, domain = _stack_members("tiny-eta")
@@ -832,17 +832,19 @@ def test_regroups_carve_the_chunk_out_of_one_store(monkeypatch):
     def recording_workspace(shape, t, store=None):
         work = true_workspace(shape, t, store)
         stores.append(store)
-        carved.extend(work if store is not None else ())
+        carved.extend(work)
         return work
 
     monkeypatch.setattr(kernels, "workspace", recording_workspace)
     results, failure = simulate_stack(u0s, spec, params, domain)
     assert failure is None and len(results) == len(u0s)
-    assert stores[0] is None and all(s is not None for s in stores[1:])
-    # the first stack and one regroup as each member but the last leaves
+    run_store = stores[0]
+    assert isinstance(run_store, np.ndarray) and run_store.base is None
+    # the pass at t = 0, the first stack and one regroup as each member but
+    # the last leaves
     assert len(stores) == 1 + len(u0s)
-    assert len({id(s.base) for s in stores[1:]}) == 1
-    assert all(a.flags.c_contiguous and a.base is stores[1].base for a in carved)
+    assert all(s.base is run_store for s in stores[1:])
+    assert all(a.flags.c_contiguous and a.base is run_store for a in carved)
 
 
 

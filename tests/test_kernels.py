@@ -53,12 +53,11 @@ def _reference_rhs(c, t, params):
     c_dot = -np.dot(t.ExT, w * flux)
 
     delta = params.delta
-    aux = np.empty(5)
+    aux = np.empty(4)
     aux[0] = np.sum(w * mob * (px * px))
     aux[1] = np.sum(w * (uxx * uxx / (Q * Qsq) + delta * uxx * uxx))
     aux[2] = np.sum(w * Q)
     aux[3] = 0.5 * delta * np.sum(w * ux * ux)
-    aux[4] = np.max(np.abs(u))
     return c_dot, d, u, flux, aux
 
 
@@ -116,7 +115,7 @@ def test_rhs_bit_identical_to_reference(N, pressure_mode, mobility_mode):
         work = _workspace((1,), t)
         kernels.rhs(c, t, params, _slot(work, 0))
         aux = kernels.integrands(c[None], work, t, params)
-        assert aux.shape == (1, 5), label
+        assert aux.shape == (1, 4), label
         assert np.array_equal(aux[0], want[4]), label
 
 
@@ -148,7 +147,7 @@ def test_rhs_aux_prefix_is_the_full_calls(N, pressure_mode, mobility_mode):
 def test_integrands_pass_is_the_reference_prefix(N, pressure_mode, mobility_mode):
     # one pass over a (3,) stack of states of one member, and over a (3, B)
     # stack of states by members, gives every (state, member) row the
-    # reference's aux of that state alone, [D, S, E_surface, E_delta, sup|u|];
+    # reference's aux of that state alone, [D, S, E_surface, E_delta];
     # so does a pass over a chunk of 3 steps of 4 states each, flattened as
     # the stepping loop passes it, (12,) for one member and (12, B) for a
     # stack, and unflattened, a (3, 4) block of one member's states
@@ -173,7 +172,7 @@ def test_integrands_pass_is_the_reference_prefix(N, pressure_mode, mobility_mode
             for i in range(len(cs)):
                 kernels.rhs(cs[i], t, params, _slot(work, i))
             got = kernels.integrands(cs, work, t, params)
-            assert got.shape == cs.shape[:-1] + (5,)
+            assert got.shape == cs.shape[:-1] + (4,)
             for idx in np.ndindex(cs.shape[:-1]):
                 p = members[idx[-1]] if lead else members[1]
                 want = _reference_rhs(cs[idx], ref_t, p)[4]
@@ -207,7 +206,7 @@ def test_integrands_pass_allocates_one_grid_row_and_keeps_u():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert aux.shape == (64, 3, 5) and np.isfinite(aux).all()
+    assert aux.shape == (64, 3, 4) and np.isfinite(aux).all()
     assert peak - base <= grid_row + 2 * np.getbufsize() * 8 + 4096, (peak - base, grid_row)
     assert work[0].tobytes() == uux.tobytes()
 
