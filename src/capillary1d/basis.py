@@ -89,16 +89,20 @@ class BasisTables:
 
     E, Ex hold e_j and e_j' at the G quadrature nodes (shape (G, N+1)).
     They are the two halves of EEx (shape (2G, N+1)), so that one matvec
-    gives u and u_x together; ET, ExT are their contiguous transposes
-    for the matvec-heavy kernels, and ExT_neg is -ExT, so that the kernel's
-    projection -ExT (w flux) is one matvec: each product changes sign
-    exactly, and so does every rounded sum.  tables() caches one per
-    domain for every caller, so the tables hold no scratch and no state.
+    gives u and u_x together; EEx_blocks is EEx viewed as (2, 1, G, N+1),
+    so that one np.matmul gives a stack's u and u_x as two contiguous
+    (B, G) blocks, one gemv per member and block.  ET, ExT are their
+    contiguous transposes for the matvec-heavy kernels, and ExT_neg is
+    -ExT, so that the kernel's projection -ExT (w flux) is one matvec: each
+    product changes sign exactly, and so does every rounded sum.  tables()
+    caches one per domain for every caller, so the tables hold no scratch
+    and no state.
     """
 
     x: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
     EEx: np.ndarray = field(repr=False)
+    EEx_blocks: np.ndarray = field(repr=False)
     E: np.ndarray = field(repr=False)
     Ex: np.ndarray = field(repr=False)
     ET: np.ndarray = field(repr=False)
@@ -129,6 +133,7 @@ def tables(domain: DomainSpec) -> BasisTables:
         x=x,
         w=w,
         EEx=EEx,
+        EEx_blocks=EEx.reshape(2, 1, G, domain.modes + 1),
         E=EEx[:G],
         Ex=EEx[G:],
         ET=np.ascontiguousarray(E.T),

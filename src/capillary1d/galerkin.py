@@ -15,7 +15,10 @@ members whose parameters differ in delta, epsilon and eta only, and its
 arrays carry a leading member shape: () for one member, so a run by itself
 makes the same numpy calls on 1-D arrays, and (B,) for a stack, which makes
 one kernel call per stage and one aux pass per chunk of accepted steps for
-all B.
+all B.  The stack's parameters are built once, at t = 0 and at every
+regroup (model.stacked_params on the run's quadrature weights), with every
+kernel operand a read-only (B, G) row block, and each kernel call writes
+its stack's u and u_x as two contiguous (B, G) blocks of its chunk slot.
 Each member keeps its own dt, accept/reject decision, snapshots, anchor
 check and StepStats; the step-size control runs on Python floats, member by
 member, since numpy's array power can differ from Python's ** in the last
@@ -398,7 +401,7 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
     single = len(active) == 1
     anchored = any(p.entropy_anchor is not None for p in params)
     c_new = cs[0] if single else np.stack(cs)
-    ps = stacked_params(params)
+    ps = stacked_params(params, t.w)
     work = kernels.workspace((1,) + c_new.shape[:-1], t, store)
     state_work = work_slot(work, 0)
     accepted = range(len(active))
@@ -500,7 +503,7 @@ def simulate_stack(u0s: list, spec: IntegratorSpec, params: list, domain: Domain
                         [getattr(m, name) for m in active])
 
                 C, K1, AUX1, Q = (stacked(name) for name in ("c", "k1", "aux1", "q"))
-                ps = stacked_params([m.params for m in active])
+                ps = stacked_params([m.params for m in active], t.w)
                 tab_b = tab.reshape(tab.shape + (1,) * len(lead))
                 coef = np.empty(tab.shape + lead)
                 P = np.empty(tab.shape[:1] + lead + (domain.modes + 1,))

@@ -8,20 +8,26 @@ cached basis tables with as few calls as it takes: one stacked matvec
 gives u and u_x, and every elementwise step writes into the workspace or
 into one of two per-call temporaries (delta u_x in the weak pressure
 density, and w times the flux; a capped mobility adds its denominator).
-What a call pays besides its numpy calls is kept small too: a 1-D call
-enters no Python function but rhs, model.pressure_density and
-model.mobility.  Its matvecs are np.ndarray.dot, np.dot's routine without
-np.dot's dispatch; the scalars of params come as the read-only 0-d arrays
-ModelParams builds once (a stack's as (B, 1) columns), since numpy
-converts a Python float operand on every call; and out is passed
-positionally.  The workspace holds u and u_x, Q^2, Q, p_x and m(u), and
-the p_x slot holds w s until p_x replaces it.  c_dot, d and the flux are
-fresh arrays, since the stepping loop keeps a slope past the next call
-into the same slot.  The projection's minus sign is folded into the table
-t.ExT_neg = -ExT: each product changes sign exactly and so does every
-rounded sum, so c_dot keeps its bits (only a zero's sign may differ).  No
-writable scratch lives on the tables or in this module, since fields, the
-diagnostics and verify call rhs without a workspace and keep its outputs.
+What a call pays besides its numpy calls is kept small too: a call, on
+one member or on a stack, enters no Python function but rhs,
+model.pressure_density and model.mobility.  A 1-D call's matvecs are
+np.ndarray.dot, np.dot's routine without np.dot's dispatch, and a stack's
+are np.matmul calls made here; the scalars of params come as the
+read-only 0-d arrays ModelParams builds once, since numpy converts a
+Python float operand on every call; and out is passed positionally.  A
+stack meets no broadcast or strided operand either, since a ufunc call
+costs two to four times as much with one at these sizes: its u and u_x
+are two C-contiguous (B, G) blocks, and StackedParams builds its delta,
+1 + delta, epsilon, eta and weights once per stack as read-only
+C-contiguous (B, G) rows.  The workspace holds u and u_x, Q^2, Q, p_x and
+m(u), and the p_x slot holds w s until p_x replaces it.  c_dot, d and the
+flux are fresh arrays, since the stepping loop keeps a slope past the
+next call into the same slot.  The projection's minus sign is folded into
+the table t.ExT_neg = -ExT: each product changes sign exactly and so does
+every rounded sum, so c_dot keeps its bits (only a zero's sign may
+differ).  No writable scratch lives on the tables or in this module, since
+fields, the diagnostics and verify call rhs without a workspace and keep
+its outputs.
 The kernel computes no aux.  Every call, a Runge-Kutta stage's or the one
 at an accepted state, can write the grid values aux reads besides c (the
 kernel's own intermediates) into a workspace slot.  ``integrands`` is the
@@ -45,15 +51,17 @@ The shape contract: c is one member's coefficients, shape (N+1,), with
 ModelParams, or a stack of B members, shape (B, N+1), with StackedParams.
 Every output of a stack gains the leading axis B, and each row is
 bit-identical to the call on that member alone: the matvecs are one gemv
-per member (basis.matvec) and every other operation acts row by row.  One
-call pays numpy's per-call overhead once for all B members; a single
-member stays 1-D, since a (1, N+1) stack costs more per call than the 1-D
-call.  One ModelParams also serves a stack of S states of one member,
-shape (S, N+1), as fields and the records pass use it: its scalars broadcast
-over the rows, each row bit-identical to the 1-D call and to the call with
-the StackedParams of S copies.  The aux pass puts any leading state axes
-before these, (..., N+1) or (..., B, N+1), and tells the two apart by the
-params, not by c's rank: a StackedParams' delta is a column.
+per member (np.matmul over the stack, whose synthesis views EEx as
+(2, 1, G, N+1) to write u and u_x as two (B, G) blocks) and every other
+operation acts row by row.  One call pays numpy's per-call overhead once
+for all B members; a single member stays 1-D, since a (1, N+1) stack
+costs more per call than the 1-D call.  One ModelParams also serves a
+stack of S states of one member, shape (S, N+1), as fields and the
+records pass use it: it takes the stack's synthesis, and its scalars and
+the weights broadcast over the rows, each row bit-identical to the 1-D
+call and to the call with the StackedParams of S copies.  The aux pass
+puts any leading state axes before these, (..., N+1) or (..., B, N+1);
+its params is that of the rhs calls that filled its workspace.
 """
 
 from __future__ import annotations
@@ -74,23 +82,28 @@ def rhs(c: np.ndarray, t: BasisTables, params: ModelParams | StackedParams,
     """Galerkin RHS dc/dt at coefficients c, of shape (N+1,) or a stack (B, N+1).
 
     Returns (c_dot, d, u, flux, ux): pressure coefficients d and grid values
-    of u, of the flux m(u) p_x and of u_x.  A stack (params a StackedParams)
-    gives each of them a leading axis B.  work, when given, is
-    workspace(c.shape[:-1], t), the five arrays that receive the grid values
-    integrands() reads besides c; they are the kernel's own intermediates,
-    written in place, and u and ux are views of work[0].  c_dot, d and flux
-    are fresh arrays, so they outlive the next call into the same work.
+    of u, of the flux m(u) p_x and of u_x.  A stack gives each of them a
+    leading axis B.  work, when given, is one slot of workspace(shape, t)
+    with shape[1:] == c.shape[:-1], the five arrays that receive the grid
+    values integrands() reads besides c; they are the kernel's own
+    intermediates, written in place, and u and ux are views of work[0].
+    c_dot, d and flux are fresh arrays, so they outlive the next call into
+    the same work.
     """
-    w = t.w
-    G = w.shape[0]
-    uux, Qsq, Q, px, mob = workspace(c.shape[:-1], t) if work is None else work
-    if c.ndim == 1:
-        mv = _dot  # matvec's own 1-D case, without its call
+    if work is None:
+        work = [a[0] for a in workspace((1,) + c.shape[:-1], t)]
+    uux, Qsq, Q, px, mob = work
+    one = c.ndim == 1
+    if one:
+        w = t.w
+        G = w.shape[0]
+        _dot(t.EEx, c, uux)
         u, ux = uux[:G], uux[G:]
     else:
-        mv = matvec
-        u, ux = uux[..., :G], uux[..., G:]
-    mv(t.EEx, c, uux)
+        # a stack's weight rows; the S rows of one member (fields) take t.w
+        w = getattr(params, "w_op", t.w)
+        np.matmul(t.EEx_blocks, c[..., None], uux[..., None])
+        u, ux = uux[0], uux[1]
 
     np.multiply(ux, ux, Qsq)
     np.add(ONE, Qsq, Qsq)
@@ -99,27 +112,37 @@ def rhs(c: np.ndarray, t: BasisTables, params: ModelParams | StackedParams,
     # w s, in the p_x slot until p_x replaces it
     ws = pressure_density(ux, Q, params, px)
     np.multiply(w, ws, ws)
-    d = mv(t.ExT, ws)
-    mv(t.Ex, d, px)
+    if one:
+        d = _dot(t.ExT, ws)
+        _dot(t.Ex, d, px)
+    else:
+        d = np.matmul(t.ExT, ws[..., None])
+        np.matmul(t.Ex, d, px[..., None])
+        d = d[..., 0]
     mobility(u, params, mob)
     flux = np.multiply(mob, px)
-    c_dot = mv(t.ExT_neg, np.multiply(w, flux))
+    wf = np.multiply(w, flux)
+    c_dot = _dot(t.ExT_neg, wf) if one else np.matmul(t.ExT_neg, wf[..., None])[..., 0]
     return c_dot, d, u, flux, ux
 
 
 def workspace(shape: tuple, t: BasisTables, store: np.ndarray | None = None) -> tuple:
-    """Empty rhs work for states of leading shape ``shape``.
+    """Empty rhs work for shape[0] calls, each at states of leading shape shape[1:].
 
-    u and u_x side by side, of shape shape + (2G,), then Q^2, Q, p_x and
-    m(u), of shape shape + (G,): C-contiguous views of one flat array of
-    6 G values per state, the leading part of ``store`` when given (a fresh
-    array otherwise).
+    Slot i, the [i] of every array, is one call's work: u and u_x as two
+    C-contiguous blocks laid out (2,) + shape[1:] + (G,) (for one member
+    flat, (2G,), the out np.ndarray.dot takes), then Q^2, Q, p_x and m(u),
+    of shape shape[1:] + (G,).  The arrays are C-contiguous views of one
+    flat array of 6 G values per state, the leading part of ``store`` when
+    given (a fresh array otherwise).  shape () is the work of one call on
+    one member.
     """
     G = t.w.shape[0]
     size = 2 * G * math.prod(shape)
     if store is None:
         store = np.empty(3 * size)
-    return (store[:size].reshape(shape + (2 * G,)),
+    uux = (2,) + shape[1:] + (G,) if shape[1:] else (2 * G,)
+    return (store[:size].reshape(shape[:1] + uux),
             *store[size:3 * size].reshape((4,) + shape + (G,)))
 
 
@@ -131,7 +154,7 @@ def fields(c: np.ndarray, t: BasisTables, params: ModelParams):
     true sign.  One ModelParams serves every row of a stack, and each row is
     bit-identical to the call on that row alone.
     """
-    work = workspace(c.shape[:-1], t)
+    work = [a[0] for a in workspace((1,) + c.shape[:-1], t)]
     c_dot, d, u, flux, ux = rhs(c, t, params, work)
     uxx = matvec(t.E, t.lam * c)
     np.negative(uxx, out=uxx)
@@ -143,11 +166,11 @@ def integrands(c: np.ndarray, work: tuple, t: BasisTables,
     """aux = [D, S, E_surface, E_delta] at a stack of states c.
 
     c has shape (S, N+1) or (S, B, N+1), or more leading state axes, as
-    (steps, states, N+1); params tells one member (ModelParams) from a stack
-    of B (StackedParams), whatever c's rank.  work is
-    workspace(c.shape[:-1], t) (rhs's work), whose [i] the rhs call at c[i]
-    filled; params is that call's.  D is the flux dissipation integrand's
-    integral, S the entropy-dissipation one, E_surface the
+    (steps, states, N+1).  work is workspace(c.shape[:-1], t), whose slot i
+    the rhs call at c[i] filled, and params is that call's: one member's
+    ModelParams or a stack's StackedParams, whatever c's rank, whose delta
+    (one value per member) scales E_delta.  D is the flux dissipation
+    integrand's integral, S the entropy-dissipation one, E_surface the
     integral of Q and E_delta that of delta u_x^2 / 2.  The pass writes the
     four weighted integrands over work's Q^2, Q, p_x and m(u) rows, which
     nothing reads after it, and leaves u and u_x as they are; its only grid
@@ -160,7 +183,7 @@ def integrands(c: np.ndarray, work: tuple, t: BasisTables,
     w = t.w
     G = w.shape[0]
     uux, Qsq, Q, px, mob = work
-    ux = uux[..., G:]
+    ux = uux.reshape(c.shape[:1] + (2,) + c.shape[1:-1] + (G,))[:, 1]
     uxx = matvec(t.E, t.lam * c)  # -u_xx: only its square enters
     # D = (w m) (p_x p_x), into p_x
     np.multiply(w, mob, out=mob)
@@ -182,7 +205,7 @@ def integrands(c: np.ndarray, work: tuple, t: BasisTables,
     aux = np.empty((4,) + c.shape[:-1])
     for k, row in enumerate((px, Q, mob, Qsq)):
         np.add.reduce(row, axis=-1, out=aux[k])
-    aux[3] *= 0.5 * params.delta_op.ravel()
+    aux[3] *= 0.5 * params.delta
     return aux.transpose(tuple(range(1, aux.ndim)) + (0,))
 
 

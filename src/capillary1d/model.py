@@ -49,8 +49,8 @@ class ModelParams:
     Besides the fields, every instance carries what the RHS kernel reads on
     each call, built once here and rebuilt by dataclasses.replace: capped,
     whether the mobility applies the eta cap (eta > 0), and the ufunc
-    operands delta_op, one_plus_delta_op (1 + delta), epsilon_op and
-    eta_op, read-only 0-d arrays bit-equal to the floats, since numpy
+    operands delta_op, one_plus_delta_op (1 + delta), epsilon_op, eta_op
+    and n_op, read-only 0-d arrays bit-equal to the floats, since numpy
     converts a Python float operand on every call.
     """
 
@@ -90,39 +90,54 @@ class ModelParams:
 class StackedParams:
     """The parameters of a stack of B members that differ in delta, epsilon and eta only.
 
-    delta, epsilon and eta are (B, 1) columns, so that they broadcast
-    against grid values of shape (B, G) row by row.  The eta cap applies to
-    the whole stack (capped) when any member has eta > 0: for finite m,
-    m / (1 + 0 m) is exactly m, so a member with eta = 0 keeps its bits.
-    The operands are those of ModelParams, as read-only (B, 1) columns.
+    delta, epsilon and eta hold one value per member, shape (B,), and w
+    the quadrature weights of the grid the stack is evaluated on, shape
+    (G,).  The eta cap applies to the whole stack (capped) when any member
+    has eta > 0: for finite m, m / (1 + 0 m) is exactly m, so a member with
+    eta = 0 keeps its bits.  The operands are those of ModelParams as
+    read-only C-contiguous (B, G) rows, row b member b's value repeated
+    over the grid, and w_op, w repeated for every member: so every
+    elementwise operand of a stacked kernel call is a (B, G) block like the
+    grid values it meets, or the 0-d n_op.
     """
 
     n: float
     delta: np.ndarray
     epsilon: np.ndarray
     eta: np.ndarray
+    w: np.ndarray
     pressure_mode: str
     mobility_mode: str
 
     def __post_init__(self):
-        _set_operands(self)
+        _set_operands(self, self.w.shape[0])
+        w_op = np.repeat(self.w[None], len(self.delta), axis=0)
+        w_op.flags.writeable = False
+        object.__setattr__(self, "w_op", w_op)
 
 
-def _set_operands(p: ModelParams | StackedParams):
-    # capped and the kernel's ufunc operands, as attributes beside the fields
+def _set_operands(p: ModelParams | StackedParams, G: int = 0):
+    # capped and the kernel's ufunc operands, as attributes beside the
+    # fields: read-only 0-d arrays of one member's floats, and for a stack
+    # (B, G) rows of its per-member values, each repeated over the G grid
+    # values; n_op, shared by a stack's members, is 0-d in both
     for name, value in (("delta_op", p.delta), ("one_plus_delta_op", 1.0 + p.delta),
-                        ("epsilon_op", p.epsilon), ("eta_op", p.eta)):
+                        ("epsilon_op", p.epsilon), ("eta_op", p.eta), ("n_op", p.n)):
         a = np.array(value, dtype=float)
+        if a.ndim:
+            a = np.repeat(a[:, None], G, axis=1)
         a.flags.writeable = False
         object.__setattr__(p, name, a)
     object.__setattr__(p, "capped", bool((p.eta_op > 0.0).any()))
 
 
-def stacked_params(members: list[ModelParams]) -> ModelParams | StackedParams:
-    """The parameters of members as one stack; one member's own ModelParams for B = 1.
+def stacked_params(members: list[ModelParams], w: np.ndarray) -> ModelParams | StackedParams:
+    """The parameters of members as one stack on the grid weights w; B = 1 returns the member.
 
     Every member must share n, pressure_mode and mobility_mode
     (ValueError otherwise); the entropy anchor is not read by the RHS.
+    w, shape (G,), is the quadrature weights of the tables the stack's
+    kernel calls use (basis.BasisTables.w), which set its rows' length.
     """
     first = members[0]
     if len(members) == 1:
@@ -132,11 +147,11 @@ def stacked_params(members: list[ModelParams]) -> ModelParams | StackedParams:
                 first.n, first.pressure_mode, first.mobility_mode):
             raise ValueError("a stack's members may differ in delta, epsilon and eta only")
 
-    def column(name):
-        return np.array([[getattr(p, name)] for p in members])
+    def values(name):
+        return np.array([getattr(p, name) for p in members])
 
-    return StackedParams(n=first.n, delta=column("delta"), epsilon=column("epsilon"),
-                         eta=column("eta"), pressure_mode=first.pressure_mode,
+    return StackedParams(n=first.n, delta=values("delta"), epsilon=values("epsilon"),
+                         eta=values("eta"), w=w, pressure_mode=first.pressure_mode,
                          mobility_mode=first.mobility_mode)
 
 
@@ -148,20 +163,21 @@ def mobility(s, params: ModelParams | StackedParams, out: np.ndarray | None = No
     (a fresh array of s's shape otherwise), and every step writes into it;
     the cap's denominator is the one temporary.  For n = 2, |s|^n is s * s
     bit for bit: numpy's ** 2.0 squares, and |s|^2 = s^2, so the abs is
-    spared.  The RHS kernel calls this on every stage, so it reads params'
-    capped and its 0-d (a stack's (B, 1)) operands, passes out positionally
-    and calls no Python function.
+    spared, and any other n takes np.power with the 0-d n_op.  The RHS
+    kernel calls this on every stage, so it reads params' capped and its
+    0-d (a stack's (B, G)) operands, passes out positionally and calls no
+    Python function.
     """
     if out is None:
         out = np.empty(np.shape(s))
     if params.mobility_mode == "constant":
-        out[...] = params.epsilon_op  # a stack's (B, 1) column broadcasts over its rows
+        out[...] = params.epsilon_op  # a stack's (B, G) rows, or a 0-d scalar
         return out
     if params.n == 2.0:
         np.multiply(s, s, out)
     else:
         np.abs(s, out)
-        out **= params.n
+        np.power(out, params.n_op, out)
     if params.capped:
         den = np.multiply(params.eta_op, out)
         den += ONE
@@ -181,7 +197,7 @@ def pressure_density(ux: np.ndarray, Q: np.ndarray,
     coercivity <A_delta(w), w> >= delta ||w_x||_L2^2.  d_0 = 0 identically
     because e_0' = 0 -- this is the mean-zero-pressure mechanism that makes
     the constant mode stationary.  Called on every RHS stage, it reads
-    params' 0-d (a stack's (B, 1)) operands and passes out positionally;
+    params' 0-d (a stack's (B, G)) operands and passes out positionally;
     delta u_x is its one temporary, in the nonlinear mode.
     """
     if params.pressure_mode == "linear":

@@ -475,8 +475,10 @@ def test_sweep_failed_member_writes_partial_report_exit_3(cfgfile, tmp_path, cap
 
     def nan_rhs(c, t, params, *args):
         c_dot, *rest = true_rhs(c, t, params, *args)
-        # the member of eta = 0.01, a stack's row or a run by itself
-        return (c_dot * np.where(params.eta == 0.01, np.nan, 1.0), *rest)
+        # the member of eta = 0.01, a stack's row or a run by itself (a
+        # stack holds one eta per member)
+        eta = np.asarray(params.eta)[..., None]
+        return (c_dot * np.where(eta == 0.01, np.nan, 1.0), *rest)
 
     monkeypatch.setattr(kernels, "rhs", nan_rhs)
     out = tmp_path / "sw"

@@ -122,8 +122,10 @@ def test_sweep_partial_report_on_failure(monkeypatch):
 
     def nan_rhs(c, t, params, *args):
         c_dot, *rest = true_rhs(c, t, params, *args)
-        # the member of eta = 0.01, a stack's row or a run by itself
-        return (c_dot * np.where(params.eta == 0.01, np.nan, 1.0), *rest)
+        # the member of eta = 0.01, a stack's row or a run by itself (a
+        # stack holds one eta per member)
+        eta = np.asarray(params.eta)[..., None]
+        return (c_dot * np.where(eta == 0.01, np.nan, 1.0), *rest)
 
     monkeypatch.setattr(kernels, "rhs", nan_rhs)
     spec = SweepSpec(parameter="eta", values=(1.0, 0.1, 0.01), base_config=TINY)
@@ -146,9 +148,9 @@ def test_stack_fails_as_its_members_would_one_after_another(monkeypatch):
 
     def failing_rhs(c, t, params, *args):
         c_dot, *rest = true_rhs(c, t, params, *args)
-        late = ((params.eta == 0.1)
-                & (np.abs(c[..., 1:]).max(axis=-1, keepdims=True) < 0.97 * a0))
-        return (c_dot * np.where((params.eta == 0.01) | late, np.nan, 1.0), *rest)
+        eta = np.asarray(params.eta)[..., None]  # a stack holds one eta per member
+        late = (eta == 0.1) & (np.abs(c[..., 1:]).max(axis=-1, keepdims=True) < 0.97 * a0)
+        return (c_dot * np.where((eta == 0.01) | late, np.nan, 1.0), *rest)
 
     monkeypatch.setattr(kernels, "rhs", failing_rhs)
     spec = SweepSpec(parameter="eta", values=(1.0, 0.1, 0.01), base_config=TINY)

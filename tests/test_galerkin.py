@@ -958,8 +958,9 @@ def test_stack_drops_the_members_from_the_first_abort_on(monkeypatch):
 
     def failing_rhs(c, t, p, *args):
         c_dot, *rest = true_rhs(c, t, p, *args)
-        late = (p.eta == 0.1) & (np.abs(c[..., 1:]).max(axis=-1, keepdims=True) < 0.97 * a0)
-        return (c_dot * np.where((p.eta == 0.01) | late, np.nan, 1.0), *rest)
+        eta = np.asarray(p.eta)[..., None]  # a stack holds one eta per member
+        late = (eta == 0.1) & (np.abs(c[..., 1:]).max(axis=-1, keepdims=True) < 0.97 * a0)
+        return (c_dot * np.where((eta == 0.01) | late, np.nan, 1.0), *rest)
 
     monkeypatch.setattr(kernels, "rhs", failing_rhs)
     with pytest.raises(SimulationAbort) as serial_abort:

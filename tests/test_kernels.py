@@ -87,10 +87,13 @@ GRID = pytest.mark.parametrize("pressure_mode, mobility_mode",
 
 
 def _workspace(lead, t):
-    # the pass's workspace for lead states, NaN until an rhs call writes it:
-    # u and u_x side by side, then Q^2, Q, p_x and m(u)
+    # the pass's workspace for lead[0] calls at states of leading shape
+    # lead[1:], NaN until an rhs call writes it: u and u_x as two blocks,
+    # (2,) + lead[1:] + (G,) per call (flat for one member), then Q^2, Q,
+    # p_x and m(u)
     G = t.w.shape[0]
-    return (np.full(lead + (2 * G,), np.nan), *np.full((4,) + lead + (G,), np.nan))
+    uux = (2,) + lead[1:] + (G,) if lead[1:] else (2 * G,)
+    return (np.full(lead[:1] + uux, np.nan), *np.full((4,) + lead + (G,), np.nan))
 
 
 def _slot(work, i):
@@ -161,7 +164,7 @@ def test_integrands_pass_is_the_reference_prefix(N, pressure_mode, mobility_mode
         members = [ModelParams(n=n, delta=dl, epsilon=e, eta=eta, pressure_mode=pressure_mode,
                                mobility_mode=mobility_mode) for dl, e, eta in triples]
         draws = np.array(list(_draws(N, rng, count=12 * len(members))))
-        stacked = stacked_params(members)
+        stacked = stacked_params(members, t.w)
         stacks = [(members[1], (), draws[:3]),
                   (stacked, (len(members),), draws[:3 * len(members)].reshape(3, len(members), -1)),
                   (members[1], (), draws[:12]),
@@ -192,7 +195,7 @@ def test_integrands_pass_allocates_one_grid_row_and_keeps_u():
     N = 16
     t = tables(DomainSpec(half_length=1.0, modes=N))
     members = [ModelParams(n=1.5, delta=0.05, epsilon=e, eta=0.0) for e in (1e-1, 1e-2, 1e-3)]
-    params = stacked_params(members)
+    params = stacked_params(members, t.w)
     cs = np.array(list(_draws(N, np.random.default_rng(5), count=64 * 3))).reshape(64, 3, N + 1)
     work = _workspace(cs.shape[:-1], t)
     for i in range(len(cs)):
@@ -219,7 +222,7 @@ def test_rhs_outputs_outlive_the_next_call_into_the_slot(stack, pressure_mode, m
     t = tables(DomainSpec(half_length=1.3, modes=8))
     members = [ModelParams(n=2.0, delta=0.2, epsilon=e, eta=eta, pressure_mode=pressure_mode,
                            mobility_mode=mobility_mode) for e, eta in ((0.01, 0.0), (0.1, 0.05))]
-    params = stacked_params(members) if stack else members[0]
+    params = stacked_params(members, t.w) if stack else members[0]
     draws = np.array(list(_draws(8, np.random.default_rng(13), count=4)))
     first, second = (draws[:2], draws[2:]) if stack else (draws[0], draws[1])
     slot = _slot(_workspace((1,) + first.shape[:-1], t), 0)
@@ -236,28 +239,66 @@ def test_rhs_outputs_outlive_the_next_call_into_the_slot(stack, pressure_mode, m
 @GRID
 def test_rhs_runs_no_python_function_but_the_physics(pressure_mode, mobility_mode, eta):
     # a 1-D call with a workspace enters three Python frames: rhs, the
-    # pressure density and the mobility.  numpy's dispatchers (np.dot,
-    # np.copyto) and properties would each add one; the per-call cost of
+    # pressure density and the mobility, and so does a stacked call into a
+    # chunk slot.  numpy's dispatchers (np.dot, np.copyto), properties and
+    # helpers such as basis.matvec would each add one; the per-call cost of
     # the stepping loop is mostly such overhead
     t = tables(DomainSpec(half_length=1.3, modes=8))
-    c = next(_draws(8, np.random.default_rng(17)))
-    work = kernels.workspace((), t)
+    draws = np.array(list(_draws(8, np.random.default_rng(17), count=2)))
     for n in (1.5, 2.0):
-        params = ModelParams(n=n, delta=0.2, epsilon=0.01, eta=eta,
-                             pressure_mode=pressure_mode, mobility_mode=mobility_mode)
-        frames = []
+        members = [ModelParams(n=n, delta=dl, epsilon=e, eta=eta, pressure_mode=pressure_mode,
+                               mobility_mode=mobility_mode) for dl, e in ((0.2, 0.01), (0.1, 0.1))]
+        cases = ((draws[0], members[0], kernels.workspace((), t)),
+                 (draws, stacked_params(members, t.w), _slot(kernels.workspace((3, 2), t), 1)))
+        for c, params, work in cases:
+            frames = []
 
-        def profile(frame, event, arg):
-            if event == "call":
-                frames.append(f"{frame.f_globals['__name__']}.{frame.f_code.co_name}")
+            def profile(frame, event, arg):
+                if event == "call":
+                    frames.append(f"{frame.f_globals['__name__']}.{frame.f_code.co_name}")
 
-        sys.setprofile(profile)
-        try:
-            kernels.rhs(c, t, params, work)
-        finally:
-            sys.setprofile(None)
-        assert frames == ["capillary1d.kernels.rhs", "capillary1d.model.pressure_density",
-                          "capillary1d.model.mobility"], n
+            sys.setprofile(profile)
+            try:
+                kernels.rhs(c, t, params, work)
+            finally:
+                sys.setprofile(None)
+            assert frames == ["capillary1d.kernels.rhs", "capillary1d.model.pressure_density",
+                              "capillary1d.model.mobility"], (n, c.shape)
+
+
+@pytest.mark.parametrize("pressure_mode", ["nonlinear", "linear"])
+@pytest.mark.parametrize("B", [2, 3, 4])
+def test_stacked_call_meets_contiguous_member_rows(B, pressure_mode):
+    # a stacked call into a chunk slot writes u and u_x as two C-contiguous
+    # (B, G) blocks, the halves of work[0], and every elementwise operand
+    # its stack brings is a read-only C-contiguous (B, G) row block (their
+    # values: test_model) or the 0-d n_op; so no ufunc of the call meets a
+    # broadcast or strided operand besides the 0-d ones
+    N = 16
+    t = tables(DomainSpec(half_length=1.0, modes=N))
+    G = t.w.shape[0]
+    members = [ModelParams(n=1.5, delta=0.05 * (b + 1), epsilon=10.0 ** -(b + 1), eta=0.02 * b,
+                           pressure_mode=pressure_mode) for b in range(B)]
+    params = stacked_params(members, t.w)
+    for name in ("delta_op", "one_plus_delta_op", "epsilon_op", "eta_op", "w_op"):
+        a = getattr(params, name)
+        assert a.shape == (B, G) and a.flags.c_contiguous and not a.flags.writeable, name
+    assert params.n_op.shape == () and not params.n_op.flags.writeable
+    work = kernels.workspace((5, B), t)
+    slot = _slot(work, 3)
+    cs = np.array(list(_draws(N, np.random.default_rng(23), count=B)))
+    c_dot, d, u, flux, ux = kernels.rhs(cs, t, params, slot)
+    base = slot[0].ctypes.data
+    assert slot[0].shape == (2, B, G) and slot[0].flags.c_contiguous
+    for block, a in enumerate((u, ux)):
+        assert a.shape == (B, G) and a.flags.c_contiguous
+        assert a.ctypes.data == base + block * B * G * a.itemsize
+    for a in slot[1:] + (c_dot, d, flux):
+        assert a.flags.c_contiguous
+    for b, (p, c) in enumerate(zip(members, cs)):
+        for name, x, y in zip(("c_dot", "d", "u", "flux", "ux"), (c_dot, d, u, flux, ux),
+                              kernels.rhs(c, t, p)):
+            assert np.array_equal(x[b], y), (name, b)
 
 
 @pytest.mark.parametrize("n_aux", [1, 3, 4, 5, -1])
@@ -284,8 +325,11 @@ def test_stacked_table_halves_are_the_mode_tables(N):
     assert np.array_equal(t.ExT, ref_t.ExT)
     assert np.array_equal(t.ExT_neg, -ref_t.ExT) and t.ExT_neg.flags.c_contiguous
     assert t.EEx.shape == (2 * domain.grid_size, N + 1) and t.EEx.flags.c_contiguous
-    # views into the stacked table: no second copy of either half
-    assert t.E.base is t.EEx and t.Ex.base is t.EEx
+    # views into the stacked table: no second copy of either half, nor of
+    # the (2, 1, G, N+1) blocks a stack's synthesis multiplies by
+    assert t.E.base is t.EEx and t.Ex.base is t.EEx and t.EEx_blocks.base is t.EEx
+    assert t.EEx_blocks.shape == (2, 1, domain.grid_size, N + 1)
+    assert np.array_equal(t.EEx_blocks[0, 0], t.E) and np.array_equal(t.EEx_blocks[1, 0], t.Ex)
     assert t.E.flags.c_contiguous and t.Ex.flags.c_contiguous
 
 
@@ -305,7 +349,7 @@ def test_fields_stack_rows_are_the_single_calls(N, pressure_mode, mobility_mode)
                              pressure_mode=pressure_mode, mobility_mode=mobility_mode)
         cs = np.array(list(_draws(N, rng, count=5)))
         got = kernels.fields(cs, t, params)
-        stacked = kernels.fields(cs, t, stacked_params([params] * len(cs)))
+        stacked = kernels.fields(cs, t, stacked_params([params] * len(cs), t.w))
         assert len(got) == len(FIELD_NAMES)
         for i, c in enumerate(cs):
             one = dict(zip(FIELD_NAMES, kernels.fields(c, t, params)))

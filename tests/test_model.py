@@ -49,13 +49,21 @@ def test_params_operands_are_read_only_floats_beside_the_fields():
     # capped and the kernel's ufunc operands are built once per instance,
     # rebuilt by dataclasses.replace and stacked_params, and bit-equal to
     # the floats; they are no fields, so equality, hash, repr and asdict
-    # see the seven fields only
+    # see the seven fields only.  A stack's are (B, G) rows, each member's
+    # value repeated over the grid, and its weight rows w_op repeat w; n_op
+    # is 0-d in both
     def assert_operands(q, delta, epsilon, eta, shape):
-        for name, want in (("delta_op", delta), ("one_plus_delta_op", 1.0 + np.asarray(delta)),
-                           ("epsilon_op", epsilon), ("eta_op", eta)):
+        ops = (("delta_op", delta), ("one_plus_delta_op", 1.0 + np.asarray(delta)),
+               ("epsilon_op", epsilon), ("eta_op", eta), ("n_op", q.n))
+        if shape:
+            ops += (("w_op", [q.w]),)
+        for name, want in ops:
             a = getattr(q, name)
-            assert a.shape == shape and a.dtype == np.float64 and not a.flags.writeable, name
-            assert a.tobytes() == np.asarray(want, dtype=float).reshape(shape).tobytes(), name
+            want_shape = () if name == "n_op" else shape
+            assert a.shape == want_shape and a.dtype == np.float64, name
+            assert a.flags.c_contiguous and not a.flags.writeable, name
+            want = np.broadcast_to(np.asarray(want, dtype=float), want_shape)
+            assert a.tobytes() == want.tobytes(), name
             with pytest.raises(ValueError):
                 a[...] = 0.5
         assert q.capped == bool(np.any(np.asarray(eta) > 0.0))
@@ -65,9 +73,13 @@ def test_params_operands_are_read_only_floats_beside_the_fields():
     q = dataclasses.replace(p, delta=0.7, epsilon=1e-3, eta=0.0)
     assert_operands(q, 0.7, 1e-3, 0.0, ())
     assert_operands(p, 0.3, 0.1, 0.05, ())
-    s = stacked_params([p, q, ModelParams(n=2.0, delta=0.1)])
-    assert_operands(s, [0.3, 0.7, 0.1], [0.1, 1e-3, 0.0], [0.05, 0.0, 0.0], (3, 1))
-    assert_operands(stacked_params([q, q]), [0.7, 0.7], [1e-3, 1e-3], [0.0, 0.0], (2, 1))
+    w = tables(D8).w
+    G = w.shape[0]
+    s = stacked_params([p, q, ModelParams(n=2.0, delta=0.1)], w)
+    assert_operands(s, [[0.3], [0.7], [0.1]], [[0.1], [1e-3], [0.0]], [[0.05], [0.0], [0.0]],
+                    (3, G))
+    assert_operands(stacked_params([q, q], w), [[0.7], [0.7]], [[1e-3], [1e-3]], [[0.0], [0.0]],
+                    (2, G))
 
     names = ["n", "delta", "epsilon", "eta", "pressure_mode", "entropy_anchor",
              "mobility_mode"]
@@ -124,7 +136,7 @@ EDGE = np.array([-3.0, -0.7, -1e-160, -5e-324, -0.0, 0.0, 5e-324, 2.2e-308, 1e-1
 def test_mobility_in_place_is_the_power_form(n, eta):
     # mobility writes into out, bit for bit np.abs(s) ** n (+ the cap) + eps;
     # at n = 2 it forms s * s, which numpy's ** 2.0 equals, and so does each
-    # row of a stack with its member's (B, 1) columns
+    # row of a stack with its member's (B, G) rows
     def want(s, q):
         m = np.abs(s) ** n
         return (m / (1.0 + q.eta * m) if q.capped else m) + q.epsilon
@@ -136,18 +148,18 @@ def test_mobility_in_place_is_the_power_form(n, eta):
     members = [ModelParams(n=n, epsilon=e, eta=eta) for e in (0.0, 1e-3, 0.5)]
     s = np.stack([EDGE, -EDGE, EDGE[::-1]])
     out = np.full(s.shape, np.nan)
-    mobility(s, stacked_params(members), out=out)
+    mobility(s, stacked_params(members, np.ones(EDGE.size)), out=out)
     for row, srow, q in zip(out, s, members):
         assert np.array_equal(row, want(srow, q)), q
 
 
 def test_mobility_constant_mode_fills_each_member_row():
-    # constant mode copies epsilon into out, a stack's (B, 1) column row by row
+    # constant mode copies epsilon into out, a stack's (B, G) rows row by row
     members = [ModelParams(n=2.0, epsilon=e, mobility_mode="constant") for e in (0.05, 0.25)]
     out = np.full(EDGE.shape, np.nan)
     assert np.array_equal(mobility(EDGE, members[0], out=out), np.full(EDGE.shape, 0.05))
     out = np.full((2,) + EDGE.shape, np.nan)
-    mobility(np.stack([EDGE, -EDGE]), stacked_params(members), out=out)
+    mobility(np.stack([EDGE, -EDGE]), stacked_params(members, np.ones(EDGE.size)), out=out)
     assert np.array_equal(out, np.repeat([[0.05], [0.25]], EDGE.size, axis=1))
 
 
@@ -428,6 +440,32 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=_src_env())
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("preset, want", [({}, ["1", "1", "1"]),
+                                          ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])],
+                         ids=["default", "explicit"])
+def test_cli_import_pins_one_blas_thread_before_numpy_loads(preset, want):
+    # importing the package sets each BLAS thread variable to 1 unless it is
+    # set, and does so before numpy (which reads them at load) is imported
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    code = f"""
+import builtins, os, sys
+seen = []
+real_import = builtins.__import__
+def spy(name, *args, **kwargs):
+    if name.split(".")[0] == "numpy" and "numpy" not in sys.modules and not seen:
+        seen.append([os.environ.get(n) for n in {names!r}])
+    return real_import(name, *args, **kwargs)
+builtins.__import__ = spy
+import capillary1d.cli
+print(seen)
+"""
+    env = {k: v for k, v in _src_env().items() if k not in names}
+    env.update(preset)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == repr([want])
 
 
 def test_cli_import_leaves_process_pools_unloaded():
